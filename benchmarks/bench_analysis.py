@@ -1,13 +1,11 @@
-"""Benchmarks of the dataflow analysis framework and analysis_prune.
+"""Benchmarks of the dataflow analysis framework.
 
 Three layers, matching the claims recorded in ``BENCH_analysis.json``:
 
 - fact-base construction cost per golden circuit (what ``LintPass``
   and the S-rules pay up front),
 - soundness-check cost (the CI gate's budget),
-- the end-to-end question ``analysis_prune`` exists to answer: how many
-  full-gain evaluations does fact-driven memoisation avoid across a
-  whole optimisation, and does the move sequence stay bit-identical.
+- the end-to-end optimisation of ttt2 the fact base is weighed against.
 """
 
 from __future__ import annotations
@@ -53,20 +51,10 @@ def test_soundness_check(benchmark, golden):
     once(benchmark, run)
 
 
-@pytest.mark.parametrize("analysis_prune", (False, True))
-def test_end_to_end_optimize(benchmark, lib, analysis_prune):
-    """power_optimize on ttt2 with and without analysis_prune.
-
-    The paired runs behind BENCH_analysis.json's ``end_to_end`` block:
-    identical move sequence, fewer full-gain evaluations.
-    """
+def test_end_to_end_optimize(benchmark, lib):
+    """power_optimize on ttt2 (BENCH_analysis.json's ``end_to_end``
+    baseline)."""
     netlist = parse_blif_file(BLIF_DIR / "ttt2.blif", lib)
-    tracer = Tracer()
-    options = OptimizeOptions(
-        num_patterns=512, trace=tracer, analysis_prune=analysis_prune
-    )
+    options = OptimizeOptions(num_patterns=512, trace=Tracer())
     result = once(benchmark, power_optimize, netlist, options)
     assert result.moves
-    if analysis_prune:
-        counters = result.trace.counters
-        assert counters["prune_constant_sources"] > 0

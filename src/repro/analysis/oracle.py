@@ -23,36 +23,12 @@ structural state key changes.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.netlist.netlist import Netlist
 from repro.netlist.traverse import topological_order, transitive_fanout
-from repro.sat.cnf import CnfFormula, cell_templates, tseitin_encode
+from repro.sat.cnf import encode_cell, encode_xor, tseitin_encode
 from repro.sat.incremental import IncrementalSolver
-
-
-def encode_cell(
-    solver: IncrementalSolver,
-    formula: CnfFormula,
-    out: int,
-    fanin_literals: Iterable[int],
-    cell,
-) -> None:
-    """Add the Tseitin clauses tying ``out`` to ``cell(fanins)``."""
-    literals = list(fanin_literals)
-    onset, offset = cell_templates(cell)
-    for cube in onset:
-        clause = [out]
-        for var, polarity in cube:
-            literal = literals[var]
-            clause.append(-literal if polarity else literal)
-        solver.add_clause(*clause)
-    for cube in offset:
-        clause = [-out]
-        for var, polarity in cube:
-            literal = literals[var]
-            clause.append(-literal if polarity else literal)
-        solver.add_clause(*clause)
 
 
 class FactOracle:
@@ -109,12 +85,7 @@ class FactOracle:
         if diff is None:
             diff = self.formula.new_var()
             self.solver.ensure_vars(self.formula.num_vars)
-            va, vb = self.var(key[0]), self.var(key[1])
-            # diff <-> va XOR vb
-            self.solver.add_clause(-diff, va, vb)
-            self.solver.add_clause(-diff, -va, -vb)
-            self.solver.add_clause(diff, -va, vb)
-            self.solver.add_clause(diff, va, -vb)
+            encode_xor(self.solver, diff, self.var(key[0]), self.var(key[1]))
             self._diff_vars[key] = diff
         # Equality is "diff never 1"; antiphase is "diff never 0".
         return self._solve([diff if parity == 0 else -diff])
@@ -160,7 +131,7 @@ class FactOracle:
                     literals.append(self.var(fanin.name))
             out = self.formula.new_var()
             self.solver.ensure_vars(self.formula.num_vars)
-            encode_cell(self.solver, self.formula, out, literals, sink.cell)
+            encode_cell(self.solver, out, literals, sink.cell)
             copies[sink.name] = out
         diff_vars = []
         for po_name in sorted(netlist.outputs):
@@ -174,10 +145,7 @@ class FactOracle:
             old = self.var(driver.name)
             diff = self.formula.new_var()
             self.solver.ensure_vars(self.formula.num_vars)
-            self.solver.add_clause(-diff, old, new_literal)
-            self.solver.add_clause(-diff, -old, -new_literal)
-            self.solver.add_clause(diff, -old, new_literal)
-            self.solver.add_clause(diff, old, -new_literal)
+            encode_xor(self.solver, diff, old, new_literal)
             diff_vars.append(diff)
         if not diff_vars:
             return None

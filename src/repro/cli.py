@@ -570,7 +570,6 @@ def _cmd_fuzz(args) -> int:
         shrink=args.shrink or args.corpus_dir is not None,
         corpus_dir=Path(args.corpus_dir) if args.corpus_dir else None,
         check_rerun=not args.quick,
-        check_engine_identity=not args.quick,
         check_pipeline_identity=not args.quick,
         mutator=cell_swap_mutator if args.self_test else None,
         windowed=shared["windowed"],
@@ -958,7 +957,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--quick", action="store_true",
         help="skip the properties that re-run the optimizer "
-        "(idempotent-rerun, engine-identity, pipeline-identity)",
+        "(idempotent-rerun, pipeline-identity)",
     )
     p.add_argument(
         "--self-test", action="store_true",

@@ -15,7 +15,7 @@ across randomized circuits:
   reported power/area/delay against from-scratch re-estimation,
 - :mod:`~repro.fuzz.properties` — metamorphic properties of the optimizer
   (power never increases, the delay constraint holds, re-running is safe,
-  incremental and legacy engines agree move for move),
+  the pass pipeline and the directly driven engine agree move for move),
 - :mod:`~repro.fuzz.shrink` — delta-debugging reduction of a failing
   netlist to a small reproducer,
 - :mod:`~repro.fuzz.harness` — the ``powder fuzz`` campaign driver and the

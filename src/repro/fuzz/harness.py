@@ -93,15 +93,14 @@ class FuzzOptions:
     #: Metamorphic properties that re-run the optimizer (can be disabled
     #: for quick smoke runs).
     check_rerun: bool = True
-    check_engine_identity: bool = True
     check_pipeline_identity: bool = True
     #: Test-only fault injection (see :data:`Mutator`).
     mutator: Optional[Mutator] = None
     #: Exercise the windowed optimizer instead of the flat engine (see
     #: ``OptimizeOptions.windowed``).  Windowed cases skip the
-    #: power-monotone and engine/pipeline-identity properties: window-
-    #: local power estimates approximate the global estimator, and the
-    #: flat engines are by design not the windowed move sequence.
+    #: power-monotone and pipeline-identity properties: window-local
+    #: power estimates approximate the global estimator, and the flat
+    #: engine is by design not the windowed move sequence.
     windowed: bool = False
     jobs: int = 1
     window_size: int = 80
@@ -241,9 +240,6 @@ def verify_netlist(
             result,
             opt,
             check_rerun=options.check_rerun,
-            check_engine_identity=(
-                options.check_engine_identity and not options.windowed
-            ),
             check_pipeline_identity=(
                 options.check_pipeline_identity and not options.windowed
             ),

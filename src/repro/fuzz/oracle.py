@@ -19,7 +19,7 @@ by construction it implicates one of the engines, whichever way it falls.
 
 :func:`cross_check_metrics` re-derives an :class:`OptimizeResult`'s power,
 area and delay figures from scratch and flags drift against the numbers
-the incremental engine reported.
+the optimizer reported.
 """
 
 from __future__ import annotations

@@ -9,9 +9,6 @@ input, no reference answer needed:
   delay respects it,
 - ``idempotent-rerun`` — running the optimizer again on its own output is
   safe: it converges, keeps equivalence, and never pushes power back up,
-- ``engine-identity`` — the incremental engine and the legacy from-scratch
-  paths produce bit-identical move sequences (the PR-1 contract, here
-  enforced on arbitrary generated circuits),
 - ``pipeline-identity`` — the default pass pipeline (what
   ``power_optimize`` schedules through the PassManager) and a directly
   driven ``PowerOptimizer`` apply identical move sequences (the
@@ -41,7 +38,6 @@ def run_properties(
     result: OptimizeResult,
     options: OptimizeOptions,
     check_rerun: bool = True,
-    check_engine_identity: bool = True,
     check_pipeline_identity: bool = True,
     check_power_monotone: bool = True,
 ) -> list[str]:
@@ -61,8 +57,6 @@ def run_properties(
         failures.extend(
             idempotent_rerun(result, options, check_power=check_power_monotone)
         )
-    if check_engine_identity:
-        failures.extend(engine_identity(original, result, options))
     if check_pipeline_identity:
         failures.extend(pipeline_identity(original, result, options))
     return failures
@@ -163,28 +157,5 @@ def pipeline_identity(
         return [
             f"[pipeline-identity] final power differs: pipeline "
             f"{result.final_power!r} vs direct {direct.final_power!r}"
-        ]
-    return []
-
-
-def engine_identity(
-    original: Netlist, result: OptimizeResult, options: OptimizeOptions
-) -> list[str]:
-    """[engine-identity] incremental and legacy engines agree move for move."""
-    other = replace(options, incremental=not options.incremental)
-    legacy = power_optimize(original.copy(original.name + "_ab"), other)
-    ours = [str(m.substitution) for m in result.moves]
-    theirs = [str(m.substitution) for m in legacy.moves]
-    if ours != theirs:
-        tag = "legacy" if options.incremental else "incremental"
-        for index, (a, b) in enumerate(zip(ours, theirs)):
-            if a != b:
-                return [
-                    f"[engine-identity] move {index} differs: {a} vs "
-                    f"{tag} {b}"
-                ]
-        return [
-            f"[engine-identity] move counts differ: {len(ours)} vs "
-            f"{tag} {len(theirs)}"
         ]
     return []

@@ -16,10 +16,10 @@ Together these force ``out = F`` exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro.logic.sop import Cover
-from repro.netlist.netlist import Gate, Netlist
+from repro.netlist.netlist import Netlist
 from repro.netlist.traverse import topological_order
 
 # Per-cell-function clause templates, shared across encodings.
@@ -61,9 +61,8 @@ class CnfFormula:
 def cell_templates(cell):
     """(onset cubes, offset cubes) of a cell's function, as literal lists.
 
-    Shared by the whole-netlist Tseitin encoding and the triage checker's
-    cone-duplication encoding (which instantiates single cells against
-    mapped literals rather than whole gates).
+    Cached per function; :func:`encode_cell` instantiates them against
+    whatever literals a gate or a duplicated cone cell reads.
     """
     table = cell.function
     key = (table.nvars, table.bits)
@@ -90,9 +89,39 @@ def cell_templates(cell):
     return result
 
 
-def _cube_templates(gate: Gate):
-    """(onset cubes, offset cubes) of the gate's function, as literal lists."""
-    return cell_templates(gate.cell)
+def encode_cell(sink, out: int, fanin_literals: Sequence[int], cell) -> None:
+    """Add the clauses forcing ``out <-> cell(fanin_literals)`` to ``sink``.
+
+    ``sink`` is anything with ``add_clause(*literals)`` — a
+    :class:`CnfFormula` or an :class:`~repro.sat.incremental.IncrementalSolver`.
+    Fanin literals are signed, so a cell can read a negated signal.  The
+    onset clauses come first, each cube's literals in template order, so
+    every encoder emits the same clause sequence (CDCL conflict counts
+    depend on it).
+    """
+    onset, offset = cell_templates(cell)
+    # cube holds -> out is 1:   (¬lit1 ∨ ... ∨ out)
+    for cube in onset:
+        clause = [out]
+        for var, polarity in cube:
+            literal = fanin_literals[var]
+            clause.append(-literal if polarity else literal)
+        sink.add_clause(*clause)
+    # offset cube holds -> out is 0.
+    for cube in offset:
+        clause = [-out]
+        for var, polarity in cube:
+            literal = fanin_literals[var]
+            clause.append(-literal if polarity else literal)
+        sink.add_clause(*clause)
+
+
+def encode_xor(sink, out: int, a: int, b: int) -> None:
+    """Add the four clauses forcing ``out <-> (a xor b)`` to ``sink``."""
+    sink.add_clause(-out, a, b)
+    sink.add_clause(-out, -a, -b)
+    sink.add_clause(out, -a, b)
+    sink.add_clause(out, a, -b)
 
 
 def tseitin_encode(
@@ -119,23 +148,11 @@ def tseitin_encode(
             ]
             for f in gate.fanins
         ]
-        onset, offset = _cube_templates(gate)
         if not gate.fanins:  # tie cell
             value = gate.cell.function.bits & 1
             formula.assume(out if value else -out)
             continue
-        # cube holds -> out is 1:   (¬lit1 ∨ ... ∨ out)
-        for cube in onset:
-            clause = [out]
-            for var, polarity in cube:
-                clause.append(-fanin_vars[var] if polarity else fanin_vars[var])
-            formula.add_clause(*clause)
-        # offset cube holds -> out is 0.
-        for cube in offset:
-            clause = [-out]
-            for var, polarity in cube:
-                clause.append(-fanin_vars[var] if polarity else fanin_vars[var])
-            formula.add_clause(*clause)
+        encode_cell(formula, out, fanin_vars, gate.cell)
     return formula
 
 
@@ -156,11 +173,7 @@ def miter_cnf(left: Netlist, right: Netlist) -> CnfFormula:
         r_driver = right.outputs[po]
         r_var = formula.var_of["R." + r_driver.name] if not r_driver.is_input else formula.var_of[r_driver.name]
         d = formula.new_var(f"diff.{po}")
-        # d <-> (l xor r)
-        formula.add_clause(-d, l_var, r_var)
-        formula.add_clause(-d, -l_var, -r_var)
-        formula.add_clause(d, -l_var, r_var)
-        formula.add_clause(d, l_var, -r_var)
+        encode_xor(formula, d, l_var, r_var)
         diff_vars.append(d)
     formula.add_clause(*diff_vars)
     return formula

@@ -44,15 +44,12 @@ _OPTION_FIELDS = (
     "num_patterns",
     "seed",
     "backtrack_limit",
-    "permissibility",
     "preselect",
     "min_gain",
     "gain_threshold_fraction",
     "max_moves",
     "max_rounds",
-    "incremental",
     "dedupe_first",
-    "analysis_prune",
 )
 
 _CANDIDATE_FIELDS = (
@@ -112,12 +109,6 @@ class Tracer:
         if triage is not None:
             for name, value in triage.counters.items():
                 self.metrics.counter(f"triage_{name}").increment(value)
-        # Work avoided by analysis_prune; only recorded when the option
-        # is on, so prune-off baselines keep their counter sets.
-        prune = getattr(optimizer, "prune_counters", None)
-        if prune and getattr(optimizer.options, "analysis_prune", False):
-            for name, value in prune.items():
-                self.metrics.counter(f"prune_{name}").increment(value)
         trace = self.trace
         trace.counters = self.metrics.counters()
         trace.timers = self.metrics.timers()

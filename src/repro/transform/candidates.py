@@ -890,14 +890,16 @@ def _pair_candidates(
     obs: np.ndarray,
     source_mask: np.ndarray,
     options: CandidateOptions,
-    region_info: Optional[tuple] = None,
+    region_info: tuple,
 ) -> list[Candidate]:
-    """OS3/IS3: insert a new 2-input gate over a short source list."""
+    """OS3/IS3: insert a new 2-input gate over a short source list.
+
+    ``region_info`` is the caller's per-target dying region, PG_A, moved
+    load, area base, region ids and dying names; the insertion cells are
+    the round's, set by :meth:`CandidateWorkspace.generate`.
+    """
     estimator = workspace.estimator
-    netlist = workspace.netlist
     cells = workspace._round_cells
-    if cells is None:
-        cells = _two_input_cells(netlist, options)
     if not cells:
         return []
     # Rank sources by activity: low-activity signals make cheap drivers.
@@ -913,25 +915,7 @@ def _pair_candidates(
     # region (sources are ranked from *outside* it — see below), the PG_A
     # sum, and the moved load, so the whole gain table is one broadcast
     # per cell instead of one quick_gain per tuple.
-    if branch is None:
-        if region_info is not None:
-            region, pg_a, moved, area_base, region_ids, dying = region_info
-        else:
-            region = dominated_region(netlist, target)
-            pg_a = region_power(estimator, region)
-            moved = netlist.load_of(target)
-            dying = [g.name for g in region]
-            area_base = -sum(g.cell.area for g in region if not g.is_input)
-            region_ids = {id(g) for g in region}
-    elif region_info is not None:
-        _region, pg_a, moved, area_base, region_ids, dying = region_info
-    else:
-        sink = netlist.gate(branch[0])
-        moved = sink.cell.pins[branch[1]].load
-        pg_a = moved * estimator.activity(target)
-        dying = []
-        area_base = 0  # -sum over the empty region
-        region_ids = set()
+    _region, pg_a, moved, area_base, region_ids, dying = region_info
     # A source inside the unconstrained region would reshape it (the keep
     # set binds); those rare tuples take the exact per-candidate path.
     in_region = [id(workspace.stems[i]) in region_ids for i in ranked]

@@ -23,8 +23,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.errors import NetlistError, TransformError
-
 if TYPE_CHECKING:  # pragma: no cover
     from repro.transform.candidates import Candidate
     from repro.transform.optimizer import PowerOptimizer
@@ -75,31 +73,16 @@ class DelayCost(CostModel):
     """Ref [5]'s objective: circuit-delay reduction by exact trial STA.
 
     The quick gain figures cannot see timing, so every scored candidate
-    pays one trial analysis: in-place ``what_if`` on the incremental
-    engine, an apply-to-copy rebuild on the legacy paths.
+    pays one in-place ``what_if`` trial analysis.
     """
 
     name = "delay"
 
     def score(self, optimizer: "PowerOptimizer", candidate: "Candidate") -> float:
-        from repro.timing.analysis import TimingAnalysis
-        from repro.transform.substitution import apply_to_copy
-
-        if optimizer.options.incremental:
-            after = optimizer.timing.what_if(candidate.substitution)
-            if after is None:
-                return float("-inf")
-            return optimizer.timing.circuit_delay - after
-        try:
-            trial, _applied = apply_to_copy(
-                optimizer.netlist, candidate.substitution
-            )
-        except (TransformError, NetlistError):
+        after = optimizer.timing.what_if(candidate.substitution)
+        if after is None:
             return float("-inf")
-        return (
-            TimingAnalysis(optimizer.netlist).circuit_delay
-            - TimingAnalysis(trial).circuit_delay
-        )
+        return optimizer.timing.circuit_delay - after
 
 
 #: Registered objectives by name (``OptimizeOptions.objective`` values).

@@ -11,8 +11,9 @@ constraint:
    re-estimation), re-estimate ``PG_C`` only for the short-list, pick the
    best total,
 4. ``check_delay`` — discard moves that would break the constraint (§3.4),
-5. ``check_candidate`` — exact ATPG permissibility; aborts count as
-   rejection,
+5. ``check_candidate`` — exact permissibility: a simulation kill, then
+   an incremental CDCL proof, with the PODEM oracle only when the SAT
+   budget runs out; aborts count as rejection,
 6. ``perform_substitution`` + ``power_estimate_update`` — apply and
    incrementally refresh the probabilities of the substituted signal's TFO.
 
@@ -41,41 +42,22 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.errors import NetlistError, TransformError
+from repro.errors import TransformError
 from repro.netlist.netlist import Netlist
 from repro.netlist.verify import check_netlist
 from repro.timing.analysis import TimingAnalysis
 from repro.timing.constraints import quick_delay_reject
-from repro.transform.candidates import (
-    Candidate,
-    CandidateOptions,
-    generate_candidates,
-)
+from repro.transform.candidates import Candidate, CandidateOptions
 from repro.transform.cost import COST_MODELS, CostModel, resolve_cost_model
-from repro.transform.gain import (
-    GainBreakdown,
-    full_gain,
-    predict_dying_region,
-)
-from repro.transform.permissible import (
-    ABORTED,
-    NOT_PERMISSIBLE,
-    PERMISSIBLE,
-    check_candidate,
-)
+from repro.transform.gain import full_gain
+from repro.transform.permissible import ABORTED, NOT_PERMISSIBLE
 from repro.transform.report import MoveRecord, format_class_table
 from repro.transform.substitution import (
     OS3,
     IS3,
     Substitution,
     apply_substitution,
-    apply_to_copy,
 )
-
-#: Virtual equivalence-class root for proven-constant signals: a
-#: constant-``v`` source normalises to (``_CONST_ROOT``, parity ``v``).
-#: The NUL prefix keeps it disjoint from every legal gate name.
-_CONST_ROOT = "\x00const"
 
 
 @dataclass
@@ -106,16 +88,9 @@ class OptimizeOptions:
     #: the optimizer measures activities with the temporal pair-simulation
     #: engine instead of assuming temporal independence.
     input_temporal_specs: Optional[dict] = None
-    #: ATPG decision budget per permissibility check.
+    #: ATPG decision budget of the PODEM oracle the permissibility
+    #: triage falls back on when its SAT conflict budget runs out.
     backtrack_limit: int = 20000
-    #: Permissibility engine: ``"triage"`` (simulation counterexamples on
-    #: the live netlist first, then an incremental-SAT cone miter, with
-    #: the legacy PODEM+BDD oracle as fallback on budget exhaustion),
-    #: ``"podem"`` (the legacy staged oracle alone), or ``"both"`` (run
-    #: both engines on every candidate, tally agreement in the triage
-    #: counters, and raise on any hard disagreement — the cross-check
-    #: mode for tests and bring-up).
-    permissibility: str = "triage"
     #: Short-list size for the PG_C re-estimation during selection.
     preselect: int = 10
     #: Minimum accepted power gain (the paper stops at "no reduction").
@@ -128,15 +103,8 @@ class OptimizeOptions:
     #: Hard caps to bound runtime on large circuits.
     max_moves: Optional[int] = None
     max_rounds: int = 50
-    #: Use the incremental engine: persistent candidate workspace with the
-    #: batched observability kernel, in-place STA updates after each move,
-    #: and trial-delay checks without copying the netlist.  Produces the
-    #: same move sequence as the legacy from-scratch paths; ``False``
-    #: selects those paths (for A/B benchmarks and identity tests).
-    incremental: bool = True
-    #: Structural self-check after every move (slows things; for tests).
-    #: With the incremental engine this also verifies the in-place STA
-    #: against a from-scratch rebuild after every move.
+    #: Structural self-check after every move (slows things; for tests),
+    #: including the in-place STA against a from-scratch rebuild.
     self_check: bool = False
     #: Diagnostics-grade superset of ``self_check``: after every move run
     #: the :mod:`repro.lint` rule pack and cross-check every incremental
@@ -160,21 +128,6 @@ class OptimizeOptions:
     #: by default: the paper's protocol starts from the mapped netlist
     #: as-is.
     dedupe_first: bool = False
-    #: Prune candidate work with the static fact base
-    #: (:class:`repro.analysis.AnalysisSuite`, shared via the context's
-    #: ``analysis`` slot): drop pool candidates sourced from proven-
-    #: unobservable gates, and collapse pointwise-identical candidates
-    #: during selection — equivalence-class twins and constant-source
-    #: duplicates reuse the first twin's full-gain breakdown (same dying
-    #: region required) instead of paying the PG_C overlay simulation
-    #: again.  The collapse keeps chunk membership intact and reproduces
-    #: the exact gain floats a fresh evaluation would compute, so the
-    #: selected move sequence stays bit-identical to a prune-off run
-    #: (the golden-trace identity suite pins this on the four bundled
-    #: benchmarks).  Collapsing is disabled under a delay constraint,
-    #: where equivalent signals may differ in arrival time.  Work-avoided
-    #: tallies land in the telemetry counters (``prune_*``).
-    analysis_prune: bool = False
     #: Windowed mode for large netlists: partition into radius-bounded
     #: TFI/TFO windows (:mod:`repro.partition`), optimize each window on
     #: a ``multiprocessing`` pool, and merge the non-conflicting move
@@ -217,11 +170,6 @@ class OptimizeOptions:
             raise ValueError(
                 "delay_limit and delay_slack_percent are mutually "
                 "exclusive; set at most one"
-            )
-        if self.permissibility not in ("triage", "podem", "both"):
-            raise ValueError(
-                f"unknown permissibility engine {self.permissibility!r}; "
-                f"choose 'triage', 'podem', or 'both'"
             )
         if self.window_size < 1:
             raise ValueError(
@@ -444,15 +392,6 @@ class PowerOptimizer:
         self.rejected_not_permissible = 0
         self.rejected_aborted = 0
         self.rejected_stale = 0
-        #: ``analysis_prune`` work avoided, by reason: pool candidates
-        #: dropped over unobservable sources, and full-gain evaluations
-        #: skipped by the selection-time collapse (constant-source twins
-        #: and equivalence-class duplicates, tallied separately).
-        self.prune_counters = {
-            "constant_sources": 0,
-            "unobservable_sources": 0,
-            "equiv_duplicates": 0,
-        }
         self._round = 0
         #: Telemetry hooks; every call site is guarded by ``is not None``
         #: so the untraced path (the default) pays nothing.
@@ -495,104 +434,7 @@ class PowerOptimizer:
     # Figure-5 primitives
     # ------------------------------------------------------------------
     def get_candidate_substitutions(self) -> list[Candidate]:
-        opts = self.options
-        facts = None
-        if opts.analysis_prune:
-            facts = self.ctx.get("analysis").facts
-        if not opts.incremental:
-            pool = generate_candidates(self.estimator, opts.candidates)
-        else:
-            pool = self.ctx.workspace.generate(opts.candidates)
-        if facts is not None:
-            pool = self._prune_pool(pool, facts)
-        return pool
-
-    def _prune_pool(self, pool: list[Candidate], facts) -> list[Candidate]:
-        """Drop candidates sourced from proven-unobservable gates.
-
-        Runs *after* full generation (post-filter): masking sources
-        before the per-target ``max_per_target`` / ``max_total``
-        truncation would backfill new candidates into the pool and
-        change the move sequence.  Every drop is counted.
-
-        Unobservable sources are dead logic the substitution would wire
-        back to life; proven-*constant* sources are deliberately NOT
-        dropped here — a constant signal is a genuinely cheap driver the
-        baseline loop happily selects, so they are collapsed during
-        selection instead (one evaluation per constant value, see
-        :meth:`_selection_tokens`).
-        """
-        counters = self.prune_counters
-        unobservable = facts.unobservable_names()
-        if not unobservable:
-            return pool
-        kept: list[Candidate] = []
-        for candidate in pool:
-            sub = candidate.substitution
-            sources = [s for s in (sub.source1, sub.source2) if s]
-            if any(s in unobservable for s in sources):
-                counters["unobservable_sources"] += 1
-                continue
-            kept.append(candidate)
-        return kept
-
-    def _selection_tokens(self) -> Optional[dict]:
-        """Current signal-identity tokens for selection-time collapsing.
-
-        Equivalence-class tokens plus one virtual class for every
-        proven-constant gate: a constant-``v`` source is pointwise
-        ``<const> ^ v`` (``<const>`` being the all-zero virtual root),
-        so *all* constant-source candidates of one shape share a single
-        evaluation regardless of which constant gate they read.
-
-        ``None`` unless ``analysis_prune`` is on and no delay constraint
-        binds (equivalent signals may differ in arrival time).  Read per
-        selection call: the suite refreshes incrementally after each
-        applied move, and a token is only trusted for the *current*
-        structural state.
-        """
-        if not self.options.analysis_prune or self.constraint is not None:
-            return None
-        facts = self.ctx.get("analysis").facts
-        tokens = dict(facts.equiv_tokens())
-        for name, value in facts.constant_values().items():
-            tokens[name] = (_CONST_ROOT, value)
-        return tokens
-
-    @staticmethod
-    def _twin_key(sub: Substitution, tokens: dict) -> Optional[tuple]:
-        """Evaluation-sharing key: equal keys mean the substituting
-        signals are pointwise-identical.
-
-        Each source is normalised to (class representative, effective
-        inversion): a parity-1 class member read uninverted equals the
-        representative read inverted, so both collapse onto one key.
-        ``None`` when no source carries a token — distinct candidates
-        can then never collide (the key would pin the exact sources).
-        """
-        if sub.is_constant:
-            return None
-        token1 = tokens.get(sub.source1)
-        token2 = tokens.get(sub.source2) if sub.source2 else None
-        if token1 is None and token2 is None:
-            return None
-        root1, parity1 = token1 if token1 else (sub.source1, 0)
-        eff1 = bool(sub.invert1) ^ bool(parity1)
-        if sub.source2:
-            root2, parity2 = token2 if token2 else (sub.source2, 0)
-            eff2 = bool(sub.invert2) ^ bool(parity2)
-        else:
-            root2, eff2 = None, False
-        return (
-            sub.kind,
-            sub.target,
-            sub.branch,
-            sub.new_cell,
-            root1,
-            eff1,
-            root2,
-            eff2,
-        )
+        return self.ctx.workspace.generate(self.options.candidates)
 
     def _objective_score(self, candidate: Candidate) -> float:
         """How much the configured objective improves (> floor = accept)."""
@@ -609,19 +451,8 @@ class PowerOptimizer:
         Examines candidates in quick-gain order, chunk by chunk: the first
         chunk whose best score clears the floor wins.  Examined losers are
         dropped from the pool, guaranteeing progress.
-
-        With ``analysis_prune``, full-gain evaluations are shared between
-        equivalence-class twins within this call (the netlist is fixed
-        here, so a memoised breakdown stays exact): a twin reuses the
-        evaluated breakdown only when its own dying region matches, the
-        one place the source's *position* — not its value — enters the
-        gain.  Chunk membership is untouched, and a reused breakdown
-        reproduces the exact floats a fresh evaluation would produce, so
-        selection is bit-identical to the unpruned loop.
         """
         opts = self.options
-        tokens = self._selection_tokens()
-        memo: dict[tuple, GainBreakdown] = {}
         while pool:
             chunk: list[tuple[int, Candidate]] = []
             index = 0
@@ -642,8 +473,8 @@ class PowerOptimizer:
             best: Optional[tuple[int, Candidate, float]] = None
             for position, candidate in chunk:
                 try:
-                    candidate.gain = self._evaluate_gain(
-                        candidate.substitution, tokens, memo
+                    candidate.gain = full_gain(
+                        self.estimator, candidate.substitution
                     )
                 except TransformError:
                     self.rejected_stale += 1
@@ -660,49 +491,6 @@ class PowerOptimizer:
             for position, _candidate in sorted(chunk, reverse=True):
                 pool.pop(position)
         return None
-
-    def _evaluate_gain(
-        self,
-        substitution: Substitution,
-        tokens: Optional[dict],
-        memo: dict,
-    ) -> GainBreakdown:
-        """``full_gain``, sharing evaluations between proven twins.
-
-        A memo hit is honoured only when the candidate's own dying
-        region (recomputed — it can raise exactly where ``full_gain``
-        would) equals the evaluated twin's: regions diverge when one
-        source lies inside the target's fanout-free cone, and with them
-        PG_A, PG_C, and the area delta.  On a match the twin's
-        breakdown is cloned — the PG_C overlay simulation, the dominant
-        cost here, is skipped.
-        """
-        key = (
-            self._twin_key(substitution, tokens)
-            if tokens is not None
-            else None
-        )
-        if key is not None:
-            entry = memo.get(key)
-            if entry is not None:
-                region = predict_dying_region(self.netlist, substitution)
-                if [gate.name for gate in region] == entry.dying:
-                    if _CONST_ROOT in (key[4], key[6]):
-                        self.prune_counters["constant_sources"] += 1
-                    else:
-                        self.prune_counters["equiv_duplicates"] += 1
-                    return GainBreakdown(
-                        pg_a=entry.pg_a,
-                        pg_b=entry.pg_b,
-                        pg_c=entry.pg_c,
-                        includes_pg_c=entry.includes_pg_c,
-                        area_delta=entry.area_delta,
-                        dying=list(entry.dying),
-                    )
-        gain = full_gain(self.estimator, substitution)
-        if key is not None:
-            memo[key] = gain
-        return gain
 
     def check_delay(self, substitution: Substitution) -> bool:
         """True when the move respects the delay constraint (§3.4)."""
@@ -724,23 +512,13 @@ class PowerOptimizer:
                 self.timing, substituting, target, added_load, new_tau, new_res
             ):
                 return False
-        # Exact verdict.  A stale candidate can fail to apply (e.g. earlier
-        # moves made it cycle-creating); reject it.
-        if self.options.incremental:
-            # what_if evaluates the rewired netlist in place; None means
-            # the move is stale or cycle-creating (what apply would raise).
-            verdict = self.timing.what_if(substitution)
-            if verdict is None:
-                return False
-            return verdict <= self.constraint.limit + 1e-9
-        try:
-            trial, _applied = apply_to_copy(netlist, substitution)
-        except (TransformError, NetlistError):
+        # Exact verdict: what_if evaluates the rewired netlist in place;
+        # None means the move is stale or cycle-creating (what apply
+        # would raise), so it is rejected.
+        verdict = self.timing.what_if(substitution)
+        if verdict is None:
             return False
-        return (
-            TimingAnalysis(trial).circuit_delay
-            <= self.constraint.limit + 1e-9
-        )
+        return verdict <= self.constraint.limit + 1e-9
 
     @property
     def triage_checker(self):
@@ -748,44 +526,11 @@ class PowerOptimizer:
         return self.ctx.peek("triage")
 
     def check_candidate(self, substitution: Substitution) -> str:
-        mode = self.options.permissibility
-        if mode == "podem":
-            result = check_candidate(
-                self.netlist,
-                substitution,
-                backtrack_limit=self.options.backtrack_limit,
-            )
-        else:
-            triage = self.ctx.get("triage")
-            result = triage.check(substitution)
-            if mode == "both":
-                result = self._cross_check_permissibility(
-                    triage, substitution, result
-                )
+        """Permissibility verdict from the context's :class:`TriageChecker`."""
+        result = self.ctx.get("triage").check(substitution)
         if self.tracer is not None:
             self.tracer.record_atpg(result)
         return result.status
-
-    def _cross_check_permissibility(self, triage, substitution, result):
-        """``permissibility="both"``: confirm triage against the legacy oracle."""
-        legacy = check_candidate(
-            self.netlist,
-            substitution,
-            backtrack_limit=self.options.backtrack_limit,
-        )
-        decided = (PERMISSIBLE, NOT_PERMISSIBLE)
-        if result.status in decided and legacy.status in decided:
-            if result.status != legacy.status:
-                triage.counters["podem_disagree"] += 1
-                raise TransformError(
-                    f"permissibility engines disagree on {substitution}: "
-                    f"triage says {result.status} (stage {result.stage!r}), "
-                    f"PODEM says {legacy.status} (stage {legacy.stage!r})"
-                )
-            triage.counters["podem_agree"] += 1
-            return result
-        # One engine aborted: the decided verdict (if any) wins.
-        return result if result.status in decided else legacy
 
     def perform_substitution(self, candidate: Candidate) -> MoveRecord:
         power_before = self.estimator.total()
@@ -798,31 +543,21 @@ class PowerOptimizer:
             if name in self.netlist.gates
         ]
         changed = self.estimator.update_after_edit(roots)
-        if self.options.incremental:
-            dirty = dict.fromkeys(applied.dirty_gate_names(self.netlist))
-            for name in changed:
-                if name in self.netlist.gates:
-                    dirty.setdefault(name)
-            dirty_gates = [self.netlist.gate(n) for n in dirty]
-            self.timing.update_after_edit(dirty_gates)
-            workspace = self._workspace
-            if workspace is not None:
-                workspace.invalidate(dirty_gates)
-            analysis = self.ctx.peek("analysis")
-            if analysis is not None:
-                analysis.update_after_edit(dirty)
-        else:
-            self.ctx.put(
-                "timing",
-                TimingAnalysis(
-                    self.netlist,
-                    self.constraint.limit if self.constraint else None,
-                ),
-            )
+        dirty = dict.fromkeys(applied.dirty_gate_names(self.netlist))
+        for name in changed:
+            if name in self.netlist.gates:
+                dirty.setdefault(name)
+        dirty_gates = [self.netlist.gate(n) for n in dirty]
+        self.timing.update_after_edit(dirty_gates)
+        workspace = self._workspace
+        if workspace is not None:
+            workspace.invalidate(dirty_gates)
+        analysis = self.ctx.peek("analysis")
+        if analysis is not None:
+            analysis.update_after_edit(dirty)
         if self.options.self_check:
             check_netlist(self.netlist)
-            if self.options.incremental:
-                self._verify_incremental_timing()
+            self._verify_incremental_timing()
         if self.sanitizer is not None:
             self.sanitizer.after_move(applied, len(self.moves) + 1)
         record = MoveRecord(

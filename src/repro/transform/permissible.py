@@ -9,9 +9,8 @@ the substituted signal (§3.2).  The legacy check:
 2. runs the equivalence oracle (simulation counterexample hunt, then the
    ATPG justifier on the miter).
 
-:class:`TriageChecker` is the fast front-end the optimizer uses by
-default (``OptimizeOptions.permissibility="triage"``).  It decides the
-same question without ever copying the netlist:
+:class:`TriageChecker` is the front-end the optimizer uses.  It decides
+the same question without ever copying the netlist:
 
 1. **Simulation triage** — the substituting signal's value word is forced
    over a cached fresh-pattern simulation of the *current* netlist and
@@ -43,7 +42,7 @@ from repro.errors import NetlistError, TransformError
 from repro.netlist.netlist import Netlist
 from repro.netlist.simulate import SimState, evaluate_cell, random_patterns
 from repro.netlist.traverse import topological_order, transitive_fanout
-from repro.sat.cnf import CnfFormula, cell_templates, tseitin_encode
+from repro.sat.cnf import CnfFormula, encode_cell, encode_xor, tseitin_encode
 from repro.sat.dpll import SAT as SAT_STATUS
 from repro.sat.dpll import UNSAT as UNSAT_STATUS
 from repro.sat.incremental import IncrementalSolver
@@ -119,10 +118,8 @@ class TriageChecker:
 
     ``counters`` tallies triage effectiveness for telemetry:
     ``sim_kills`` (candidates rejected by the simulation stage),
-    ``sat_calls`` / ``sat_proofs`` / ``sat_cex``, ``fallbacks`` (SAT
-    budget exhausted, legacy oracle consulted), and — under the optimizer's
-    ``permissibility="both"`` cross-check — ``podem_agree`` /
-    ``podem_disagree``.
+    ``sat_calls`` / ``sat_proofs`` / ``sat_cex``, and ``fallbacks`` (SAT
+    budget exhausted, legacy oracle consulted).
     """
 
     def __init__(
@@ -146,8 +143,6 @@ class TriageChecker:
             "sat_proofs": 0,
             "sat_cex": 0,
             "fallbacks": 0,
-            "podem_agree": 0,
-            "podem_disagree": 0,
         }
         self._sim_cache: Optional[tuple] = None
         self._sat_cache: Optional[tuple] = None
@@ -285,7 +280,7 @@ class TriageChecker:
         cell = self.netlist.library[substitution.new_cell]
         out = formula.new_var()
         solver.ensure_vars(formula.num_vars)
-        _encode_function(solver, out, [literal, literal2], cell)
+        encode_cell(solver, out, [literal, literal2], cell)
         return out
 
     def _sat_verdict(
@@ -326,7 +321,7 @@ class TriageChecker:
                     literals.append(var_of[fanin.name])
             out = formula.new_var()
             solver.ensure_vars(formula.num_vars)
-            _encode_function(solver, out, literals, gate.cell)
+            encode_cell(solver, out, literals, gate.cell)
             copies[gate.name] = out
         activation = formula.new_var()
         solver.ensure_vars(formula.num_vars)
@@ -341,10 +336,7 @@ class TriageChecker:
             old_side = var_of[driver.name]
             diff = formula.new_var()
             solver.ensure_vars(formula.num_vars)
-            solver.add_clause(-diff, old_side, new_side)
-            solver.add_clause(-diff, -old_side, -new_side)
-            solver.add_clause(diff, -old_side, new_side)
-            solver.add_clause(diff, old_side, -new_side)
+            encode_xor(solver, diff, old_side, new_side)
             diff_vars.append(diff)
         if not diff_vars:
             # No primary output depends on the rewired point.
@@ -367,22 +359,3 @@ class TriageChecker:
                 NOT_PERMISSIBLE, cex, stage="sat", backtracks=result.conflicts
             )
         return None
-
-
-def _encode_function(
-    solver: IncrementalSolver, out: int, fanin_literals: list[int], cell
-) -> None:
-    """Clauses forcing ``out <-> cell(fanin_literals)`` (signed literals)."""
-    onset, offset = cell_templates(cell)
-    for cube in onset:
-        clause = [out]
-        for var, polarity in cube:
-            literal = fanin_literals[var]
-            clause.append(-literal if polarity else literal)
-        solver.add_clause(*clause)
-    for cube in offset:
-        clause = [-out]
-        for var, polarity in cube:
-            literal = fanin_literals[var]
-            clause.append(-literal if polarity else literal)
-        solver.add_clause(*clause)

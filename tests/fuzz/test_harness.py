@@ -12,7 +12,7 @@ from repro.fuzz import FuzzOptions, replay_corpus, run_fuzz
 
 CORPUS = Path(__file__).parent / "corpus"
 
-QUICK = dict(num_patterns=256, check_rerun=False, check_engine_identity=False)
+QUICK = dict(num_patterns=256, check_rerun=False)
 
 
 def test_small_campaign_passes():

@@ -59,7 +59,6 @@ def test_broken_transform_caught_and_shrunk(lib, tmp_path):
         shrink=True,
         corpus_dir=tmp_path,
         check_rerun=False,
-        check_engine_identity=False,
     )
     case = run_case(GeneratorConfig(seed=2, shape="high_fanout"), options)
     assert not case.ok
@@ -75,7 +74,6 @@ def test_broken_transform_caught_and_shrunk(lib, tmp_path):
     # lived in the injected mutator, not in the netlist).
     replay = replay_corpus(
         tmp_path,
-        FuzzOptions(num_patterns=256, check_rerun=False,
-                    check_engine_identity=False),
+        FuzzOptions(num_patterns=256, check_rerun=False),
     )
     assert len(replay.cases) == 1

@@ -87,7 +87,6 @@ class TestFuzzOnAltLibrary:
                 repeat=10,
                 max_rounds=2,
                 check_rerun=False,
-                check_engine_identity=False,
                 check_pipeline_identity=False,
                 library=parse_genlib_file(NANDNOR),
             )

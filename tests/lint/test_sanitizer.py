@@ -49,14 +49,6 @@ class TestCleanRuns:
         assert _moves(sanitized) == _moves(plain)
         assert sanitized.final_power == plain.final_power
 
-    def test_legacy_engine_sanitized(self):
-        base = make_random_netlist(LIB, 6, 22, 3, 5)
-        plain = power_optimize(base.copy("plain"), _options(incremental=False))
-        sanitized = power_optimize(
-            base.copy("san"), _options(incremental=False, sanitize=True)
-        )
-        assert _moves(sanitized) == _moves(plain)
-
     def test_reports_are_recorded_and_clean(self):
         base = make_random_netlist(LIB, 6, 26, 3, 11)
         optimizer = PowerOptimizer(base, _options(sanitize=True))

@@ -28,13 +28,13 @@ class TestParsing:
     def test_value_typing(self):
         (stage,) = parse_pipeline_spec(
             "powder(repeat=25, min_gain=1e-6, objective=power, "
-            "incremental=false, max_moves=none, verbose=TRUE)"
+            "dedupe_first=false, max_moves=none, verbose=TRUE)"
         )
         assert stage.kwargs == {
             "repeat": 25,
             "min_gain": 1e-6,
             "objective": "power",
-            "incremental": False,
+            "dedupe_first": False,
             "max_moves": None,
             "verbose": True,
         }
@@ -55,7 +55,7 @@ class TestParsing:
 class TestRoundTrip:
     SPECS = [
         "dedupe; powder(repeat=25, objective=power); sweep",
-        "powder(min_gain=1e-06, incremental=false, max_rounds=3)",
+        "powder(min_gain=1e-06, dedupe_first=false, max_rounds=3)",
         "lint(fail_on=warning, select=\"N001,N002\")",
         "sweep",
     ]

@@ -33,18 +33,15 @@ NON_DEFAULT_OPTIONS = {
     "input_probs": {"a": 0.25, "b": 0.75},
     "input_temporal_specs": {"a": {"p1": 0.5, "activity": 0.125}},
     "backtrack_limit": 77,
-    "permissibility": "podem",
     "preselect": 5,
     "min_gain": 0.001,
     "gain_threshold_fraction": 0.2,
     "max_moves": 42,
     "max_rounds": 6,
-    "incremental": False,
     "self_check": True,
     "sanitize": True,
     "verbose": True,
     "dedupe_first": True,
-    "analysis_prune": True,
     "windowed": True,
     "window_size": 500,
     "window_radius": 5,
@@ -144,8 +141,11 @@ def test_canonical_json_is_deterministic_json():
 
 
 def test_unknown_fields_rejected_by_name():
-    with pytest.raises(ValueError, match="bogus_knob"):
-        OptimizeOptions.from_dict({"bogus_knob": 1})
+    # The three former engine knobs are unknown fields like any other.
+    for name in ("bogus_knob", "incremental", "permissibility",
+                 "analysis_prune"):
+        with pytest.raises(ValueError, match=name):
+            OptimizeOptions.from_dict({name: 1})
     with pytest.raises(ValueError, match="nope"):
         CandidateOptions.from_dict({"nope": True})
 

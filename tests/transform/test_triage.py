@@ -1,10 +1,11 @@
 """The triage permissibility front-end agrees with the legacy oracle.
 
-The whole point of ``permissibility="triage"`` is that it is a pure
-performance change: same verdicts, same move sequences, same final
-netlists.  These tests pin that equivalence from three angles — verdict
-agreement per substitution, counter consistency, and end-to-end move
-sequence equality — plus the option-validation and cross-check plumbing.
+Triage (simulation kill, then an incremental CDCL proof) is a pure
+performance change over the PODEM oracle: same verdicts, same move
+sequences, same final netlists.  These tests pin that equivalence from
+three angles — verdict agreement per substitution, counter consistency,
+and end-to-end move sequence equality — plus the PODEM fallback taken
+when the SAT budget runs out.
 """
 
 import pytest
@@ -14,11 +15,8 @@ from hypothesis import strategies as st
 from repro.power.estimate import PowerEstimator
 from repro.power.probability import SimulationProbability
 from repro.transform.candidates import CandidateWorkspace
-from repro.transform.optimizer import (
-    OptimizeOptions,
-    PowerOptimizer,
-    power_optimize,
-)
+from repro.transform import permissible
+from repro.transform.optimizer import OptimizeOptions, PowerOptimizer
 from repro.transform.permissible import (
     NOT_PERMISSIBLE,
     PERMISSIBLE,
@@ -108,46 +106,61 @@ class TestAgreementWithLegacyOracle:
         assert triage.counters["sat_proofs"] == 1
 
 
+class TestBudgetFallback:
+    """With no SAT budget, survivors of the simulation stage fall back to
+    the PODEM oracle, which then decides exactly as it does alone."""
+
+    @pytest.mark.parametrize("seed", [1, 7, 29])
+    def test_fallback_verdicts_match_podem(self, lib, seed, monkeypatch):
+        fallback_calls = []
+
+        def spy(netlist, substitution, **kwargs):
+            fallback_calls.append(substitution)
+            return check_candidate(netlist, substitution, **kwargs)
+
+        monkeypatch.setattr(permissible, "check_candidate", spy)
+        netlist = make_random_netlist(lib, 5, 14, 3, seed=seed)
+        pool = workspace_for(netlist).generate()
+        triage = TriageChecker(netlist, conflict_limit=0)
+        for candidate in pool[:12]:
+            sub = candidate.substitution
+            before = len(fallback_calls)
+            verdict = triage.check(sub)
+            if len(fallback_calls) > before:
+                assert verdict.status == check_candidate(netlist, sub).status
+        assert fallback_calls
+        assert triage.counters["fallbacks"] == len(fallback_calls)
+
+
+class _PodemOptimizer(PowerOptimizer):
+    """Decides every move with the PODEM oracle instead of triage."""
+
+    def check_candidate(self, substitution):
+        return check_candidate(
+            self.netlist,
+            substitution,
+            backtrack_limit=self.options.backtrack_limit,
+        ).status
+
+
 class TestEndToEndEquivalence:
     """Same moves, same final power, whichever engine decides."""
 
     @settings(max_examples=4, deadline=None)
     @given(seed=st.integers(0, 10_000))
     def test_move_sequences_identical(self, lib, seed):
-        results = {}
-        for mode in ("podem", "triage"):
-            netlist = make_random_netlist(lib, 6, 20, 3, seed=seed)
-            options = OptimizeOptions(
-                num_patterns=256, max_rounds=3, permissibility=mode
-            )
-            results[mode] = power_optimize(netlist, options)
-        podem, triage = results["podem"], results["triage"]
+        options = OptimizeOptions(num_patterns=256, max_rounds=3)
+        podem = _PodemOptimizer(
+            make_random_netlist(lib, 6, 20, 3, seed=seed), options
+        ).run()
+        triage = PowerOptimizer(
+            make_random_netlist(lib, 6, 20, 3, seed=seed), options
+        ).run()
         assert [
             m.substitution.candidate_id() for m in podem.moves
         ] == [m.substitution.candidate_id() for m in triage.moves]
         assert podem.final_power == triage.final_power
         assert podem.final_area == triage.final_area
-
-    def test_both_mode_cross_checks_cleanly(self, lib):
-        netlist = make_random_netlist(lib, 6, 20, 3, seed=17)
-        options = OptimizeOptions(
-            num_patterns=256, max_rounds=2, permissibility="both"
-        )
-        optimizer = PowerOptimizer(netlist, options)
-        optimizer.run()
-        counters = optimizer.triage_checker.counters
-        assert counters["podem_disagree"] == 0
-        assert counters["podem_agree"] > 0
-
-
-class TestOptionValidation:
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="permissibility"):
-            OptimizeOptions(permissibility="bogus")
-
-    @pytest.mark.parametrize("mode", ["triage", "podem", "both"])
-    def test_known_engines_accepted(self, mode):
-        assert OptimizeOptions(permissibility=mode).permissibility == mode
 
 
 class TestBatchPairTables:

@@ -8,7 +8,7 @@ both for one run over a bundled benchmark, so a regression (or a
 proposed optimization) can be localized in seconds:
 
     PYTHONPATH=src python tools/profile_hotpath.py ttt2
-    PYTHONPATH=src python tools/profile_hotpath.py rd53 --mode podem --top 30
+    PYTHONPATH=src python tools/profile_hotpath.py rd53 --top 30
     PYTHONPATH=src python tools/profile_hotpath.py ttt2 --sort cumulative \
         --dump /tmp/ttt2.pstats   # then e.g. snakeviz /tmp/ttt2.pstats
     PYTHONPATH=src python tools/profile_hotpath.py ttt2 --windowed --jobs 4
@@ -55,12 +55,6 @@ def parse_args(argv=None):
         help="bundled benchmark name (benchmarks/blif/<name>.blif)",
     )
     parser.add_argument("--patterns", type=int, default=1024)
-    parser.add_argument(
-        "--mode",
-        default="triage",
-        choices=["triage", "podem", "both"],
-        help="permissibility engine (default: triage)",
-    )
     parser.add_argument("--rounds", type=int, default=6)
     parser.add_argument(
         "--windowed",
@@ -96,7 +90,6 @@ def one_run(args):
         repeat=15,
         max_rounds=args.rounds,
         backtrack_limit=10_000,
-        permissibility=args.mode,
         windowed=windowed,
         jobs=args.jobs,
         window_size=args.window_size,
@@ -136,7 +129,7 @@ def main(argv=None) -> int:
         else "flat"
     )
     print(f"{args.benchmark}: {wall:.3f}s wall (profiled, spawn excluded), "
-          f"{moves} moves, mode={args.mode}, flow={flow}")
+          f"{moves} moves, flow={flow}")
     print("phase wall clock:")
     for phase, seconds in sorted(phases.items(), key=lambda kv: -kv[1]):
         share = seconds / wall if wall else 0.0
