@@ -27,7 +27,6 @@ def run_full():
         num_patterns=BENCH_CONFIG.num_patterns,
         repeat=BENCH_CONFIG.repeat,
         max_rounds=BENCH_CONFIG.max_rounds,
-        backtrack_limit=BENCH_CONFIG.backtrack_limit,
     )
     return power_optimize(netlist, options)
 

@@ -21,7 +21,6 @@ BENCH_CONFIG = ExperimentConfig(
     repeat=15,
     max_rounds=6,
     max_moves=40,
-    backtrack_limit=10000,
 )
 
 #: Circuits used by the table benches (a representative slice of the suite).

@@ -5,8 +5,7 @@ The package has three layers:
 - :mod:`repro.analysis.lattice` / :mod:`repro.analysis.engine` — the
   reusable machinery: explicit lattices (bottom / join / widening) and a
   worklist solver prioritised by the topological levels the packed
-  kernels already compute, with incremental re-analysis after edits via
-  the same dirty-region protocol the observability maps use.
+  kernels already compute.
 - the builtin analyses — ternary constant propagation
   (:mod:`~repro.analysis.constants`), a static observability
   approximation (:mod:`~repro.analysis.observability`), phase/parity
@@ -17,9 +16,8 @@ The package has three layers:
   signatures) filtered by SAT confirmation, so every emitted fact is
   *proven*, not heuristic.
 - :class:`~repro.analysis.suite.AnalysisSuite` — the facade consumers
-  use: it owns the shared simulation state and SAT oracle, caches the
-  fact base per structural netlist state, and accepts
-  ``update_after_edit`` dirty sets from the optimizer loop.
+  use: it owns the shared simulation state and SAT oracle, and caches
+  the fact base per structural netlist state.
 
 Soundness contract: every fact in a :class:`~repro.analysis.facts.
 NetlistFacts` holds for *all* input assignments of the netlist it was

@@ -12,22 +12,11 @@ function — to a fixed point:
   "chaotic iteration converges, ordered iteration converges in one
   sweep" argument (ALGORITHMS.md §18);
 - transfer functions are pure: the value of a node is a function of its
-  neighbours' values only, so re-running transfer is always safe and
-  the incremental path below needs no monotonicity assumption;
+  neighbours' values only, so re-running transfer is always safe;
 - nodes revisited more than ``widen_after`` times have their value
   widened (default: straight to ``TOP``), which bounds the iteration
   count at ``nodes x (widen_after + lattice height)`` even for
   non-monotone transfers or cyclic graphs.
-
-Incremental re-analysis (:meth:`DataflowEngine.update_after_edit`)
-mirrors ``ObservabilityMaps.update_after_edit``: the caller reports the
-dirty gates (gates whose cell, fanins, or fanout lists changed); the
-engine re-seeds the worklist with the dirty region — plus its
-transitive fanout for a forward analysis, transitive fanin for a
-backward one — and lets value changes propagate outward.  Nodes outside
-the affected region keep their values: a forward value depends only on
-the node's input cone, and every node whose cone changed is, by
-construction of the dirty set, in the dirty region's fanout.
 """
 
 from __future__ import annotations
@@ -36,12 +25,7 @@ import heapq
 from typing import Dict, Hashable, Iterable, Mapping, Optional
 
 from repro.netlist.netlist import Gate, Netlist
-from repro.netlist.traverse import (
-    logic_levels,
-    topological_order,
-    transitive_fanin,
-    transitive_fanout,
-)
+from repro.netlist.traverse import logic_levels, topological_order
 
 from repro.analysis.lattice import Lattice
 
@@ -115,45 +99,6 @@ class DataflowEngine:
         return values
 
     # ------------------------------------------------------------------
-    # Incremental re-analysis
-    # ------------------------------------------------------------------
-    def update_after_edit(
-        self,
-        analysis: DataflowAnalysis,
-        values: ValueMap,
-        dirty_gates: Iterable[str],
-    ) -> set:
-        """Repair ``values`` in place after a structural edit.
-
-        ``dirty_gates`` follows the observability-maps contract: every
-        gate whose cell, fanin list, or fanout list changed (dead names
-        are tolerated and dropped).  Returns the set of gate names whose
-        value changed.
-        """
-        gates = self.netlist.gates
-        live_dirty = [name for name in dirty_gates if name in gates]
-        # Drop values of removed gates; new gates enter at bottom.
-        stale = [name for name in values if name not in gates]
-        for name in stale:
-            del values[name]
-        bottom = analysis.lattice.bottom()
-        roots = [gates[name] for name in live_dirty]
-        if analysis.direction == "forward":
-            region = transitive_fanout(self.netlist, roots)
-        else:
-            region = transitive_fanin(self.netlist, roots)
-        seeds = list(live_dirty)
-        seeds.extend(gate.name for gate in region)
-        for name in seeds:
-            values.setdefault(name, bottom)
-        before = {name: values[name] for name in seeds}
-        changed = self._solve(analysis, values, seeds=seeds)
-        changed.update(
-            name for name, old in before.items() if values[name] != old
-        )
-        return changed
-
-    # ------------------------------------------------------------------
     # The worklist core
     # ------------------------------------------------------------------
     def _solve(
@@ -161,7 +106,7 @@ class DataflowEngine:
         analysis: DataflowAnalysis,
         values: ValueMap,
         seeds: Iterable[str],
-    ) -> set:
+    ) -> None:
         lattice = analysis.lattice
         forward = analysis.direction == "forward"
         if not forward and analysis.direction != "backward":
@@ -180,7 +125,6 @@ class DataflowEngine:
         heapq.heapify(heap)
         queued = {name for _, name in heap}
         visits: Dict[str, int] = {}
-        changed: set = set()
         while heap:
             _, name = heapq.heappop(heap)
             queued.discard(name)
@@ -198,7 +142,6 @@ class DataflowEngine:
                 if new == old:
                     continue
             values[name] = new
-            changed.add(name)
             if forward:
                 neighbours: Iterable[Gate] = gate.fanout_gates()
             else:
@@ -209,4 +152,3 @@ class DataflowEngine:
                     heapq.heappush(
                         heap, (priority(neighbour.name), neighbour.name)
                     )
-        return changed

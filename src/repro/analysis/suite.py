@@ -1,4 +1,4 @@
-"""The analysis facade consumers hold: facts + incremental upkeep.
+"""The analysis facade consumers hold: facts cached per structural state.
 
 An :class:`AnalysisSuite` binds one netlist to the dataflow engine, a
 shared packed simulation state (the signature seed), and the SAT
@@ -6,21 +6,14 @@ oracle, and exposes one product — :attr:`facts`, the current
 :class:`~repro.analysis.facts.NetlistFacts` — under the same
 structural-state protocol the triage checker and packed views use: the
 identity of ``topological_order(netlist)`` names the state, so facts
-are recomputed exactly when the structure changed.
-
-Between refreshes the optimizer reports edits via
-:meth:`update_after_edit` (the observability-maps dirty contract).  The
-next ``facts`` access then repairs the dataflow value maps
-incrementally — re-seeding the engine's worklist with the dirty region
-instead of starting from bottom — and re-runs only the cheap seeded
-tiers plus SAT confirmation on the (typically tiny) candidate sets.
-The oracle itself is rebuilt per state: a proof against the old
-structure says nothing about the new one.
+are recomputed from scratch on the first read after the structure
+changed, with a fresh oracle: a proof against the old structure says
+nothing about the new one.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -45,7 +38,7 @@ _ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
 class AnalysisSuite:
-    """Whole-netlist static facts with incremental re-analysis."""
+    """Whole-netlist static facts, recomputed per structural state."""
 
     def __init__(
         self,
@@ -62,27 +55,16 @@ class AnalysisSuite:
         self.conflict_limit = conflict_limit
         self.engine = DataflowEngine(netlist)
         self.oracle: Optional[FactOracle] = None
-        #: refresh tallies: full vs incremental recomputations.
-        self.counters: Dict[str, int] = {"full": 0, "incremental": 0}
+        #: refresh tallies: full recomputations.
+        self.counters: Dict[str, int] = {"full": 0}
         self._constant_analysis = ConstantAnalysis()
         self._phase_analysis = PhaseAnalysis()
         self._sim: Optional[SimState] = None
         self._state_key: Optional[list] = None
-        self._pending: Dict[str, None] = {}
         self._facts: Optional[NetlistFacts] = None
         self._const_values: Dict[str, object] = {}
         self._phase_values: Dict[str, object] = {}
         self._obs_values: Dict[str, object] = {}
-        self._const_map: Dict[str, int] = {}
-
-    # ------------------------------------------------------------------
-    # The dirty-region protocol (mirrors ObservabilityMaps)
-    # ------------------------------------------------------------------
-    def update_after_edit(self, dirty_gates: Iterable[str]) -> None:
-        """Report gates whose cell/fanins/fanouts changed since the last
-        refresh.  Cheap: work happens on the next ``facts`` access."""
-        for name in dirty_gates:
-            self._pending[name] = None
 
     # ------------------------------------------------------------------
     @property
@@ -94,53 +76,19 @@ class AnalysisSuite:
         if not force and self._facts is not None and key is self._state_key:
             return self._facts
         netlist = self.netlist
-        gates = netlist.gates
-        incremental = (
-            not force
-            and self._facts is not None
-            and self._sim is not None
-            and bool(self._pending)
+        self.counters["full"] += 1
+        self._sim = SimState(
+            netlist,
+            random_patterns(netlist.input_names, self.num_patterns, self.seed),
         )
-        if incremental:
-            self.counters["incremental"] += 1
-            live_dirty = [n for n in self._pending if n in gates]
-            self._sim.resimulate_fanout([gates[n] for n in live_dirty])
-            self.engine.update_after_edit(
-                self._constant_analysis, self._const_values, live_dirty
-            )
-            self.engine.update_after_edit(
-                self._phase_analysis, self._phase_values, live_dirty
-            )
-        else:
-            self.counters["full"] += 1
-            self._sim = SimState(
-                netlist,
-                random_patterns(
-                    netlist.input_names, self.num_patterns, self.seed
-                ),
-            )
-            self._const_values = self.engine.run(self._constant_analysis)
-            self._phase_values = self.engine.run(self._phase_analysis)
-            live_dirty = []
+        self._const_values = self.engine.run(self._constant_analysis)
+        self._phase_values = self.engine.run(self._phase_analysis)
         self.oracle = (
             FactOracle(netlist, self.conflict_limit) if self.use_sat else None
         )
 
         const_map, constants = self._constant_facts()
-        obs_dirty = set(live_dirty)
-        # The observability transfer reads proven constants at sink side
-        # pins; every sink of a gate whose constant status changed must
-        # be re-transferred along with the structural dirty region.
-        for name in set(self._const_map) | set(const_map):
-            if self._const_map.get(name) != const_map.get(name):
-                self._mark_const_dirty(name, obs_dirty)
-        obs_analysis = ObservabilityAnalysis(const_map)
-        if incremental:
-            self.engine.update_after_edit(
-                obs_analysis, self._obs_values, obs_dirty
-            )
-        else:
-            self._obs_values = self.engine.run(obs_analysis)
+        self._obs_values = self.engine.run(ObservabilityAnalysis(const_map))
 
         facts = NetlistFacts(netlist_name=netlist.name)
         facts.constants = constants
@@ -149,22 +97,13 @@ class AnalysisSuite:
         facts.equivalences = find_equivalences(
             netlist, self._sim.values, self.oracle
         )
-        self._const_map = const_map
         self._facts = facts
         self._state_key = key
-        self._pending.clear()
         return facts
 
     # ------------------------------------------------------------------
     # Fact assembly
     # ------------------------------------------------------------------
-    def _mark_const_dirty(self, name: str, obs_dirty: set) -> None:
-        gate = self.netlist.gates.get(name)
-        if gate is None:
-            return
-        obs_dirty.add(name)
-        obs_dirty.update(sink.name for sink, _pin in gate.fanouts)
-
     def _constant_facts(self):
         const_map: Dict[str, int] = {}
         constants: list = []

@@ -36,7 +36,6 @@ class ExperimentConfig:
     map_mode: str = "power"
     repeat: int = 25
     max_rounds: int = 20
-    backtrack_limit: int = 20000
     #: Optional cap on moves per run, to bound experiment time.
     max_moves: Optional[int] = None
 
@@ -48,7 +47,6 @@ class ExperimentConfig:
             delay_slack_percent=delay_slack_percent,
             num_patterns=self.num_patterns,
             seed=self.seed,
-            backtrack_limit=self.backtrack_limit,
             max_rounds=self.max_rounds,
             max_moves=self.max_moves,
         )
@@ -56,8 +54,7 @@ class ExperimentConfig:
 
 #: Reduced-effort configuration for tests and quick demo runs.
 QUICK_CONFIG = ExperimentConfig(
-    num_patterns=1024, repeat=10, max_rounds=4, max_moves=12,
-    backtrack_limit=5000,
+    num_patterns=1024, repeat=10, max_rounds=4, max_moves=12
 )
 
 

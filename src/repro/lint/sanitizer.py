@@ -1,7 +1,7 @@
 """The transformation sanitizer: per-move validation of the optimizer.
 
-:class:`TransformSanitizer` is the diagnostics-grade superset of
-``OptimizeOptions.self_check``.  After every applied substitution it
+:class:`TransformSanitizer` runs when ``OptimizeOptions.sanitize`` is
+set.  After every applied substitution it
 
 1. runs the configured lint rule set over the edited netlist (``X001``
    wraps any error-severity finding),

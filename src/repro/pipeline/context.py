@@ -20,8 +20,8 @@ The dependency graph (an edge means "is built from"):
     constraint  -> timing
     triage      (self-contained: permissibility caches keyed on the
                  netlist's structural state)
-    analysis    (self-contained: the static fact base, keyed on the
-                 netlist's structural state with its own dirty hooks)
+    analysis    (self-contained: the static fact base, recomputed on
+                 the first read after the structural state changes)
 
 Every analysis also depends on the netlist structure; passes that edit
 the netlist without maintaining the analyses incrementally declare
@@ -73,9 +73,6 @@ class OptimizationContext:
         self.options = options or OptimizeOptions()
         #: The tracer configured on the options (read by the powder pass).
         self.tracer = self.options.trace
-        #: (kept, removed) gate pairs when a dedupe ran over this context;
-        #: lets the powder engine's ``dedupe_first`` skip a redundant sweep.
-        self.dedupe_pairs: Optional[list[tuple[str, str]]] = None
         self._analyses: dict[str, object] = {}
         #: analysis name -> number of times it was constructed.
         self.build_counts: dict[str, int] = {}
@@ -201,9 +198,7 @@ class OptimizationContext:
     def _build_triage(self):
         from repro.transform.permissible import TriageChecker
 
-        return TriageChecker(
-            self.netlist, backtrack_limit=self.options.backtrack_limit
-        )
+        return TriageChecker(self.netlist)
 
     def _build_analysis(self):
         from repro.analysis.suite import AnalysisSuite

@@ -127,9 +127,6 @@ class DedupePass(Pass):
         from repro.transform.dedupe import merge_duplicate_gates
 
         pairs = merge_duplicate_gates(ctx.netlist)
-        # Remember the sweep so a powder engine with ``dedupe_first``
-        # doesn't redo it on the already-deduplicated netlist.
-        ctx.dedupe_pairs = (ctx.dedupe_pairs or []) + pairs
         return PassResult(
             self.name, changed=bool(pairs), details={"merged": len(pairs)}
         )
@@ -161,9 +158,10 @@ class PowderPass(Pass):
     name = "powder"
     requires = ("estimator", "timing")
     invalidates = ()
-    # The engine builds, reads, and incrementally updates every context
-    # analysis itself (workspace, triage, the fact base...), so the full
-    # set is contract-legal without manager involvement.
+    # The engine builds, reads, and incrementally updates the context
+    # analyses it uses itself (workspace, triage...), and the fact base
+    # refreshes on its next read, so the full set is contract-legal
+    # without manager involvement.
     maintains = ALL_ANALYSES
 
     def __init__(self, **overrides):
@@ -191,11 +189,10 @@ class PowderPass(Pass):
         ctx.tracer = effective.trace
 
     def run(self, ctx: OptimizationContext) -> PassResult:
-        engine = PowerOptimizer(context=ctx)
-        result = engine.run()
+        result = PowerOptimizer(context=ctx).run()
         return PassResult(
             self.name,
-            changed=bool(result.moves) or bool(engine.deduped),
+            changed=bool(result.moves),
             details={
                 "moves": len(result.moves),
                 "rounds": result.rounds,
@@ -433,7 +430,6 @@ class ResynthPass(Pass):
             ctx.netlist, options=MapOptions(mode=self.mode)
         )
         ctx.netlist = remapped
-        ctx.dedupe_pairs = None
         return PassResult(
             self.name,
             changed=True,
@@ -504,7 +500,6 @@ class BddResynthPass(Pass):
                 details={"skipped": str(exc)},
             )
         ctx.netlist = remapped
-        ctx.dedupe_pairs = None
         return PassResult(
             self.name,
             changed=True,
@@ -619,13 +614,8 @@ def make_pass(name: str, kwargs: Optional[dict] = None) -> Pass:
 
 def default_pipeline(options: OptimizeOptions) -> list[Pass]:
     """The pipeline :func:`repro.transform.optimizer.power_optimize` runs:
-    an optional ``dedupe`` (when ``dedupe_first`` is set) followed by one
-    ``powder`` stage inheriting every option unchanged."""
-    passes: list[Pass] = []
-    if options.dedupe_first:
-        passes.append(DedupePass())
+    one ``powder`` stage (``window`` in windowed mode) inheriting every
+    option unchanged."""
     if options.windowed:
-        passes.append(WindowPass())
-    else:
-        passes.append(PowderPass())
-    return passes
+        return [WindowPass()]
+    return [PowderPass()]

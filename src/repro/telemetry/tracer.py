@@ -33,9 +33,8 @@ REJECTION_REASONS = ("delay", "not_permissible", "aborted", "stale")
 _CLASSES = ("OS2", "IS2", "OS3", "IS3")
 
 #: OptimizeOptions fields recorded in the trace header.  All are scalars
-#: that determine the move sequence; cosmetic/diagnostic flags
-#: (verbose, self_check, sanitize, trace itself) are excluded because
-#: they cannot change behaviour.
+#: that determine the move sequence; diagnostic flags (sanitize, trace
+#: itself) are excluded because they cannot change behaviour.
 _OPTION_FIELDS = (
     "objective",
     "repeat",
@@ -43,13 +42,11 @@ _OPTION_FIELDS = (
     "delay_slack_percent",
     "num_patterns",
     "seed",
-    "backtrack_limit",
     "preselect",
     "min_gain",
     "gain_threshold_fraction",
     "max_moves",
     "max_rounds",
-    "dedupe_first",
 )
 
 _CANDIDATE_FIELDS = (

@@ -78,6 +78,15 @@ class CandidateOptions:
     #: default: the paper's move set is signal substitutions only.
     constant_substitution: bool = False
 
+    def __post_init__(self):
+        # The caps are slice bounds; a negative one would count from the
+        # end of the list instead of capping it.
+        for name in ("max_per_target", "max_total", "pair_source_limit"):
+            if getattr(self, name) < 0:
+                raise ValueError(
+                    f"{name} must be non-negative, got {getattr(self, name)}"
+                )
+
     def to_dict(self) -> dict:
         """JSON-representable form; inverse of :meth:`from_dict`."""
         data = asdict(self)

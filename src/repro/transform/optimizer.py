@@ -12,8 +12,8 @@ constraint:
    best total,
 4. ``check_delay`` — discard moves that would break the constraint (§3.4),
 5. ``check_candidate`` — exact permissibility: a simulation kill, then
-   an incremental CDCL proof, with the PODEM oracle only when the SAT
-   budget runs out; aborts count as rejection,
+   an incremental CDCL proof; an exhausted SAT budget is an abort, and
+   aborts count as rejection,
 6. ``perform_substitution`` + ``power_estimate_update`` — apply and
    incrementally refresh the probabilities of the substituted signal's TFO.
 
@@ -31,7 +31,7 @@ Since the pass-pipeline refactor this module is the *engine* layer:
 - the objective is a pluggable :class:`repro.transform.cost.CostModel`
   (``power``/``area``/``delay`` built in) instead of a string branch,
 - :func:`power_optimize` is a thin wrapper over the default pass
-  pipeline (``dedupe?; powder``) run by a
+  pipeline (one ``powder`` stage) run by a
   :class:`repro.pipeline.PassManager` — bit-identical to driving the
   engine directly.
 """
@@ -43,8 +43,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.errors import TransformError
+from repro.kernels.words import validate_num_patterns
 from repro.netlist.netlist import Netlist
-from repro.netlist.verify import check_netlist
 from repro.timing.analysis import TimingAnalysis
 from repro.timing.constraints import quick_delay_reject
 from repro.transform.candidates import Candidate, CandidateOptions
@@ -88,9 +88,6 @@ class OptimizeOptions:
     #: the optimizer measures activities with the temporal pair-simulation
     #: engine instead of assuming temporal independence.
     input_temporal_specs: Optional[dict] = None
-    #: ATPG decision budget of the PODEM oracle the permissibility
-    #: triage falls back on when its SAT conflict budget runs out.
-    backtrack_limit: int = 20000
     #: Short-list size for the PG_C re-estimation during selection.
     preselect: int = 10
     #: Minimum accepted power gain (the paper stops at "no reduction").
@@ -103,11 +100,8 @@ class OptimizeOptions:
     #: Hard caps to bound runtime on large circuits.
     max_moves: Optional[int] = None
     max_rounds: int = 50
-    #: Structural self-check after every move (slows things; for tests),
-    #: including the in-place STA against a from-scratch rebuild.
-    self_check: bool = False
-    #: Diagnostics-grade superset of ``self_check``: after every move run
-    #: the :mod:`repro.lint` rule pack and cross-check every incremental
+    #: Diagnostics mode (slow; for tests): after every move run the
+    #: :mod:`repro.lint` rule pack and cross-check every incremental
     #: structure (simulation values, probabilities, STA, observability
     #: maps, pair tables) against from-scratch rebuilds, raising
     #: :class:`~repro.errors.LintError` with the offending move and rule
@@ -121,13 +115,6 @@ class OptimizeOptions:
     #: untraced run would; ``None`` (the default) records nothing and
     #: costs nothing.
     trace: Optional[object] = None
-    #: Print one line per applied substitution (long-run progress).
-    verbose: bool = False
-    #: Merge structurally identical gates before optimizing (always
-    #: permissible; keeps POWDER's budget for the interesting moves).  Off
-    #: by default: the paper's protocol starts from the mapped netlist
-    #: as-is.
-    dedupe_first: bool = False
     #: Windowed mode for large netlists: partition into radius-bounded
     #: TFI/TFO windows (:mod:`repro.partition`), optimize each window on
     #: a ``multiprocessing`` pool, and merge the non-conflicting move
@@ -144,9 +131,6 @@ class OptimizeOptions:
     #: Windowed mode: pool worker count; 1 runs windows inline (no pool,
     #: same move sequence as a 1-worker pool).
     jobs: int = 1
-    #: Windowed mode: prove input/output equivalence of the merged
-    #: netlist against the pre-run netlist (slow; for tests and bring-up).
-    window_verify: bool = False
 
     def __post_init__(self):
         """Reject configurations that would otherwise fail deep in the run."""
@@ -165,6 +149,15 @@ class OptimizeOptions:
         if self.preselect < 0:
             raise ValueError(
                 f"preselect must be non-negative, got {self.preselect}"
+            )
+        validate_num_patterns(self.num_patterns)
+        if self.max_moves is not None and self.max_moves < 0:
+            raise ValueError(
+                f"max_moves must be non-negative, got {self.max_moves}"
+            )
+        if self.max_rounds < 1:
+            raise ValueError(
+                f"max_rounds must be positive, got {self.max_rounds}"
             )
         if self.delay_limit is not None and self.delay_slack_percent is not None:
             raise ValueError(
@@ -378,13 +371,6 @@ class PowerOptimizer:
         self.options = context.options
         opts = self.options
         self.cost_model = resolve_cost_model(opts.objective)
-        self.deduped: list[tuple[str, str]] = []
-        if opts.dedupe_first:
-            if context.dedupe_pairs is None:
-                from repro.transform.dedupe import merge_duplicate_gates
-
-                context.dedupe_pairs = merge_duplicate_gates(self.netlist)
-            self.deduped = list(context.dedupe_pairs)
         self.initial_delay = TimingAnalysis(self.netlist).circuit_delay
         self.moves: list[MoveRecord] = []
         self._gain_floor = opts.min_gain
@@ -552,12 +538,6 @@ class PowerOptimizer:
         workspace = self._workspace
         if workspace is not None:
             workspace.invalidate(dirty_gates)
-        analysis = self.ctx.peek("analysis")
-        if analysis is not None:
-            analysis.update_after_edit(dirty)
-        if self.options.self_check:
-            check_netlist(self.netlist)
-            self._verify_incremental_timing()
         if self.sanitizer is not None:
             self.sanitizer.after_move(applied, len(self.moves) + 1)
         record = MoveRecord(
@@ -571,28 +551,7 @@ class PowerOptimizer:
         self.moves.append(record)
         if self.tracer is not None:
             self.tracer.record_move(record)
-        if self.options.verbose:
-            print(
-                f"  [{len(self.moves):4d}] {record.substitution}  "
-                f"gain {record.measured_power_gain:+.4f}  "
-                f"area {record.measured_area_delta:+.0f}"
-            )
         return record
-
-    def _verify_incremental_timing(self) -> None:
-        """Assert the in-place STA equals a from-scratch rebuild exactly."""
-        fresh = TimingAnalysis(
-            self.netlist,
-            self.constraint.limit if self.constraint else None,
-        )
-        if (
-            self.timing.arrival != fresh.arrival
-            or self.timing.delay_of != fresh.delay_of
-            or self.timing.circuit_delay != fresh.circuit_delay
-        ):
-            raise TransformError(
-                "incremental STA diverged from a from-scratch rebuild"
-            )
 
     # ------------------------------------------------------------------
     # Main loop
@@ -716,11 +675,11 @@ def power_optimize(
     :class:`OptimizeOptions` fields, e.g. ``power_optimize(nl, repeat=10,
     delay_slack_percent=0)``.
 
-    This is a thin wrapper over the default pass pipeline
-    (``dedupe``, when ``dedupe_first`` is set, followed by ``powder``)
-    scheduled by a :class:`repro.pipeline.PassManager`; it applies a
-    move sequence bit-identical to driving :class:`PowerOptimizer`
-    directly.  Compose custom pipelines with
+    This is a thin wrapper over the default pass pipeline (one
+    ``powder`` stage, or ``window`` in windowed mode) scheduled by a
+    :class:`repro.pipeline.PassManager`; it applies a move sequence
+    bit-identical to driving :class:`PowerOptimizer` directly.  Compose
+    custom pipelines, such as ``"dedupe; powder"``, with
     :func:`repro.pipeline.run_pipeline`.
     """
     if options is None:

@@ -3,7 +3,8 @@
 A substitution is permissible iff the modified circuit computes the same
 primary-output functions as the original — equivalently, iff the global
 function of the substituting signal lies in the permissible-function set of
-the substituted signal (§3.2).  The legacy check:
+the substituted signal (§3.2).  The reference check,
+:func:`check_candidate`:
 
 1. applies the substitution to a scratch copy,
 2. runs the equivalence oracle (simulation counterexample hunt, then the
@@ -20,13 +21,13 @@ the same question without ever copying the netlist:
    Tseitin encoding of the current netlist is shared across candidates,
    only the substitution's fanout cone is duplicated against the
    substituting literal, and the per-candidate goal clause is activated
-   through an assumption literal (stage ``"sat"``),
-3. **Fallback** — a SAT budget exhaustion falls back to the legacy
-   copy-and-compare oracle, so verdicts never get *weaker* than before.
+   through an assumption literal (stage ``"sat"``).  When the conflict
+   budget runs out first the verdict is ``ABORTED``.
 
 Return values follow the paper exactly: ``PERMISSIBLE`` only on a *proof*;
-a counterexample yields ``NOT_PERMISSIBLE``; an ATPG abort also yields
-``ABORTED`` and must be treated as not permissible by callers.
+a counterexample yields ``NOT_PERMISSIBLE``; an exhausted search budget
+(ATPG backtracks or SAT conflicts) yields ``ABORTED``, which callers must
+treat as not permissible.
 """
 
 from __future__ import annotations
@@ -119,24 +120,20 @@ class TriageChecker:
     ``counters`` tallies triage effectiveness for telemetry:
     ``sim_kills`` (candidates rejected by the simulation stage),
     ``sat_calls`` / ``sat_proofs`` / ``sat_cex``, and ``fallbacks`` (SAT
-    budget exhausted, legacy oracle consulted).
+    budget exhausted, verdict ``ABORTED``).
     """
 
     def __init__(
         self,
         netlist: Netlist,
-        backtrack_limit: int = DEFAULT_BACKTRACK_LIMIT,
         num_patterns: int = 512,
         seed: int = 7,
         conflict_limit: int = 20_000,
-        bdd_node_limit: int = 200_000,
     ):
         self.netlist = netlist
-        self.backtrack_limit = backtrack_limit
         self.num_patterns = num_patterns
         self.seed = seed
         self.conflict_limit = conflict_limit
-        self.bdd_node_limit = bdd_node_limit
         self.counters = {
             "sim_kills": 0,
             "sat_calls": 0,
@@ -203,19 +200,7 @@ class TriageChecker:
             if cex is not None:
                 self.counters["sim_kills"] += 1
                 return PermissibilityResult(NOT_PERMISSIBLE, cex, stage="sim")
-        verdict = self._sat_verdict(substitution, affected)
-        if verdict is not None:
-            return verdict
-        # SAT budget exhausted: fall back to the legacy staged oracle.
-        self.counters["fallbacks"] += 1
-        return check_candidate(
-            netlist,
-            substitution,
-            backtrack_limit=self.backtrack_limit,
-            num_patterns=self.num_patterns,
-            seed=self.seed,
-            bdd_node_limit=self.bdd_node_limit,
-        )
+        return self._sat_verdict(substitution, affected)
 
     # ------------------------------------------------------------------
     # Stage 1: forced-overlay simulation on the current netlist
@@ -285,8 +270,8 @@ class TriageChecker:
 
     def _sat_verdict(
         self, substitution: Substitution, affected: list
-    ) -> Optional[PermissibilityResult]:
-        """PERMISSIBLE / NOT_PERMISSIBLE, or None when the budget ran out.
+    ) -> PermissibilityResult:
+        """PERMISSIBLE / NOT_PERMISSIBLE, or ABORTED when the budget ran out.
 
         The miter shares the whole base encoding between the two sides:
         only the gates in ``affected`` (the fanout cone of the rewired
@@ -358,4 +343,7 @@ class TriageChecker:
             return PermissibilityResult(
                 NOT_PERMISSIBLE, cex, stage="sat", backtracks=result.conflicts
             )
-        return None
+        self.counters["fallbacks"] += 1
+        return PermissibilityResult(
+            ABORTED, stage="sat", backtracks=result.conflicts
+        )

@@ -224,10 +224,8 @@ class WindowedOptimizer:
             opts,
             windowed=False,
             jobs=1,
-            window_verify=False,
             input_probs=dict(boundary.input_probs) or None,
             trace=None,
-            verbose=False,
         )
 
     def _boundary_probabilities(self, engine: SimulationProbability) -> dict:
@@ -380,7 +378,6 @@ class WindowedOptimizer:
         initial_power = PowerEstimator(netlist, engine).total()
         initial_area = netlist.total_area()
         initial_delay = TimingAnalysis(netlist).circuit_delay
-        pristine = netlist.copy() if opts.window_verify else None
 
         tick = time.perf_counter()
         windows = partition_windows(
@@ -470,16 +467,6 @@ class WindowedOptimizer:
         final_power = PowerEstimator(netlist, final_engine).total()
         final_delay = TimingAnalysis(netlist).circuit_delay
         phases["metrics"] = time.perf_counter() - tick
-
-        if pristine is not None:
-            from repro.equiv.checker import check_equivalent
-
-            verdict = check_equivalent(pristine, netlist)
-            if not verdict.equal:
-                raise TransformError(
-                    "windowed merge broke equivalence: "
-                    f"{verdict}"
-                )
 
         return OptimizeResult(
             netlist=netlist,

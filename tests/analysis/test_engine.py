@@ -1,4 +1,4 @@
-"""The fixed-point worklist solver: convergence, incrementality, guards."""
+"""The fixed-point worklist solver: convergence, level caching, guards."""
 
 import pytest
 
@@ -75,70 +75,7 @@ class TestFullRun:
 
 
 class TestIncremental:
-    def swap_cell(self, netlist, name, cell_name):
-        gate = netlist.gates[name]
-        gate.cell = netlist.library[cell_name]
-        netlist._invalidate()
-
-    def test_incremental_equals_fresh_after_cell_swap(self, lib):
-        netlist = chain_netlist(lib, length=6)
-        engine = DataflowEngine(netlist)
-        analysis = ConstantAnalysis()
-        values = engine.run(analysis)
-        # Turn the middle inverter into a buffer: downstream parity of
-        # every value flips, upstream is untouched.
-        self.swap_cell(netlist, "n3", "buf1")
-        engine.update_after_edit(analysis, values, ["n3"])
-        fresh = DataflowEngine(netlist).run(ConstantAnalysis())
-        assert values == fresh
-
-    def test_incremental_repairs_only_the_fanout_region(self, lib):
-        netlist = chain_netlist(lib, length=6)
-        engine = DataflowEngine(netlist)
-        analysis = CountingConstants()
-        values = engine.run(analysis)
-        analysis.calls = 0
-        self.swap_cell(netlist, "n3", "buf1")
-        engine.update_after_edit(analysis, values, ["n3"])
-        # n3 plus its transitive fanout (n4, n5) — never x/n0/n1/n2.
-        assert analysis.calls <= 3
-
-    def test_removed_gates_are_dropped_from_values(self, lib):
-        b = NetlistBuilder(lib, "dead")
-        x = b.input("x")
-        b.not_(x, name="dead1")  # no fanout, no PO: legally removable
-        b.output("z", b.and_(x, x, name="live"))
-        netlist = b.build()
-        engine = DataflowEngine(netlist)
-        analysis = ConstantAnalysis()
-        values = engine.run(analysis)
-        netlist.remove_gate(netlist.gates["dead1"])
-        engine.update_after_edit(analysis, values, ["dead1"])
-        assert "dead1" not in values
-        assert set(values) == set(netlist.gates)
-
-    def test_changed_set_reported(self, lib):
-        netlist = chain_netlist(lib, length=4)
-        engine = DataflowEngine(netlist)
-
-        class PinZero(DataflowAnalysis):
-            """Everything is 0 — until the edit flips the verdict."""
-
-            direction = "forward"
-            lattice = FlatLattice()
-
-            def __init__(self):
-                self.flipped = set()
-
-            def transfer(self, gate, values):
-                return 1 if gate.name in self.flipped else 0
-
-        analysis = PinZero()
-        values = engine.run(analysis)
-        analysis.flipped = {"n2"}
-        changed = engine.update_after_edit(analysis, values, ["n2"])
-        assert "n2" in changed
-        assert values["n2"] == 1
+    """The level priorities follow structural edits."""
 
     def test_levels_cache_follows_structural_state(self, lib):
         netlist = chain_netlist(lib, length=3)

@@ -1,16 +1,6 @@
-"""The AnalysisSuite facade: caching, the dirty protocol, incrementality."""
+"""The AnalysisSuite facade: caching per structural state, the surface."""
 
 from repro.analysis import AnalysisSuite
-from repro.netlist.build import NetlistBuilder
-
-
-def chain(lib, length=6):
-    b = NetlistBuilder(lib, "chain")
-    signal = b.input("x")
-    for index in range(length):
-        signal = b.not_(signal, name=f"n{index}")
-    b.output("z", signal)
-    return b.build()
 
 
 class TestCaching:
@@ -18,14 +8,14 @@ class TestCaching:
         suite = AnalysisSuite(figure2)
         first = suite.facts
         assert suite.facts is first
-        assert suite.counters == {"full": 1, "incremental": 0}
+        assert suite.counters == {"full": 1}
 
     def test_structural_edit_without_dirty_report_forces_full(
         self, lib, figure2
     ):
         suite = AnalysisSuite(figure2)
         suite.facts
-        figure2._invalidate()  # structure changed, nothing reported dirty
+        figure2._invalidate()  # structure changed
         suite.facts
         assert suite.counters["full"] == 2
 
@@ -35,69 +25,6 @@ class TestCaching:
         second = suite.refresh(force=True)
         assert second is not first
         assert suite.counters["full"] == 2
-
-
-class TestIncrementalProtocol:
-    def edit(self, netlist, name, cell_name):
-        gate = netlist.gates[name]
-        gate.cell = netlist.library[cell_name]
-        netlist._invalidate()
-        return [name]
-
-    def test_dirty_report_takes_the_incremental_path(self, lib):
-        netlist = chain(lib)
-        suite = AnalysisSuite(netlist)
-        suite.facts
-        suite.update_after_edit(self.edit(netlist, "n3", "buf1"))
-        suite.facts
-        assert suite.counters == {"full": 1, "incremental": 1}
-
-    def test_incremental_facts_equal_fresh_facts(self, lib):
-        netlist = chain(lib)
-        suite = AnalysisSuite(netlist)
-        suite.facts
-        suite.update_after_edit(self.edit(netlist, "n3", "buf1"))
-        incremental = suite.facts.to_dict()
-        fresh = AnalysisSuite(netlist).facts.to_dict()
-        assert incremental == fresh
-
-    def test_incremental_equals_fresh_with_constants_appearing(self, lib):
-        # The edit introduces a proven constant (AND -> ZERO-feeding
-        # shape), which must also re-transfer observability at sinks.
-        b = NetlistBuilder(lib, "mix")
-        x, y = b.inputs("x", "y")
-        g = b.and_(x, y, name="g")
-        h = b.or_(g, x, name="h")
-        k = b.and_(h, y, name="k")
-        b.output("z", k)
-        netlist = b.build()
-        suite = AnalysisSuite(netlist)
-        before = suite.facts
-        assert before.constant_values() == {}
-        # nor2(x, x) == INV(x)... use xor_(x, x) == 0 instead: swap g's
-        # cell to xnor2 so g = XNOR(x, y); then make it xor2 with equal
-        # pins by rewiring pin 1 to x.
-        gate = netlist.gates["g"]
-        gate.cell = netlist.library["xor2"]
-        old = gate.fanins[1]
-        old.fanouts.remove((gate, 1))
-        gate.fanins[1] = netlist.gates["x"]
-        netlist.gates["x"].fanouts.append((gate, 1))
-        netlist._invalidate()
-        suite.update_after_edit(["g", "y", "x"])
-        incremental = suite.facts.to_dict()
-        fresh = AnalysisSuite(netlist).facts.to_dict()
-        assert incremental == fresh
-        assert suite.facts.constant_values()["g"] == 0
-
-    def test_dead_dirty_names_are_tolerated(self, lib):
-        netlist = chain(lib)
-        suite = AnalysisSuite(netlist)
-        suite.facts
-        suite.update_after_edit(["n3", "long-gone"])
-        self.edit(netlist, "n3", "buf1")
-        suite.update_after_edit(["n3"])
-        assert suite.facts.to_dict() == AnalysisSuite(netlist).facts.to_dict()
 
 
 class TestFactsSurface:

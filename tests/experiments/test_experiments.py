@@ -17,9 +17,7 @@ from repro.experiments.table2 import (
     table2_from_runs,
 )
 
-TINY = ExperimentConfig(
-    num_patterns=512, repeat=6, max_rounds=2, max_moves=6, backtrack_limit=2000
-)
+TINY = ExperimentConfig(num_patterns=512, repeat=6, max_rounds=2, max_moves=6)
 
 
 @pytest.fixture(scope="module")

@@ -15,10 +15,7 @@ from repro.transform.optimizer import OptimizeOptions, power_optimize
 
 
 def options(**overrides):
-    base = dict(
-        num_patterns=1024, repeat=8, max_rounds=3, max_moves=10,
-        backtrack_limit=5000,
-    )
+    base = dict(num_patterns=1024, repeat=8, max_rounds=3, max_moves=10)
     base.update(overrides)
     return OptimizeOptions(**base)
 
@@ -28,7 +25,7 @@ class TestPipelinePerCircuit:
     def test_optimization_preserves_function(self, lib, name):
         netlist = build_benchmark(name, lib)
         reference = netlist.copy("ref")
-        result = power_optimize(netlist, options(self_check=True))
+        result = power_optimize(netlist, options(sanitize=True))
         check_netlist(netlist)
         assert result.final_power <= result.initial_power
         verdict = check_equivalent(reference, netlist, num_patterns=2048)

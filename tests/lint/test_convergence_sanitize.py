@@ -6,9 +6,7 @@ from repro.library.standard import standard_library
 from repro.transform.optimizer import OptimizeOptions, PowerOptimizer
 
 #: The bench_convergence configuration (benchmarks/bench_convergence.py).
-CONFIG = dict(
-    num_patterns=1024, repeat=15, max_rounds=6, backtrack_limit=10000
-)
+CONFIG = dict(num_patterns=1024, repeat=15, max_rounds=6)
 
 
 def test_ttt2_convergence_sanitized():

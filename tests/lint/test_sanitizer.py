@@ -28,9 +28,7 @@ LIB = standard_library()
 
 
 def _options(**overrides):
-    base = dict(
-        num_patterns=512, repeat=8, max_rounds=3, backtrack_limit=5000
-    )
+    base = dict(num_patterns=512, repeat=8, max_rounds=3)
     base.update(overrides)
     return OptimizeOptions(**base)
 

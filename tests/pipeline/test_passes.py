@@ -21,7 +21,7 @@ from repro.pipeline.passes import (
     available_passes,
     make_pass,
 )
-from repro.transform.optimizer import OptimizeOptions, PowerOptimizer
+from repro.transform.optimizer import OptimizeOptions
 from tests.conftest import make_random_netlist
 
 
@@ -41,22 +41,8 @@ class TestDedupePass:
         ctx = OptimizationContext(netlist, OptimizeOptions(num_patterns=256))
         result = DedupePass().run(ctx)
         assert result.changed
-        assert result.details["merged"] >= 1
-        assert ctx.dedupe_pairs and len(ctx.dedupe_pairs) == result.details["merged"]
-
-    def test_engine_skips_redundant_dedupe(self, builder):
-        netlist = duplicate_netlist(builder)
-        ctx = OptimizationContext(
-            netlist, OptimizeOptions(num_patterns=256, dedupe_first=True)
-        )
-        PassManager().run(ctx, [DedupePass()])
-        pairs = list(ctx.dedupe_pairs)
-        gates_after_pass = ctx.netlist.num_gates()
-        engine = PowerOptimizer(context=ctx)
-        # dedupe_first is satisfied by the pass's sweep: the engine adopts
-        # its pairs instead of re-running the merge.
-        assert engine.deduped == pairs
-        assert ctx.netlist.num_gates() == gates_after_pass
+        assert result.details["merged"] == 2
+        assert netlist.num_gates() == 2
 
 
 class TestSweepPass:
@@ -175,7 +161,6 @@ class TestResynthPass:
         assert ctx.netlist is not netlist
         assert check_equivalent(reference, ctx.netlist).equal
         assert not any(ctx.is_built(name) for name in ALL_ANALYSES)
-        assert ctx.dedupe_pairs is None
 
 
 class TestRegistry:

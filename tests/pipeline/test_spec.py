@@ -28,15 +28,15 @@ class TestParsing:
     def test_value_typing(self):
         (stage,) = parse_pipeline_spec(
             "powder(repeat=25, min_gain=1e-6, objective=power, "
-            "dedupe_first=false, max_moves=none, verbose=TRUE)"
+            "sanitize=false, max_moves=none, windowed=TRUE)"
         )
         assert stage.kwargs == {
             "repeat": 25,
             "min_gain": 1e-6,
             "objective": "power",
-            "dedupe_first": False,
+            "sanitize": False,
             "max_moves": None,
-            "verbose": True,
+            "windowed": True,
         }
         assert isinstance(stage.kwargs["repeat"], int)
         assert isinstance(stage.kwargs["min_gain"], float)
@@ -55,7 +55,7 @@ class TestParsing:
 class TestRoundTrip:
     SPECS = [
         "dedupe; powder(repeat=25, objective=power); sweep",
-        "powder(min_gain=1e-06, dedupe_first=false, max_rounds=3)",
+        "powder(min_gain=1e-06, sanitize=false, max_rounds=3)",
         "lint(fail_on=warning, select=\"N001,N002\")",
         "sweep",
     ]

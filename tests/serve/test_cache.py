@@ -102,6 +102,23 @@ class TestCanonicalKeying:
         ({"blif": "x", "options": "nope"}, "bad-options"),
         ({"blif": "x", "spec": "no_such_pass()"}, "bad-spec"),
         ({"blif": "x", "spec": 9}, "bad-spec"),
+        ({"blif": "x", "options": {"candidates": {"max_total": -3000}}},
+         "bad-options"),
+        ({"blif": "x", "options": {"candidates": {"max_per_target": -1}}},
+         "bad-options"),
+        ({"blif": "x",
+          "options": {"candidates": {"pair_source_limit": -2}}},
+         "bad-options"),
+        ({"blif": "x", "options": {"num_patterns": 100}}, "bad-options"),
+        ({"blif": "x", "options": {"max_moves": -2}}, "bad-options"),
+        ({"blif": "x", "options": {"max_rounds": 0}}, "bad-options"),
+        # Deleted option fields are unknown fields.
+        ({"blif": "x", "options": {"backtrack_limit": 20000}},
+         "bad-options"),
+        ({"blif": "x", "options": {"self_check": True}}, "bad-options"),
+        ({"blif": "x", "options": {"verbose": True}}, "bad-options"),
+        ({"blif": "x", "options": {"dedupe_first": True}}, "bad-options"),
+        ({"blif": "x", "options": {"window_verify": True}}, "bad-options"),
     ])
     def test_rejections_are_structured_400s(self, payload, code):
         with pytest.raises(ServeError) as excinfo:

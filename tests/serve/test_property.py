@@ -25,7 +25,6 @@ option_dicts = st.fixed_dictionaries({
     "max_rounds": st.integers(min_value=1, max_value=4),
     "seed": st.integers(min_value=0, max_value=2**16),
     "objective": st.sampled_from(["power", "area"]),
-    "dedupe_first": st.booleans(),
 })
 
 circuit_configs = st.fixed_dictionaries({

@@ -32,21 +32,16 @@ NON_DEFAULT_OPTIONS = {
     "seed": 1234,
     "input_probs": {"a": 0.25, "b": 0.75},
     "input_temporal_specs": {"a": {"p1": 0.5, "activity": 0.125}},
-    "backtrack_limit": 77,
     "preselect": 5,
     "min_gain": 0.001,
     "gain_threshold_fraction": 0.2,
     "max_moves": 42,
     "max_rounds": 6,
-    "self_check": True,
     "sanitize": True,
-    "verbose": True,
-    "dedupe_first": True,
     "windowed": True,
     "window_size": 500,
     "window_radius": 5,
     "jobs": 4,
-    "window_verify": True,
 }
 
 NON_DEFAULT_CANDIDATES = {
@@ -141,9 +136,10 @@ def test_canonical_json_is_deterministic_json():
 
 
 def test_unknown_fields_rejected_by_name():
-    # The three former engine knobs are unknown fields like any other.
+    # Deleted knobs are unknown fields like any other.
     for name in ("bogus_knob", "incremental", "permissibility",
-                 "analysis_prune"):
+                 "analysis_prune", "backtrack_limit", "self_check",
+                 "verbose", "dedupe_first", "window_verify"):
         with pytest.raises(ValueError, match=name):
             OptimizeOptions.from_dict({name: 1})
     with pytest.raises(ValueError, match="nope"):

@@ -4,6 +4,7 @@ removal) and the §4.2 gain-threshold early termination."""
 import pytest
 
 from repro.equiv.checker import check_equivalent
+from repro.pipeline import run_pipeline
 from repro.power.estimate import PowerEstimator
 from repro.power.probability import SimulationProbability
 from repro.transform.candidates import CandidateOptions, generate_candidates
@@ -107,7 +108,7 @@ class TestConstantSubstitutionModel:
             OptimizeOptions(
                 num_patterns=1024,
                 candidates=CandidateOptions(constant_substitution=True),
-                self_check=True,
+                sanitize=True,
             ),
         )
         assert result.final_power < result.initial_power
@@ -152,6 +153,8 @@ class TestGainThreshold:
 
 
 class TestDedupeFirstAndVerbose:
+    """Deduplicating before optimizing is the ``dedupe; powder`` pipeline."""
+
     def test_dedupe_first(self, builder):
         a, bb = builder.inputs("a", "b")
         g1 = builder.and_(a, bb, name="g1")
@@ -159,19 +162,11 @@ class TestDedupeFirstAndVerbose:
         builder.output("o1", builder.not_(g1, name="n1"))
         builder.output("o2", builder.not_(g2, name="n2"))
         nl = builder.build()
-        result = power_optimize(
-            nl, OptimizeOptions(num_patterns=512, max_rounds=1, dedupe_first=True)
+        outcome = run_pipeline(
+            nl, "dedupe; powder", OptimizeOptions(num_patterns=512, max_rounds=1)
         )
         # Duplicates merged before the first estimate (4 gates -> 2); the
         # optimizer may shrink further (e.g. AND+INV -> NAND).
+        assert outcome.passes[0].details["merged"] == 2
         assert nl.num_gates() <= 2
-        optimizer_view = result.netlist
-        assert optimizer_view is nl
-
-    def test_verbose_prints_moves(self, figure2, capsys):
-        power_optimize(
-            figure2,
-            OptimizeOptions(num_patterns=512, max_rounds=2, verbose=True),
-        )
-        out = capsys.readouterr().out
-        assert "IS2" in out or "OS" in out
+        assert outcome.optimize_result.netlist is nl

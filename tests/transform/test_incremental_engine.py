@@ -1,6 +1,6 @@
 """The one optimizer engine (persistent candidate workspace, in-place
 STA, copy-free delay checks) re-verifies clean against from-scratch
-rebuilds after every move, and its self-check catches a broken STA."""
+rebuilds after every move, and the sanitizer catches a broken STA."""
 
 import pytest
 
@@ -16,22 +16,15 @@ LIB = standard_library()
 
 
 def _options(**overrides):
-    base = dict(
-        num_patterns=512,
-        repeat=8,
-        max_rounds=3,
-        backtrack_limit=5000,
-    )
+    base = dict(num_patterns=512, repeat=8, max_rounds=3)
     base.update(overrides)
     return OptimizeOptions(**base)
 
 
 def _sanitized_run(seed, **overrides):
-    """Optimize with the sanitizer and self-check on; no diagnostics."""
+    """Optimize with the sanitizer on; no diagnostics."""
     netlist = make_random_netlist(LIB, 6, 26, 3, seed)
-    optimizer = PowerOptimizer(
-        netlist, _options(sanitize=True, self_check=True, **overrides)
-    )
+    optimizer = PowerOptimizer(netlist, _options(sanitize=True, **overrides))
     result = optimizer.run()
     reports = optimizer.sanitizer.reports
     assert len(reports) == len(result.moves)
@@ -87,13 +80,12 @@ class TestPhaseCounters:
 
 class TestSelfCheck:
     def test_self_check_verifies_sta(self, monkeypatch):
-        from repro.errors import TransformError
-        from repro.transform import optimizer as opt_module
-
-        netlist = make_random_netlist(LIB, 6, 24, 3, seed=5)
-        # Sabotage the incremental update: self_check must catch it.
+        from repro.errors import LintError
         from repro.timing.analysis import TimingAnalysis
 
+        netlist = make_random_netlist(LIB, 6, 24, 3, seed=5)
+        # Sabotage the incremental update: the sanitizer's exact STA
+        # comparison against a rebuild (X003) must catch it.
         original = TimingAnalysis.update_after_edit
 
         def broken(self, roots):
@@ -103,5 +95,6 @@ class TestSelfCheck:
                 self.arrival[name] += 1.0
 
         monkeypatch.setattr(TimingAnalysis, "update_after_edit", broken)
-        with pytest.raises(TransformError, match="diverged"):
-            power_optimize(netlist, _options(self_check=True))
+        with pytest.raises(LintError, match="X003") as excinfo:
+            power_optimize(netlist, _options(sanitize=True))
+        assert excinfo.value.rule_id == "X003"

@@ -16,8 +16,7 @@ from tests.conftest import make_random_netlist
 
 def options(objective, **overrides):
     base = dict(
-        objective=objective, num_patterns=1024, repeat=10, max_rounds=3,
-        backtrack_limit=5000,
+        objective=objective, num_patterns=1024, repeat=10, max_rounds=3
     )
     base.update(overrides)
     return OptimizeOptions(**base)
@@ -37,7 +36,7 @@ class TestAreaObjective:
         builder.output("o2", builder.not_(g2, name="n2"))
         nl = builder.build()
         ref = nl.copy("ref")
-        result = power_optimize(nl, options("area", self_check=True))
+        result = power_optimize(nl, options("area", sanitize=True))
         assert result.final_area < result.initial_area
         assert check_equivalent(ref, nl).equal
 

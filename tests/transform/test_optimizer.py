@@ -17,16 +17,14 @@ from tests.conftest import make_random_netlist
 
 
 def quick_options(**overrides):
-    base = dict(
-        num_patterns=1024, repeat=10, max_rounds=3, backtrack_limit=5000
-    )
+    base = dict(num_patterns=1024, repeat=10, max_rounds=3)
     base.update(overrides)
     return OptimizeOptions(**base)
 
 
 class TestFigure2:
     def test_finds_paper_move(self, figure2):
-        result = power_optimize(figure2, quick_options(self_check=True))
+        result = power_optimize(figure2, quick_options(sanitize=True))
         kinds = [(m.substitution.kind, m.substitution.source1) for m in result.moves]
         assert (IS2, "e") in kinds
 
@@ -48,7 +46,7 @@ class TestInvariants:
     def test_equivalence_preserved(self, lib, seed):
         nl = make_random_netlist(lib, 6, 16, 3, seed=seed)
         reference = nl.copy("ref")
-        power_optimize(nl, quick_options(self_check=True))
+        power_optimize(nl, quick_options(sanitize=True))
         check_netlist(nl)
         assert check_equivalent(reference, nl).equal
 

@@ -4,26 +4,35 @@ Triage (simulation kill, then an incremental CDCL proof) is a pure
 performance change over the PODEM oracle: same verdicts, same move
 sequences, same final netlists.  These tests pin that equivalence from
 three angles — verdict agreement per substitution, counter consistency,
-and end-to-end move sequence equality — plus the PODEM fallback taken
-when the SAT budget runs out.
+and end-to-end move sequence equality — plus the abort verdict an
+exhausted SAT budget yields, and the conservative run it degrades to.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.equiv.checker import check_equivalent
+from repro.pipeline.context import OptimizationContext
 from repro.power.estimate import PowerEstimator
 from repro.power.probability import SimulationProbability
+from repro.telemetry import Tracer
 from repro.transform.candidates import CandidateWorkspace
-from repro.transform import permissible
 from repro.transform.optimizer import OptimizeOptions, PowerOptimizer
 from repro.transform.permissible import (
+    ABORTED,
     NOT_PERMISSIBLE,
     PERMISSIBLE,
     TriageChecker,
     check_candidate,
 )
-from repro.transform.substitution import IS2, OS2, OS3, Substitution
+from repro.transform.substitution import (
+    IS2,
+    OS2,
+    OS3,
+    Substitution,
+    apply_substitution,
+)
 from tests.conftest import make_random_netlist
 
 
@@ -106,41 +115,51 @@ class TestAgreementWithLegacyOracle:
         assert triage.counters["sat_proofs"] == 1
 
 
-class TestBudgetFallback:
-    """With no SAT budget, survivors of the simulation stage fall back to
-    the PODEM oracle, which then decides exactly as it does alone."""
+class TestBudgetAbort:
+    """An exhausted SAT budget answers ABORTED (the paper's abort means
+    reject), tallied under ``counters["fallbacks"]``."""
 
     @pytest.mark.parametrize("seed", [1, 7, 29])
-    def test_fallback_verdicts_match_podem(self, lib, seed, monkeypatch):
-        fallback_calls = []
-
-        def spy(netlist, substitution, **kwargs):
-            fallback_calls.append(substitution)
-            return check_candidate(netlist, substitution, **kwargs)
-
-        monkeypatch.setattr(permissible, "check_candidate", spy)
+    def test_sat_stage_verdicts_abort(self, lib, seed):
         netlist = make_random_netlist(lib, 5, 14, 3, seed=seed)
         pool = workspace_for(netlist).generate()
         triage = TriageChecker(netlist, conflict_limit=0)
-        for candidate in pool[:12]:
-            sub = candidate.substitution
-            before = len(fallback_calls)
-            verdict = triage.check(sub)
-            if len(fallback_calls) > before:
-                assert verdict.status == check_candidate(netlist, sub).status
-        assert fallback_calls
-        assert triage.counters["fallbacks"] == len(fallback_calls)
+        verdicts = [triage.check(c.substitution) for c in pool[:12]]
+        sat_stage = [v for v in verdicts if v.stage == "sat"]
+        assert sat_stage
+        assert all(v.status == ABORTED for v in sat_stage)
+        assert triage.counters["fallbacks"] == len(sat_stage)
+
+    @pytest.mark.parametrize("conflict_limit", [0, 3])
+    def test_exhausted_budget_degrades_to_a_conservative_run(
+        self, lib, conflict_limit
+    ):
+        netlist = make_random_netlist(lib, 6, 20, 3, seed=3)
+        reference = netlist.copy("ref")
+        ctx = OptimizationContext(
+            netlist,
+            OptimizeOptions(num_patterns=256, max_rounds=3, trace=Tracer()),
+        )
+        triage = TriageChecker(netlist, conflict_limit=conflict_limit)
+        ctx.put("triage", triage)
+        result = PowerOptimizer(context=ctx).run()
+        assert result.rejected_aborted == triage.counters["fallbacks"] > 0
+        # Only proven moves were applied, and the reference oracle proves
+        # each of them too.
+        assert all(m.atpg_status == PERMISSIBLE for m in result.trace.moves)
+        replay = reference.copy("replay")
+        for move in result.moves:
+            verdict = check_candidate(replay, move.substitution)
+            assert verdict.status == PERMISSIBLE, move.substitution
+            apply_substitution(replay, move.substitution)
+        assert check_equivalent(reference, netlist).equal
 
 
 class _PodemOptimizer(PowerOptimizer):
     """Decides every move with the PODEM oracle instead of triage."""
 
     def check_candidate(self, substitution):
-        return check_candidate(
-            self.netlist,
-            substitution,
-            backtrack_limit=self.options.backtrack_limit,
-        ).status
+        return check_candidate(self.netlist, substitution).status
 
 
 class TestEndToEndEquivalence:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.suite import build_benchmark
+from repro.equiv.checker import check_equivalent
 from repro.fuzz.generator import GeneratorConfig, random_mapped_netlist
 from repro.fuzz.oracle import check_equivalence_tiers, cross_check_metrics
 from repro.library.standard import standard_library
@@ -84,11 +85,12 @@ class TestOracleEquivalence:
 
     def test_builtin_verify_pass_and_metrics_from_scratch(self):
         netlist = generated(3, gates=60)
-        options = windowed_options(window_verify=True)
+        reference = netlist.copy("ref")
+        options = windowed_options()
         result = windowed_optimize(netlist, options)
-        # window_verify re-proved equivalence inside run(); the report's
-        # final figures must match a cold rebuild (they are recomputed,
-        # never accumulated from window-local estimates).
+        assert check_equivalent(reference, netlist).equal
+        # The report's final figures must match a cold rebuild (they are
+        # recomputed, never accumulated from window-local estimates).
         assert cross_check_metrics(result, options) == []
         assert result.phase_seconds["metrics"] >= 0.0
 

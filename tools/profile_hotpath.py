@@ -19,10 +19,10 @@ from the wall clock used for phase shares, so worker spawn overhead is
 never billed as optimizer time.
 
 The default configuration mirrors benchmarks/BENCH_kernels.json (1024
-patterns, repeat=15, max_rounds=6, backtrack_limit=10000) so printed
-numbers are directly comparable to the committed records.  Wall-clock on
-a shared box wanders +/-20%; trust the relative ranking, and pin
-absolute claims with a best-of-N loop (``--repeat``).
+patterns, repeat=15, max_rounds=6) so printed numbers are directly
+comparable to the committed records.  Wall-clock on a shared box wanders
++/-20%; trust the relative ranking, and pin absolute claims with a
+best-of-N loop (``--repeat``).
 """
 
 from __future__ import annotations
@@ -89,7 +89,6 @@ def one_run(args):
         num_patterns=args.patterns,
         repeat=15,
         max_rounds=args.rounds,
-        backtrack_limit=10_000,
         windowed=windowed,
         jobs=args.jobs,
         window_size=args.window_size,
