@@ -5,10 +5,9 @@ One :class:`DataflowEngine` is bound to a netlist and runs any
 function — to a fixed point:
 
 - the worklist is a priority heap keyed by the node's **topological
-  level** (taken from the packed-kernel view when numpy is available,
-  from :func:`repro.netlist.traverse.logic_levels` otherwise), so a
-  forward analysis over a DAG visits every node exactly once and a
-  backward analysis visits in reverse level order — the classic
+  level** (taken from the packed-kernel view), so a forward analysis
+  over a DAG visits every node exactly once and a backward analysis
+  visits in reverse level order — the classic
   "chaotic iteration converges, ordered iteration converges in one
   sweep" argument (ALGORITHMS.md §18);
 - transfer functions are pure: the value of a node is a function of its
@@ -25,7 +24,7 @@ import heapq
 from typing import Dict, Hashable, Iterable, Mapping, Optional
 
 from repro.netlist.netlist import Gate, Netlist
-from repro.netlist.traverse import logic_levels, topological_order
+from repro.netlist.traverse import topological_order
 
 from repro.analysis.lattice import Lattice
 
@@ -74,17 +73,13 @@ class DataflowEngine:
         return self._levels
 
     def _compute_levels(self) -> Dict[str, int]:
-        from repro.kernels.packed import HAVE_NUMPY
+        from repro.kernels.packed import packed_view
 
-        if HAVE_NUMPY:
-            from repro.kernels.packed import packed_view
-
-            packed = packed_view(self.netlist)
-            return {
-                name: int(packed.levels[index])
-                for name, index in packed.index.items()
-            }
-        return logic_levels(self.netlist)
+        packed = packed_view(self.netlist)
+        return {
+            name: int(packed.levels[index])
+            for name, index in packed.index.items()
+        }
 
     # ------------------------------------------------------------------
     # Full analysis

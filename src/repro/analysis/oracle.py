@@ -8,11 +8,10 @@ structural state) and answers the three queries the analyses need:
 - ``prove_equivalent(a, b, parity)`` — UNSAT of an XOR difference
   variable (reused per pair, so the antiphase query is one more
   ``solve`` on the same clauses),
-- ``prove_unobservable(name)`` — the flip miter: the gate's transitive
-  fanout cone is duplicated with the gate's literal *inverted* at the
-  rewired point, per-PO XOR difference variables are ORed under an
-  activation assumption, and UNSAT means no input assignment lets the
-  flip reach any output.
+- ``prove_unobservable(name)`` — the flip miter: the rewire miter of
+  :func:`~repro.sat.cnf.encode_rewire_miter` (the one triage uses) with
+  the gate's literal *inverted* at the rewired point, so UNSAT means no
+  input assignment lets the flip reach any output.
 
 Every query runs under a conflict limit; UNKNOWN means "not proven" and
 the caller must drop the candidate — budget exhaustion can only lose
@@ -26,8 +25,8 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from repro.netlist.netlist import Netlist
-from repro.netlist.traverse import topological_order, transitive_fanout
-from repro.sat.cnf import encode_cell, encode_xor, tseitin_encode
+from repro.netlist.traverse import transitive_fanout
+from repro.sat.cnf import encode_rewire_miter, encode_xor, tseitin_encode
 from repro.sat.incremental import IncrementalSolver
 
 
@@ -93,63 +92,24 @@ class FactOracle:
     def prove_unobservable(self, name: str) -> Optional[bool]:
         """Can flipping ``name``'s value ever change a primary output?
 
-        Encodes the flip miter once per gate (cached): every gate in
-        the transitive fanout is re-encoded reading ``-var(name)`` at
-        the flipped point, and the per-PO differences are ORed under an
-        activation literal so refutations stay incremental.
+        Encodes the flip miter once per gate (cached): the shared rewire
+        miter with every reader of ``name`` reading ``-var(name)``, its
+        per-PO differences ORed under an activation literal so
+        refutations stay incremental.
         """
-        if name in self._flip_vars:
-            activation = self._flip_vars[name]
-        else:
-            activation = self._encode_flip_miter(name)
-            self._flip_vars[name] = activation
+        if name not in self._flip_vars:
+            netlist = self.netlist
+            self._flip_vars[name] = encode_rewire_miter(
+                self.formula,
+                self.solver,
+                netlist,
+                transitive_fanout(netlist, [netlist.gates[name]]),
+                name,
+                -self.var(name),
+            )
+        activation = self._flip_vars[name]
         if activation is None:
             # No PO structurally depends on the gate: the flip reaches
             # nothing, which is a (stronger, structural) proof.
             return True
         return self._solve([activation])
-
-    # ------------------------------------------------------------------
-    def _encode_flip_miter(self, name: str) -> Optional[int]:
-        netlist = self.netlist
-        gate = netlist.gates[name]
-        affected = transitive_fanout(netlist, [gate])
-        affected_names = {sink.name for sink in affected}
-        flipped = -self.var(name)
-        copies: Dict[str, int] = {}
-        order = [
-            g for g in topological_order(netlist) if g.name in affected_names
-        ]
-        for sink in order:
-            literals = []
-            for fanin in sink.fanins:
-                if fanin.name == name:
-                    literals.append(flipped)
-                elif fanin.name in copies:
-                    literals.append(copies[fanin.name])
-                else:
-                    literals.append(self.var(fanin.name))
-            out = self.formula.new_var()
-            self.solver.ensure_vars(self.formula.num_vars)
-            encode_cell(self.solver, out, literals, sink.cell)
-            copies[sink.name] = out
-        diff_vars = []
-        for po_name in sorted(netlist.outputs):
-            driver = netlist.outputs[po_name]
-            if driver.name == name:
-                new_literal = flipped
-            elif driver.name in copies:
-                new_literal = copies[driver.name]
-            else:
-                continue
-            old = self.var(driver.name)
-            diff = self.formula.new_var()
-            self.solver.ensure_vars(self.formula.num_vars)
-            encode_xor(self.solver, diff, old, new_literal)
-            diff_vars.append(diff)
-        if not diff_vars:
-            return None
-        activation = self.formula.new_var()
-        self.solver.ensure_vars(self.formula.num_vars)
-        self.solver.add_clause(-activation, *diff_vars)
-        return activation

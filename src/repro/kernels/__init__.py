@@ -24,11 +24,10 @@ from repro.kernels.words import (
     popcount_lastaxis,
     validate_num_patterns,
 )
-from repro.kernels.packed import HAVE_NUMPY, PackedCircuit, packed_view
+from repro.kernels.packed import PackedCircuit, packed_view
 
 __all__ = [
     "ALL_ONES",
-    "HAVE_NUMPY",
     "WORD_BITS",
     "WORD_DTYPE",
     "PackedCircuit",

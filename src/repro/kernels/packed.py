@@ -20,35 +20,21 @@ and revalidates it against the identity of the netlist's cached
 topological order, which every structural edit (fanin rewires, fanout
 moves, gate adds/removes, PO rebinds) invalidates.  Callers therefore
 always see a view consistent with the current structure without any
-explicit notification protocol — ``OptimizationContext.update_after_edit``
-simply touches the cache to keep the analysis bookkeeping honest.
+explicit notification protocol.
 
 The value **matrix** is the caller's: kernels take a ``(num_gates,
 nwords)`` ``uint64`` array whose row *i* is the committed value word of
 gate ``order[i]`` and never mutate it (overlay kernels copy).
-
-The accelerated backend is selected behind a feature probe
-(:data:`HAVE_NUMPY`): the module imports cleanly without numpy, callers
-check the probe (or catch :class:`~repro.errors.NetlistError` from the
-constructor) and stay on the per-gate evaluation paths when the packed
-backend is unavailable.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from typing import Optional
 
-try:  # feature probe: the accelerated backend
-    import numpy as np
+import numpy as np
 
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - the toolchain ships numpy
-    np = None  # type: ignore[assignment]
-    HAVE_NUMPY = False
-
-from repro.errors import NetlistError
 from repro.kernels.words import ALL_ONES, WORD_DTYPE
 from repro.netlist.netlist import Gate, Netlist
 from repro.netlist.traverse import topological_order
@@ -122,11 +108,6 @@ class PackedCircuit:
     """
 
     def __init__(self, netlist: Netlist, order: Optional[list[Gate]] = None):
-        if not HAVE_NUMPY:
-            raise NetlistError(
-                "PackedCircuit requires the numpy backend; use the "
-                "per-gate evaluation paths instead"
-            )
         self.netlist = netlist
         order = order if order is not None else topological_order(netlist)
         self.order: list[Gate] = order

@@ -15,12 +15,13 @@ set.  After every applied substitution it
 5. revalidates every cached OS3/IS3 pair-compatibility table against a
    recomputation from its own stored inputs (``X005``).
 
-The sanitizer only *reads* optimizer state (the workspace's pending-edit
-queue is flushed, which is a pure reordering of work the next candidate
-round would do anyway), so a sanitized run applies a bit-identical move
-sequence to an unsanitized one.  On any finding it raises
-:class:`~repro.errors.LintError` naming the offending move, the rule ID,
-and the minimal repro context.
+It is built over the optimizer's
+:class:`~repro.pipeline.OptimizationContext` and only *reads* the
+analyses there (the workspace's pending-edit queue is flushed, which is
+a pure reordering of work the next candidate round would do anyway), so
+a sanitized run applies a bit-identical move sequence to an unsanitized
+one.  On any finding it raises :class:`~repro.errors.LintError` naming
+the offending move, the rule ID, and the minimal repro context.
 
 The same checks are available between pipeline stages as the
 ``sanitize`` pass (:class:`repro.pipeline.SanitizePass`), which
@@ -42,7 +43,7 @@ from repro.power.probability import SimulationProbability
 from repro.timing.analysis import TimingAnalysis
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.transform.optimizer import PowerOptimizer
+    from repro.pipeline.context import OptimizationContext
     from repro.transform.substitution import AppliedSubstitution
 
 #: Sanitizer check IDs (documented alongside the lint rule catalog).
@@ -54,14 +55,14 @@ X_PAIR_TABLE = "X005"
 
 
 class TransformSanitizer:
-    """Validates the optimizer's incremental state after every move."""
+    """Validates a context's incremental analyses after every move."""
 
     def __init__(
         self,
-        optimizer: "PowerOptimizer",
+        context: "OptimizationContext",
         rules: Optional[list[Rule]] = None,
     ):
-        self.optimizer = optimizer
+        self.ctx = context
         #: Lint rules run after each move (default: every registered rule
         #: at error severity — warnings would fire on legitimate
         #: intermediate states like freshly inserted inverter chains).
@@ -85,7 +86,7 @@ class TransformSanitizer:
             findings.extend(self._check_pair_tables())
         move = str(applied.substitution)
         report = LintReport(
-            f"{self.optimizer.netlist.name}: move #{move_index} {move}",
+            f"{self.ctx.netlist.name}: move #{move_index} {move}",
             findings,
         )
         self.reports.append(report)
@@ -106,7 +107,7 @@ class TransformSanitizer:
     # Individual checks
     # ------------------------------------------------------------------
     def _check_lint(self) -> list[Diagnostic]:
-        report = lint_netlist(self.optimizer.netlist, rules=self.rules)
+        report = lint_netlist(self.ctx.netlist, rules=self.rules)
         return [
             Diagnostic(
                 rule_id=X_LINT,
@@ -119,10 +120,10 @@ class TransformSanitizer:
         ]
 
     def _check_probabilities(self) -> list[Diagnostic]:
-        engine = self.optimizer.estimator.engine
+        engine = self.ctx.estimator.engine
         if not isinstance(engine, SimulationProbability):
             return []
-        netlist = self.optimizer.netlist
+        netlist = self.ctx.netlist
         patterns = {
             name: engine.sim.values[name] for name in netlist.input_names
         }
@@ -175,12 +176,11 @@ class TransformSanitizer:
         return findings
 
     def _check_timing(self) -> list[Diagnostic]:
-        optimizer = self.optimizer
+        ctx = self.ctx
         fresh = TimingAnalysis(
-            optimizer.netlist,
-            optimizer.constraint.limit if optimizer.constraint else None,
+            ctx.netlist, ctx.constraint.limit if ctx.constraint else None
         )
-        timing = optimizer.timing
+        timing = ctx.timing
         findings: list[Diagnostic] = []
         for label, incremental, rebuilt in (
             ("arrival", timing.arrival, fresh.arrival),
@@ -218,7 +218,7 @@ class TransformSanitizer:
         return findings
 
     def _check_observability(self) -> list[Diagnostic]:
-        workspace = self.optimizer._workspace
+        workspace = self.ctx.peek("workspace")
         if workspace is None:
             return []
         # Flush the accumulated per-move invalidations: the next candidate
@@ -250,7 +250,7 @@ class TransformSanitizer:
         return findings
 
     def _check_pair_tables(self) -> list[Diagnostic]:
-        workspace = self.optimizer._workspace
+        workspace = self.ctx.peek("workspace")
         if workspace is None:
             return []
         library = workspace.netlist.library

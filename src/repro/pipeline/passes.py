@@ -327,31 +327,6 @@ class LintPass(Pass):
         )
 
 
-class _ContextView:
-    """Adapts a context to the optimizer surface the sanitizer reads."""
-
-    def __init__(self, ctx: OptimizationContext):
-        self._ctx = ctx
-        self.netlist = ctx.netlist
-        self.options = ctx.options
-
-    @property
-    def estimator(self):
-        return self._ctx.estimator
-
-    @property
-    def constraint(self):
-        return self._ctx.constraint
-
-    @property
-    def timing(self):
-        return self._ctx.timing
-
-    @property
-    def _workspace(self):
-        return self._ctx.peek("workspace")
-
-
 class SanitizePass(Pass):
     """Cross-check the context's built analyses against fresh rebuilds.
 
@@ -373,7 +348,7 @@ class SanitizePass(Pass):
         from repro.lint.diagnostics import LintReport
         from repro.lint.sanitizer import TransformSanitizer
 
-        checker = TransformSanitizer(_ContextView(ctx))
+        checker = TransformSanitizer(ctx)
         findings = list(checker._check_lint())
         checked = ["lint"]
         if not findings:

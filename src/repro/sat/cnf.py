@@ -124,6 +124,76 @@ def encode_xor(sink, out: int, a: int, b: int) -> None:
     sink.add_clause(out, a, -b)
 
 
+def encode_rewire_miter(
+    formula: CnfFormula,
+    solver,
+    netlist: Netlist,
+    cone: Sequence,
+    target: str,
+    literal: int,
+    branch: Optional[tuple[str, int]] = None,
+) -> Optional[int]:
+    """Encode "rewiring ``target`` to ``literal`` changes some output".
+
+    ``formula`` holds the Tseitin encoding of ``netlist`` and allocates
+    the new variables; ``solver`` receives the clauses.  Every reader of
+    ``target`` reads ``literal`` instead — with ``branch=(sink, pin)``
+    only that one pin does.  The gates of ``cone`` (the fanout cone of
+    the rewired point, in topological order) are duplicated over the
+    rewired literals, one XOR difference is added per primary output
+    whose driver was duplicated or rewired, and the differences are ORed
+    under the returned activation literal: solving under it is UNSAT
+    exactly when no input assignment lets the rewiring reach an output.
+    ``None`` means no primary output depends on the rewired point.
+
+    Emission order — each cone gate's variable then its clauses, the
+    activation variable, the differences in sorted output order — is
+    fixed, because CDCL conflict counts (pinned by the golden traces)
+    depend on it.
+    """
+    var_of = formula.var_of
+
+    def fresh() -> int:
+        var = formula.new_var()
+        solver.ensure_vars(formula.num_vars)
+        return var
+
+    copies: dict[str, int] = {}
+    for gate in cone:
+        literals = []
+        for pin, fanin in enumerate(gate.fanins):
+            copied = copies.get(fanin.name)
+            if copied is not None:
+                literals.append(copied)
+            elif (
+                fanin.name == target
+                if branch is None
+                else gate.name == branch[0] and pin == branch[1]
+            ):
+                literals.append(literal)
+            else:
+                literals.append(var_of[fanin.name])
+        out = fresh()
+        encode_cell(solver, out, literals, gate.cell)
+        copies[gate.name] = out
+    activation = fresh()
+    diff_vars = []
+    for po in sorted(netlist.outputs):
+        driver = netlist.outputs[po].name
+        new_side = copies.get(driver)
+        if new_side is None and branch is None and driver == target:
+            new_side = literal
+        if new_side is None:
+            continue  # this output's cone is untouched
+        diff = fresh()
+        encode_xor(solver, diff, var_of[driver], new_side)
+        diff_vars.append(diff)
+    if not diff_vars:
+        return None
+    solver.add_clause(-activation, *diff_vars)
+    return activation
+
+
 def tseitin_encode(
     netlist: Netlist, formula: Optional[CnfFormula] = None, prefix: str = ""
 ) -> CnfFormula:

@@ -34,20 +34,8 @@ from repro.transform.optimizer import (
     power_optimize,
 )
 from repro.transform.report import MoveRecord, ClassStats, class_statistics
-from repro.transform.windowed import (
-    WindowedOptimizer,
-    WindowMove,
-    windowed_optimize,
-)
+from repro.transform.windowed import WindowedOptimizer, windowed_optimize
 from repro.transform.dedupe import count_duplicate_gates, merge_duplicate_gates
-from repro.transform.clauses import (
-    Clause,
-    Literal,
-    SignalRelation,
-    find_clause_candidates,
-    find_equivalent_signals,
-    prove_clause,
-)
 
 __all__ = [
     "Substitution",
@@ -73,14 +61,7 @@ __all__ = [
     "ClassStats",
     "class_statistics",
     "WindowedOptimizer",
-    "WindowMove",
     "windowed_optimize",
-    "Clause",
-    "Literal",
-    "SignalRelation",
-    "find_clause_candidates",
-    "find_equivalent_signals",
-    "prove_clause",
     "count_duplicate_gates",
     "merge_duplicate_gates",
 ]

@@ -386,7 +386,7 @@ class PowerOptimizer:
         if opts.sanitize:
             from repro.lint.sanitizer import TransformSanitizer
 
-            self.sanitizer = TransformSanitizer(self)
+            self.sanitizer = TransformSanitizer(context)
         self.phase_seconds = {
             "candidates": 0.0,
             "select": 0.0,
@@ -547,6 +547,8 @@ class PowerOptimizer:
             measured_area_delta=self.netlist.total_area() - area_before,
             round_index=self._round,
             circuit_delay_after=self.timing.circuit_delay,
+            added=tuple(applied.added),
+            substituting=applied.substituting,
         )
         self.moves.append(record)
         if self.tracer is not None:

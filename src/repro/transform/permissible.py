@@ -43,7 +43,12 @@ from repro.errors import NetlistError, TransformError
 from repro.netlist.netlist import Netlist
 from repro.netlist.simulate import SimState, evaluate_cell, random_patterns
 from repro.netlist.traverse import topological_order, transitive_fanout
-from repro.sat.cnf import CnfFormula, encode_cell, encode_xor, tseitin_encode
+from repro.sat.cnf import (
+    CnfFormula,
+    encode_cell,
+    encode_rewire_miter,
+    tseitin_encode,
+)
 from repro.sat.dpll import SAT as SAT_STATUS
 from repro.sat.dpll import UNSAT as UNSAT_STATUS
 from repro.sat.incremental import IncrementalSolver
@@ -274,59 +279,27 @@ class TriageChecker:
         """PERMISSIBLE / NOT_PERMISSIBLE, or ABORTED when the budget ran out.
 
         The miter shares the whole base encoding between the two sides:
-        only the gates in ``affected`` (the fanout cone of the rewired
-        point, in topological order) are duplicated, reading the
-        substituting literal in place of the rewired fanin.  Exact in
-        both directions — every side input is constrained by the base
-        netlist's clauses, never left free.
+        :func:`~repro.sat.cnf.encode_rewire_miter` duplicates only the
+        gates in ``affected`` (the fanout cone of the rewired point, in
+        topological order), reading the substituting literal in place of
+        the rewired fanin.  Exact in both directions — every side input
+        is constrained by the base netlist's clauses, never left free.
         """
         netlist = self.netlist
         formula, solver = self._sat_state()
-        var_of = formula.var_of
         new_literal = self._new_signal_literal(formula, solver, substitution)
-        output_sub = substitution.is_output_substitution()
-        target_name = substitution.target
-        branch = substitution.branch
-        copies: dict[str, int] = {}
-        for gate in affected:
-            literals = []
-            for pin, fanin in enumerate(gate.fanins):
-                copied = copies.get(fanin.name)
-                if copied is not None:
-                    literals.append(copied)
-                elif output_sub and fanin.name == target_name:
-                    literals.append(new_literal)
-                elif (
-                    not output_sub
-                    and gate.name == branch[0]
-                    and pin == branch[1]
-                ):
-                    literals.append(new_literal)
-                else:
-                    literals.append(var_of[fanin.name])
-            out = formula.new_var()
-            solver.ensure_vars(formula.num_vars)
-            encode_cell(solver, out, literals, gate.cell)
-            copies[gate.name] = out
-        activation = formula.new_var()
-        solver.ensure_vars(formula.num_vars)
-        diff_vars = []
-        for po in sorted(netlist.outputs):
-            driver = netlist.outputs[po]
-            new_side = copies.get(driver.name)
-            if new_side is None and output_sub and driver.name == target_name:
-                new_side = new_literal
-            if new_side is None:
-                continue  # this output's cone is untouched
-            old_side = var_of[driver.name]
-            diff = formula.new_var()
-            solver.ensure_vars(formula.num_vars)
-            encode_xor(solver, diff, old_side, new_side)
-            diff_vars.append(diff)
-        if not diff_vars:
+        activation = encode_rewire_miter(
+            formula,
+            solver,
+            netlist,
+            affected,
+            substitution.target,
+            new_literal,
+            substitution.branch,
+        )
+        if activation is None:
             # No primary output depends on the rewired point.
             return PermissibilityResult(PERMISSIBLE, stage="sat")
-        solver.add_clause(-activation, *diff_vars)
         self.counters["sat_calls"] += 1
         result = solver.solve([activation], conflict_limit=self.conflict_limit)
         if result.status == UNSAT_STATUS:
@@ -337,7 +310,7 @@ class TriageChecker:
         if result.status == SAT_STATUS:
             self.counters["sat_cex"] += 1
             cex = {
-                name: int(result.model.get(var_of[name], False))
+                name: int(result.model.get(formula.var_of[name], False))
                 for name in netlist.input_names
             }
             return PermissibilityResult(

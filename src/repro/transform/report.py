@@ -26,6 +26,10 @@ class MoveRecord:
     measured_area_delta: float  # netlist area after - before
     round_index: int
     circuit_delay_after: float
+    #: Fresh gates the move created, in creation order.
+    added: tuple[str, ...] = ()
+    #: The gate left driving the substituted load ("" if none).
+    substituting: str = ""
 
     @property
     def kind(self) -> str:

@@ -30,14 +30,16 @@ scratch on the merged netlist.
 
 Name translation during replay: a window's later moves may reference
 gates its earlier moves created (``powder_inv*``/``powder_g*``/
-``powder_tie*``), whose fresh names differ in the full netlist.  The
-worker therefore reports each move's ``added`` names and substituting
-gate; the parent zips them against its own
-:class:`~repro.transform.substitution.AppliedSubstitution` to grow a
-sub-name -> full-name map.  Any mismatch (or a replay rejected by the
-netlist, e.g. a cycle through external paths the window could not see)
-stops that window's replay at the failed move — never corrupting the
-netlist, because :func:`apply_substitution` validates before mutating.
+``powder_tie*``), whose fresh names differ in the full netlist.  Every
+:class:`~repro.transform.report.MoveRecord` the worker returns carries
+its move's ``added`` names and substituting gate; the parent zips them
+against its own :class:`~repro.transform.substitution.AppliedSubstitution`
+to grow a sub-name -> full-name map.  A replay rejected by the netlist
+(e.g. a cycle through external paths the window could not see) stops
+that window's replay before the failed move — never corrupting the
+netlist, because :func:`apply_substitution` validates before mutating;
+a replayed move whose fresh names cannot be translated is recorded and
+stops the replay after it.
 """
 
 from __future__ import annotations
@@ -73,28 +75,12 @@ DEFAULT_WINDOW_SIZE = 80
 DEFAULT_WINDOW_RADIUS = 3
 
 
-@dataclass(frozen=True)
-class WindowMove:
-    """One move a window worker applied, with its replay bookkeeping."""
-
-    substitution: Substitution
-    #: Fresh gates the sub-run created for this move, in creation order.
-    added: tuple[str, ...]
-    #: The sub-run gate left driving the substituted load ("" if none).
-    substituting: str
-    #: Window-local gain prediction and measurements (approximate
-    #: globally; kept for the class table in ``OptimizeResult.summary``).
-    predicted: object
-    measured_power_gain: float
-    measured_area_delta: float
-
-
 @dataclass
 class WindowOutcome:
     """What happened to one window across optimize + merge."""
 
     window: Window
-    moves: list[WindowMove] = field(default_factory=list)
+    moves: list[MoveRecord] = field(default_factory=list)
     #: Moves successfully replayed into the full netlist.
     replayed: int = 0
     #: "applied" | "conflict" | "empty" | "error"
@@ -116,32 +102,6 @@ def _init_worker(library) -> None:
     _WORKER_STATE["library"] = library
 
 
-def _capture_moves(blif_text, po_loads, library, records) -> list[WindowMove]:
-    """Replay the sub-run's substitutions on a fresh parse to capture the
-    fresh-name bookkeeping (``added``/``substituting``) the merge needs.
-
-    Fresh names depend only on the netlist's name counter, which advances
-    identically here and in the optimizer's own run.
-    """
-    fresh = parse_blif(blif_text, library)
-    for po, load in po_loads.items():
-        fresh.output_loads[po] = load
-    moves: list[WindowMove] = []
-    for record in records:
-        applied = apply_substitution(fresh, record.substitution)
-        moves.append(
-            WindowMove(
-                substitution=record.substitution,
-                added=tuple(applied.added),
-                substituting=applied.substituting,
-                predicted=record.predicted,
-                measured_power_gain=record.measured_power_gain,
-                measured_area_delta=record.measured_area_delta,
-            )
-        )
-    return moves
-
-
 def _optimize_window_task(task):
     """Optimize one exported window; runs in a pool worker (or inline).
 
@@ -156,14 +116,13 @@ def _optimize_window_task(task):
         for po, load in po_loads.items():
             sub.output_loads[po] = load
         result = PowerOptimizer(sub, sub_options).run()
-        moves = _capture_moves(blif_text, po_loads, library, result.moves)
         counters = {
             "rejected_delay": result.rejected_delay,
             "rejected_not_permissible": result.rejected_not_permissible,
             "rejected_aborted": result.rejected_aborted,
             "rejected_stale": result.rejected_stale,
         }
-        return (index, moves, counters, None)
+        return (index, result.moves, counters, None)
     except Exception as exc:  # noqa: BLE001 - transported across the pipe
         return (index, [], {}, f"{type(exc).__name__}: {exc}")
 
@@ -283,6 +242,7 @@ class WindowedOptimizer:
                 applied = apply_substitution(netlist, substitution)
             except (NetlistError, TransformError):
                 break
+            translated = True
             if len(applied.added) == len(move.added):
                 for sub_name, full_name in zip(move.added, applied.added):
                     name_map[sub_name] = full_name
@@ -293,11 +253,7 @@ class WindowedOptimizer:
                 # later moves can reference.
                 name_map[move.substituting] = applied.substituting
             else:
-                touched.update(applied.dirty_gate_names(netlist))
-                touched.update(applied.removed)
-                touched.update(applied.added)
-                outcome.replayed += 1
-                break
+                translated = False
             if move.substituting and applied.substituting:
                 name_map.setdefault(move.substituting, applied.substituting)
             touched.update(applied.dirty_gate_names(netlist))
@@ -305,15 +261,18 @@ class WindowedOptimizer:
             touched.update(applied.added)
             outcome.replayed += 1
             records.append(
-                MoveRecord(
+                dataclasses.replace(
+                    move,
                     substitution=substitution,
-                    predicted=move.predicted,
-                    measured_power_gain=move.measured_power_gain,
-                    measured_area_delta=move.measured_area_delta,
                     round_index=outcome.window.index,
                     circuit_delay_after=0.0,
+                    added=tuple(applied.added),
+                    substituting=applied.substituting,
                 )
             )
+            if not translated:
+                # Later moves may name fresh gates this one created.
+                break
         return records
 
     def _reoptimize_deferred(

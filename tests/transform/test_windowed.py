@@ -16,12 +16,9 @@ from repro.library.standard import standard_library
 from repro.netlist.blif import write_blif
 from repro.partition import extract_window
 from repro.transform.optimizer import OptimizeOptions
+from repro.transform.report import MoveRecord
 from repro.transform.substitution import Substitution
-from repro.transform.windowed import (
-    WindowedOptimizer,
-    WindowMove,
-    windowed_optimize,
-)
+from repro.transform.windowed import WindowedOptimizer, windowed_optimize
 
 LIB = standard_library()
 
@@ -166,14 +163,15 @@ def crafted_windows(netlist):
     return [w0, w1]
 
 
-def crafted_move(target, source):
-    return WindowMove(
+def crafted_move(target, source, added=()):
+    return MoveRecord(
         substitution=Substitution(kind="OS2", target=target, source1=source),
-        added=(),
-        substituting="",
         predicted=None,
         measured_power_gain=0.0,
         measured_area_delta=0.0,
+        round_index=1,
+        circuit_delay_after=0.0,
+        added=added,
     )
 
 
@@ -254,6 +252,42 @@ class TestConflictResolver:
         assert statuses <= {"applied", "empty", "conflict"}
         # Every conflicted window went through the fallback exactly once.
         assert len(optimizer.conflicts) == len(set(optimizer.conflicts))
+
+
+class PhantomNameOptimizer(WindowedOptimizer):
+    """One window whose first move claims a fresh gate the full netlist's
+    replay does not create (and no substituting gate), so its names
+    cannot be translated; the second move is applicable but not
+    permissible, so replaying it would break equivalence."""
+
+    def _dispatch(self, tasks):
+        self.phase_seconds["spawn"] = 0.0
+        moves = [
+            crafted_move("g2", "g1", added=("phantom",)),
+            crafted_move("n2", "n1"),
+        ]
+        return [(0, moves, {}, None)]
+
+
+class TestUntranslatableReplay:
+    def test_move_recorded_and_window_stopped(self, builder, monkeypatch):
+        netlist = conflict_netlist(builder)
+        reference = netlist.copy("ref")
+        monkeypatch.setattr(
+            "repro.transform.windowed.partition_windows",
+            lambda n, radius, max_gates: crafted_windows(n)[:1],
+        )
+        optimizer = PhantomNameOptimizer(netlist, windowed_options())
+        result = optimizer.run()
+
+        assert "g2" not in netlist.gates
+        assert "n2" in netlist.gates  # the second move was not replayed
+        outcome = optimizer.outcomes[0]
+        assert outcome.replayed == 1
+        assert [m.substitution.target for m in result.moves] == ["g2"]
+        assert result.moves[0].added == ()
+        assert outcome.status == "applied"
+        assert check_equivalence_tiers(reference, netlist).equal
 
 
 class TestGuards:
