@@ -17,7 +17,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from repro.errors import ParseError
-from repro.library.cell import Library
+from repro.library.cell import Cell, Library
 from repro.netlist.netlist import Gate, Netlist
 from repro.netlist.traverse import topological_order
 
@@ -47,12 +47,26 @@ def _logical_lines(text: str) -> list[tuple[int, str]]:
 
 
 def parse_blif(text: str, library: Library, name: str | None = None) -> Netlist:
-    """Parse a mapped BLIF description into a :class:`Netlist`."""
+    """Parse a mapped BLIF description into a :class:`Netlist`.
+
+    Every net has exactly one driver: a primary input, a ``.gate`` output
+    or a ``.names`` output.  A second driver is a :class:`ParseError` at
+    its line, naming the net and the line of the first.
+    """
     model_name = name or "blif"
     inputs: list[str] = []
     outputs: list[str] = []
-    gate_specs: list[tuple[int, str, dict[str, str]]] = []
-    names_specs: list[tuple[int, list[str], list[str]]] = []
+    driven_at: dict[str, int] = {}
+    # (lineno, cell or None for an alias, fanin nets, output net)
+    gate_specs: list[tuple[int, Cell | None, list[str], str]] = []
+    names_specs: list[tuple[int, Cell | None, list[str], str]] = []
+
+    def drive(net: str, lineno: int) -> None:
+        if net in driven_at:
+            raise ParseError(
+                f"net {net!r} already driven at line {driven_at[net]}", lineno
+            )
+        driven_at[net] = lineno
 
     lines = _logical_lines(text)
     index = 0
@@ -65,6 +79,8 @@ def parse_blif(text: str, library: Library, name: str | None = None) -> Netlist:
             if len(tokens) > 1 and name is None:
                 model_name = tokens[1]
         elif directive == ".inputs":
+            for net in tokens[1:]:
+                drive(net, lineno)
             inputs.extend(tokens[1:])
         elif directive == ".outputs":
             outputs.extend(tokens[1:])
@@ -78,14 +94,25 @@ def parse_blif(text: str, library: Library, name: str | None = None) -> Netlist:
                     raise ParseError(f"bad pin binding {pair!r}", lineno)
                 pin, net = pair.split("=", 1)
                 bindings[pin] = net
-            gate_specs.append((lineno, cell_name, bindings))
+            if cell_name not in library:
+                raise ParseError(f"unknown cell {cell_name!r}", lineno)
+            cell = library[cell_name]
+            if bindings.keys() != {cell.output, *cell.pin_names}:
+                raise _binding_error(cell, bindings, lineno)
+            drive(bindings[cell.output], lineno)
+            gate_specs.append((
+                lineno, cell, [bindings[pin] for pin in cell.pin_names],
+                bindings[cell.output],
+            ))
         elif directive == ".names":
             nets = tokens[1:]
             rows: list[str] = []
             while index < len(lines) and not lines[index][1].startswith("."):
                 rows.append(lines[index][1])
                 index += 1
-            names_specs.append((lineno, nets, rows))
+            names_cell = _names_cell(library, nets, rows, lineno)
+            drive(nets[-1], lineno)
+            names_specs.append((lineno, names_cell, nets[:-1], nets[-1]))
         elif directive == ".end":
             break
         elif directive in (".latch", ".subckt"):
@@ -99,57 +126,24 @@ def parse_blif(text: str, library: Library, name: str | None = None) -> Netlist:
         drivers[pi] = netlist.add_input(pi)
 
     # Two passes so gates may appear in any order.
-    unresolved = list(gate_specs) + [
-        (lineno, None, (nets, rows)) for lineno, nets, rows in names_specs
-    ]
+    unresolved = gate_specs + names_specs
     progress = True
     while unresolved and progress:
         progress = False
         remaining = []
-        for item in unresolved:
-            if item[1] is not None:
-                lineno, cell_name, bindings = item
-                if cell_name not in library:
-                    raise ParseError(f"unknown cell {cell_name!r}", lineno)
-                cell = library[cell_name]
-                extra = set(bindings) - set(cell.pin_names) - {cell.output}
-                if extra:
-                    raise ParseError(
-                        f"cell {cell_name!r}: unknown pins {sorted(extra)}", lineno
-                    )
-                out_net = bindings.get(cell.output)
-                if out_net is None:
-                    raise ParseError(
-                        f"cell {cell_name!r}: output {cell.output!r} unbound", lineno
-                    )
-                fanin_nets = []
-                ready = True
-                for pin in cell.pin_names:
-                    net = bindings.get(pin)
-                    if net is None:
-                        raise ParseError(
-                            f"cell {cell_name!r}: input {pin!r} unbound", lineno
-                        )
-                    if net not in drivers:
-                        ready = False
-                        break
-                    fanin_nets.append(net)
-                if not ready:
-                    remaining.append(item)
-                    continue
-                gate = netlist.add_gate(
-                    cell, [drivers[n] for n in fanin_nets], name=_unique_net(netlist, out_net)
-                )
-                drivers[out_net] = gate
-                progress = True
+        for spec in unresolved:
+            _lineno, spec_cell, fanin_nets, out_net = spec
+            try:
+                fanins = [drivers[net] for net in fanin_nets]
+            except KeyError:  # a fanin net is not driven yet
+                remaining.append(spec)
+                continue
+            if spec_cell is None:
+                # Pure alias: connect the sink nets straight to the source stem.
+                drivers[out_net] = fanins[0]
             else:
-                lineno, _marker, (nets, rows) = item
-                gate = _resolve_names(netlist, library, drivers, nets, rows, lineno)
-                if gate is None:
-                    remaining.append(item)
-                    continue
-                drivers[nets[-1]] = gate
-                progress = True
+                drivers[out_net] = netlist.add_gate(spec_cell, fanins, name=out_net)
+            progress = True
         unresolved = remaining
     if unresolved:
         raise ParseError(
@@ -163,12 +157,23 @@ def parse_blif(text: str, library: Library, name: str | None = None) -> Netlist:
     return netlist
 
 
-def _unique_net(netlist: Netlist, net: str) -> str:
-    return net if net not in netlist.gates else netlist.fresh_name(net + "_")
+def _binding_error(cell: Cell, bindings: dict[str, str], lineno: int) -> ParseError:
+    """Why a ``.gate`` line's pin bindings do not match its cell's pins."""
+    extra = set(bindings) - set(cell.pin_names) - {cell.output}
+    if extra:
+        return ParseError(f"cell {cell.name!r}: unknown pins {sorted(extra)}", lineno)
+    pin = next(pin for pin in (cell.output, *cell.pin_names) if pin not in bindings)
+    role = "output" if pin == cell.output else "input"
+    return ParseError(f"cell {cell.name!r}: {role} {pin!r} unbound", lineno)
 
 
-def _resolve_names(netlist, library, drivers, nets, rows, lineno):
-    """Handle the degenerate .names forms used in mapped files."""
+def _names_cell(
+    library: Library, nets: list[str], rows: list[str], lineno: int
+) -> Cell | None:
+    """The cell a degenerate mapped ``.names`` block stands for: a constant
+    or an inverter, or ``None`` for a single-input buffer (an alias)."""
+    if not nets:
+        raise ParseError("malformed .names line", lineno)
     *fanin_nets, out_net = nets
     if len(fanin_nets) == 0:
         value = bool(rows and rows[0].strip() == "1")
@@ -177,18 +182,13 @@ def _resolve_names(netlist, library, drivers, nets, rows, lineno):
             raise ParseError(
                 f"library lacks a constant-{int(value)} cell for {out_net!r}", lineno
             )
-        return netlist.add_gate(cell, [], name=_unique_net(netlist, out_net))
+        return cell
     if len(fanin_nets) == 1:
-        if fanin_nets[0] not in drivers:
-            return None
-        src = drivers[fanin_nets[0]]
         row = rows[0].split() if rows else ["1", "1"]
         if row == ["1", "1"]:
-            # Pure alias: connect the sink nets straight to the source stem.
-            return src
+            return None
         if row == ["0", "1"]:
-            cell = library.inverter()
-            return netlist.add_gate(cell, [src], name=_unique_net(netlist, out_net))
+            return library.inverter()
         raise ParseError(f"unsupported .names rows {rows}", lineno)
     raise ParseError(
         ".names with multiple inputs is not a mapped-netlist construct", lineno

@@ -4,10 +4,9 @@ The :class:`PassManager` runs a pass sequence with declared-dependency
 semantics: before each pass it lazily (re)builds the analyses the pass
 ``requires``; afterwards it invalidates exactly what the pass declares
 in ``invalidates`` (dependents cascade through the context's dependency
-graph).  Each pass runs under its own telemetry phase — a
-``pass.<name>`` timer on the manager's
-:class:`~repro.telemetry.metrics.Metrics` — so pipeline hot spots show
-up per stage, not as one opaque total.
+graph).  Each pass's wall time lands in its
+:attr:`~repro.pipeline.passes.PassResult.seconds`, so pipeline hot spots
+show up per stage, not as one opaque total.
 
 When the context's options carry ``sanitize=True``, each pass also runs
 under a :class:`PassContract`: reading an analysis it never declared, or
@@ -26,7 +25,6 @@ from repro.errors import PipelineError
 from repro.netlist.netlist import Netlist
 from repro.pipeline.context import OptimizationContext
 from repro.pipeline.passes import Pass, PassResult
-from repro.telemetry.metrics import Metrics
 from repro.transform.optimizer import OptimizeOptions
 
 
@@ -94,7 +92,6 @@ class PipelineResult:
 
     context: OptimizationContext
     passes: list[PassResult] = field(default_factory=list)
-    metrics: Optional[Metrics] = None
 
     @property
     def netlist(self) -> Netlist:
@@ -125,14 +122,13 @@ class PipelineResult:
 class PassManager:
     """Runs pass sequences with build/invalidate bookkeeping."""
 
-    def __init__(self, metrics: Optional[Metrics] = None, verbose: bool = False):
-        self.metrics = metrics or Metrics()
+    def __init__(self, verbose: bool = False):
         self.verbose = verbose
 
     def run(
         self, context: OptimizationContext, passes: Sequence[Pass]
     ) -> PipelineResult:
-        outcome = PipelineResult(context=context, metrics=self.metrics)
+        outcome = PipelineResult(context=context)
         for stage in passes:
             # A pass may retune the context's options (e.g. powder
             # overrides) before its requirements are built against them.
@@ -146,8 +142,7 @@ class PassManager:
             tick = time.perf_counter()
             context._contract = contract
             try:
-                with self.metrics.timer(f"pass.{stage.name}"):
-                    result = stage.run(context)
+                result = stage.run(context)
             finally:
                 context._contract = None
             if contract is not None:

@@ -21,12 +21,6 @@ from repro.serve.jobs import (
     Job,
 )
 from repro.serve.jobspec import JobSpec, canonicalize_job, server_library
-from repro.serve.loadgen import (
-    LoadGenConfig,
-    LoadGenReport,
-    build_circuit_pool,
-    run_load,
-)
 from repro.serve.runner import ServerThread
 from repro.serve.server import PowderServer, ServerConfig
 from repro.serve.worker import (
@@ -44,8 +38,6 @@ __all__ = [
     "FAILED",
     "Job",
     "JobSpec",
-    "LoadGenConfig",
-    "LoadGenReport",
     "PowderServer",
     "QUEUED",
     "RUNNING",
@@ -57,10 +49,8 @@ __all__ = [
     "StreamingTracer",
     "TERMINAL_STATES",
     "TIMEOUT",
-    "build_circuit_pool",
     "canonicalize_job",
     "execute_jobspec",
     "run_attempt",
-    "run_load",
     "server_library",
 ]

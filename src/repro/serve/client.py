@@ -2,9 +2,9 @@
 
 Stdlib-only (``http.client``); one connection per request except the
 events feed, which holds its connection open and yields NDJSON progress
-events as the server emits them.  This is what the integration tests,
-the load generator, and ``benchmarks/bench_serve.py`` drive; it is also
-a reasonable starting point for real clients.
+events as the server emits them.  This is what the serve tests and the
+benchmark's ``serve`` workload drive; it is also a reasonable starting
+point for real clients.
 """
 
 from __future__ import annotations

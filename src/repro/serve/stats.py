@@ -1,4 +1,4 @@
-"""Small latency statistics shared by ``/metrics`` and the load generator."""
+"""Small latency statistics behind the ``latency`` block of ``/metrics``."""
 
 from __future__ import annotations
 

@@ -116,11 +116,33 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_blif(".inputs a\n.outputs y\n.latch a y re clk 0\n", lib)
 
+    def test_names_without_nets_rejected(self, lib):
+        with pytest.raises(ParseError) as excinfo:
+            parse_blif(".inputs a\n.outputs y\n.names\n", lib)
+        assert excinfo.value.line == 3
+
     def test_multi_input_names_rejected(self, lib):
         with pytest.raises(ParseError):
             parse_blif(
                 ".inputs a b\n.outputs y\n.names a b y\n11 1\n", lib
             )
+
+    @pytest.mark.parametrize("body, net, line, first", [
+        (".gate and2 a=a b=b O=n\n.gate or2 a=a b=b O=n\n"
+         ".gate inv1 a=n O=y\n", "n", 5, 4),
+        (".gate and2 a=a b=b O=n\n.gate inv1 a=n O=y\n"
+         ".gate or2 a=a b=b O=n\n", "n", 6, 4),
+        (".gate and2 a=a b=b O=a\n.gate inv1 a=a O=y\n", "a", 4, 2),
+        (".gate and2 a=a b=b O=n\n.names a n\n1 1\n"
+         ".gate inv1 a=n O=y\n", "n", 5, 4),
+    ], ids=["gate-gate", "gate-reader-gate", "gate-on-input", "gate-alias"])
+    def test_net_with_two_drivers_rejected(self, lib, body, net, line, first):
+        # Line order must not pick the function of a doubly-driven net.
+        text = ".model m\n.inputs a b\n.outputs y\n" + body + ".end\n"
+        with pytest.raises(ParseError) as excinfo:
+            parse_blif(text, lib)
+        assert excinfo.value.line == line
+        assert f"net {net!r} already driven at line {first}" in str(excinfo.value)
 
     def test_combinational_loop_detected(self, lib):
         text = """

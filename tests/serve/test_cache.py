@@ -119,6 +119,9 @@ class TestCanonicalKeying:
         ({"blif": "x", "options": {"verbose": True}}, "bad-options"),
         ({"blif": "x", "options": {"dedupe_first": True}}, "bad-options"),
         ({"blif": "x", "options": {"window_verify": True}}, "bad-options"),
+        # A net driven by two gates is malformed BLIF.
+        ({"blif": ".inputs a b\n.outputs y\n.gate and2 a=a b=b O=y\n"
+                  ".gate or2 a=a b=b O=y\n"}, "bad-blif"),
     ])
     def test_rejections_are_structured_400s(self, payload, code):
         with pytest.raises(ServeError) as excinfo:

@@ -346,6 +346,28 @@ class TestShutdownEndpoint:
             assert client.health()["status"] == "ok"
 
 
+class TestBackpressure:
+    def test_full_queue_answers_429_and_counts_it(self):
+        with ServerThread(ServerConfig(workers=1, max_queue=1)) as handle:
+            client = handle.client()
+            accepted, refused = [], []
+            # one running and one queued fill the server; a third is too many
+            for seed in (190, 191, 192):
+                try:
+                    accepted.append(client.submit(
+                        make_blif(seed, min_gates=25, max_gates=35),
+                        options=SLOW_OPTIONS, use_cache=False,
+                    ))
+                except ServeClientError as error:
+                    assert (error.status, error.code) == (429, "queue-full")
+                    refused.append(error)
+            assert refused
+            counters = client.metrics()["counters"]
+            assert counters["rejected_backpressure"] == len(refused)
+            for view in accepted:
+                client.cancel(view["job_id"])
+
+
 class TestPriority:
     def test_higher_priority_overtakes_queued_work(self):
         with ServerThread(ServerConfig(workers=1)) as handle:

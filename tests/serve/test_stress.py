@@ -11,7 +11,7 @@ The invariants under fire:
   sockets once the listener closes.
 
 The default run is sized for CI; ``POWDER_RUN_SLOW=1`` scales the storm
-up and adds an open-loop overload pass.
+up and adds an overload pass that fills the bounded queue.
 """
 
 from __future__ import annotations
@@ -23,15 +23,26 @@ import time
 import pytest
 
 from repro.serve import (
-    LoadGenConfig,
+    ServeClientError,
     ServerConfig,
     ServerThread,
     TERMINAL_STATES,
-    run_load,
 )
 from tests.serve.conftest import make_blif
 
 FAST = {"num_patterns": 64, "repeat": 4, "max_rounds": 2}
+
+
+def _in_threads(work, count: int) -> None:
+    """Run ``work(index)`` on ``count`` threads and join them all."""
+    threads = [
+        threading.Thread(target=work, args=(index,)) for index in range(count)
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(300)
+    assert not any(thread.is_alive() for thread in threads)
 
 
 def test_concurrent_clients_lose_no_ids_and_settle_the_queue():
@@ -58,14 +69,7 @@ def test_concurrent_clients_lose_no_ids_and_settle_the_queue():
                 errors.append(error)
             ids_by_thread[index] = mine
 
-        threads = [
-            threading.Thread(target=storm, args=(index,))
-            for index in range(clients)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(300)
+        _in_threads(storm, clients)
         assert not errors, errors
 
         all_ids = [
@@ -137,16 +141,64 @@ def test_nondrain_shutdown_settles_every_job_as_cancelled_or_done():
     reason="heavy serve storm: set POWDER_RUN_SLOW=1",
 )
 def test_heavy_storm_with_overload_and_drain():
-    with ServerThread(ServerConfig(workers=2, max_queue=64)) as handle:
-        closed = run_load(LoadGenConfig(
-            port=handle.port, mode="closed", clients=12, duration=20.0,
-            seed=3, unique_circuits=4,
-        ))
-        assert closed.ok(require_cache_hits=True), closed.to_dict()
-        open_loop = run_load(LoadGenConfig(
-            port=handle.port, mode="open", rate=20.0, clients=12,
-            duration=15.0, seed=4, unique_circuits=4,
-        ))
-        assert open_loop.server_5xx == 0, open_loop.to_dict()
+    clients = 12
+    per_client = 8
+    pool = [make_blif(seed) for seed in (300, 301, 302, 303)]
+    # The overload submits distinct circuits without waiting and past the
+    # cache, so nothing settles early and the queue bound must refuse.
+    distinct = [make_blif(400 + index) for index in range(clients * per_client)]
+    handle = ServerThread(ServerConfig(workers=2, max_queue=64)).start()
+    errors: list[BaseException] = []
+    closed_states: list[str] = []
+    accepted_ids: list[str] = []
+    refused: list[ServeClientError] = []
+
+    def closed_loop(index: int) -> None:
+        client = handle.client()
+        try:
+            for turn in range(per_client):
+                accepted = client.submit(
+                    pool[(index + turn) % len(pool)], options=FAST
+                )
+                view = client.wait(accepted["job_id"], timeout=120)
+                closed_states.append(view["status"])
+        except BaseException as error:  # noqa: BLE001 — re-raised below
+            errors.append(error)
+
+    def overload(index: int) -> None:
+        client = handle.client()
+        try:
+            for blif in distinct[index::clients]:
+                try:
+                    accepted = client.submit(blif, options=FAST, use_cache=False)
+                except ServeClientError as error:
+                    if error.status != 429:
+                        raise
+                    refused.append(error)
+                else:
+                    accepted_ids.append(accepted["job_id"])
+        except BaseException as error:  # noqa: BLE001 — re-raised below
+            errors.append(error)
+
+    try:
+        _in_threads(closed_loop, clients)
+        assert not errors, errors
+        assert closed_states == ["done"] * clients * per_client
         metrics = handle.client().metrics()
-        assert metrics["queue_depth"] == 0
+        assert (
+            metrics["cache"]["hits"]
+            + metrics["counters"].get("jobs_coalesced", 0)
+        ) > 0
+
+        _in_threads(overload, clients)
+        assert not errors, errors  # only 429 may refuse; never a 5xx
+        assert refused  # the queue bound was reached
+        assert {error.code for error in refused} == {"queue-full"}
+        metrics = handle.client().metrics()
+        assert metrics["counters"]["rejected_backpressure"] == len(refused)
+    finally:
+        # drain while the overload is still queued
+        handle.stop(drain=True, join_timeout=300)
+    states = {job_id: handle.server.jobs[job_id].state for job_id in accepted_ids}
+    assert all(state == "done" for state in states.values()), states
+    assert handle.server.queue.qsize() == 0
