@@ -1,9 +1,11 @@
 """Golden-trace regression suite.
 
 Each bundled benchmark BLIF (``benchmarks/blif/``) has a committed
-baseline run trace under ``tests/telemetry/golden/``.  Every test here
-replays the optimizer with :data:`GOLDEN_OPTIONS` on the same input and
-compares the fresh trace against the baseline with
+baseline run trace under ``tests/telemetry/golden/``, and two of them
+have a second one under the Table-2 protocol at 0 % delay slack
+(``<name>.delay0.trace.json``), where most selected moves fail the delay
+check.  Every test here replays the optimizer with :func:`golden_options`
+on the same input and compares the fresh trace against the baseline with
 :func:`repro.telemetry.compare_traces` — so any behavioural drift in
 candidate ranking, gain arithmetic (PG_A/PG_B/PG_C), ATPG outcomes, or
 counter totals fails with a precise move-level diff instead of a vague
@@ -19,7 +21,8 @@ other source change::
         --update-golden
 
 With ``--update-golden`` the tests write the freshly recorded traces to
-``tests/telemetry/golden/<name>.trace.json`` and pass; without it they
+``tests/telemetry/golden/<name>.trace.json`` (or
+``<name>.delay0.trace.json``) and pass; without it they
 compare and fail on any deterministic-field divergence.  Never update a
 baseline to silence a diff you cannot explain.
 """
@@ -27,6 +30,7 @@ baseline to silence a diff you cannot explain.
 from __future__ import annotations
 
 from pathlib import Path
+from typing import Optional
 
 import pytest
 
@@ -40,6 +44,8 @@ BLIF_DIR = REPO_ROOT / "benchmarks" / "blif"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 GOLDEN_BENCHMARKS = ("rd53", "misex1", "sqrt8", "ttt2")
+#: Circuits with a second baseline recorded at ``delay_slack_percent=0``.
+DELAY_GOLDEN_BENCHMARKS = ("rd53", "misex1")
 
 #: Absolute float tolerance for the comparison: zero would also hold on
 #: the machine that generated the baseline, but identical logic can land
@@ -49,27 +55,46 @@ GOLDEN_BENCHMARKS = ("rd53", "misex1", "sqrt8", "ttt2")
 TOLERANCE = 1e-9
 
 
-def golden_options(tracer: Tracer) -> OptimizeOptions:
+def golden_options(
+    tracer: Tracer, delay_slack_percent: Optional[float] = None
+) -> OptimizeOptions:
     """The pinned configuration every baseline was recorded with."""
-    return OptimizeOptions(num_patterns=512, trace=tracer)
+    return OptimizeOptions(
+        num_patterns=512,
+        trace=tracer,
+        delay_slack_percent=delay_slack_percent,
+    )
 
 
-def record_trace(name: str):
+def record_trace(name: str, delay_slack_percent: Optional[float] = None):
     netlist = parse_blif_file(BLIF_DIR / f"{name}.blif", standard_library())
     tracer = Tracer()
-    result = power_optimize(netlist, golden_options(tracer))
+    result = power_optimize(
+        netlist, golden_options(tracer, delay_slack_percent)
+    )
     return result.trace
 
 
 @pytest.mark.parametrize("name", GOLDEN_BENCHMARKS)
 def test_golden_trace(name, request):
-    golden_path = GOLDEN_DIR / f"{name}.trace.json"
-    fresh = record_trace(name)
+    _replay(name, GOLDEN_DIR / f"{name}.trace.json", None, request)
+
+
+@pytest.mark.parametrize("name", DELAY_GOLDEN_BENCHMARKS)
+def test_delay_golden_trace(name, request):
+    fresh = _replay(
+        name, GOLDEN_DIR / f"{name}.delay0.trace.json", 0.0, request
+    )
+    assert fresh.summary["final_delay"] <= fresh.summary["initial_delay"]
+
+
+def _replay(name, golden_path, delay_slack_percent, request):
+    fresh = record_trace(name, delay_slack_percent)
     assert fresh.moves, f"{name} must apply at least one move"
     if request.config.getoption("--update-golden"):
         GOLDEN_DIR.mkdir(exist_ok=True)
         write_trace(fresh, golden_path)
-        return
+        return fresh
     assert golden_path.exists(), (
         f"missing baseline {golden_path}; regenerate with "
         "pytest tests/telemetry/test_golden_traces.py --update-golden"
@@ -84,6 +109,7 @@ def test_golden_trace(name, request):
             "--update-golden and review the new trace.",
             pytrace=False,
         )
+    return fresh
 
 
 def test_golden_baselines_are_schema_valid():
@@ -92,3 +118,8 @@ def test_golden_baselines_are_schema_valid():
         trace = read_trace(GOLDEN_DIR / f"{name}.trace.json")
         assert trace.netlist == name
         assert trace.moves and trace.rounds
+    for name in DELAY_GOLDEN_BENCHMARKS:
+        trace = read_trace(GOLDEN_DIR / f"{name}.delay0.trace.json")
+        assert trace.netlist == name
+        assert trace.moves and trace.rounds
+        assert trace.options["delay_slack_percent"] == 0.0
