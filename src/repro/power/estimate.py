@@ -118,7 +118,8 @@ class PowerEstimator:
 
         Mirrors the paper's ``power_estimate_update``: only the transitive
         fanout of the edited stems is re-estimated.  Returns the stem names
-        whose probability changed.
+        whose probability changed; with a simulation engine, every stem
+        whose value words changed.
         """
         return self.engine.update_fanout(roots)
 

@@ -5,7 +5,8 @@ All engines expose the same minimal protocol:
 - ``probability(name) -> float`` — P(signal = 1),
 - ``refresh()`` — recompute everything from the current netlist state,
 - ``update_fanout(roots) -> list[str]`` — incrementally recompute after the
-  netlist changed at ``roots``; returns the names whose probability changed.
+  netlist changed at ``roots``; returns the names whose probability changed
+  (the simulation engines: whose value words changed, a superset).
 
 The simulation engine is the optimizer's default: probabilities come from a
 seeded bit-parallel pattern set, so incremental updates are exact restatements
@@ -87,13 +88,16 @@ class SimulationProbability(ProbabilityEngine):
         }
 
     def update_fanout(self, roots: Iterable[Gate]) -> list[str]:
-        changed_gates = self.sim.resimulate_fanout(roots)
+        """Re-simulate the TFO of ``roots``; names whose words changed.
+
+        A word can change while its popcount, and so the probability,
+        stays put.  Such a gate is reported too: its observability masks
+        and everything else read from the words are stale.
+        """
         changed: list[str] = []
-        for gate in changed_gates:
-            p = self.sim.signal_probability(gate.name)
-            if self._probs.get(gate.name) != p:
-                self._probs[gate.name] = p
-                changed.append(gate.name)
+        for gate in self.sim.resimulate_fanout(roots):
+            self._probs[gate.name] = self.sim.signal_probability(gate.name)
+            changed.append(gate.name)
         # Drop entries for gates that disappeared, pick up new gates.
         live = set(self.netlist.gates)
         for name in [n for n in self._probs if n not in live]:

@@ -143,6 +143,7 @@ class TemporalSimulationProbability(SimulationProbability):
         self._measure(self.netlist.gates)
 
     def update_fanout(self, roots) -> list[str]:
+        # Every gate whose cycle-t or cycle-t+1 words changed.
         roots = list(roots)
         changed = set(super().update_fanout(roots))
         changed_next = self.sim_next.resimulate_fanout(

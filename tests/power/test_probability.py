@@ -45,6 +45,23 @@ class TestSimulationEngine:
         full = {n: engine.probability(n) for n in figure2.gates}
         assert incremental == full
 
+    def test_update_reports_word_changes_that_keep_the_probability(
+        self, builder
+    ):
+        # g = !a becomes g = !b: new words, same popcount, same p.
+        a, b = builder.inputs("a", "b")
+        g = builder.not_(a, name="g")
+        builder.output("o", g)
+        netlist = builder.build()
+        engine = SimulationProbability(netlist, exhaustive=True)
+        words = engine.sim.value("g").copy()
+        before = engine.probability("g")
+        netlist.replace_fanin(netlist.gate("g"), 0, netlist.gate("b"))
+        changed = engine.update_fanout([netlist.gate("g")])
+        assert engine.probability("g") == before
+        assert not (engine.sim.value("g") == words).all()
+        assert changed == ["g"]
+
     def test_update_handles_removed_gates(self, figure2):
         engine = SimulationProbability(figure2, exhaustive=True)
         f = figure2.gate("f")

@@ -1,7 +1,7 @@
 """The persistent :class:`CandidateWorkspace` must produce the same
 candidate list as a fresh one after any sequence of committed edits."""
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import NetlistError, TransformError
@@ -36,6 +36,9 @@ def _estimator(netlist):
 class TestPersistence:
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 10_000))
+    # Round 2 changes g12's words but not its popcount: the masks it
+    # feeds go stale unless the estimator reports value changes.
+    @example(seed=93)
     def test_reused_workspace_matches_fresh(self, seed):
         netlist = make_random_netlist(LIB, 6, 22, 3, seed)
         estimator = _estimator(netlist)
