@@ -9,7 +9,8 @@ constraint:
 2. ``get_candidate_substitutions`` — simulation-filtered candidates,
 3. ``select_power_red_subst`` — pre-select by ``PG_A + PG_B`` (no
    re-estimation), re-estimate ``PG_C`` only for the short-list, pick the
-   best total,
+   best total; a substitution already scored since the last committed
+   move reuses its breakdown,
 4. ``check_delay`` — discard moves that would break the constraint (§3.4),
 5. ``check_candidate`` — exact permissibility: a simulation kill, then
    an incremental CDCL proof; an exhausted SAT budget is an abort, and
@@ -58,6 +59,11 @@ from repro.transform.substitution import (
     Substitution,
     apply_substitution,
 )
+
+
+#: Gain-memo entry of a substitution whose ``full_gain`` raised
+#: :class:`TransformError`.
+_RAISED = object()
 
 
 @dataclass
@@ -378,6 +384,12 @@ class PowerOptimizer:
         self.rejected_not_permissible = 0
         self.rejected_aborted = 0
         self.rejected_stale = 0
+        #: ``full_gain`` results since the last committed move, by
+        #: substitution: a :class:`~repro.transform.gain.GainBreakdown` or
+        #: :data:`_RAISED`.  Rejecting a winner changes neither the netlist
+        #: nor the probabilities, so a re-score would compute the same
+        #: figures.
+        self._gains: dict[Substitution, object] = {}
         self._round = 0
         #: Telemetry hooks; every call site is guarded by ``is not None``
         #: so the untraced path (the default) pays nothing.
@@ -436,7 +448,9 @@ class PowerOptimizer:
 
         Examines candidates in quick-gain order, chunk by chunk: the first
         chunk whose best score clears the floor wins.  Examined losers are
-        dropped from the pool, guaranteeing progress.
+        dropped from the pool, guaranteeing progress.  ``full_gain`` runs
+        once per substitution between committed moves; a memoized
+        :class:`TransformError` counts as a stale rejection every time.
         """
         opts = self.options
         while pool:
@@ -458,15 +472,21 @@ class PowerOptimizer:
                 self.tracer.record_shortlist(len(chunk))
             best: Optional[tuple[int, Candidate, float]] = None
             for position, candidate in chunk:
-                try:
-                    candidate.gain = full_gain(
-                        self.estimator, candidate.substitution
-                    )
-                except TransformError:
+                gain = self._gains.get(candidate.substitution)
+                if gain is None:
+                    try:
+                        gain = full_gain(
+                            self.estimator, candidate.substitution
+                        )
+                    except TransformError:
+                        gain = _RAISED
+                    self._gains[candidate.substitution] = gain
+                if gain is _RAISED:
                     self.rejected_stale += 1
                     if self.tracer is not None:
                         self.tracer.record_rejection("stale")
                     continue
+                candidate.gain = gain
                 score = self._objective_score(candidate)
                 if best is None or score > best[2]:
                     best = (position, candidate, score)
@@ -519,6 +539,7 @@ class PowerOptimizer:
         return result.status
 
     def perform_substitution(self, candidate: Candidate) -> MoveRecord:
+        self._gains.clear()
         power_before = self.estimator.total()
         area_before = self.netlist.total_area()
         applied = apply_substitution(self.netlist, candidate.substitution)
