@@ -17,7 +17,10 @@ To keep rounds bounded the generator ranks sources per target by the
 no-re-estimation gain ``PG_A + PG_B`` and keeps the best few; 3-signal
 substitutions (OS3/IS3) additionally restrict the pair search to a short
 list of low-activity sources and are only attempted where the dying region
-is worth at least one new gate.
+is worth at least one new gate.  The quick gains of a target's OS2/IS2
+singles and OS3/IS3 pairs are computed as arrays, and only the entries
+that reach the target's ``max_per_target``-th best gain become
+:class:`Candidate` objects.
 
 :class:`CandidateWorkspace` holds the expensive per-netlist state — the
 batched observability maps, the stem-value matrix, the stem-reachability
@@ -33,7 +36,7 @@ bit-identical to a from-scratch generation.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -169,6 +172,7 @@ class CandidateWorkspace:
         self.matrix_next: Optional[np.ndarray] = None
         self.reach: Optional[np.ndarray] = None
         self.activity: list[float] = []
+        self.activity_array: np.ndarray = np.zeros(0, dtype=np.float64)
         self.act_order: list[int] = []
         self.act_order_array: np.ndarray = np.zeros(0, dtype=np.intp)
         #: The round's deduplicated 2-input cell list (None outside a
@@ -221,6 +225,7 @@ class CandidateWorkspace:
         # source subset gives the same list as sorting that subset, so the
         # per-target OS3/IS3 rankings come from one sort per round.
         self.activity = [self.estimator.activity(g) for g in self.stems]
+        self.activity_array = np.asarray(self.activity, dtype=np.float64)
         self.act_order = sorted(
             range(len(self.stems)), key=self.activity.__getitem__
         )
@@ -640,11 +645,51 @@ def _rank_key(candidate: Candidate) -> tuple[float, str]:
     return key
 
 
+#: Quick gains of a target's array-scored entries, with the builder of
+#: the candidate behind entry ``j``.
+_Scored = tuple[np.ndarray, Callable[[int], Candidate]]
+
+
 def _keep_best(
     candidates: list[Candidate], limit: int
 ) -> list[Candidate]:
     candidates.sort(key=_rank_key)
     return candidates[:limit]
+
+
+def _build_best(
+    exact: list[Candidate], scored: list[_Scored], limit: int
+) -> list[Candidate]:
+    """A target's ``limit`` best candidates by ``(-quick, candidate_id)``.
+
+    ``exact`` holds built candidates; ``scored`` entries are built only
+    when their quick gain reaches the ``limit``-th best of all of them.
+    Entries tied with that gain are built too, because the candidate ID
+    decides among them, so the result is the one sorting every candidate
+    would give.
+    """
+    if limit == 0:
+        return []
+    quicks = np.concatenate(
+        [np.array([c.quick for c in exact], dtype=np.float64)]
+        + [quick for quick, _build in scored]
+    )
+    floor = -np.inf
+    if quicks.size > limit:
+        floor = np.partition(quicks, quicks.size - limit)[quicks.size - limit]
+    found = list(exact)
+    for quick, build in scored:
+        found.extend(build(j) for j in np.flatnonzero(quick >= floor))
+    return _keep_best(found, limit)
+
+
+def _min_quick_filter(
+    quick: np.ndarray, min_quick: Optional[float]
+) -> np.ndarray:
+    """Entries ``_try_candidate`` would keep: not below ``min_quick``."""
+    if min_quick is None:
+        return np.ones(quick.shape, dtype=bool)
+    return ~(quick < min_quick)
 
 
 def _try_candidate(
@@ -682,73 +727,28 @@ def _stem_candidates(
     pg_a = region_power(estimator, region)
     moved = netlist.load_of(target)
     area_base = -sum(g.cell.area for g in region if not g.is_input)
-    region_ids = {id(g) for g in region}
+    in_region = np.zeros(len(workspace.stems), dtype=bool)
+    in_region[[workspace.index[g.name] for g in region]] = True
     dying = [g.name for g in region]
-    region_info = (region, pg_a, moved, area_base, region_ids, dying)
-    library = netlist.library
-    inverter = library.inverter() if library is not None else None
+    region_info = (pg_a, moved, area_base, in_region, dying)
 
-    found: list[Candidate] = []
+    exact: list[Candidate] = []
+    scored: list[_Scored] = []
     if options.constant_substitution:
         _constant_candidates(
-            workspace, target, None, va, obs, options, found
+            workspace, target, None, va, obs, options, exact
         )
     if options.enable_os2:
-        # Compatible sources are sparse: enumerate just the hits instead
-        # of testing every legal stem.  (Emission order differs from the
-        # per-index walk, but _keep_best re-sorts deterministically.)
-        hits: list[tuple[np.ndarray, bool]] = [
-            (np.nonzero(source_mask & direct)[0], False)
-        ]
-        if options.allow_inversion:
-            hits.append(
-                (np.nonzero(source_mask & inverted & ~direct)[0], True)
-            )
-        for indices, invert in hits:
-            for i in indices:
-                gate_i = workspace.stems[i]
-                substitution = Substitution(
-                    OS2, target.name, gate_i.name, invert1=invert
-                )
-                if id(gate_i) in region_ids or (
-                    invert and inverter is None
-                ):
-                    # A source inside the region reshapes it: exact path.
-                    _try_candidate(
-                        estimator, substitution, found,
-                        options.min_quick_gain,
-                    )
-                    continue
-                act_src = workspace.activity[i]
-                if invert:
-                    pg_b = -(
-                        inverter.pins[0].load * act_src + moved * act_src
-                    )
-                    area_delta = area_base + inverter.area
-                else:
-                    pg_b = -(moved * act_src)
-                    area_delta = area_base
-                gain = GainBreakdown(
-                    pg_a=pg_a,
-                    pg_b=pg_b,
-                    area_delta=area_delta,
-                    dying=list(dying),
-                )
-                if (
-                    options.min_quick_gain is not None
-                    and gain.quick < options.min_quick_gain
-                ):
-                    continue
-                found.append(Candidate(substitution, gain))
-
-    if options.enable_os3:
-        found.extend(
-            _pair_candidates(
-                workspace, target, None, va, obs, source_mask, options,
-                region_info,
-            )
+        _single_candidates(
+            workspace, target, None, source_mask, direct, inverted,
+            options, region_info, exact, scored,
         )
-    return _keep_best(found, options.max_per_target)
+    if options.enable_os3:
+        _pair_candidates(
+            workspace, target, None, va, obs, source_mask, options,
+            region_info, exact, scored,
+        )
+    return _build_best(exact, scored, options.max_per_target)
 
 
 def _branch_candidates(
@@ -760,7 +760,6 @@ def _branch_candidates(
 ) -> list[Candidate]:
     """IS2/IS3 candidates for one branch of ``target``."""
     estimator = workspace.estimator
-    netlist = workspace.netlist
     obs = workspace.maps.branch(sink, pin)
     va = workspace.sim.value(target.name)
     source_mask = workspace.legal_sources(sink, target)
@@ -772,62 +771,26 @@ def _branch_candidates(
     # scalars are shared across IS2 singles and the IS3 pair table.
     moved = sink.cell.pins[pin].load
     pg_a = moved * estimator.activity(target)
-    region_info = (None, pg_a, moved, 0, set(), [])
-    library = netlist.library
-    inverter = library.inverter() if library is not None else None
+    in_region = np.zeros(len(workspace.stems), dtype=bool)
+    region_info = (pg_a, moved, 0, in_region, [])
 
-    found: list[Candidate] = []
+    exact: list[Candidate] = []
+    scored: list[_Scored] = []
     if options.constant_substitution:
         _constant_candidates(
-            workspace, target, branch, va, obs, options, found
+            workspace, target, branch, va, obs, options, exact
         )
     if options.enable_is2:
-        hits: list[tuple[np.ndarray, bool]] = [
-            (np.nonzero(source_mask & direct)[0], False)
-        ]
-        if options.allow_inversion:
-            hits.append(
-                (np.nonzero(source_mask & inverted & ~direct)[0], True)
-            )
-        for indices, invert in hits:
-            for i in indices:
-                name = workspace.stems[i].name
-                substitution = Substitution(
-                    IS2, target.name, name, invert1=invert, branch=branch
-                )
-                if invert and inverter is None:
-                    _try_candidate(
-                        estimator, substitution, found,
-                        options.min_quick_gain,
-                    )
-                    continue
-                act_src = workspace.activity[i]
-                if invert:
-                    pg_b = -(
-                        inverter.pins[0].load * act_src + moved * act_src
-                    )
-                    area_delta = inverter.area
-                else:
-                    pg_b = -(moved * act_src)
-                    area_delta = 0
-                gain = GainBreakdown(
-                    pg_a=pg_a, pg_b=pg_b, area_delta=area_delta, dying=[]
-                )
-                if (
-                    options.min_quick_gain is not None
-                    and gain.quick < options.min_quick_gain
-                ):
-                    continue
-                found.append(Candidate(substitution, gain))
-
-    if options.enable_is3:
-        found.extend(
-            _pair_candidates(
-                workspace, target, branch, va, obs, source_mask, options,
-                region_info,
-            )
+        _single_candidates(
+            workspace, target, branch, source_mask, direct, inverted,
+            options, region_info, exact, scored,
         )
-    return _keep_best(found, options.max_per_target)
+    if options.enable_is3:
+        _pair_candidates(
+            workspace, target, branch, va, obs, source_mask, options,
+            region_info, exact, scored,
+        )
+    return _build_best(exact, scored, options.max_per_target)
 
 
 #: Read-only ``k × k`` strict-upper-triangle masks, shared across targets
@@ -891,6 +854,84 @@ def _constant_candidates(
         )
 
 
+def _single_candidates(
+    workspace: CandidateWorkspace,
+    target: Gate,
+    branch: Optional[tuple[str, int]],
+    source_mask: np.ndarray,
+    direct: np.ndarray,
+    inverted: np.ndarray,
+    options: CandidateOptions,
+    region_info: tuple,
+    exact: list[Candidate],
+    scored: list[_Scored],
+) -> None:
+    """OS2/IS2: move the target (or its branch) onto one stem.
+
+    Compatible sources are sparse, so only the hits are enumerated.  The
+    sources that share the target's gain scalars are scored as one array
+    into ``scored``; the rest take the exact per-candidate path into
+    ``exact``.
+    """
+    estimator = workspace.estimator
+    library = workspace.netlist.library
+    inverter = library.inverter() if library is not None else None
+    kind = OS2 if branch is None else IS2
+    pg_a, moved, area_base, in_region, dying = region_info
+    hits: list[tuple[np.ndarray, bool]] = [(source_mask & direct, False)]
+    if options.allow_inversion:
+        hits.append((source_mask & inverted & ~direct, True))
+    for mask, invert in hits:
+        # A source inside the dying region reshapes it, and an inverted
+        # source has no scalar price without a library inverter.
+        exact_only = invert and inverter is None
+        slow = mask if exact_only else mask & in_region
+        for i in np.flatnonzero(slow):
+            _try_candidate(
+                estimator,
+                Substitution(
+                    kind, target.name, workspace.stems[i].name,
+                    invert1=invert, branch=branch,
+                ),
+                exact,
+                options.min_quick_gain,
+            )
+        if exact_only:
+            continue
+        indices = np.flatnonzero(mask & ~slow)
+        act_src = workspace.activity_array[indices]
+        # The scalar expressions of quick_gain, elementwise: the floats
+        # are bit-identical to building each candidate.
+        if invert:
+            pg_b = -(inverter.pins[0].load * act_src + moved * act_src)
+            area_delta = area_base + inverter.area
+        else:
+            pg_b = -(moved * act_src)
+            area_delta = area_base
+        quick = pg_a + pg_b
+        keep = _min_quick_filter(quick, options.min_quick_gain)
+        indices, pg_b, quick = indices[keep], pg_b[keep], quick[keep]
+
+        def build(
+            j: int, indices=indices, pg_b=pg_b, invert=invert,
+            area_delta=area_delta,
+        ) -> Candidate:
+            return Candidate(
+                Substitution(
+                    kind, target.name, workspace.stems[indices[j]].name,
+                    invert1=invert, branch=branch,
+                ),
+                GainBreakdown(
+                    pg_a=pg_a,
+                    pg_b=float(pg_b[j]),
+                    area_delta=area_delta,
+                    dying=list(dying),
+                ),
+            )
+
+        scored.append((quick, build))
+
+
 def _pair_candidates(
     workspace: CandidateWorkspace,
     target: Gate,
@@ -900,17 +941,21 @@ def _pair_candidates(
     source_mask: np.ndarray,
     options: CandidateOptions,
     region_info: tuple,
-) -> list[Candidate]:
+    exact: list[Candidate],
+    scored: list[_Scored],
+) -> None:
     """OS3/IS3: insert a new 2-input gate over a short source list.
 
-    ``region_info`` is the caller's per-target dying region, PG_A, moved
-    load, area base, region ids and dying names; the insertion cells are
-    the round's, set by :meth:`CandidateWorkspace.generate`.
+    ``region_info`` is the caller's per-target PG_A, moved load, area
+    base, dying-region stem mask and dying names; the insertion cells are
+    the round's, set by :meth:`CandidateWorkspace.generate`.  Tuples with
+    a source inside the dying region go through the exact path into
+    ``exact``; the rest are scored as one array into ``scored``.
     """
     estimator = workspace.estimator
     cells = workspace._round_cells
     if not cells:
-        return []
+        return
     # Rank sources by activity: low-activity signals make cheap drivers.
     # The round's stable activity order restricted to the legal sources is
     # exactly what sorting them per target would give.
@@ -919,58 +964,57 @@ def _pair_candidates(
     table, act = workspace.pair_tables(
         (target.name, branch), ranked, va, obs, cells
     )
+    pg_a, moved, area_base, in_region, dying = region_info
+    stems = workspace.stems
 
-    # Per-target gain scalars: every surviving tuple shares the dying
-    # region (sources are ranked from *outside* it — see below), the PG_A
-    # sum, and the moved load, so the whole gain table is one broadcast
-    # per cell instead of one quick_gain per tuple.
-    _region, pg_a, moved, area_base, region_ids, dying = region_info
-    # A source inside the unconstrained region would reshape it (the keep
-    # set binds); those rare tuples take the exact per-candidate path.
-    in_region = [id(workspace.stems[i]) in region_ids for i in ranked]
-    act_src = [workspace.activity[i] for i in ranked]
-
-    found: list[Candidate] = []
-    # argwhere yields (ai, bi, cell) in lexicographic order — identical to
-    # the nested  for ai / for bi > ai / for cell  enumeration.
-    upper = _upper_mask(len(ranked))
-    for ai, bi, ci in np.argwhere(table & upper[:, :, None]):
-        substitution = Substitution(
+    def substitution(ai: int, bi: int, ci: int) -> Substitution:
+        return Substitution(
             kind,
             target.name,
-            workspace.stems[ranked[ai]].name,
+            stems[ranked[ai]].name,
             branch=branch,
-            source2=workspace.stems[ranked[bi]].name,
+            source2=stems[ranked[bi]].name,
             new_cell=cells[ci].name,
         )
-        if in_region[ai] or in_region[bi]:
-            _try_candidate(
-                estimator, substitution, found, options.min_quick_gain
-            )
-            continue
-        cell = cells[ci]
-        # Same grouping as the broadcast table this replaces, so the
-        # float is bit-identical to the vectorized computation.
-        pg_b = -(
-            (
-                cell.pins[0].load * act_src[ai]
-                + cell.pins[1].load * act_src[bi]
-            )
-            + moved * act[ai, bi, ci]
+
+    ranked_array = np.asarray(ranked, dtype=np.intp)
+    ai, bi, ci = np.nonzero(table & _upper_mask(len(ranked))[:, :, None])
+    # A source inside the unconstrained region would reshape it (the keep
+    # set binds); those rare tuples take the exact per-candidate path.
+    slow = in_region[ranked_array[ai]] | in_region[ranked_array[bi]]
+    for j in np.flatnonzero(slow):
+        _try_candidate(
+            estimator, substitution(ai[j], bi[j], ci[j]), exact,
+            options.min_quick_gain,
         )
-        gain = GainBreakdown(
-            pg_a=pg_a,
-            pg_b=float(pg_b),
-            area_delta=area_base + cell.area,
-            dying=list(dying),
+    ai, bi, ci = ai[~slow], bi[~slow], ci[~slow]
+    # Every other tuple shares the dying region, the PG_A sum and the
+    # moved load, so PG_B is one expression over the whole table, grouped
+    # as _pg_b groups it for one tuple.
+    act_src = workspace.activity_array[ranked_array]
+    load0 = np.array([cell.pins[0].load for cell in cells], dtype=np.float64)
+    load1 = np.array([cell.pins[1].load for cell in cells], dtype=np.float64)
+    pg_b = -(
+        (load0[ci] * act_src[ai] + load1[ci] * act_src[bi])
+        + moved * act[ai, bi, ci]
+    )
+    quick = pg_a + pg_b
+    keep = _min_quick_filter(quick, options.min_quick_gain)
+    ai, bi, ci = ai[keep], bi[keep], ci[keep]
+    pg_b, quick = pg_b[keep], quick[keep]
+
+    def build(j: int) -> Candidate:
+        return Candidate(
+            substitution(ai[j], bi[j], ci[j]),
+            GainBreakdown(
+                pg_a=pg_a,
+                pg_b=float(pg_b[j]),
+                area_delta=area_base + cells[ci[j]].area,
+                dying=list(dying),
+            ),
         )
-        if (
-            options.min_quick_gain is not None
-            and gain.quick < options.min_quick_gain
-        ):
-            continue
-        found.append(Candidate(substitution, gain))
-    return found
+
+    scored.append((quick, build))
 
 
 def generate_candidates(
