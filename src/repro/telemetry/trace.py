@@ -76,7 +76,7 @@ class RoundTrace:
     index: int  # 1-based round number
     pool_size: int  # candidates emitted by generation
     candidates_by_class: dict[str, int]  # OS2/IS2/OS3/IS3 counts
-    shortlist_evaluations: int  # candidates whose PG_C was re-estimated
+    shortlist_evaluations: int  # short-list slots examined (PG_C scored)
     moves_applied: int
     rejections: dict[str, int]  # delay/not-permissible/aborted/stale
 

@@ -155,7 +155,11 @@ class Tracer:
     # Per-decision events
     # ------------------------------------------------------------------
     def record_shortlist(self, size: int) -> None:
-        """``size`` candidates just had their PG_C re-estimated."""
+        """``size`` short-list slots were just examined.
+
+        Each slot's PG_C is re-estimated, or reused when the optimizer
+        already scored the substitution since the last committed move.
+        """
         self.metrics.increment("shortlist_evaluations", size)
         if self._round is not None:
             self._round.shortlist_evaluations += size

@@ -1,19 +1,29 @@
 """Tests for the POWDER optimization loop (Figure 5)."""
 
+from pathlib import Path
+
 import pytest
 
+import repro.transform.optimizer as optimizer_module
 from repro.equiv.checker import check_equivalent
+from repro.errors import TransformError
+from repro.netlist.blif import parse_blif_file
 from repro.netlist.verify import check_netlist
 from repro.power.estimate import PowerEstimator
 from repro.power.probability import SimulationProbability
+from repro.telemetry import Tracer
 from repro.timing.analysis import TimingAnalysis
+from repro.transform.candidates import Candidate
+from repro.transform.gain import GainBreakdown
 from repro.transform.optimizer import (
     OptimizeOptions,
     PowerOptimizer,
     power_optimize,
 )
-from repro.transform.substitution import IS2
+from repro.transform.substitution import IS2, OS2, Substitution
 from tests.conftest import make_random_netlist
+
+BLIF_DIR = Path(__file__).resolve().parents[2] / "benchmarks" / "blif"
 
 
 def quick_options(**overrides):
@@ -135,3 +145,64 @@ class TestOptions:
         assert good is not None
         assert good.gain.includes_pg_c
         assert opt.check_delay(good.substitution)
+
+
+class TestGainMemo:
+    def test_no_substitution_scored_twice_between_moves(
+        self, lib, monkeypatch
+    ):
+        # rd53 at 0 % slack: most winners fail the delay check, so the
+        # same short-list comes up again and again before the next move.
+        scored_since_move: list[set] = [set()]
+        full_gain = optimizer_module.full_gain
+        apply_substitution = optimizer_module.apply_substitution
+
+        def counting_full_gain(estimator, substitution):
+            assert substitution not in scored_since_move[-1], (
+                f"{substitution} scored twice between moves"
+            )
+            scored_since_move[-1].add(substitution)
+            return full_gain(estimator, substitution)
+
+        def apply_and_start_epoch(netlist, substitution):
+            scored_since_move.append(set())
+            return apply_substitution(netlist, substitution)
+
+        monkeypatch.setattr(optimizer_module, "full_gain", counting_full_gain)
+        monkeypatch.setattr(
+            optimizer_module, "apply_substitution", apply_and_start_epoch
+        )
+        netlist = parse_blif_file(BLIF_DIR / "rd53.blif", lib)
+        tracer = Tracer()
+        result = power_optimize(
+            netlist,
+            OptimizeOptions(
+                num_patterns=512, delay_slack_percent=0, trace=tracer
+            ),
+        )
+        assert len(result.moves) == 9
+        assert len(scored_since_move) == len(result.moves) + 1
+        assert (result.rejected_delay, result.rejected_stale) == (1221, 130)
+        evaluations = sum(len(epoch) for epoch in scored_since_move)
+        examined = result.trace.counters["shortlist_evaluations"]
+        assert evaluations < examined
+
+    def test_memoized_transform_error_counts_as_stale_every_time(
+        self, figure2, monkeypatch
+    ):
+        stub = Substitution(OS2, "f", "e")
+        calls = []
+
+        def raising_full_gain(estimator, substitution):
+            calls.append(substitution)
+            raise TransformError("stub candidate cannot be scored")
+
+        monkeypatch.setattr(optimizer_module, "full_gain", raising_full_gain)
+        tracer = Tracer()
+        optimizer = PowerOptimizer(figure2, quick_options(trace=tracer))
+        for examined in (1, 2, 3):
+            pool = [Candidate(stub, GainBreakdown(pg_a=1.0, pg_b=0.0))]
+            assert optimizer.select_power_red_subst(pool) is None
+            assert optimizer.rejected_stale == examined
+            assert tracer.metrics.counters()["rejected_stale"] == examined
+        assert calls == [stub]
