@@ -873,11 +873,10 @@ def _single_candidates(
     into ``scored``; the rest take the exact per-candidate path into
     ``exact``.
     """
-    estimator = workspace.estimator
     library = workspace.netlist.library
     inverter = library.inverter() if library is not None else None
     kind = OS2 if branch is None else IS2
-    pg_a, moved, area_base, in_region, dying = region_info
+    in_region = region_info[3]
     hits: list[tuple[np.ndarray, bool]] = [(source_mask & direct, False)]
     if options.allow_inversion:
         hits.append((source_mask & inverted & ~direct, True))
@@ -888,7 +887,7 @@ def _single_candidates(
         slow = mask if exact_only else mask & in_region
         for i in np.flatnonzero(slow):
             _try_candidate(
-                estimator,
+                workspace.estimator,
                 Substitution(
                     kind, target.name, workspace.stems[i].name,
                     invert1=invert, branch=branch,
@@ -896,40 +895,55 @@ def _single_candidates(
                 exact,
                 options.min_quick_gain,
             )
-        if exact_only:
-            continue
-        indices = np.flatnonzero(mask & ~slow)
-        act_src = workspace.activity_array[indices]
-        # The scalar expressions of quick_gain, elementwise: the floats
-        # are bit-identical to building each candidate.
-        if invert:
-            pg_b = -(inverter.pins[0].load * act_src + moved * act_src)
-            area_delta = area_base + inverter.area
-        else:
-            pg_b = -(moved * act_src)
-            area_delta = area_base
-        quick = pg_a + pg_b
-        keep = _min_quick_filter(quick, options.min_quick_gain)
-        indices, pg_b, quick = indices[keep], pg_b[keep], quick[keep]
+        if not exact_only:
+            scored.append(_scored_singles(
+                workspace, kind, target, branch,
+                np.flatnonzero(mask & ~slow), invert, inverter,
+                options, region_info,
+            ))
 
-        def build(
-            j: int, indices=indices, pg_b=pg_b, invert=invert,
-            area_delta=area_delta,
-        ) -> Candidate:
-            return Candidate(
-                Substitution(
-                    kind, target.name, workspace.stems[indices[j]].name,
-                    invert1=invert, branch=branch,
-                ),
-                GainBreakdown(
-                    pg_a=pg_a,
-                    pg_b=float(pg_b[j]),
-                    area_delta=area_delta,
-                    dying=list(dying),
-                ),
-            )
 
-        scored.append((quick, build))
+def _scored_singles(
+    workspace: CandidateWorkspace,
+    kind: str,
+    target: Gate,
+    branch: Optional[tuple[str, int]],
+    indices: np.ndarray,
+    invert: bool,
+    inverter,
+    options: CandidateOptions,
+    region_info: tuple,
+) -> _Scored:
+    """Quick gains of the moves onto the stems at ``indices``."""
+    pg_a, moved, area_base, _in_region, dying = region_info
+    act_src = workspace.activity_array[indices]
+    # The scalar expressions of quick_gain, elementwise: the floats are
+    # bit-identical to building each candidate.
+    if invert:
+        pg_b = -(inverter.pins[0].load * act_src + moved * act_src)
+        area_delta = area_base + inverter.area
+    else:
+        pg_b = -(moved * act_src)
+        area_delta = area_base
+    quick = pg_a + pg_b
+    keep = _min_quick_filter(quick, options.min_quick_gain)
+    indices, pg_b, quick = indices[keep], pg_b[keep], quick[keep]
+
+    def build(j: int) -> Candidate:
+        return Candidate(
+            Substitution(
+                kind, target.name, workspace.stems[indices[j]].name,
+                invert1=invert, branch=branch,
+            ),
+            GainBreakdown(
+                pg_a=pg_a,
+                pg_b=float(pg_b[j]),
+                area_delta=area_delta,
+                dying=list(dying),
+            ),
+        )
+
+    return quick, build
 
 
 def _pair_candidates(
