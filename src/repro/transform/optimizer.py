@@ -50,7 +50,7 @@ from repro.timing.analysis import TimingAnalysis
 from repro.timing.constraints import quick_delay_reject
 from repro.transform.candidates import Candidate, CandidateOptions
 from repro.transform.cost import COST_MODELS, CostModel, resolve_cost_model
-from repro.transform.gain import full_gain
+from repro.transform.gain import GainBreakdown, full_gain
 from repro.transform.permissible import ABORTED, NOT_PERMISSIBLE
 from repro.transform.report import MoveRecord, format_class_table
 from repro.transform.substitution import (
@@ -59,11 +59,6 @@ from repro.transform.substitution import (
     Substitution,
     apply_substitution,
 )
-
-
-#: Gain-memo entry of a substitution whose ``full_gain`` raised
-#: :class:`TransformError`.
-_RAISED = object()
 
 
 @dataclass
@@ -385,11 +380,10 @@ class PowerOptimizer:
         self.rejected_aborted = 0
         self.rejected_stale = 0
         #: ``full_gain`` results since the last committed move, by
-        #: substitution: a :class:`~repro.transform.gain.GainBreakdown` or
-        #: :data:`_RAISED`.  Rejecting a winner changes neither the netlist
-        #: nor the probabilities, so a re-score would compute the same
-        #: figures.
-        self._gains: dict[Substitution, object] = {}
+        #: substitution; ``None`` where it raised :class:`TransformError`.
+        #: Rejecting a winner changes neither the netlist nor the
+        #: probabilities, so a re-score would compute the same figures.
+        self._gains: dict[Substitution, Optional[GainBreakdown]] = {}
         self._round = 0
         #: Telemetry hooks; every call site is guarded by ``is not None``
         #: so the untraced path (the default) pays nothing.
@@ -472,16 +466,16 @@ class PowerOptimizer:
                 self.tracer.record_shortlist(len(chunk))
             best: Optional[tuple[int, Candidate, float]] = None
             for position, candidate in chunk:
-                gain = self._gains.get(candidate.substitution)
-                if gain is None:
+                substitution = candidate.substitution
+                if substitution not in self._gains:
                     try:
-                        gain = full_gain(
-                            self.estimator, candidate.substitution
+                        self._gains[substitution] = full_gain(
+                            self.estimator, substitution
                         )
                     except TransformError:
-                        gain = _RAISED
-                    self._gains[candidate.substitution] = gain
-                if gain is _RAISED:
+                        self._gains[substitution] = None
+                gain = self._gains[substitution]
+                if gain is None:
                     self.rejected_stale += 1
                     if self.tracer is not None:
                         self.tracer.record_rejection("stale")
