@@ -171,10 +171,8 @@ class CandidateWorkspace:
         self.matrix: Optional[np.ndarray] = None
         self.matrix_next: Optional[np.ndarray] = None
         self.reach: Optional[np.ndarray] = None
-        self.activity: list[float] = []
-        self.activity_array: np.ndarray = np.zeros(0, dtype=np.float64)
-        self.act_order: list[int] = []
-        self.act_order_array: np.ndarray = np.zeros(0, dtype=np.intp)
+        self.activity: np.ndarray = np.zeros(0, dtype=np.float64)
+        self.act_order: np.ndarray = np.zeros(0, dtype=np.intp)
         #: The round's deduplicated 2-input cell list (None outside a
         #: generate() round with pair substitutions enabled).
         self._round_cells: Optional[list] = None
@@ -224,12 +222,10 @@ class CandidateWorkspace:
         # Stable activity order over all stems: restricting it to any
         # source subset gives the same list as sorting that subset, so the
         # per-target OS3/IS3 rankings come from one sort per round.
-        self.activity = [self.estimator.activity(g) for g in self.stems]
-        self.activity_array = np.asarray(self.activity, dtype=np.float64)
-        self.act_order = sorted(
-            range(len(self.stems)), key=self.activity.__getitem__
+        self.activity = np.array(
+            [self.estimator.activity(g) for g in self.stems], dtype=np.float64
         )
-        self.act_order_array = np.asarray(self.act_order, dtype=np.intp)
+        self.act_order = np.argsort(self.activity, kind="stable")
 
     def _reachability(self) -> np.ndarray:
         """Boolean matrix: ``reach[i, j]`` iff stem j is i or in TFO(i)."""
@@ -343,7 +339,7 @@ class CandidateWorkspace:
         self, source_mask: np.ndarray, limit: int
     ) -> list[int]:
         """First ``limit`` legal sources in the round's activity order."""
-        order = self.act_order_array
+        order = self.act_order
         return order[source_mask[order]][:limit].tolist()
 
     def _precompute_pair_tables(self, options: "CandidateOptions") -> None:
@@ -916,7 +912,7 @@ def _scored_singles(
 ) -> _Scored:
     """Quick gains of the moves onto the stems at ``indices``."""
     pg_a, moved, area_base, _in_region, dying = region_info
-    act_src = workspace.activity_array[indices]
+    act_src = workspace.activity[indices]
     # The scalar expressions of quick_gain, elementwise: the floats are
     # bit-identical to building each candidate.
     if invert:
@@ -1005,7 +1001,7 @@ def _pair_candidates(
     # Every other tuple shares the dying region, the PG_A sum and the
     # moved load, so PG_B is one expression over the whole table, grouped
     # as _pg_b groups it for one tuple.
-    act_src = workspace.activity_array[ranked_array]
+    act_src = workspace.activity[ranked_array]
     load0 = np.array([cell.pins[0].load for cell in cells], dtype=np.float64)
     load1 = np.array([cell.pins[1].load for cell in cells], dtype=np.float64)
     pg_b = -(
