@@ -872,7 +872,7 @@ def _single_candidates(
     library = workspace.netlist.library
     inverter = library.inverter() if library is not None else None
     kind = OS2 if branch is None else IS2
-    in_region = region_info[3]
+    _pg_a, _moved, _area_base, in_region, _dying = region_info
     hits: list[tuple[np.ndarray, bool]] = [(source_mask & direct, False)]
     if options.allow_inversion:
         hits.append((source_mask & inverted & ~direct, True))

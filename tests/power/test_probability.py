@@ -56,8 +56,8 @@ class TestSimulationEngine:
         engine = SimulationProbability(netlist, exhaustive=True)
         words = engine.sim.value("g").copy()
         before = engine.probability("g")
-        netlist.replace_fanin(netlist.gate("g"), 0, netlist.gate("b"))
-        changed = engine.update_fanout([netlist.gate("g")])
+        netlist.replace_fanin(g, 0, b)
+        changed = engine.update_fanout([g])
         assert engine.probability("g") == before
         assert not (engine.sim.value("g") == words).all()
         assert changed == ["g"]
