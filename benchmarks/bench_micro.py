@@ -2,7 +2,9 @@
 
 These time the building blocks the optimizer's inner loop lives on:
 bit-parallel simulation, observability extraction, candidate generation,
-the ATPG permissibility oracle, and technology mapping.  They are honest
+the ATPG permissibility oracle, and technology mapping, plus the two
+whole-circuit equivalence cross-checks (the CNF miter solved by the CDCL
+solver, and global BDDs).  They are honest
 pytest-benchmark measurements (multiple rounds), unlike the table benches
 which run their experiment once.
 """
@@ -360,7 +362,7 @@ def test_technology_mapping(benchmark, lib):
 
 
 def test_sat_oracle_equivalence(benchmark, circuit):
-    """DPLL SAT miter check on an alu2 self-copy (cross-check engine)."""
+    """CNF miter solved by the CDCL solver on an alu2 self-copy."""
     from repro.sat.oracle import sat_check_equivalent
 
     copy = circuit.copy("sat_copy")

@@ -6,14 +6,23 @@
    differing output word yields an immediate counterexample (most
    non-permissible substitutions die here, as in the paper's
    fault-simulation-based candidate filtering).
-2. **ATPG decision** — build the miter and ask the PODEM justifier for an
-   input vector driving it to 1.  SAT gives a counterexample; UNSAT proves
-   equivalence.
-3. **BDD fallback** — when the ATPG search aborts (XOR/carry-chain miters
-   have exponential branch-and-bound trees but linear BDDs), compare
-   per-output ROBDDs under a node limit.  Only if that also blows up does
-   the check return :data:`UNKNOWN`, which callers must treat as "not
-   permissible" (paper §3.5 semantics).
+2. **BDD first on large pairs** — when the two netlists together have
+   more than :data:`BDD_FIRST_GATE_THRESHOLD` gates (80), compare
+   per-output ROBDDs under a node limit before any search; at that size
+   one justification pass already costs more than typical whole-circuit
+   BDDs.  A blow-up falls through to the ATPG stage.
+3. **ATPG decision** — build the miter and ask the PODEM justifier for an
+   input vector driving it to 1, first under a quick budget (at most 2,000
+   backtracks).  SAT gives a counterexample; UNSAT proves equivalence.
+4. **BDD fallback, then the full budget** — when the quick search aborts
+   (XOR/carry-chain miters have exponential branch-and-bound trees but
+   linear BDDs), compare BDDs; if they blow up too, rerun PODEM with the
+   full ``backtrack_limit``.  Only if that also aborts does the check
+   return :data:`UNKNOWN`, which callers must treat as "not permissible"
+   (paper §3.5 semantics).
+
+``bdd_node_limit=0`` switches both BDD stages off, and the search then
+gets its full budget at once.
 """
 
 from __future__ import annotations
@@ -63,7 +72,7 @@ class EquivalenceResult:
 
     status: str  # EQUAL, NOT_EQUAL or UNKNOWN
     counterexample: Optional[dict[str, int]] = None  # PI name -> 0/1
-    stage: str = ""  # "simulation" or "atpg"
+    stage: str = ""  # "simulation", "bdd" or "atpg"
     backtracks: int = 0
 
     @property
@@ -88,7 +97,6 @@ def _simulation_counterexample(
         if nz.size:
             word = int(nz[0])
             bit = (int(diff[word])).bit_length() - 1
-            index = word * 64 + bit
             return {
                 name: int((int(patterns[name][word]) >> bit) & 1)
                 for name in left.input_names

@@ -1,7 +1,7 @@
 """The differential equivalence oracle and the metric cross-checker.
 
-Equivalence of optimizer input and output is decided by *three mutually
-independent* engines and their verdicts are compared:
+Equivalence of optimizer input and output is decided by three engines and
+their verdicts are compared:
 
 1. **Random-vector simulation** (prefilter) — bit-parallel simulation on a
    shared seeded pattern set.  Cheap, only ever proves inequality.
@@ -10,12 +10,16 @@ independent* engines and their verdicts are compared:
    simulated on all ``2^n`` vectors.  This is ground truth: no search, no
    abstraction, nothing shared with the production oracle.
 3. **SAT miter** — :func:`repro.sat.oracle.sat_check_equivalent`, a
-   Tseitin encoding solved by the DPLL engine.
+   Tseitin encoding of both netlists solved by
+   :class:`~repro.sat.incremental.IncrementalSolver`.  That is the CDCL
+   solver the optimizer's triage proves moves with, so this tier shares
+   its solver with the optimizer; it shares no code with exhaustive
+   simulation or with the PODEM/BDD production tier below.
 
-The production oracle (:func:`repro.equiv.checker.check_equivalent`, the
-one the optimizer itself trusts for permissibility) runs alongside as a
-fourth opinion.  Any disagreement between definite verdicts is a finding —
-by construction it implicates one of the engines, whichever way it falls.
+The production oracle (:func:`repro.equiv.checker.check_equivalent`:
+simulation, then PODEM over a miter and BDDs) runs alongside as a fourth
+opinion.  Any disagreement between definite verdicts is a finding — by
+construction it implicates one of the engines, whichever way it falls.
 
 :func:`cross_check_metrics` re-derives an :class:`OptimizeResult`'s power,
 area and delay figures from scratch and flags drift against the numbers

@@ -261,11 +261,17 @@ class TransformSanitizer:
             if library is None or any(n not in library for n in cell_names):
                 continue  # entry can never validate; dropped on next use
             cells = [library[n] for n in cell_names]
-            expected, expected_act = workspace._compute_pair_tables(
-                rows, rows_next, va, obs, cells
+            # The precompute's kernel, on a one-job batch.
+            expected, expected_act = workspace._compute_pair_tables_batch(
+                rows[None],
+                None if rows_next is None else rows_next[None],
+                va[None],
+                obs[None],
+                cells,
             )
-            if not np.array_equal(table, expected) or not np.array_equal(
-                act, expected_act
+            if not (
+                np.array_equal(table, expected[0])
+                and np.array_equal(act, expected_act[0])
             ):
                 findings.append(
                     _finding(

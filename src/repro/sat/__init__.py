@@ -1,30 +1,28 @@
-"""A small CNF SAT solver and circuit encoder.
+"""A CNF SAT solver and circuit encoder.
 
 The paper's permissibility machinery is ATPG; modern reproductions of the
 same idea (redundancy addition/removal, resubstitution) are SAT-based.
-This package provides the SAT side as an *independent* oracle:
+This package provides the SAT side:
 
 - :mod:`~repro.sat.cnf` — CNF formulas and the Tseitin encoding of
   netlists/miters,
-- :mod:`~repro.sat.dpll` — a DPLL solver with two-watched-literal unit
-  propagation and an activity decision heuristic,
-- :mod:`~repro.sat.incremental` — a CDCL solver (clause learning,
-  assumptions, persistent database) behind the optimizer's triage
-  permissibility front-end,
+- :mod:`~repro.sat.incremental` — the one SAT solver: CDCL with clause
+  learning, assumptions and a persistent database, behind the
+  optimizer's triage permissibility front-end, the fact oracle and the
+  equivalence check below,
 - :func:`~repro.sat.oracle.sat_check_equivalent` — a drop-in equivalence
-  check used by the test-suite to cross-validate the PODEM oracle.
+  check used by the test-suite and the fuzz oracle to cross-validate the
+  PODEM/BDD oracle.
 """
 
 from repro.sat.cnf import CnfFormula, tseitin_encode, miter_cnf
-from repro.sat.dpll import DpllSolver, SAT, UNSAT, UNKNOWN
-from repro.sat.incremental import IncrementalSolver
+from repro.sat.incremental import IncrementalSolver, SAT, UNSAT, UNKNOWN
 from repro.sat.oracle import sat_check_equivalent
 
 __all__ = [
     "CnfFormula",
     "tseitin_encode",
     "miter_cnf",
-    "DpllSolver",
     "IncrementalSolver",
     "SAT",
     "UNSAT",

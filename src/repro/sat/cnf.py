@@ -194,36 +194,45 @@ def encode_rewire_miter(
     return activation
 
 
-def tseitin_encode(
-    netlist: Netlist, formula: Optional[CnfFormula] = None, prefix: str = ""
-) -> CnfFormula:
-    """Encode the netlist's consistency constraints into CNF.
+def tseitin_encode(netlist: Netlist) -> CnfFormula:
+    """Encode the netlist's consistency constraints into a new CNF.
 
-    Every stem gets the variable ``formula.var_of[prefix + name]``.  With a
-    shared ``formula`` and distinct prefixes two netlists can share input
-    variables (name the inputs without the prefix first).
+    Every stem gets the variable ``formula.var_of[name]``: first one
+    variable per stem in topological order, then each gate's clauses in
+    the same order (CDCL conflict counts depend on it).
     """
-    formula = formula or CnfFormula()
-    for gate in topological_order(netlist):
-        key = prefix + gate.name if not gate.is_input else gate.name
-        if key not in formula.var_of:
-            formula.new_var(key)
-    for gate in topological_order(netlist):
+    formula = CnfFormula()
+    _encode_gates(netlist, formula, formula.var_of)
+    return formula
+
+
+def _encode_gates(
+    netlist: Netlist, formula: CnfFormula, gate_var: dict[str, int]
+) -> None:
+    """Tseitin-encode ``netlist`` into ``formula``.
+
+    Primary inputs take (or add) ``formula.var_of[name]``, so encodings
+    sharing one formula share their inputs; every other gate takes (or
+    adds) ``gate_var[name]``.
+    """
+    order = topological_order(netlist)
+    for gate in order:
+        names = formula.var_of if gate.is_input else gate_var
+        if gate.name not in names:
+            names[gate.name] = formula.new_var()
+
+    def var(gate) -> int:
+        return (formula.var_of if gate.is_input else gate_var)[gate.name]
+
+    for gate in order:
         if gate.is_input:
             continue
-        out = formula.var_of[prefix + gate.name]
-        fanin_vars = [
-            formula.var_of[
-                f.name if f.is_input else prefix + f.name
-            ]
-            for f in gate.fanins
-        ]
+        out = var(gate)
         if not gate.fanins:  # tie cell
             value = gate.cell.function.bits & 1
             formula.assume(out if value else -out)
             continue
-        encode_cell(formula, out, fanin_vars, gate.cell)
-    return formula
+        encode_cell(formula, out, [var(f) for f in gate.fanins], gate.cell)
 
 
 def miter_cnf(left: Netlist, right: Netlist) -> CnfFormula:
@@ -231,19 +240,30 @@ def miter_cnf(left: Netlist, right: Netlist) -> CnfFormula:
 
     Shares primary-input variables, encodes both netlists, and constrains
     at least one output pair to differ (XOR via auxiliary variables).
+    ``var_of`` names only the primary inputs: each side's gates and the
+    difference variables are kept out of it, so no signal name can alias
+    another side's gate or a difference.
     """
     formula = CnfFormula()
     for pi in left.input_names:
         formula.new_var(pi)
-    tseitin_encode(left, formula, prefix="L.")
-    tseitin_encode(right, formula, prefix="R.")
+    sides = []
+    for netlist in (left, right):
+        gate_var: dict[str, int] = {}
+        _encode_gates(netlist, formula, gate_var)
+        sides.append(gate_var)
     diff_vars = []
     for po in sorted(left.outputs):
-        l_var = formula.var_of["L." + left.outputs[po].name] if not left.outputs[po].is_input else formula.var_of[left.outputs[po].name]
-        r_driver = right.outputs[po]
-        r_var = formula.var_of["R." + r_driver.name] if not r_driver.is_input else formula.var_of[r_driver.name]
-        d = formula.new_var(f"diff.{po}")
-        encode_xor(formula, d, l_var, r_var)
+        pair = []
+        for netlist, gate_var in zip((left, right), sides):
+            driver = netlist.outputs[po]
+            pair.append(
+                formula.var_of[driver.name]
+                if driver.is_input
+                else gate_var[driver.name]
+            )
+        d = formula.new_var()
+        encode_xor(formula, d, *pair)
         diff_vars.append(d)
     formula.add_clause(*diff_vars)
     return formula

@@ -1,19 +1,22 @@
-"""An incremental CDCL SAT solver (clause learning + assumptions).
+"""The package's SAT solver: incremental CDCL (clause learning + assumptions).
 
 The triage permissibility front-end asks many closely-related miter
 queries against one netlist state: a shared clause database (the base
 Tseitin encoding) plus per-candidate definitional clauses, each query
 activated through an assumption literal.  Every learned clause is a
 consequence of the monotonically-growing database, so learning persists
-across queries — the classic MiniSat incremental interface.
+across queries — the classic MiniSat incremental interface.  One-shot
+callers (:func:`repro.sat.oracle.sat_check_equivalent`) load a formula
+and solve it once.
 
-Compared to :class:`repro.sat.dpll.DpllSolver` (single-shot, no
-learning) this solver adds first-UIP conflict analysis with
-non-chronological backjumping, VSIDS-style activity ordering, phase
-saving, geometric restarts, and solving under assumptions.  UNSAT
-equivalence proofs — the common case, since most candidates surviving
-the simulation prefilter *are* permissible — need clause learning to
-avoid the exponential plateaus plain DPLL hits on reconvergent miters.
+Features: two-watched-literal unit propagation, first-UIP conflict
+analysis with non-chronological backjumping, VSIDS-style activity
+ordering, phase saving, geometric restarts, solving under assumptions,
+and a conflict budget that answers :data:`UNKNOWN` instead of running
+away.  UNSAT equivalence proofs — the common case, since most candidates
+surviving the simulation prefilter *are* permissible — need clause
+learning to avoid the exponential plateaus plain DPLL hits on
+reconvergent miters.
 
 Determinism: every data structure iterates in insertion or index order
 and activity ties break toward the lowest variable, so a given clause
@@ -23,16 +26,30 @@ sequence always produces the same verdict, model, and conflict count
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from repro.sat.cnf import CnfFormula
-from repro.sat.dpll import SAT, UNKNOWN, UNSAT, SatResult
+
+SAT = "sat"
+UNSAT = "unsat"
+UNKNOWN = "unknown"
 
 #: Activity rescale threshold (MiniSat's 1e100 ladder).
 _RESCALE = 1e100
 _RESCALE_INV = 1e-100
 #: Per-conflict activity decay (bump grows by 1/decay instead).
 _DECAY = 1.0 / 0.95
+
+
+@dataclass
+class SatResult:
+    """One ``solve`` call's verdict; ``model`` is filled only on SAT."""
+
+    status: str
+    model: dict[int, bool] = field(default_factory=dict)
+    conflicts: int = 0
+    decisions: int = 0
 
 
 class IncrementalSolver:

@@ -1,13 +1,16 @@
 """SAT-based equivalence checking (cross-validation oracle).
 
 ``sat_check_equivalent`` answers the same question as
-:func:`repro.equiv.checker.check_equivalent`, through a completely
-independent pipeline: Tseitin-encode both circuits into one CNF with
-shared inputs, constrain some output pair to differ, and solve.
+:func:`repro.equiv.checker.check_equivalent` through a different
+pipeline: Tseitin-encode both circuits into one CNF with shared inputs
+(:func:`~repro.sat.cnf.miter_cnf`), constrain some output pair to differ,
+and solve it with the package's CDCL solver — the same
+:class:`~repro.sat.incremental.IncrementalSolver` the optimizer's triage
+proves moves with, here loaded once and solved once.
 
 The test-suite runs both oracles on the same instances; agreement of two
-independent engines (branch-and-bound over the circuit vs. DPLL over the
-CNF) is strong evidence neither is quietly wrong.
+engines that share no search code (PODEM/BDD over the circuit vs. CDCL
+over the CNF) is strong evidence neither is quietly wrong.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from typing import Optional
 from repro.errors import NetlistError
 from repro.netlist.netlist import Netlist
 from repro.sat.cnf import miter_cnf
-from repro.sat.dpll import UNKNOWN, UNSAT, DpllSolver
+from repro.sat.incremental import UNKNOWN, UNSAT, IncrementalSolver
 
 
 @dataclass
@@ -51,7 +54,7 @@ def sat_check_equivalent(
             f"ignored); only on one side: {sorted(mismatch)}"
         )
     formula = miter_cnf(left, right)
-    result = DpllSolver(formula, conflict_limit).solve()
+    result = IncrementalSolver(formula).solve(conflict_limit=conflict_limit)
     if result.status == UNSAT:
         return SatEquivalenceResult("equal", conflicts=result.conflicts)
     if result.status == UNKNOWN:

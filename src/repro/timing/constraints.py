@@ -9,10 +9,12 @@ the user constraint, identifying two mechanisms:
    path through it becomes critical.
 
 :func:`quick_delay_reject` implements (1) plus a slack test for (2) as a fast
-necessary filter; :func:`substitution_meets_constraint` is the exact verdict
-from a full STA pass on the already-edited trial netlist.  The optimizer uses
-the quick filter during candidate selection and the exact check on the chosen
-move.
+necessary filter.  The optimizer's ``check_delay`` runs it first and then
+takes the exact verdict from :meth:`TimingAnalysis.what_if
+<repro.timing.analysis.TimingAnalysis.what_if>`, which re-times the rewired
+netlist in place without copying it.  :func:`substitution_meets_constraint`
+is the same exact verdict from a full STA pass on an already-edited trial
+netlist, for callers that hold one.
 """
 
 from __future__ import annotations

@@ -256,46 +256,24 @@ class CandidateWorkspace:
 
     # ------------------------------------------------------------------
     def pair_tables(
-        self,
-        key: tuple[str, Optional[tuple[str, int]]],
-        ranked: list[int],
-        va: np.ndarray,
-        obs: np.ndarray,
-        cells: list,
+        self, key: tuple[str, Optional[tuple[str, int]]]
     ) -> tuple[np.ndarray, np.ndarray]:
-        """(compat, activity) tables over ``ranked`` sources × cells.
+        """(compat, activity) tables of one target/branch this round.
 
         ``compat[ai, bi, ci]`` (ai < bi) is True when the cell over the
         ranked sources agrees with the target on every observable pattern;
         ``activity[ai, bi, ci]`` is the switching activity the inserted
         gate's output would have — the whole OS3/IS3 gain table in two
         broadcast passes instead of one ``evaluate_cell`` per tuple.
-        Cached per target/branch; entries self-validate against the array
-        content they were computed from, so no eager invalidation needed.
+        :meth:`_precompute_pair_tables` validated or rebuilt every key the
+        round reads; this counts the reuse and returns the entry.
         """
-        fresh = self._fresh.pop(key, None)
-        if fresh is not None:
-            # The round's batch precompute already validated (or rebuilt)
-            # this entry against the exact same content.
-            if fresh:
-                self.pair_cache_hits += 1
-            else:
-                self.pair_cache_misses += 1
-            cached = self._pair_cache[key]
-            return cached[6], cached[7]
-        names = tuple(self.stems[i].name for i in ranked)
-        cell_sig = tuple(c.name for c in cells)
-        rows, rows_next = self._ranked_rows(ranked)
-        if self._cache_valid(key, names, cell_sig, va, obs, rows, rows_next):
+        if self._fresh.pop(key):
             self.pair_cache_hits += 1
-            cached = self._pair_cache[key]
-            return cached[6], cached[7]
-        self.pair_cache_misses += 1
-        table, act = self._compute_pair_tables(rows, rows_next, va, obs, cells)
-        self._pair_cache[key] = (
-            names, cell_sig, va, obs, rows, rows_next, table, act,
-        )
-        return table, act
+        else:
+            self.pair_cache_misses += 1
+        cached = self._pair_cache[key]
+        return cached[6], cached[7]
 
     def _ranked_rows(
         self, ranked: list[int]
@@ -347,13 +325,11 @@ class CandidateWorkspace:
 
         Computing the tables one target at a time spends more wall clock on
         numpy dispatch than on bit-math; stacking all stale targets of equal
-        source-list length into one broadcast pass amortises it.  Results
-        land in ``_pair_cache`` exactly as the per-target path would have
-        left them, and reuse accounting is deferred to :meth:`pair_tables`.
+        source-list length into one broadcast pass amortises it.  Every
+        key :func:`_pair_candidates` reads is validated or rebuilt here,
+        and reuse accounting is deferred to :meth:`pair_tables`.
         """
         cells = self._round_cells
-        if cells is None:
-            cells = _two_input_cells(self.netlist, options)
         if not cells:
             return
         limit = options.pair_source_limit
@@ -397,15 +373,7 @@ class CandidateWorkspace:
             by_k.setdefault(len(ranked), []).append(
                 (key, names, va, obs, rows, rows_next)
             )
-        for k, group in by_k.items():
-            if k < 2:
-                for key, names, va, obs, rows, rows_next in group:
-                    table = np.zeros((k, k, len(cells)), dtype=bool)
-                    act = np.zeros((k, k, len(cells)), dtype=np.float64)
-                    self._pair_cache[key] = (
-                        names, cell_sig, va, obs, rows, rows_next, table, act,
-                    )
-                continue
+        for group in by_k.values():
             rows_b = np.stack([job[4] for job in group])
             rows_next_b = (
                 np.stack([job[5] for job in group])
@@ -425,79 +393,6 @@ class CandidateWorkspace:
                     tables[ji], acts[ji],
                 )
 
-    def _compute_pair_tables(
-        self,
-        rows: np.ndarray,
-        rows_next: Optional[np.ndarray],
-        va: np.ndarray,
-        obs: np.ndarray,
-        cells: list,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        k = len(rows)
-        total = self.sim.num_patterns
-        table = np.zeros((k, k, len(cells)), dtype=bool)
-        act = np.zeros((k, k, len(cells)), dtype=np.float64)
-        if k < 2:
-            return table, act
-        wa = rows[:, None, :]  # (k, 1, w)
-        wb = rows[None, :, :]  # (1, k, w)
-        if rows_next is not None:
-            na = rows_next[:, None, :]
-            nb = rows_next[None, :, :]
-        # Complement pairs (AND/NAND, OR/NOR, XOR/XNOR) share one kernel
-        # evaluation: with d = (word ^ va) & obs the complement's masked
-        # disagreement is d ^ obs, and its switching activity is identical
-        # (~w ^ ~w' == w ^ w'; 2p(1-p) is symmetric in p <-> 1-p).
-        done: dict[int, tuple[np.ndarray, int]] = {}
-        full_words = total == 64 * self.sim.nwords
-        for ci, cell in enumerate(cells):
-            bits = cell.function.bits
-            mate = done.get(~bits & 0b1111)
-            if mate is not None:
-                d_mate, mi = mate
-                table[:, :, ci] = ~((d_mate ^ obs).any(axis=2))
-                if rows_next is not None or full_words:
-                    act[:, :, ci] = act[:, :, mi]
-                else:
-                    # Padding bits flip under complement, so the shortcut
-                    # is only exact when every word bit is a pattern.
-                    word = _two_input_word(bits, wa, wb)
-                    p = popcount_lastaxis(word) / total
-                    act[:, :, ci] = 2.0 * p * (1.0 - p)
-                continue
-            word = _two_input_word(bits, wa, wb)
-            if word is not None:
-                d = (word ^ va) & obs
-                table[:, :, ci] = ~(d.any(axis=2))
-                if rows_next is not None:
-                    word_next = _two_input_word(bits, na, nb)
-                    act[:, :, ci] = (
-                        popcount_lastaxis(word ^ word_next) / total
-                    )
-                else:
-                    p = popcount_lastaxis(word) / total
-                    act[:, :, ci] = 2.0 * p * (1.0 - p)
-                done[bits] = (d, ci)
-                continue
-            # Odd cell without a broadcast fast path: per-pair fallback.
-            for ai in range(k):
-                for bi in range(ai + 1, k):
-                    w = evaluate_cell(
-                        cell, [rows[ai], rows[bi]], self.sim.nwords
-                    )
-                    table[ai, bi, ci] = not ((w ^ va) & obs).any()
-                    if rows_next is not None:
-                        w_next = evaluate_cell(
-                            cell,
-                            [rows_next[ai], rows_next[bi]],
-                            self.sim.nwords,
-                        )
-                        act[ai, bi, ci] = popcount(w ^ w_next) / total
-                    else:
-                        p = popcount(w) / total
-                        act[ai, bi, ci] = 2.0 * p * (1.0 - p)
-        return table, act
-
     def _compute_pair_tables_batch(
         self,
         rows: np.ndarray,
@@ -506,16 +401,21 @@ class CandidateWorkspace:
         obs: np.ndarray,
         cells: list,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized :meth:`_compute_pair_tables` over a job axis.
+        """The pair tables of a batch of jobs sharing one source count.
 
-        ``rows`` is ``(jobs, k, words)``; ``va``/``obs`` are ``(jobs,
-        words)``.  Purely elementwise over the extra axis, so each slice
-        is bit-identical to the per-target computation.
+        ``rows`` is ``(jobs, k, words)`` — the ranked sources' words —
+        with ``rows_next`` their cycle-t+1 words under a temporal engine,
+        else ``None``; ``va``/``obs`` are ``(jobs, words)``.  Returns
+        ``(jobs, k, k, cells)`` compat and activity tables, purely
+        elementwise over the job axis, so a one-job batch gives the same
+        slice; fewer than two sources form no pair and stay all-zero.
         """
         j, k, _w = rows.shape
         total = self.sim.num_patterns
         table = np.zeros((j, k, k, len(cells)), dtype=bool)
         act = np.zeros((j, k, k, len(cells)), dtype=np.float64)
+        if k < 2:
+            return table, act
         wa = rows[:, :, None, :]  # (j, k, 1, w)
         wb = rows[:, None, :, :]  # (j, 1, k, w)
         if rows_next is not None:
@@ -529,11 +429,18 @@ class CandidateWorkspace:
             bits = cell.function.bits
             mate = done.get(~bits & 0b1111)
             if mate is not None:
+                # Complement pairs (AND/NAND, OR/NOR, XOR/XNOR) share one
+                # evaluation: with d = (word ^ va) & obs the complement's
+                # masked disagreement is d ^ obs, and its switching
+                # activity is identical (~w ^ ~w' == w ^ w'; 2p(1-p) is
+                # symmetric in p <-> 1-p).
                 d_mate, mi = mate
                 table[:, :, :, ci] = ~((d_mate ^ obs_b).any(axis=3))
                 if rows_next is not None or full_words:
                     act[:, :, :, ci] = act[:, :, :, mi]
                 else:
+                    # Padding bits flip under complement, so the shortcut
+                    # is only exact when every word bit is a pattern.
                     word = _two_input_word(bits, wa, wb)
                     p = popcount_lastaxis(word) / total
                     act[:, :, :, ci] = 2.0 * p * (1.0 - p)
@@ -741,8 +648,8 @@ def _stem_candidates(
         )
     if options.enable_os3:
         _pair_candidates(
-            workspace, target, None, va, obs, source_mask, options,
-            region_info, exact, scored,
+            workspace, target, None, source_mask, options, region_info,
+            exact, scored,
         )
     return _build_best(exact, scored, options.max_per_target)
 
@@ -783,8 +690,8 @@ def _branch_candidates(
         )
     if options.enable_is3:
         _pair_candidates(
-            workspace, target, branch, va, obs, source_mask, options,
-            region_info, exact, scored,
+            workspace, target, branch, source_mask, options, region_info,
+            exact, scored,
         )
     return _build_best(exact, scored, options.max_per_target)
 
@@ -946,8 +853,6 @@ def _pair_candidates(
     workspace: CandidateWorkspace,
     target: Gate,
     branch: Optional[tuple[str, int]],
-    va: np.ndarray,
-    obs: np.ndarray,
     source_mask: np.ndarray,
     options: CandidateOptions,
     region_info: tuple,
@@ -971,9 +876,7 @@ def _pair_candidates(
     # exactly what sorting them per target would give.
     ranked = workspace._ranked_sources(source_mask, options.pair_source_limit)
     kind = OS3 if branch is None else IS3
-    table, act = workspace.pair_tables(
-        (target.name, branch), ranked, va, obs, cells
-    )
+    table, act = workspace.pair_tables((target.name, branch))
     pg_a, moved, area_base, in_region, dying = region_info
     stems = workspace.stems
 

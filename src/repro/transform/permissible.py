@@ -49,8 +49,8 @@ from repro.sat.cnf import (
     encode_rewire_miter,
     tseitin_encode,
 )
-from repro.sat.dpll import SAT as SAT_STATUS
-from repro.sat.dpll import UNSAT as UNSAT_STATUS
+from repro.sat.incremental import SAT as SAT_STATUS
+from repro.sat.incremental import UNSAT as UNSAT_STATUS
 from repro.sat.incremental import IncrementalSolver
 from repro.transform.substitution import Substitution, apply_to_copy
 

@@ -16,8 +16,7 @@ from repro.library.standard import standard_library
 from repro.netlist.simulate import SimState, exhaustive_patterns
 from repro.netlist.traverse import topological_order, transitive_fanout
 from repro.sat.cnf import encode_rewire_miter, tseitin_encode
-from repro.sat.dpll import SAT, UNSAT
-from repro.sat.incremental import IncrementalSolver
+from repro.sat.incremental import SAT, UNSAT, IncrementalSolver
 
 LIB = standard_library()
 CASES = [

@@ -14,6 +14,7 @@ from repro.power.probability import (
     PropagationProbability,
     SimulationProbability,
 )
+from repro.power.temporal import TemporalSimulationProbability
 from repro.transform.candidates import (
     CandidateOptions,
     CandidateWorkspace,
@@ -23,10 +24,20 @@ from repro.transform.candidates import (
 from repro.transform.gain import dominated_region, quick_gain
 from repro.transform.permissible import PERMISSIBLE, check_candidate
 from repro.transform.substitution import IS2, IS3, OS2, OS3, Substitution
-from repro.library.standard import standard_library
+from repro.library.genlib import parse_genlib
+from repro.library.standard import STANDARD_GENLIB, standard_library
 from tests.conftest import make_random_netlist
 
 LIB = standard_library()
+#: The standard cells plus an asymmetric 2-input cell, ``a·!b`` with
+#: unequal pin loads: no broadcast fast path covers it, so its pair
+#: tables come from the per-pair fallback loop.
+ASYM_LIB = parse_genlib(
+    STANDARD_GENLIB
+    + "GATE andn2 1624 O=a*!b; PIN a NONINV 1.0 999 1.9 0.9 1.9 0.9\n"
+    "PIN b INV 2.0 999 1.9 0.9 1.9 0.9\n",
+    name="asym",
+)
 
 
 def exhaustive_estimator(netlist):
@@ -360,6 +371,36 @@ class TestPoolExactness:
         assert "n" in region
         if max_per_target:
             assert "OS2|t|n||||||" in [entry[0] for entry in reference]
+
+    @pytest.mark.parametrize("seed", [5, 23, 71])
+    def test_temporal_engine(self, seed):
+        # Pair activities come from the cycle-t and t+1 words (rows_next).
+        netlist = make_random_netlist(LIB, 6, 20, 3, seed)
+        estimator = PowerEstimator(
+            netlist,
+            TemporalSimulationProbability(netlist, num_patterns=256, seed=3),
+        )
+        options = CandidateOptions()
+        assert _pool(estimator, options) == _reference_pool(
+            estimator, options
+        )
+
+    @pytest.mark.parametrize("temporal", [False, True])
+    @pytest.mark.parametrize("seed", [5, 23])
+    def test_asymmetric_insertion_cell(self, seed, temporal):
+        netlist = make_random_netlist(ASYM_LIB, 6, 20, 3, seed)
+        engine = (
+            TemporalSimulationProbability if temporal
+            else SimulationProbability
+        )
+        estimator = PowerEstimator(
+            netlist, engine(netlist, num_patterns=256, seed=3)
+        )
+        assert "andn2" in [c.name for c in ASYM_LIB.insertion_cells()]
+        options = CandidateOptions(max_per_target=400)
+        reference = _reference_pool(estimator, options)
+        assert _pool(estimator, options) == reference
+        assert any("|andn2|" in entry[0] for entry in reference)
 
     def test_constant_substitution(self, builder):
         from tests.transform.test_extensions import redundant_netlist

@@ -180,22 +180,3 @@ class TestEndToEndEquivalence:
         ] == [m.substitution.candidate_id() for m in triage.moves]
         assert podem.final_power == triage.final_power
         assert podem.final_area == triage.final_area
-
-
-class TestBatchPairTables:
-    """The batched precompute yields the same pool as per-target compute."""
-
-    def test_pool_identical_without_precompute(self, lib):
-        netlist = make_random_netlist(lib, 6, 22, 3, seed=29)
-
-        batched = workspace_for(netlist).generate()
-
-        lazy_ws = workspace_for(netlist)
-        lazy_ws._precompute_pair_tables = lambda options: None
-        lazy = lazy_ws.generate()
-
-        assert len(batched) == len(lazy)
-        for a, b in zip(batched, lazy):
-            assert a.substitution.candidate_id() == b.substitution.candidate_id()
-            assert a.quick == b.quick
-            assert a.gain.area_delta == b.gain.area_delta

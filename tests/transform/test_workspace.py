@@ -85,6 +85,24 @@ class TestPersistence:
         for key, table in cached_tables.items():
             assert workspace._pair_cache[key][-1] is table
 
+    def test_fewer_than_two_sources_give_all_zero_tables(self, builder):
+        # One input: n and both branches of a have fewer than two legal
+        # sources, so their tables hold no pair and must stay all-zero.
+        a = builder.input("a")
+        n = builder.not_(a, name="n")
+        builder.output("o", builder.nand_(n, a, name="o"))
+        workspace = CandidateWorkspace(_estimator(builder.build()))
+        workspace.generate(CandidateOptions())
+        small = [
+            entry for entry in workspace._pair_cache.values()
+            if len(entry[0]) < 2
+        ]
+        assert sorted(len(entry[0]) for entry in small) == [0, 1, 1]
+        for entry in small:
+            table, act = entry[6], entry[7]
+            assert table.shape[:2] == act.shape[:2] == (len(entry[0]),) * 2
+            assert not table.any() and not act.any()
+
     def test_invalidate_drops_dead_targets(self):
         netlist = make_random_netlist(LIB, 6, 20, 3, seed=2)
         estimator = _estimator(netlist)
