@@ -160,8 +160,10 @@ class TestCancellation:
         assert view["status"] == "done"
 
     def test_timeout_kills_the_run(self, client):
+        # About 2.5 s of optimization (2 vCPU) against a 0.3 s budget, so
+        # the run cannot finish before the deadline kills it.
         accepted = client.submit(
-            make_blif(132, min_gates=30, max_gates=40),
+            make_blif(132, min_gates=80, max_gates=100),
             options={"num_patterns": 4096, "repeat": 8, "max_rounds": 20},
             timeout=0.3, use_cache=False,
         )
