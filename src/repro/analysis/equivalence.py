@@ -27,16 +27,13 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
+from repro.kernels.bits import WORD_BYTES
 from repro.netlist.netlist import Netlist
+from repro.netlist.simulate import SimState
 from repro.netlist.traverse import topological_order
 
 from repro.analysis.facts import EquivClass
 from repro.analysis.oracle import FactOracle
-
-_ONE = np.uint64(1)
-_ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
 class _Class:
@@ -52,15 +49,17 @@ class _Class:
 
 def find_equivalences(
     netlist: Netlist,
-    values: Dict[str, np.ndarray],
+    sim: SimState,
     oracle: Optional[FactOracle],
 ) -> List[EquivClass]:
     """Partition signals into proven equivalence classes.
 
-    ``values`` is the shared simulation state (name -> packed words);
-    ``oracle`` may be ``None``, in which case only structural duplicates
-    merge (signature buckets alone are never trusted).
+    ``sim`` is the shared simulation state; ``oracle`` may be ``None``, in
+    which case only structural duplicates merge (signature buckets alone
+    are never trusted).
     """
+    values = sim.values
+    size = WORD_BYTES * sim.nwords
     buckets: Dict[bytes, List[Tuple[str, int]]] = {}
     structural: Dict[Tuple[str, Tuple[str, ...]], str] = {}
     structural_twin: Dict[str, str] = {}
@@ -68,8 +67,9 @@ def find_equivalences(
         word = values.get(gate.name)
         if word is None:
             continue
-        phase = int(word[0] & _ONE)
-        canon = (word ^ _ALL_ONES).tobytes() if phase else word.tobytes()
+        phase = word & 1
+        # The words' little-endian bytes: buckets sort as they always have.
+        canon = (word ^ sim.full if phase else word).to_bytes(size, "little")
         buckets.setdefault(canon, []).append((gate.name, phase))
         if not gate.is_input:
             key = (gate.cell.name, tuple(f.name for f in gate.fanins))
@@ -96,7 +96,7 @@ def find_equivalences(
                 placed.proofs[name] = "structural"
             elif oracle is not None:
                 for group in groups:
-                    rep_phase = index_phase(values, group.rep)
+                    rep_phase = values[group.rep] & 1
                     parity = phase ^ rep_phase
                     verdict = oracle.prove_equivalent(
                         name, group.rep, parity
@@ -127,7 +127,3 @@ def find_equivalences(
             )
     classes.sort(key=lambda cls: cls.representative)
     return classes
-
-
-def index_phase(values: Dict[str, np.ndarray], name: str) -> int:
-    return int(values[name][0] & _ONE)

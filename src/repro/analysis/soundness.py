@@ -25,8 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from repro.netlist.netlist import Netlist
 from repro.netlist.simulate import SimState, exhaustive_patterns
 from repro.analysis.facts import NetlistFacts
@@ -35,8 +33,6 @@ from repro.analysis.oracle import FactOracle
 
 #: Inputs at or below this bound are checked exhaustively.
 EXHAUSTIVE_LIMIT = 20
-
-_ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
 @dataclass
@@ -115,28 +111,25 @@ def check_soundness(
 def _check_exhaustive(netlist: Netlist, facts: NetlistFacts) -> SoundnessReport:
     report = SoundnessReport(method="exhaustive")
     sim = SimState(netlist, exhaustive_patterns(netlist.input_names))
-
-    def word(name: str) -> np.ndarray:
-        return sim.values[name]
+    word = sim.value
+    full = sim.full
 
     for fact in facts.constants:
-        target = _ALL_ONES if fact.value else np.uint64(0)
-        verdict = bool((word(fact.name) == target).all())
+        verdict = word(fact.name) == (full if fact.value else 0)
         report._tally(
             "constant", verdict, f"constant {fact.name} == {fact.value}"
         )
     for fact in facts.unobservables:
         gate = netlist.gates[fact.name]
-        mask = sim.stem_observability(gate)
-        verdict = not bool(np.asarray(mask).any())
+        verdict = sim.stem_observability(gate) == 0
         report._tally(
             "unobservable", verdict, f"unobservable {fact.name} ({fact.reason})"
         )
     for fact in facts.phases:
         expected = word(fact.root)
         if fact.parity:
-            expected = expected ^ _ALL_ONES
-        verdict = bool((word(fact.name) == expected).all())
+            expected = expected ^ full
+        verdict = word(fact.name) == expected
         report._tally(
             "phase",
             verdict,
@@ -147,8 +140,8 @@ def _check_exhaustive(netlist: Netlist, facts: NetlistFacts) -> SoundnessReport:
         for name, parity in sorted(cls.members.items()):
             if name == cls.representative:
                 continue
-            expected = rep_word ^ _ALL_ONES if parity else rep_word
-            verdict = bool((word(name) == expected).all())
+            expected = rep_word ^ full if parity else rep_word
+            verdict = word(name) == expected
             report._tally(
                 "equivalence",
                 verdict,

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-import numpy as np
-
 from repro.netlist.netlist import Netlist
 from repro.netlist.simulate import SimState, random_patterns
 from repro.netlist.traverse import topological_order
@@ -33,8 +31,6 @@ from repro.analysis.facts import (
 from repro.analysis.observability import ObservabilityAnalysis, po_reachable
 from repro.analysis.oracle import FactOracle
 from repro.analysis.phase import PhaseAnalysis
-
-_ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
 class AnalysisSuite:
@@ -95,7 +91,7 @@ class AnalysisSuite:
         facts.unobservables = self._unobservable_facts()
         facts.phases = self._phase_facts()
         facts.equivalences = find_equivalences(
-            netlist, self._sim.values, self.oracle
+            netlist, self._sim, self.oracle
         )
         self._facts = facts
         self._state_key = key
@@ -123,9 +119,9 @@ class AnalysisSuite:
             word = sim.values.get(name) if sim is not None else None
             if word is None:
                 continue
-            if not word.any():
+            if word == 0:
                 candidate = 0
-            elif bool((word == _ALL_ONES).all()):
+            elif word == sim.full:
                 candidate = 1
             else:
                 continue

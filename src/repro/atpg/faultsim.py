@@ -17,50 +17,51 @@ from collections.abc import Iterable, Sequence
 import numpy as np
 
 from repro.atpg.fault import StuckAtFault
+from repro.kernels.bits import evaluate_cell_bits, int_to_words
 from repro.kernels.words import popcount
-from repro.netlist.simulate import SimState, evaluate_cell
+from repro.netlist.simulate import SimState
 from repro.netlist.traverse import transitive_fanout
 
 
 def detected_mask(sim: SimState, fault: StuckAtFault) -> np.ndarray:
-    """Bit mask of patterns on which the fault is detected at some PO."""
+    """Bit mask of patterns on which the fault is detected at some PO.
+
+    The faulty machine runs on the simulation's pattern ints; the mask is
+    returned as ``uint64`` words.
+    """
     netlist = sim.netlist
     stem, branch = fault.resolve(netlist)
-    stuck = (
-        np.full(sim.nwords, np.uint64(0xFFFFFFFFFFFFFFFF), dtype=np.uint64)
-        if fault.value
-        else np.zeros(sim.nwords, dtype=np.uint64)
-    )
-    overlay: dict[str, np.ndarray] = {}
+    values = sim.values
+    full = sim.full
+    stuck = full if fault.value else 0
+    overlay: dict[str, int] = {}
     if branch is None:
-        if np.array_equal(stuck, sim.value(stem.name)):
-            return np.zeros(sim.nwords, dtype=np.uint64)
+        if stuck == values[stem.name]:
+            return int_to_words(0, sim.nwords)
         overlay[stem.name] = stuck
         roots = [stem]
     else:
         sink, pin = branch
-        fanin_words = [
-            stuck if i == pin else sim.value(f.name)
+        ins = [
+            stuck if i == pin else values[f.name]
             for i, f in enumerate(sink.fanins)
         ]
-        faulty_sink = evaluate_cell(sink.cell, fanin_words, sim.nwords)
-        if np.array_equal(faulty_sink, sim.value(sink.name)):
-            return np.zeros(sim.nwords, dtype=np.uint64)
+        faulty_sink = evaluate_cell_bits(sink.cell, ins, full)
+        if faulty_sink == values[sink.name]:
+            return int_to_words(0, sim.nwords)
         overlay[sink.name] = faulty_sink
         roots = [sink]
     for gate in transitive_fanout(netlist, roots):
-        fanin_words = [
-            overlay.get(f.name, sim.value(f.name)) for f in gate.fanins
-        ]
-        new = evaluate_cell(gate.cell, fanin_words, sim.nwords)
-        if not np.array_equal(new, sim.value(gate.name)):
+        ins = [overlay.get(f.name, values[f.name]) for f in gate.fanins]
+        new = evaluate_cell_bits(gate.cell, ins, full)
+        if new != values[gate.name]:
             overlay[gate.name] = new
-    mask = np.zeros(sim.nwords, dtype=np.uint64)
+    mask = 0
     for driver in netlist.outputs.values():
         faulty = overlay.get(driver.name)
         if faulty is not None:
-            mask |= faulty ^ sim.value(driver.name)
-    return mask
+            mask |= faulty ^ values[driver.name]
+    return int_to_words(mask, sim.nwords)
 
 
 def fault_simulate(

@@ -30,11 +30,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from repro.atpg.podem import DEFAULT_BACKTRACK_LIMIT, justify
 from repro.equiv.miter import build_miter
 from repro.errors import AtpgAbort, NetlistError
+from repro.kernels.bits import first_pattern
 from repro.netlist.netlist import Netlist
 from repro.netlist.simulate import SimState, random_patterns
 
@@ -93,12 +92,10 @@ def _simulation_counterexample(
         diff = sim_left.value(left.outputs[po].name) ^ sim_right.value(
             right.outputs[po].name
         )
-        nz = np.nonzero(diff)[0]
-        if nz.size:
-            word = int(nz[0])
-            bit = (int(diff[word])).bit_length() - 1
+        if diff:
+            pattern = first_pattern(diff)
             return {
-                name: int((int(patterns[name][word]) >> bit) & 1)
+                name: (sim_left.value(name) >> pattern) & 1
                 for name in left.input_names
             }
     return None

@@ -34,6 +34,7 @@ import numpy as np
 
 from repro.equiv.checker import check_equivalent
 from repro.errors import NetlistError
+from repro.kernels.bits import first_pattern, words_to_int
 from repro.netlist.netlist import Netlist
 from repro.netlist.simulate import SimState, exhaustive_patterns, random_patterns
 from repro.power.estimate import PowerEstimator
@@ -81,26 +82,24 @@ def _shared_patterns(left: Netlist, right: Netlist, kind: str, seed: int,
     return random_patterns(names, num_patterns, seed)
 
 
-def _simulate_outputs(netlist: Netlist, patterns) -> dict[str, np.ndarray]:
+def _simulate_outputs(netlist: Netlist, patterns) -> dict[str, int]:
     sim = SimState(netlist, patterns)
     return {po: sim.value(driver.name) for po, driver in netlist.outputs.items()}
 
 
 def _first_difference(
-    left_outs: dict[str, np.ndarray],
-    right_outs: dict[str, np.ndarray],
+    left_outs: dict[str, int],
+    right_outs: dict[str, int],
     patterns,
     input_names: list[str],
 ) -> dict[str, int] | None:
     """Name-matched PO comparison; extracts a counterexample vector."""
     for po in sorted(left_outs):
         diff = left_outs[po] ^ right_outs[po]
-        nonzero = np.nonzero(diff)[0]
-        if nonzero.size:
-            word = int(nonzero[0])
-            bit = int(diff[word]).bit_length() - 1
+        if diff:
+            pattern = first_pattern(diff)
             return {
-                name: int((int(patterns[name][word]) >> bit) & 1)
+                name: (words_to_int(patterns[name]) >> pattern) & 1
                 for name in input_names
             }
     return None
@@ -272,7 +271,4 @@ def verify_counterexample(
     }
     left_outs = _simulate_outputs(left, patterns)
     right_outs = _simulate_outputs(right, patterns)
-    return any(
-        int(left_outs[po][0]) & 1 != int(right_outs[po][0]) & 1
-        for po in left_outs
-    )
+    return any(left_outs[po] & 1 != right_outs[po] & 1 for po in left_outs)

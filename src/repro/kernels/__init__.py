@@ -1,15 +1,18 @@
 """Packed hot-path kernels.
 
-Everything in this package operates on contiguous word buffers instead of
-per-gate dict walks:
+Everything in this package operates on packed pattern sets instead of
+one Python value per pattern:
 
 - :mod:`repro.kernels.words` — the simulation word size (one constant),
   pattern-count validation, and the popcount ladder
   (``numpy.bitwise_count`` → ``int.bit_count`` → 16-bit LUT),
+- :mod:`repro.kernels.bits` — one Python int per signal for the per-gate
+  paths: the int ↔ word conversions (fixed little-endian word order),
+  per-cell op codes and the int cell evaluator,
 - :mod:`repro.kernels.packed` — :class:`~repro.kernels.packed.PackedCircuit`,
   a topologically-ordered flat-array view of a netlist (gate op codes,
-  fanin indices, level-grouped evaluation schedule) with vectorized
-  full-simulation and forced-overlay propagation kernels.
+  fanin indices, level-grouped evaluation schedule) with the vectorized
+  full-simulation kernel and the cone-local overlay and flip-mask kernels.
 
 The packed view is cached per netlist and self-validates against the
 netlist's structural state, so callers never hold a stale view; see

@@ -2,16 +2,22 @@
 
 :class:`PackedCircuit` compiles a netlist into contiguous buffers —
 integer gate indices in topological order, per-gate op codes, fanin index
-matrices, and a level-grouped evaluation schedule — so the bit-parallel
-hot paths (full simulation, forced-overlay propagation, flip-mask
-observability) run as a handful of vectorized word operations per
-*level × op group* instead of one Python dict walk per gate.
+matrices, and a level-grouped evaluation schedule.  Two kinds of kernel
+run on it:
+
+- **batched** — :meth:`PackedCircuit.simulate` evaluates a whole
+  *level × op group* per vectorized word operation over a ``(num_gates,
+  nwords)`` ``uint64`` matrix;
+- **cone-local** — :meth:`PackedCircuit.propagate_overlay` and
+  :meth:`PackedCircuit.flip_mask` walk one signal's fanout cone gate by
+  gate on Python-int pattern sets (:mod:`repro.kernels.bits`), where one
+  int operation replaces a numpy call that costs more in dispatch than in
+  bit math.
 
 Evaluation is bit-identical to :func:`repro.netlist.simulate.evaluate_cell`
 by construction: the fast op codes are recognised from the cell's truth
 table (all pure bitwise identities) and every other cell evaluates the
-same compiled irredundant SOP cube list, just broadcast over all gates of
-the group at once.
+same compiled irredundant SOP cube list.
 
 Coherence
 ---------
@@ -22,65 +28,38 @@ moves, gate adds/removes, PO rebinds) invalidates.  Callers therefore
 always see a view consistent with the current structure without any
 explicit notification protocol.
 
-The value **matrix** is the caller's: kernels take a ``(num_gates,
-nwords)`` ``uint64`` array whose row *i* is the committed value word of
-gate ``order[i]`` and never mutate it (overlay kernels copy).
+The committed values are the caller's: the batched kernel returns a
+matrix whose row *i* is gate ``order[i]``; the cone-local kernels take
+``rows``, a sequence whose entry *i* is gate ``order[i]``'s pattern int,
+and never mutate it.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from typing import Optional
 
 import numpy as np
 
+from repro.kernels.bits import (
+    OP_AND2,
+    OP_BUF,
+    OP_CONST0,
+    OP_CONST1,
+    OP_CUBES,
+    OP_INV,
+    OP_NAND2,
+    OP_NOR2,
+    OP_OR2,
+    OP_XNOR2,
+    OP_XOR2,
+    cell_op,
+    eval_bits,
+)
 from repro.kernels.words import ALL_ONES, WORD_DTYPE
 from repro.netlist.netlist import Gate, Netlist
 from repro.netlist.traverse import topological_order
-
-# Op codes for the common cell functions (pure bitwise identities).
-OP_CONST0 = "const0"
-OP_CONST1 = "const1"
-OP_BUF = "buf"
-OP_INV = "inv"
-OP_AND2 = "and2"
-OP_OR2 = "or2"
-OP_XOR2 = "xor2"
-OP_NAND2 = "nand2"
-OP_NOR2 = "nor2"
-OP_XNOR2 = "xnor2"
-#: Fallback: evaluate the cell's compiled SOP cube list.
-OP_CUBES = "cubes"
-
-_TWO_INPUT_OPS = {
-    0b1000: OP_AND2,
-    0b1110: OP_OR2,
-    0b0110: OP_XOR2,
-    0b0111: OP_NAND2,
-    0b0001: OP_NOR2,
-    0b1001: OP_XNOR2,
-}
-
-
-def _classify(gate: Gate) -> tuple[str, tuple[tuple[int, int], ...]]:
-    """(op code, cube list) for one logic gate."""
-    from repro.netlist.simulate import _compiled_cubes
-
-    function = gate.cell.function
-    nvars = function.nvars
-    if nvars == 0:
-        return (OP_CONST1 if function.bits & 1 else OP_CONST0), ()
-    if nvars == 1:
-        if function.bits == 0b10:
-            return OP_BUF, ()
-        if function.bits == 0b01:
-            return OP_INV, ()
-    elif nvars == 2:
-        op = _TWO_INPUT_OPS.get(function.bits)
-        if op is not None:
-            return op, ()
-    return OP_CUBES, _compiled_cubes(gate.cell)
 
 
 class _OpGroup:
@@ -133,6 +112,7 @@ class PackedCircuit:
             sorted({self.index[g.name] for g in netlist.outputs.values()}),
             dtype=np.int32,
         )
+        self.po_set: frozenset[int] = frozenset(self.po_idx.tolist())
 
         #: Per-gate structure for the cone-local kernels: op code, fanin
         #: index tuple, SOP cubes (inputs get ``None`` ops), and fanout
@@ -150,7 +130,7 @@ class PackedCircuit:
                 self.fanout_lists[self.index[fanin.name]].append(i)
             if gate.is_input:
                 continue
-            op, cubes = _classify(gate)
+            op, cubes = cell_op(gate.cell)
             self.gate_op[i] = op
             self.gate_fanin_idx[i] = tuple(
                 self.index[f.name] for f in gate.fanins
@@ -191,16 +171,16 @@ class PackedCircuit:
     # Kernels
     # ------------------------------------------------------------------
     def _eval_group(
-        self, group: _OpGroup, values: "np.ndarray", rows: "np.ndarray"
+        self, group: _OpGroup, values: "np.ndarray"
     ) -> "np.ndarray":
-        """Evaluate ``rows`` (positions into ``group.out``) against ``values``."""
+        """Evaluate every gate of ``group`` against the ``values`` matrix."""
         op = group.op
         nwords = values.shape[1]
-        count = len(rows)
+        count = len(group.out)
         if op in (OP_CONST0, OP_CONST1):
             fill = ALL_ONES if op == OP_CONST1 else WORD_DTYPE(0)
             return np.full((count, nwords), fill, dtype=WORD_DTYPE)
-        fi = values[group.fanins[rows]]  # (count, nvars, nwords)
+        fi = values[group.fanins]  # (count, nvars, nwords)
         if op == OP_BUF:
             return fi[:, 0].copy()
         if op == OP_INV:
@@ -241,70 +221,22 @@ class PackedCircuit:
             values[i] = patterns[self.names[i]]
         for groups in self.schedule:
             for group in groups:
-                all_rows = np.arange(len(group.out))
-                values[group.out] = self._eval_group(group, values, all_rows)
+                values[group.out] = self._eval_group(group, values)
         return values
-
-    def _eval_gate(
-        self,
-        i: int,
-        overlay: Mapping[int, "np.ndarray"],
-        matrix: "np.ndarray",
-    ) -> "np.ndarray":
-        """Evaluate one gate against committed rows overridden by ``overlay``."""
-        op = self.gate_op[i]
-        fis = self.gate_fanin_idx[i]
-        get = overlay.get
-        if op is OP_CONST0:
-            return np.zeros(matrix.shape[1], dtype=WORD_DTYPE)
-        if op is OP_CONST1:
-            return np.full(matrix.shape[1], ALL_ONES, dtype=WORD_DTYPE)
-        a = get(fis[0], matrix[fis[0]]) if fis else None
-        if op is OP_BUF:
-            return a
-        if op is OP_INV:
-            return ~a
-        b = get(fis[1], matrix[fis[1]]) if len(fis) > 1 else None
-        if op is OP_AND2:
-            return a & b
-        if op is OP_OR2:
-            return a | b
-        if op is OP_XOR2:
-            return a ^ b
-        if op is OP_NAND2:
-            return ~(a & b)
-        if op is OP_NOR2:
-            return ~(a | b)
-        if op is OP_XNOR2:
-            return ~(a ^ b)
-        words = [get(f, matrix[f]) for f in fis]
-        nwords = matrix.shape[1]
-        result = np.zeros(nwords, dtype=WORD_DTYPE)
-        for care, cube_values in self.gate_cubes[i]:
-            term = np.full(nwords, ALL_ONES, dtype=WORD_DTYPE)
-            var = 0
-            care_left = care
-            while care_left:
-                if care_left & 1:
-                    word = words[var]
-                    term &= word if (cube_values >> var) & 1 else ~word
-                care_left >>= 1
-                var += 1
-            result |= term
-        return result
 
     def propagate_overlay(
         self,
-        matrix: "np.ndarray",
-        forced: Mapping[int, "np.ndarray"],
-    ) -> dict[int, "np.ndarray"]:
+        rows: Sequence[int],
+        forced: Mapping[int, int],
+        full: int,
+    ) -> dict[int, int]:
         """Propagate forced values through their transitive fanout.
 
-        ``matrix`` holds the committed value words (row per gate, never
-        mutated).  Returns ``index -> word`` for every forced gate plus
-        every downstream gate whose value differs under the overlay —
-        exactly the contract of ``SimState.propagate_forced``, keyed by
-        index instead of name.
+        ``rows`` holds the committed pattern ints (entry per gate, never
+        mutated) and ``full`` the all-patterns int.  Returns ``index ->
+        int`` for every forced gate plus every downstream gate whose value
+        differs under the overlay — exactly the contract of
+        ``SimState.propagate_forced``, keyed by index instead of name.
 
         The walk is cone-local and diff-driven: only gates with at least
         one overlaid fanin are evaluated, and a gate whose value matches
@@ -313,11 +245,16 @@ class PackedCircuit:
         """
         if not forced:
             return {}
-        overlay: dict[int, np.ndarray] = dict(forced)
+        overlay: dict[int, int] = dict(forced)
+        get = overlay.get
+        fanout_lists = self.fanout_lists
+        gate_op = self.gate_op
+        gate_cubes = self.gate_cubes
+        fanin_idx = self.gate_fanin_idx
         heap: list[int] = []
         queued: set[int] = set()
         for i in forced:
-            for sink in self.fanout_lists[i]:
+            for sink in fanout_lists[i]:
                 if sink not in queued:
                     queued.add(sink)
                     heapq.heappush(heap, sink)
@@ -325,36 +262,36 @@ class PackedCircuit:
             i = heapq.heappop(heap)
             if i in forced:
                 continue  # pinned: fanouts were seeded above
-            new = self._eval_gate(i, overlay, matrix)
-            if np.array_equal(new, matrix[i]):
+            new = eval_bits(
+                gate_op[i],
+                gate_cubes[i],
+                [get(f, rows[f]) for f in fanin_idx[i]],
+                full,
+            )
+            if new == rows[i]:
                 continue
             overlay[i] = new
-            for sink in self.fanout_lists[i]:
+            for sink in fanout_lists[i]:
                 if sink not in queued:
                     queued.add(sink)
                     heapq.heappush(heap, sink)
         return overlay
 
     def output_diff_mask(
-        self,
-        matrix: "np.ndarray",
-        overlay: Mapping[int, "np.ndarray"],
-        nwords: int,
-    ) -> "np.ndarray":
+        self, rows: Sequence[int], overlay: Mapping[int, int]
+    ) -> int:
         """OR over PO drivers of (overlay value XOR committed value)."""
-        mask = np.zeros(nwords, dtype=WORD_DTYPE)
-        for i in self.po_idx:
-            word = overlay.get(int(i))
-            if word is not None:
-                mask |= word ^ matrix[i]
+        mask = 0
+        po_set = self.po_set
+        for i, value in overlay.items():
+            if i in po_set:
+                mask |= value ^ rows[i]
         return mask
 
-    def flip_mask(
-        self, matrix: "np.ndarray", root: int, nwords: int
-    ) -> "np.ndarray":
+    def flip_mask(self, rows: Sequence[int], root: int, full: int) -> int:
         """Patterns on which flipping gate ``root`` flips some primary output."""
-        overlay = self.propagate_overlay(matrix, {root: ~matrix[root]})
-        return self.output_diff_mask(matrix, overlay, nwords)
+        overlay = self.propagate_overlay(rows, {root: full ^ rows[root]}, full)
+        return self.output_diff_mask(rows, overlay)
 
 
 def packed_view(netlist: Netlist) -> PackedCircuit:

@@ -13,7 +13,11 @@ set.  After every applied substitution it
 4. recomputes the batched observability masks and compares them against
    the persistent candidate workspace (``X004``),
 5. revalidates every cached OS3/IS3 pair-compatibility table against a
-   recomputation from its own stored inputs (``X005``).
+   recomputation from its own stored inputs (``X005``),
+6. compares the triage checker's followed simulation against a fresh
+   simulation of the checker's own patterns, and every simulation
+   state's cached rows and word matrix against its committed pattern ints
+   (``X006``).
 
 It is built over the optimizer's
 :class:`~repro.pipeline.OptimizationContext` and only *reads* the
@@ -38,7 +42,7 @@ from repro.errors import LintError
 from repro.lint.diagnostics import Diagnostic, LintReport, Severity
 from repro.lint.rules import Rule, lint_netlist, resolve_rules
 from repro.netlist.observability import ObservabilityMaps
-from repro.netlist.simulate import SimState
+from repro.netlist.simulate import SimState, random_patterns
 from repro.power.probability import SimulationProbability
 from repro.timing.analysis import TimingAnalysis
 
@@ -52,6 +56,7 @@ X_PROBABILITY = "X002"
 X_TIMING = "X003"
 X_OBSERVABILITY = "X004"
 X_PAIR_TABLE = "X005"
+X_FOLLOWED_SIM = "X006"
 
 
 class TransformSanitizer:
@@ -84,6 +89,7 @@ class TransformSanitizer:
             findings.extend(self._check_timing())
             findings.extend(self._check_observability())
             findings.extend(self._check_pair_tables())
+            findings.extend(self._check_followed_simulation())
         move = str(applied.substitution)
         report = LintReport(
             f"{self.ctx.netlist.name}: move #{move_index} {move}",
@@ -124,39 +130,9 @@ class TransformSanitizer:
         if not isinstance(engine, SimulationProbability):
             return []
         netlist = self.ctx.netlist
-        patterns = {
-            name: engine.sim.values[name] for name in netlist.input_names
-        }
+        patterns = {name: engine.sim.words(name) for name in netlist.input_names}
         fresh = SimState(netlist, patterns)
-        findings: list[Diagnostic] = []
-        for name in netlist.gates:
-            committed = engine.sim.values.get(name)
-            if committed is None:
-                findings.append(
-                    _finding(
-                        X_PROBABILITY,
-                        f"no committed simulation value for {name!r}",
-                        gate=name,
-                    )
-                )
-                continue
-            if not np.array_equal(committed, fresh.values[name]):
-                findings.append(
-                    _finding(
-                        X_PROBABILITY,
-                        f"committed value of {name!r} diverged from a "
-                        f"from-scratch resimulation",
-                        gate=name,
-                    )
-                )
-        for name in [n for n in engine.sim.values if n not in netlist.gates]:
-            findings.append(
-                _finding(
-                    X_PROBABILITY,
-                    f"simulation carries value for dead gate {name!r}",
-                    gate=name,
-                )
-            )
+        findings = _compare_simulations(X_PROBABILITY, engine.sim, fresh, "")
         # Probabilities: exact restatement of the committed sample.  Only
         # the plain engine derives them from `sim` alone; temporal
         # subclasses measure from pair simulations we don't rebuild here.
@@ -227,8 +203,7 @@ class TransformSanitizer:
         fresh = ObservabilityMaps(workspace.sim)
         findings: list[Diagnostic] = []
         for name, mask in fresh.stem.items():
-            incremental = workspace.maps.stem.get(name)
-            if incremental is None or not np.array_equal(incremental, mask):
+            if workspace.maps.stem.get(name) != mask:
                 findings.append(
                     _finding(
                         X_OBSERVABILITY,
@@ -283,6 +258,89 @@ class TransformSanitizer:
                     )
                 )
         return findings
+
+    def _check_followed_simulation(self) -> list[Diagnostic]:
+        findings: list[Diagnostic] = []
+        netlist = self.ctx.netlist
+        states: list[tuple[str, SimState]] = []
+        estimator = self.ctx.peek("estimator")
+        engine = estimator.engine if estimator is not None else None
+        if isinstance(engine, SimulationProbability):
+            states.append(("estimator simulation", engine.sim))
+            sim_next = getattr(engine, "sim_next", None)
+            if sim_next is not None:
+                states.append(("estimator cycle-t+1 simulation", sim_next))
+        triage = self.ctx.peek("triage")
+        if triage is not None and triage._sim is not None:
+            followed = triage.followed_state()
+            if followed is None:
+                # The optimizer reports every move before this check runs.
+                findings.append(
+                    _finding(
+                        X_FOLLOWED_SIM,
+                        "triage simulation was not told about the move",
+                    )
+                )
+            else:
+                states.append(("triage simulation", followed))
+                patterns = random_patterns(
+                    netlist.input_names, triage.num_patterns, triage.seed
+                )
+                findings.extend(
+                    _compare_simulations(
+                        X_FOLLOWED_SIM,
+                        followed,
+                        SimState(netlist, patterns),
+                        "triage ",
+                    )
+                )
+        for label, sim in states:
+            for name in sim.stale_derived():
+                findings.append(
+                    _finding(
+                        X_FOLLOWED_SIM,
+                        f"{label}: cached rows or words of {name!r} differ "
+                        f"from its committed pattern int",
+                        gate=name,
+                    )
+                )
+        return findings
+
+
+def _compare_simulations(
+    rule_id: str, sim: SimState, fresh: SimState, label: str
+) -> list[Diagnostic]:
+    """Findings where ``sim``'s committed values differ from ``fresh``."""
+    netlist = fresh.netlist
+    findings: list[Diagnostic] = []
+    for name in netlist.gates:
+        committed = sim.values.get(name)
+        if committed is None:
+            findings.append(
+                _finding(
+                    rule_id,
+                    f"no committed {label}simulation value for {name!r}",
+                    gate=name,
+                )
+            )
+        elif committed != fresh.values[name]:
+            findings.append(
+                _finding(
+                    rule_id,
+                    f"committed {label}value of {name!r} diverged from a "
+                    f"from-scratch resimulation",
+                    gate=name,
+                )
+            )
+    for name in [n for n in sim.values if n not in netlist.gates]:
+        findings.append(
+            _finding(
+                rule_id,
+                f"{label}simulation carries value for dead gate {name!r}",
+                gate=name,
+            )
+        )
+    return findings
 
 
 def _finding(

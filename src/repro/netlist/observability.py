@@ -26,24 +26,26 @@ fanout gate whose fanin words are untouched.  Branch masks come for free:
 which matches ``SimState.branch_observability`` bit for bit (including its
 early-return-zeros case, where ``bd`` is identically zero).
 
+Masks, boolean differences and the committed values they read are
+Python-int pattern sets (:mod:`repro.kernels.bits`), so each recurrence
+step is one or two int operations.
+
 Masks stay valid across netlist edits through
 :meth:`ObservabilityMaps.update_after_edit`: a mask can only change if the
 edit touched the stem's transitive fanout, so the recompute set is the
 dirty gates, their direct sinks (whose boolean differences depend on the
 dirtied fanin words), and the transitive fanin of both.  Everything else
-keeps its existing array object, which lets callers invalidate downstream
-caches by identity.
+keeps its existing mask.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 
-import numpy as np
-
 from repro.errors import NetlistError
+from repro.kernels.bits import evaluate_cell_bits
 from repro.netlist.netlist import Gate
-from repro.netlist.simulate import _ALL_ONES, SimState, evaluate_cell
+from repro.netlist.simulate import SimState
 from repro.netlist.traverse import (
     topological_order,
     transitive_fanin,
@@ -57,15 +59,15 @@ class ObservabilityMaps:
         self.sim = sim
         self.netlist = sim.netlist
         #: name -> mask of patterns where flipping the stem flips some PO.
-        self.stem: dict[str, np.ndarray] = {}
+        self.stem: dict[str, int] = {}
         # Boolean differences, keyed (sink name, pin).
-        self._bd: dict[tuple[str, int], np.ndarray] = {}
+        self._bd: dict[tuple[str, int], int] = {}
         self.recompute()
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def branch(self, sink: Gate, pin: int) -> np.ndarray:
+    def branch(self, sink: Gate, pin: int) -> int:
         """Mask of patterns where flipping one input branch flips some PO."""
         if sink.is_input:
             raise NetlistError("primary inputs have no input branches")
@@ -90,7 +92,7 @@ class ObservabilityMaps:
         ``dirty`` must contain every live gate whose committed value, fanin
         list, fanout list, or primary-output binding changed (newly added
         gates included).  Removed gates are detected by absence from the
-        netlist.  Unchanged masks keep their existing array objects.
+        netlist.
         """
         live = self.netlist.gates
         for name in [n for n in self.stem if n not in live]:
@@ -122,9 +124,8 @@ class ObservabilityMaps:
             if id(gate) not in recompute_ids:
                 continue
             new = self._stem_mask(gate)
-            old = self.stem.get(gate.name)
-            if old is not None and np.array_equal(new, old):
-                continue  # keep the old array object
+            if self.stem.get(gate.name) == new:
+                continue
             self.stem[gate.name] = new
             changed.add(gate.name)
         return changed
@@ -132,42 +133,40 @@ class ObservabilityMaps:
     # ------------------------------------------------------------------
     # Mask computation
     # ------------------------------------------------------------------
-    def _stem_mask(self, gate: Gate) -> np.ndarray:
+    def _stem_mask(self, gate: Gate) -> int:
         if gate.po_names:
-            return np.full(self.sim.nwords, _ALL_ONES, dtype=np.uint64)
+            return self.sim.full
         branches = gate.fanouts
         if not branches:
-            return np.zeros(self.sim.nwords, dtype=np.uint64)
+            return 0
         if len(branches) == 1:
             sink, pin = branches[0]
             return self._bd_mask(sink, pin) & self.stem[sink.name]
         return self._flip_mask(gate)
 
-    def _bd_mask(self, sink: Gate, pin: int) -> np.ndarray:
+    def _bd_mask(self, sink: Gate, pin: int) -> int:
         key = (sink.name, pin)
         cached = self._bd.get(key)
         if cached is None:
             values = self.sim.values
-            fanin_words = [
-                ~values[f.name] if i == pin else values[f.name]
+            full = self.sim.full
+            ins = [
+                full ^ values[f.name] if i == pin else values[f.name]
                 for i, f in enumerate(sink.fanins)
             ]
-            flipped = evaluate_cell(sink.cell, fanin_words, self.sim.nwords)
-            cached = flipped ^ values[sink.name]
+            cached = evaluate_cell_bits(sink.cell, ins, full) ^ values[sink.name]
             self._bd[key] = cached
         return cached
 
-    def _flip_mask(self, gate: Gate) -> np.ndarray:
+    def _flip_mask(self, gate: Gate) -> int:
         """Exact flip propagation for reconvergent multi-fanout stems.
 
-        Same semantics as ``SimState.stem_observability``: runs on the
-        packed level-grouped kernels, which skip every fanout gate none of
-        whose fanin words were touched by the flip so far.
+        Same semantics as ``SimState.stem_observability``: the packed
+        cone-local walk, which skips every fanout gate none of whose fanin
+        values were touched by the flip so far.
         """
         from repro.kernels.packed import packed_view
 
         sim = self.sim
         packed = packed_view(self.netlist)
-        return packed.flip_mask(
-            sim.matrix(), packed.index[gate.name], sim.nwords
-        )
+        return packed.flip_mask(sim.rows(), packed.index[gate.name], sim.full)

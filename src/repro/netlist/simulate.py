@@ -1,21 +1,24 @@
 """Bit-parallel logic simulation.
 
-Signal values are numpy ``uint64`` arrays: bit *b* of word *w* is the value
-under pattern ``64*w + b``.  A :class:`SimState` binds a netlist to a pattern
-set and keeps one value array per stem, supporting:
+A :class:`SimState` binds a netlist to a pattern set and keeps every
+stem's simulated patterns as one Python int (:mod:`repro.kernels.bits`):
+bit ``64*w + b`` is the value under pattern ``64*w + b``, which is bit
+*b* of word *w* of the ``uint64`` word array the pattern generators and
+the batched kernels use.  It supports:
 
-- full evaluation in topological order,
+- full evaluation in topological order, on the packed level-grouped
+  numpy kernel (:meth:`~repro.kernels.packed.PackedCircuit.simulate`),
 - incremental re-simulation of the transitive fanout of edited gates
   (what makes the optimizer's ``PG_C`` re-estimation cheap),
 - forced-value propagation without touching the committed state, used to
   compute observability masks for stems and branches.
 
-Gate evaluation goes through a per-cell compiled cube list (an irredundant
-SOP of the cell function), so any library cell simulates in a handful of
-vector ops.  Full re-simulation and forced-value propagation run on the
-packed flat-array kernels (:mod:`repro.kernels.packed`) — one vectorized
-operation per level × op group instead of a dict walk per gate — and are
-bit-identical to the per-gate evaluation they replace.
+The per-gate paths (re-simulation, forced propagation, observability)
+evaluate one gate at a time on the ints, through the same per-cell op
+codes and compiled cube lists as the packed kernels.  Batched consumers
+read the derived ``(num_gates, nwords)`` word matrix, :meth:`matrix`.
+:func:`evaluate_cell` is the numpy per-cell reference every kernel is
+tested against.
 """
 
 from __future__ import annotations
@@ -26,17 +29,21 @@ from typing import Optional
 import numpy as np
 
 from repro.errors import NetlistError
-from repro.kernels.words import (
-    WORD_BITS,
-    popcount,
-    validate_num_patterns,
+from repro.kernels.bits import (
+    compiled_cubes,
+    evaluate_cell_bits,
+    full_mask,
+    int_to_words,
+    ints_to_matrix,
+    matrix_to_ints,
+    words_to_int,
 )
+from repro.kernels.words import WORD_BITS, validate_num_patterns
+from repro.kernels.words import popcount  # noqa: F401  (re-exported)
 from repro.library.cell import Cell
-from repro.logic.sop import Cover
 from repro.netlist.netlist import Gate, Netlist
 from repro.netlist.traverse import (
     topological_index,
-    topological_order,
     transitive_fanout,
 )
 
@@ -45,32 +52,20 @@ DEFAULT_NUM_PATTERNS = 16384
 
 _ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 
-# Compiled cube lists, keyed by (nvars, truth-table bits).
-_CELL_CUBES: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
-
-
-def _compiled_cubes(cell: Cell) -> tuple[tuple[int, int], ...]:
-    """(care, values) literal masks of an irredundant SOP of the cell."""
-    key = (cell.function.nvars, cell.function.bits)
-    cached = _CELL_CUBES.get(key)
-    if cached is None:
-        cover = Cover.from_truthtable(cell.function)
-        while cover.merge_distance_one():
-            pass
-        cover.remove_contained()
-        cached = tuple((cube.care, cube.values) for cube in cover.cubes)
-        _CELL_CUBES[key] = cached
-    return cached
-
 
 def evaluate_cell(cell: Cell, fanin_words: Sequence[np.ndarray], nwords: int) -> np.ndarray:
-    """Vector-evaluate one cell on its fanin value words."""
+    """Vector-evaluate one cell on its fanin value words.
+
+    The numpy reference of cell evaluation: the int kernels
+    (:func:`~repro.kernels.bits.evaluate_cell_bits`) and the batched
+    matrix kernel are tested bit for bit against it.
+    """
     if cell.num_inputs != len(fanin_words):
         raise NetlistError(
             f"cell {cell.name!r}: expected {cell.num_inputs} fanin words"
         )
     result = np.zeros(nwords, dtype=np.uint64)
-    for care, values in _compiled_cubes(cell):
+    for care, values in compiled_cubes(cell):
         term = np.full(nwords, _ALL_ONES, dtype=np.uint64)
         var = 0
         care_left = care
@@ -129,7 +124,12 @@ def exhaustive_patterns(input_names: Sequence[str]) -> dict[str, np.ndarray]:
 
 
 class SimState:
-    """Committed simulation values for one netlist and pattern set."""
+    """Committed simulation values for one netlist and pattern set.
+
+    ``values`` maps every live stem to its pattern int.  ``patterns``
+    holds one ``uint64`` word array per primary input (what
+    :func:`random_patterns` and :func:`exhaustive_patterns` return).
+    """
 
     def __init__(self, netlist: Netlist, patterns: Mapping[str, np.ndarray]):
         self.netlist = netlist
@@ -139,15 +139,19 @@ class SimState:
         first = patterns[netlist.input_names[0]] if netlist.input_names else None
         self.nwords = len(first) if first is not None else 1
         self.num_patterns = self.nwords * WORD_BITS
-        self.values: dict[str, np.ndarray] = {}
+        #: Every pattern set: complement a value ``v`` as ``full ^ v``.
+        self.full = full_mask(self.nwords)
+        self.values: dict[str, int] = {}
         for name in netlist.input_names:
-            word = np.asarray(patterns[name], dtype=np.uint64)
-            if len(word) != self.nwords:
+            if len(patterns[name]) != self.nwords:
                 raise NetlistError("inconsistent pattern word counts")
-            self.values[name] = word
-        #: Committed values as one packed (num_gates, nwords) matrix, row
-        #: order matching the packed view it was built against.  Lazy:
-        #: ``None`` whenever values changed since the last build.
+            self.values[name] = words_to_int(patterns[name])
+        #: Committed values in packed-view order: a list of ints for the
+        #: cone-local kernels and a ``(num_gates, nwords)`` word matrix for
+        #: the batched ones.  Both are derived, tagged with the packed view
+        #: they follow, and dropped whenever values change.
+        self._rows: Optional[list[int]] = None
+        self._rows_packed = None
         self._matrix: Optional[np.ndarray] = None
         self._matrix_packed = None
         self.resimulate_all()
@@ -155,43 +159,82 @@ class SimState:
     # ------------------------------------------------------------------
     # Evaluation
     # ------------------------------------------------------------------
-    def _eval(self, gate: Gate, values: Mapping[str, np.ndarray]) -> np.ndarray:
-        fanin_words = [values[f.name] for f in gate.fanins]
-        return evaluate_cell(gate.cell, fanin_words, self.nwords)
+    def _eval(self, gate: Gate, values: Mapping[str, int]) -> int:
+        return evaluate_cell_bits(
+            gate.cell, [values[f.name] for f in gate.fanins], self.full
+        )
 
-    def matrix(self) -> np.ndarray:
-        """Committed values as the packed view's ``(num_gates, nwords)`` matrix.
+    def rows(self) -> list[int]:
+        """Committed values as ints in the packed view's gate order.
 
-        Row *i* is the value word of ``packed_view(netlist).order[i]``.
+        Entry *i* is the value of ``packed_view(netlist).order[i]``.
         Rebuilt lazily after any value change or structural edit; the
-        returned array is never mutated in place (kernels copy), so rows
-        may be aliased by ``values`` entries safely.
+        cone-local kernels read it and never mutate it.
         """
         from repro.kernels.packed import packed_view
 
         packed = packed_view(self.netlist)
-        if self._matrix is not None and self._matrix_packed is packed:
-            return self._matrix
-        self._matrix = np.stack([self.values[name] for name in packed.names])
-        self._matrix_packed = packed
+        if self._rows is None or self._rows_packed is not packed:
+            values = self.values
+            self._rows = [values[name] for name in packed.names]
+            self._rows_packed = packed
+        return self._rows
+
+    def matrix(self) -> np.ndarray:
+        """Committed values as the packed view's ``(num_gates, nwords)`` matrix.
+
+        Row *i* holds the words of ``packed_view(netlist).order[i]``, the
+        same bits as ``rows()[i]``.  Rebuilt lazily after any value change
+        or structural edit; never mutated in place, so callers may keep
+        row views.
+        """
+        from repro.kernels.packed import packed_view
+
+        packed = packed_view(self.netlist)
+        if self._matrix is None or self._matrix_packed is not packed:
+            self._matrix = ints_to_matrix(self.rows(), self.nwords)
+            self._matrix_packed = packed
         return self._matrix
+
+    def stale_derived(self) -> list[str]:
+        """Stems whose cached rows or matrix disagree with ``values``.
+
+        Only caches built for the current packed view are compared (an
+        older one is never read again).  Empty on a coherent state.
+        """
+        from repro.kernels.packed import packed_view
+
+        packed = packed_view(self.netlist)
+        stale: dict[str, None] = {}
+        values = self.values
+        if self._rows is not None and self._rows_packed is packed:
+            for name, value in zip(packed.names, self._rows):
+                if values.get(name) != value:
+                    stale[name] = None
+        if self._matrix is not None and self._matrix_packed is packed:
+            for name, value in zip(packed.names, matrix_to_ints(self._matrix)):
+                if values.get(name) != value:
+                    stale[name] = None
+        return list(stale)
 
     def resimulate_all(self) -> None:
         """Full forward evaluation on the packed level-grouped kernels."""
         from repro.kernels.packed import packed_view
 
         packed = packed_view(self.netlist)
-        matrix = packed.simulate(self.values, self.nwords)
-        # Rebind every stem to its matrix row: dead gates drop out, rows
-        # are views (the matrix is immutable once built).
-        self.values = {
-            name: matrix[i] for i, name in enumerate(packed.names)
+        inputs = {
+            name: int_to_words(self.values[name], self.nwords)
+            for name in self.netlist.input_names
         }
-        self._matrix = matrix
-        self._matrix_packed = packed
+        matrix = packed.simulate(inputs, self.nwords)
+        # Every live stem takes its row's int: dead gates drop out.
+        rows = matrix_to_ints(matrix)
+        self.values = dict(zip(packed.names, rows))
+        self._rows, self._rows_packed = rows, packed
+        self._matrix, self._matrix_packed = matrix, packed
 
     def _drop_stale(self) -> None:
-        live = set(self.netlist.gates)
+        live = self.netlist.gates
         for name in [n for n in self.values if n not in live]:
             del self.values[name]
 
@@ -213,43 +256,47 @@ class SimState:
             pending.append(gate)
         index = topological_index(self.netlist)
         pending.sort(key=lambda g: index[id(g)])
+        values = self.values
         for gate in pending:
-            new = self._eval(gate, self.values)
-            old = self.values.get(gate.name)
-            if old is None or not np.array_equal(new, old):
-                self.values[gate.name] = new
+            new = self._eval(gate, values)
+            if values.get(gate.name) != new:
+                values[gate.name] = new
                 changed.append(gate)
         self._drop_stale()
+        self._rows = None
         self._matrix = None
         return changed
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def value(self, name: str) -> np.ndarray:
+    def value(self, name: str) -> int:
+        """The committed pattern int of stem ``name``."""
         try:
             return self.values[name]
         except KeyError:
             raise NetlistError(f"no simulated value for {name!r}") from None
 
+    def words(self, name: str) -> np.ndarray:
+        """The committed value of stem ``name`` as a ``uint64`` word array."""
+        return int_to_words(self.value(name), self.nwords)
+
     def ones_count(self, name: str) -> int:
-        return int(popcount(self.value(name)))
+        return self.value(name).bit_count()
 
     def signal_probability(self, name: str) -> float:
         return self.ones_count(name) / self.num_patterns
 
     def output_words(self) -> dict[str, np.ndarray]:
         return {
-            po: self.value(driver.name)
+            po: self.words(driver.name)
             for po, driver in self.netlist.outputs.items()
         }
 
     # ------------------------------------------------------------------
     # Forced-value propagation (no committed-state mutation)
     # ------------------------------------------------------------------
-    def propagate_forced(
-        self, forced: Mapping[str, np.ndarray]
-    ) -> dict[str, np.ndarray]:
+    def propagate_forced(self, forced: Mapping[str, int]) -> dict[str, int]:
         """Propagate overridden stem values through their TFO.
 
         Returns a name -> value mapping holding the *overlay*: forced stems,
@@ -259,37 +306,35 @@ class SimState:
         from repro.kernels.packed import packed_view
 
         packed = packed_view(self.netlist)
-        forced_idx = {
-            packed.index[name]: np.asarray(word, dtype=np.uint64)
-            for name, word in forced.items()
-        }
-        overlay = packed.propagate_overlay(self.matrix(), forced_idx)
-        return {packed.names[i]: word for i, word in overlay.items()}
+        forced_idx = {packed.index[name]: value for name, value in forced.items()}
+        overlay = packed.propagate_overlay(self.rows(), forced_idx, self.full)
+        return {packed.names[i]: value for i, value in overlay.items()}
 
-    def stem_observability(self, gate: Gate) -> np.ndarray:
+    def stem_observability(self, gate: Gate) -> int:
         """Patterns on which flipping the stem flips some primary output."""
         from repro.kernels.packed import packed_view
 
         packed = packed_view(self.netlist)
-        return packed.flip_mask(
-            self.matrix(), packed.index[gate.name], self.nwords
-        )
+        return packed.flip_mask(self.rows(), packed.index[gate.name], self.full)
 
-    def branch_observability(self, sink: Gate, pin: int) -> np.ndarray:
+    def branch_observability(self, sink: Gate, pin: int) -> int:
         """Patterns on which flipping one input branch flips some output."""
         if sink.is_input:
             raise NetlistError("primary inputs have no input branches")
-        fanin_words = [
-            ~self.values[f.name] if i == pin else self.values[f.name]
+        values = self.values
+        full = self.full
+        ins = [
+            full ^ values[f.name] if i == pin else values[f.name]
             for i, f in enumerate(sink.fanins)
         ]
-        flipped_sink = evaluate_cell(sink.cell, fanin_words, self.nwords)
-        if np.array_equal(flipped_sink, self.values[sink.name]):
-            return np.zeros(self.nwords, dtype=np.uint64)
+        flipped_sink = evaluate_cell_bits(sink.cell, ins, full)
+        if flipped_sink == values[sink.name]:
+            return 0
         from repro.kernels.packed import packed_view
 
         packed = packed_view(self.netlist)
+        rows = self.rows()
         overlay = packed.propagate_overlay(
-            self.matrix(), {packed.index[sink.name]: flipped_sink}
+            rows, {packed.index[sink.name]: flipped_sink}, full
         )
-        return packed.output_diff_mask(self.matrix(), overlay, self.nwords)
+        return packed.output_diff_mask(rows, overlay)

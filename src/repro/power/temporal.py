@@ -31,7 +31,6 @@ import numpy as np
 
 from repro.errors import NetlistError
 from repro.netlist.netlist import Netlist
-from repro.kernels.words import popcount
 from repro.netlist.simulate import (
     DEFAULT_NUM_PATTERNS,
     SimState,
@@ -129,8 +128,9 @@ class TemporalSimulationProbability(SimulationProbability):
 
     def _measure(self, names: Iterable[str]) -> None:
         total = self.sim.num_patterns
+        values, values_next = self.sim.values, self.sim_next.values
         for name in names:
-            toggles = popcount(self.sim.value(name) ^ self.sim_next.value(name))
+            toggles = (values[name] ^ values_next[name]).bit_count()
             self._acts[name] = toggles / total
 
     def refresh(self) -> None:

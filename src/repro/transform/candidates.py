@@ -41,6 +41,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.errors import TransformError
+from repro.kernels.bits import int_to_words
 from repro.kernels.words import popcount, popcount_lastaxis
 from repro.netlist.netlist import Gate, Netlist
 from repro.netlist.observability import ObservabilityMaps
@@ -209,15 +210,11 @@ class CandidateWorkspace:
         self._flush_pending()
         self.stems = list(topological_order(self.netlist))
         self.index = {g.name: i for i, g in enumerate(self.stems)}
-        self.matrix = np.stack(
-            [self.sim.value(g.name) for g in self.stems]
-        )  # (num stems, nwords)
+        # The simulation's derived word matrix: its rows follow the packed
+        # view, whose order is this same topological order.
+        self.matrix = self.sim.matrix()  # (num stems, nwords)
         sim_next = getattr(self.engine, "sim_next", None)
-        self.matrix_next = (
-            np.stack([sim_next.value(g.name) for g in self.stems])
-            if sim_next is not None
-            else None
-        )
+        self.matrix_next = sim_next.matrix() if sim_next is not None else None
         self.reach = self._reachability()
         # Stable activity order over all stems: restricting it to any
         # source subset gives the same list as sorting that subset, so the
@@ -238,6 +235,21 @@ class CandidateWorkspace:
             for sink, _pin in self.stems[i].fanouts:
                 row |= reach[self.index[sink.name]]
         return reach
+
+    def word_row(self, gate: Gate) -> np.ndarray:
+        """The round's committed words of ``gate`` (a matrix row view)."""
+        return self.matrix[self.index[gate.name]]
+
+    def obs_words(
+        self, target: Gate, branch: Optional[tuple[Gate, int]] = None
+    ) -> np.ndarray:
+        """Observability words of a stem, or of its ``(sink, pin)`` branch."""
+        mask = (
+            self.maps.stem[target.name]
+            if branch is None
+            else self.maps.branch(*branch)
+        )
+        return int_to_words(mask, self.sim.nwords)
 
     def legal_sources(self, avoid: Gate, target: Gate) -> np.ndarray:
         """Stem mask of usable sources: outside TFO(avoid), not target."""
@@ -343,8 +355,8 @@ class CandidateWorkspace:
                     self._ranked_sources(
                         self.legal_sources(target, target), limit
                     ),
-                    self.sim.value(target.name),
-                    self.maps.stem[target.name],
+                    self.word_row(target),
+                    self.obs_words(target),
                 ))
         if options.enable_is3:
             for target in self.stems:
@@ -356,8 +368,8 @@ class CandidateWorkspace:
                         self._ranked_sources(
                             self.legal_sources(sink, target), limit
                         ),
-                        self.sim.value(target.name),
-                        self.maps.branch(sink, pin),
+                        self.word_row(target),
+                        self.obs_words(target, (sink, pin)),
                     ))
         cell_sig = tuple(c.name for c in cells)
         by_k: dict[int, list[tuple]] = {}
@@ -618,8 +630,8 @@ def _stem_candidates(
     """OS2/OS3 candidates for one stem."""
     estimator = workspace.estimator
     netlist = workspace.netlist
-    obs = workspace.maps.stem[target.name]
-    va = workspace.sim.value(target.name)
+    obs = workspace.obs_words(target)
+    va = workspace.word_row(target)
     source_mask = workspace.legal_sources(target, target)
     direct, inverted = workspace.compatible_rows(va, obs)
 
@@ -663,8 +675,8 @@ def _branch_candidates(
 ) -> list[Candidate]:
     """IS2/IS3 candidates for one branch of ``target``."""
     estimator = workspace.estimator
-    obs = workspace.maps.branch(sink, pin)
-    va = workspace.sim.value(target.name)
+    obs = workspace.obs_words(target, (sink, pin))
+    va = workspace.word_row(target)
     source_mask = workspace.legal_sources(sink, target)
     direct, inverted = workspace.compatible_rows(va, obs)
     branch = (sink.name, pin)

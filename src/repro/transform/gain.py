@@ -15,18 +15,21 @@ The gain of a move decomposes into:
 the TFO region, without touching the committed simulation state.  When the
 estimator's probability engine is the bit-parallel simulator, ``full_gain``
 predicts the post-move estimator total *exactly* (same pattern sample).
+The overlay runs on Python-int pattern sets, and ``PG_C`` sums its terms
+in packed (topological) index order, so the float total does not depend
+on the process's string-hash seed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import Optional
 
 from repro.errors import TransformError
+from repro.kernels.bits import evaluate_cell_bits
+from repro.kernels.packed import PackedCircuit, packed_view
 from repro.netlist.netlist import Gate, Netlist
-from repro.kernels.words import popcount
-from repro.netlist.simulate import SimState, evaluate_cell
+from repro.netlist.simulate import SimState
 from repro.netlist.traverse import region_inputs
 from repro.power.estimate import PowerEstimator, transition_probability
 from repro.power.probability import SimulationProbability
@@ -174,26 +177,23 @@ def region_power(estimator: PowerEstimator, region: list[Gate]) -> float:
     return total
 
 
-def _new_signal_word(
+def _new_signal_bits(
     sim: SimState, netlist: Netlist, substitution: Substitution
-) -> np.ndarray:
-    """Value word of the substituting signal (after inversions / new gate)."""
+) -> int:
+    """Pattern int of the substituting signal (after inversions / new gate)."""
+    full = sim.full
     if substitution.is_constant:
-        if substitution.constant:
-            return np.full(
-                sim.nwords, np.uint64(0xFFFFFFFFFFFFFFFF), dtype=np.uint64
-            )
-        return np.zeros(sim.nwords, dtype=np.uint64)
-    word1 = sim.value(substitution.source1)
+        return full if substitution.constant else 0
+    bits1 = sim.value(substitution.source1)
     if substitution.invert1:
-        word1 = ~word1
+        bits1 ^= full
     if substitution.kind in (OS2, IS2):
-        return word1
-    word2 = sim.value(substitution.source2)
+        return bits1
+    bits2 = sim.value(substitution.source2)
     if substitution.invert2:
-        word2 = ~word2
+        bits2 ^= full
     cell = netlist.library[substitution.new_cell]
-    return evaluate_cell(cell, [word1, word2], sim.nwords)
+    return evaluate_cell_bits(cell, [bits1, bits2], full)
 
 
 def _source_activity(
@@ -212,12 +212,12 @@ def _new_signal_activity(
     sim_next = getattr(engine, "sim_next", None)
     if isinstance(engine, SimulationProbability) and sim_next is not None:
         # Temporal pair engine: measure the new signal's toggles directly.
-        word_t = _new_signal_word(engine.sim, netlist, substitution)
-        word_t1 = _new_signal_word(sim_next, netlist, substitution)
-        return popcount(word_t ^ word_t1) / engine.sim.num_patterns
+        bits_t = _new_signal_bits(engine.sim, netlist, substitution)
+        bits_t1 = _new_signal_bits(sim_next, netlist, substitution)
+        return (bits_t ^ bits_t1).bit_count() / engine.sim.num_patterns
     if isinstance(engine, SimulationProbability):
-        word = _new_signal_word(engine.sim, netlist, substitution)
-        p = popcount(word) / engine.sim.num_patterns
+        bits = _new_signal_bits(engine.sim, netlist, substitution)
+        p = bits.bit_count() / engine.sim.num_patterns
     else:
         cell = netlist.library[substitution.new_cell]
         p1 = estimator.probability(netlist.gate(substitution.source1))
@@ -306,24 +306,30 @@ def quick_gain(
 # PG_C (TFO re-estimation, eq. 5)
 # ----------------------------------------------------------------------
 def _overlay_for(
-    sim: SimState, netlist: Netlist, substitution: Substitution
-) -> tuple[dict, set]:
-    """(forced-value overlay over TFO, names to skip in the PG_C sum)."""
-    new_word = _new_signal_word(sim, netlist, substitution)
-    target = netlist.gate(substitution.target)
+    sim: SimState,
+    packed: PackedCircuit,
+    netlist: Netlist,
+    substitution: Substitution,
+) -> tuple[dict[int, int], Optional[int]]:
+    """(forced-value overlay over the TFO, index to skip in the PG_C sum)."""
+    new_bits = _new_signal_bits(sim, netlist, substitution)
+    skip: Optional[int] = None
     if substitution.is_output_substitution():
-        forced = {target.name: new_word}
-        skip = {target.name}
+        root = packed.index[substitution.target]
+        forced = {root: new_bits}
+        skip = root
     else:
         sink_name, pin = substitution.branch
         sink = netlist.gate(sink_name)
-        fanin_words = [
-            new_word if i == pin else sim.value(f.name)
+        values = sim.values
+        ins = [
+            new_bits if i == pin else values[f.name]
             for i, f in enumerate(sink.fanins)
         ]
-        forced = {sink.name: evaluate_cell(sink.cell, fanin_words, sim.nwords)}
-        skip = set()
-    return sim.propagate_forced(forced), skip
+        forced = {
+            packed.index[sink_name]: evaluate_cell_bits(sink.cell, ins, sim.full)
+        }
+    return packed.propagate_overlay(sim.rows(), forced, sim.full), skip
 
 
 def _pg_c(
@@ -336,26 +342,30 @@ def _pg_c(
         return 0.0  # other engines re-estimate only after application
     sim = engine.sim
     netlist = estimator.netlist
-    overlay, skip = _overlay_for(sim, netlist, substitution)
+    packed = packed_view(netlist)
+    overlay, skip = _overlay_for(sim, packed, netlist, substitution)
     sim_next = getattr(engine, "sim_next", None)
-    overlay_next: dict = {}
+    overlay_next: dict[int, int] = {}
     if sim_next is not None:
-        overlay_next, _ = _overlay_for(sim_next, netlist, substitution)
-    dying = {g.name for g in region}
+        overlay_next, _ = _overlay_for(sim_next, packed, netlist, substitution)
+        rows_next = sim_next.rows()
+    rows = sim.rows()
+    dying = {packed.index[g.name] for g in region}
     gain = 0.0
     total = sim.num_patterns
-    for name in set(overlay) | set(overlay_next):
-        if name in skip or name in dying:
+    # Packed index order is topological, so the float sum is the same in
+    # every process (a name-keyed set would follow the string-hash seed).
+    for i in sorted(overlay.keys() | overlay_next.keys()):
+        if i == skip or i in dying:
             continue
-        gate = netlist.gate(name)
+        gate = packed.order[i]
         e_before = estimator.activity(gate)
         if sim_next is not None:
-            word_t = overlay.get(name, sim.value(name))
-            word_t1 = overlay_next.get(name, sim_next.value(name))
-            e_after = popcount(word_t ^ word_t1) / total
+            toggles = overlay.get(i, rows[i]) ^ overlay_next.get(i, rows_next[i])
+            e_after = toggles.bit_count() / total
         else:
-            word = overlay.get(name, sim.value(name))
-            e_after = transition_probability(popcount(word) / total)
+            ones = overlay.get(i, rows[i]).bit_count()
+            e_after = transition_probability(ones / total)
         gain += estimator.load(gate) * (e_before - e_after)
     return gain
 

@@ -536,6 +536,7 @@ class PowerOptimizer:
         self._gains.clear()
         power_before = self.estimator.total()
         area_before = self.netlist.total_area()
+        version = self.netlist.structural_version
         applied = apply_substitution(self.netlist, candidate.substitution)
         # power_estimate_update: refresh probabilities in the TFO region.
         roots = [
@@ -544,6 +545,10 @@ class PowerOptimizer:
             if name in self.netlist.gates
         ]
         changed = self.estimator.update_after_edit(roots)
+        triage = self.triage_checker
+        if triage is not None:
+            # The triage simulation follows the move from the same roots.
+            triage.update_after_edit(roots, version)
         dirty = dict.fromkeys(applied.dirty_gate_names(self.netlist))
         for name in changed:
             if name in self.netlist.gates:

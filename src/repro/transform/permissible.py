@@ -13,10 +13,13 @@ the substituted signal (§3.2).  The reference check,
 :class:`TriageChecker` is the front-end the optimizer uses.  It decides
 the same question without ever copying the netlist:
 
-1. **Simulation triage** — the substituting signal's value word is forced
-   over a cached fresh-pattern simulation of the *current* netlist and
-   propagated through the fanout cone; any differing primary-output word
-   yields an immediate counterexample (stage ``"sim"``),
+1. **Simulation triage** — the substituting signal's patterns are forced
+   over the checker's own-pattern simulation of the *current* netlist and
+   propagated through the fanout cone; any differing primary-output
+   pattern yields an immediate counterexample (stage ``"sim"``).  The
+   simulation follows each committed move the optimizer reports
+   (:meth:`TriageChecker.update_after_edit`) and is rebuilt only after
+   an edit nobody reported,
 2. **SAT proof** — survivors go to an incremental CDCL miter: the base
    Tseitin encoding of the current netlist is shared across candidates,
    only the substitution's fanout cone is duplicated against the
@@ -32,16 +35,17 @@ treat as not permissible.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Optional
-
-import numpy as np
 
 from repro.atpg.podem import DEFAULT_BACKTRACK_LIMIT
 from repro.equiv.checker import EQUAL, NOT_EQUAL, check_equivalent
 from repro.errors import NetlistError, TransformError
-from repro.netlist.netlist import Netlist
-from repro.netlist.simulate import SimState, evaluate_cell, random_patterns
+from repro.kernels.bits import first_pattern
+from repro.kernels.packed import packed_view
+from repro.netlist.netlist import Gate, Netlist
+from repro.netlist.simulate import SimState, random_patterns
 from repro.netlist.traverse import topological_order, transitive_fanout
 from repro.sat.cnf import (
     CnfFormula,
@@ -116,11 +120,14 @@ def check_candidate(
 class TriageChecker:
     """Simulation-first, SAT-second permissibility for one netlist.
 
-    One instance serves every check against one (mutating) netlist: the
-    fresh-pattern simulation state and the base CNF + CDCL solver are
-    cached per structural state and rebuilt automatically after edits
-    (validated against the identity of the netlist's cached topological
-    order, the same coherence protocol as the packed simulation view).
+    One instance serves every check against one (mutating) netlist.  The
+    base CNF + CDCL solver is cached per structural state and rebuilt
+    after every edit (validated against the identity of the netlist's
+    cached topological order, the same coherence protocol as the packed
+    simulation view).  The own-pattern simulation state follows the
+    edits reported through :meth:`update_after_edit` by re-simulating
+    their fanout, and is rebuilt from scratch when the netlist's
+    structural version shows an edit nobody reported.
 
     ``counters`` tallies triage effectiveness for telemetry:
     ``sim_kills`` (candidates rejected by the simulation stage),
@@ -146,7 +153,10 @@ class TriageChecker:
             "sat_cex": 0,
             "fallbacks": 0,
         }
-        self._sim_cache: Optional[tuple] = None
+        #: The own-pattern simulation and the netlist structural version
+        #: it is current for.
+        self._sim: Optional[SimState] = None
+        self._sim_version = -1
         self._sat_cache: Optional[tuple] = None
 
     # ------------------------------------------------------------------
@@ -158,13 +168,36 @@ class TriageChecker:
         return topological_order(self.netlist)
 
     def _sim_state(self) -> SimState:
-        key = self._state_key()
-        if self._sim_cache is None or self._sim_cache[0] is not key:
+        version = self.netlist.structural_version
+        if self._sim is None or self._sim_version != version:
             patterns = random_patterns(
                 self.netlist.input_names, self.num_patterns, self.seed
             )
-            self._sim_cache = (key, SimState(self.netlist, patterns))
-        return self._sim_cache[1]
+            self._sim = SimState(self.netlist, patterns)
+            self._sim_version = version
+        return self._sim
+
+    def followed_state(self) -> Optional[SimState]:
+        """The simulation state if it is current for the netlist, else None."""
+        if self._sim_version != self.netlist.structural_version:
+            return None
+        return self._sim
+
+    def update_after_edit(self, roots: Iterable[Gate], since: int) -> None:
+        """Follow one committed edit instead of re-simulating from scratch.
+
+        ``roots`` are the edit's re-simulation roots (the ones the power
+        estimator gets) and ``since`` the netlist's ``structural_version``
+        before the edit.  A state that was not current at ``since`` missed
+        an edit, so it is left for the next check to rebuild.
+        """
+        if self._sim is None:
+            return
+        if self._sim_version != since:
+            self._sim = None
+            return
+        self._sim.resimulate_fanout(roots)
+        self._sim_version = self.netlist.structural_version
 
     def _sat_state(self) -> tuple[CnfFormula, IncrementalSolver]:
         key = self._state_key()
@@ -213,36 +246,23 @@ class TriageChecker:
     def _simulation_cex(
         self, substitution: Substitution
     ) -> Optional[dict[str, int]]:
-        from repro.transform.gain import _new_signal_word
+        from repro.transform.gain import _overlay_for
 
         netlist = self.netlist
         sim = self._sim_state()
-        new_word = _new_signal_word(sim, netlist, substitution)
-        if substitution.is_output_substitution():
-            forced = {substitution.target: new_word}
-        else:
-            sink_name, pin = substitution.branch
-            sink = netlist.gate(sink_name)
-            fanin_words = [
-                new_word if i == pin else sim.value(f.name)
-                for i, f in enumerate(sink.fanins)
-            ]
-            forced = {
-                sink.name: evaluate_cell(sink.cell, fanin_words, sim.nwords)
-            }
-        overlay = sim.propagate_forced(forced)
+        packed = packed_view(netlist)
+        overlay, _skip = _overlay_for(sim, packed, netlist, substitution)
+        values = sim.values
         for po in netlist.outputs:
             driver = netlist.outputs[po].name
-            word = overlay.get(driver)
-            if word is None:
+            bits = overlay.get(packed.index[driver])
+            if bits is None:
                 continue
-            diff = word ^ sim.value(driver)
-            nz = np.nonzero(diff)[0]
-            if nz.size:
-                index = int(nz[0])
-                bit = int(diff[index]).bit_length() - 1
+            diff = bits ^ values[driver]
+            if diff:
+                pattern = first_pattern(diff)
                 return {
-                    name: int((int(sim.values[name][index]) >> bit) & 1)
+                    name: (values[name] >> pattern) & 1
                     for name in netlist.input_names
                 }
         return None

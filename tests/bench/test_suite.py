@@ -64,17 +64,17 @@ class TestBuilds:
         patterns = random_patterns(base.input_names, 512, seed=5)
         sim_a = SimState(base, patterns)
         sim_b = SimState(variant, patterns)
-        out_a = sim_a.value(base.outputs["f"].name)
-        out_b = sim_b.value(variant.outputs["f"].name)
+        out_a = sim_a.words(base.outputs["f"].name)
+        out_b = sim_b.words(variant.outputs["f"].name)
         assert np.array_equal(out_a, out_b)
 
     def test_comp_functional_spot_check(self, lib):
         netlist = build_benchmark("comp", lib)
         patterns = random_patterns(netlist.input_names, 256, seed=9)
         sim = SimState(netlist, patterns)
-        gt = sim.value(netlist.outputs["gt"].name)
-        lt = sim.value(netlist.outputs["lt"].name)
-        eq = sim.value(netlist.outputs["eq"].name)
+        gt = sim.words(netlist.outputs["gt"].name)
+        lt = sim.words(netlist.outputs["lt"].name)
+        eq = sim.words(netlist.outputs["eq"].name)
         for p in range(64):
             a = sum(
                 ((int(patterns[f"a{i}"][0]) >> p) & 1) << i for i in range(8)
@@ -112,6 +112,6 @@ class TestExtendedRegistry:
             weight = bin(m).count("1")
             got = 0
             for j in range(3):
-                word = sim.value(netlist.outputs[f"s{j}"].name)
+                word = sim.words(netlist.outputs[f"s{j}"].name)
                 got |= ((int(word[m // 64]) >> (m % 64)) & 1) << j
             assert got == weight, m

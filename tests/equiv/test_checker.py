@@ -17,7 +17,7 @@ def evaluate_outputs(netlist, assignment):
             1, np.uint64(0xFFFFFFFFFFFFFFFF if value else 0), dtype=np.uint64
         )
     sim = SimState(netlist, sim_inputs)
-    return {po: int(sim.value(d.name)[0]) & 1 for po, d in netlist.outputs.items()}
+    return {po: int(sim.words(d.name)[0]) & 1 for po, d in netlist.outputs.items()}
 
 
 class TestCheckEquivalent:

@@ -3,13 +3,16 @@
 Every kernel in :mod:`repro.kernels.packed` must be bit-identical to the
 reference dict-walk (one :func:`evaluate_cell` per gate in topological
 order) — that is the contract that lets the hot paths swap in the packed
-view without perturbing a single move of the optimizer.
+view without perturbing a single move of the optimizer.  The cone-local
+kernels run on pattern ints; their results are compared with the words
+of the numpy walk.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.kernels.bits import full_mask, matrix_to_ints, words_to_int
 from repro.kernels.packed import PackedCircuit, packed_view
 from repro.library.standard import standard_library
 from repro.netlist.simulate import evaluate_cell, random_patterns
@@ -69,12 +72,15 @@ class TestOverlayParity:
         netlist, patterns = build(seed)
         packed = PackedCircuit(netlist)
         matrix = packed.simulate(patterns, NWORDS)
+        rows = matrix_to_ints(matrix)
         logic = [
             i for i, g in enumerate(packed.order) if not g.is_input
         ]
         root = logic[pick % len(logic)]
         forced_word = ~matrix[root]
-        overlay = packed.propagate_overlay(matrix, {root: forced_word})
+        overlay = packed.propagate_overlay(
+            rows, {root: words_to_int(forced_word)}, full_mask(NWORDS)
+        )
 
         # Reference: dict walk with the root's value pinned.
         pinned = {}
@@ -93,23 +99,25 @@ class TestOverlayParity:
                     NWORDS,
                 )
         for i, name in enumerate(packed.names):
-            composed = overlay.get(i, matrix[i])
-            assert np.array_equal(composed, pinned[name]), name
+            composed = overlay.get(i, rows[i])
+            assert composed == words_to_int(pinned[name]), name
 
     def test_empty_forced_is_empty(self):
         netlist, patterns = build(11)
         packed = PackedCircuit(netlist)
-        matrix = packed.simulate(patterns, NWORDS)
-        assert packed.propagate_overlay(matrix, {}) == {}
+        rows = matrix_to_ints(packed.simulate(patterns, NWORDS))
+        assert packed.propagate_overlay(rows, {}, full_mask(NWORDS)) == {}
 
     def test_overlay_never_mutates_matrix(self):
+        # The committed rows the overlay reads stay as they were.
         netlist, patterns = build(5)
         packed = PackedCircuit(netlist)
-        matrix = packed.simulate(patterns, NWORDS)
-        before = matrix.copy()
+        rows = matrix_to_ints(packed.simulate(patterns, NWORDS))
+        before = list(rows)
+        full = full_mask(NWORDS)
         logic = [i for i, g in enumerate(packed.order) if not g.is_input]
-        packed.propagate_overlay(matrix, {logic[0]: ~matrix[logic[0]]})
-        assert np.array_equal(matrix, before)
+        packed.propagate_overlay(rows, {logic[0]: full ^ rows[logic[0]]}, full)
+        assert rows == before
 
 
 class TestFlipMaskParity:
@@ -123,7 +131,9 @@ class TestFlipMaskParity:
         matrix = packed.simulate(patterns, NWORDS)
         logic = [i for i, g in enumerate(packed.order) if not g.is_input]
         root = logic[pick % len(logic)]
-        mask = packed.flip_mask(matrix, root, NWORDS)
+        mask = packed.flip_mask(
+            matrix_to_ints(matrix), root, full_mask(NWORDS)
+        )
 
         pinned = {}
         for gate in topological_order(netlist):
@@ -143,7 +153,7 @@ class TestFlipMaskParity:
         expected = np.zeros(NWORDS, dtype=np.uint64)
         for driver in {g.name for g in netlist.outputs.values()}:
             expected |= pinned[driver] ^ matrix[packed.index[driver]]
-        assert np.array_equal(mask, expected)
+        assert mask == words_to_int(expected)
 
 
 class TestPackedViewCoherence:

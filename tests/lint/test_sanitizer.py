@@ -1,6 +1,8 @@
 """TransformSanitizer: clean runs stay clean and bit-identical; corrupted
 incremental state is pinpointed with the right check ID."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,9 @@ from hypothesis import strategies as st
 from repro.errors import LintError
 from repro.library.standard import standard_library
 from repro.lint import lint_netlist
+from repro.netlist.blif import parse_blif_file
 from repro.lint.sanitizer import (
+    X_FOLLOWED_SIM,
     X_LINT,
     X_OBSERVABILITY,
     X_PAIR_TABLE,
@@ -25,6 +29,7 @@ from repro.transform.substitution import AppliedSubstitution, Substitution
 from tests.conftest import make_random_netlist
 
 LIB = standard_library()
+ROOT = Path(__file__).resolve().parents[2]
 
 
 def _options(**overrides):
@@ -53,6 +58,16 @@ class TestCleanRuns:
         result = optimizer.run()
         assert len(optimizer.sanitizer.reports) == len(result.moves)
         assert all(not r.diagnostics for r in optimizer.sanitizer.reports)
+
+    def test_sanitized_rd53_run_checks_the_followed_triage(self):
+        netlist = parse_blif_file(ROOT / "benchmarks" / "blif" / "rd53.blif", LIB)
+        optimizer = PowerOptimizer(netlist, _options(sanitize=True))
+        result = optimizer.run()
+        assert result.moves
+        assert len(optimizer.sanitizer.reports) == len(result.moves)
+        assert all(not r.diagnostics for r in optimizer.sanitizer.reports)
+        # The triage simulation followed every move instead of rebuilding.
+        assert optimizer.triage_checker.followed_state() is not None
 
     @settings(max_examples=5, deadline=None)
     @given(seed=st.integers(0, 10_000))
@@ -119,9 +134,8 @@ class TestCorruptionDetection:
     def test_x002_corrupted_simulation_word(self):
         h = _Harness()
         name = next(g.name for g in h.netlist.logic_gates())
-        h.optimizer.estimator.engine.sim.values[name] = (
-            ~h.optimizer.estimator.engine.sim.values[name]
-        )
+        sim = h.optimizer.estimator.engine.sim
+        sim.values[name] ^= sim.full
         h.expect(X_PROBABILITY)
 
     def test_x003_stale_arrival_time(self):
@@ -134,7 +148,7 @@ class TestCorruptionDetection:
         h = _Harness()
         workspace = h.optimizer._workspace
         name = next(g.name for g in h.netlist.logic_gates())
-        workspace.maps.stem[name] = ~workspace.maps.stem[name]
+        workspace.maps.stem[name] ^= workspace.sim.full
         h.expect(X_OBSERVABILITY)
 
     def test_x005_corrupted_pair_table(self):
@@ -156,5 +170,29 @@ class TestCorruptionDetection:
     def test_x002_value_for_dead_gate(self):
         h = _Harness()
         sim = h.optimizer.estimator.engine.sim
-        sim.values["ghost_gate"] = np.zeros(sim.nwords, dtype=np.uint64)
+        sim.values["ghost_gate"] = 0
         h.expect(X_PROBABILITY)
+
+    def test_x006_flipped_bit_in_triage_simulation(self):
+        h = _Harness()
+        h.optimizer.check_candidate(h.pool[0].substitution)
+        sim = h.optimizer.triage_checker.followed_state()
+        assert sim is not None, "the check builds the triage simulation"
+        name = next(g.name for g in h.netlist.logic_gates())
+        sim.values[name] ^= 1 << (sim.num_patterns - 1)
+        error = h.expect(X_FOLLOWED_SIM)
+        assert name in str(error)
+
+    def test_x006_triage_not_told_about_an_edit(self):
+        h = _Harness()
+        h.optimizer.check_candidate(h.pool[0].substitution)
+        h.netlist._invalidate()  # an edit the triage checker never saw
+        h.expect(X_FOLLOWED_SIM)
+
+    def test_x006_word_matrix_disagrees_with_int(self):
+        h = _Harness()
+        h.optimizer.check_candidate(h.pool[0].substitution)
+        sim = h.optimizer.triage_checker.followed_state()
+        sim.matrix()[-1, 0] ^= np.uint64(1)
+        error = h.expect(X_FOLLOWED_SIM)
+        assert "triage simulation: cached rows or words" in str(error)

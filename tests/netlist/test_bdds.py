@@ -13,7 +13,7 @@ class TestNetlistBdds:
         manager, nodes = netlist_bdds(figure2)
         sim = SimState(figure2, exhaustive_patterns(figure2.input_names))
         for name, node in nodes.items():
-            word = sim.value(name)
+            word = sim.words(name)
             for m in range(8):
                 inputs = [(m >> i) & 1 for i in range(3)]
                 want = (int(word[0]) >> m) & 1
@@ -25,7 +25,7 @@ class TestNetlistBdds:
         manager, nodes = netlist_bdds(nl)
         sim = SimState(nl, exhaustive_patterns(nl.input_names))
         for name, node in nodes.items():
-            word = sim.value(name)
+            word = sim.words(name)
             for m in range(32):
                 inputs = [(m >> i) & 1 for i in range(5)]
                 want = (int(word[m // 64]) >> (m % 64)) & 1

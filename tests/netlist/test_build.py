@@ -33,7 +33,7 @@ class TestBuilder:
             "xnor": lambda x, y: 1 - (x ^ y),
         }
         for name, gate in gates.items():
-            word = sim.value(gate.name)
+            word = sim.words(gate.name)
             for m in range(4):
                 x, y = m & 1, (m >> 1) & 1
                 assert (int(word[0]) >> m) & 1 == expect[name](x, y), name

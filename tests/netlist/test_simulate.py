@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from repro.errors import NetlistError
+from repro.kernels.words import popcount
 from repro.netlist.simulate import (
     SimState,
     evaluate_cell,
     exhaustive_patterns,
-    popcount,
     random_patterns,
 )
+from repro.netlist.traverse import transitive_fanout
 
 
 def bit(words, index):
@@ -75,7 +76,7 @@ class TestEvaluateCell:
 class TestSimState:
     def test_matches_exhaustive_evaluation(self, figure2):
         sim = SimState(figure2, exhaustive_patterns(figure2.input_names))
-        f = sim.value("f")
+        f = sim.words("f")
         for m in range(8):
             a, b, c = m & 1, (m >> 1) & 1, (m >> 2) & 1
             assert bit(f, m) == ((a ^ c) & b)
@@ -116,8 +117,10 @@ class TestSimState:
         sim = SimState(figure2, exhaustive_patterns(figure2.input_names))
         d = figure2.gate("d")
         f = figure2.gate("f")  # f is in TFO(d)
-        sim.values["d"] = ~sim.values["d"]  # force a stale committed value
+        # Force a stale committed value: the state reads pattern ints.
+        sim.values["d"] ^= sim.full
 
+        # Count the per-gate evaluator resimulation calls.
         eval_counts: dict[str, int] = {}
         original = SimState._eval
 
@@ -127,13 +130,20 @@ class TestSimState:
 
         monkeypatch.setattr(SimState, "_eval", counting_eval)
         changed = sim.resimulate_fanout([f, d])
-        assert all(count == 1 for count in eval_counts.values()), eval_counts
+        pending = {
+            g.name
+            for g in [f, d] + transitive_fanout(figure2, [f, d])
+            if not g.is_input
+        }
+        assert eval_counts, "resimulation bypassed the counted evaluator"
+        assert eval_counts == dict.fromkeys(pending, 1), eval_counts
         names = [g.name for g in changed]
         assert len(names) == len(set(names))
+        assert names == ["d"]
         # Committed state is consistent with a full re-simulation.
         reference = SimState(figure2, exhaustive_patterns(figure2.input_names))
         for name in figure2.gates:
-            assert np.array_equal(sim.value(name), reference.value(name)), name
+            assert sim.value(name) == reference.value(name), name
 
     def test_output_words(self, figure2):
         sim = SimState(figure2, exhaustive_patterns(figure2.input_names))
@@ -153,13 +163,13 @@ class TestObservability:
         obs = sim.stem_observability(figure2.gate("d"))
         for m in range(8):
             b = (m >> 1) & 1
-            assert bit(obs, m) == b
+            assert (obs >> m) & 1 == b
 
     def test_po_driver_fully_observable(self, figure2):
         sim = SimState(figure2, exhaustive_patterns(figure2.input_names))
         obs = sim.stem_observability(figure2.gate("f"))
         for m in range(8):
-            assert bit(obs, m) == 1
+            assert (obs >> m) & 1 == 1
 
     def test_branch_observability(self, figure2):
         sim = SimState(figure2, exhaustive_patterns(figure2.input_names))
@@ -168,7 +178,7 @@ class TestObservability:
         pin = [i for i, f in enumerate(d.fanins) if f.name == "a"][0]
         obs = sim.branch_observability(d, pin)
         for m in range(8):
-            assert bit(obs, m) == (m >> 1) & 1
+            assert (obs >> m) & 1 == (m >> 1) & 1
 
     def test_branch_obs_of_input_rejected(self, figure2):
         sim = SimState(figure2, exhaustive_patterns(figure2.input_names))
@@ -177,11 +187,11 @@ class TestObservability:
 
     def test_propagate_forced_leaves_state(self, figure2):
         sim = SimState(figure2, exhaustive_patterns(figure2.input_names))
-        before = {n: sim.value(n).copy() for n in figure2.gates}
-        flipped = ~sim.value("d")
+        before = dict(sim.values)
+        flipped = sim.full ^ sim.value("d")
         sim.propagate_forced({"d": flipped})
         for name in figure2.gates:
-            assert np.array_equal(sim.value(name), before[name])
+            assert sim.value(name) == before[name]
 
 
 class TestPopcount:

@@ -54,12 +54,12 @@ class TestSimulationEngine:
         builder.output("o", g)
         netlist = builder.build()
         engine = SimulationProbability(netlist, exhaustive=True)
-        words = engine.sim.value("g").copy()
+        words = engine.sim.words("g").copy()
         before = engine.probability("g")
         netlist.replace_fanin(g, 0, b)
         changed = engine.update_fanout([g])
         assert engine.probability("g") == before
-        assert not (engine.sim.value("g") == words).all()
+        assert not (engine.sim.words("g") == words).all()
         assert changed == ["g"]
 
     def test_update_handles_removed_gates(self, figure2):

@@ -88,8 +88,8 @@ class TestSynthesis:
         netlist = synthesize_logic_blif(FULL_ADDER, lib)
         check_netlist(netlist)
         sim = SimState(netlist, exhaustive_patterns(netlist.input_names))
-        s = sim.value(netlist.outputs["sum"].name)
-        c = sim.value(netlist.outputs["cout"].name)
+        s = sim.words(netlist.outputs["sum"].name)
+        c = sim.words(netlist.outputs["cout"].name)
         for m in range(8):
             a, b, cin = m & 1, (m >> 1) & 1, (m >> 2) & 1
             total = a + b + cin
@@ -118,7 +118,7 @@ class TestSynthesis:
         for m in range(8):
             a, b, c = m & 1, (m >> 1) & 1, (m >> 2) & 1
             t = a & b
-            y = (int(sim.value(netlist.outputs["y"].name)[0]) >> m) & 1
-            z = (int(sim.value(netlist.outputs["z"].name)[0]) >> m) & 1
+            y = (int(sim.words(netlist.outputs["y"].name)[0]) >> m) & 1
+            z = (int(sim.words(netlist.outputs["z"].name)[0]) >> m) & 1
             assert y == (t & c)
             assert z == (t & (1 - c))

@@ -105,7 +105,7 @@ class TestFlowIntegration:
         check_netlist(netlist)
         sim = SimState(netlist, exhaustive_patterns(NAMES4))
         for po, cover in (("f", f), ("g", g)):
-            word = sim.value(netlist.outputs[po].name)
+            word = sim.words(netlist.outputs[po].name)
             for m in range(16):
                 got = (int(word[0]) >> m) & 1
                 assert got == int(cover.contains_minterm(m)), (po, m)

@@ -28,7 +28,7 @@ def assert_synthesis_correct(input_names, outputs, lib, dc=None, options=None):
     sim = SimState(netlist, exhaustive_patterns(input_names))
     n = len(input_names)
     for po, cover in outputs.items():
-        word = sim.value(netlist.outputs[po].name)
+        word = sim.words(netlist.outputs[po].name)
         dc_cover = (dc or {}).get(po)
         for m in range(1 << n):
             got = (int(word[m // 64]) >> (m % 64)) & 1

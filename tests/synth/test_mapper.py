@@ -32,7 +32,7 @@ def assert_maps_correctly(graph, library, options=None):
     sim = SimState(netlist, exhaustive_patterns(netlist.input_names))
     values = graph.simulate(exhaustive_patterns(graph.pi_names))
     for po, node in graph.outputs.items():
-        got = sim.value(netlist.outputs[po].name)
+        got = sim.words(netlist.outputs[po].name)
         want = values[node]
         assert np.array_equal(got, want), po
     return netlist

@@ -23,7 +23,7 @@ class TestUnmap:
         sim = SimState(figure2, exhaustive_patterns(figure2.input_names))
         values = graph.simulate(exhaustive_patterns(graph.pi_names))
         for po, node in graph.outputs.items():
-            want = sim.value(figure2.outputs[po].name)
+            want = sim.words(figure2.outputs[po].name)
             assert np.array_equal(values[node], want), po
 
     def test_sharing_across_cells(self, builder):
@@ -57,8 +57,8 @@ class TestResynthesize:
         sim_b = SimState(remapped, exhaustive_patterns(remapped.input_names))
         for po in figure2.outputs:
             assert np.array_equal(
-                sim_a.value(figure2.outputs[po].name),
-                sim_b.value(remapped.outputs[po].name),
+                sim_a.words(figure2.outputs[po].name),
+                sim_b.words(remapped.outputs[po].name),
             ), po
 
     def test_original_untouched(self, figure2):

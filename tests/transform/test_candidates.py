@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import TransformError
+from repro.kernels.bits import int_to_words
 from repro.netlist.observability import ObservabilityMaps
 from repro.netlist.simulate import evaluate_cell
 from repro.netlist.traverse import topological_order, transitive_fanout
@@ -227,7 +228,7 @@ def _reference_pool(estimator, options):
             if branch is None
             else (options.enable_is2, options.enable_is3)
         )
-        va = sim.value(target.name)
+        va = sim.words(target.name)
         tfo = {id(g) for g in transitive_fanout(netlist, [avoid])}
         legal = [
             g for g in stems
@@ -245,7 +246,7 @@ def _reference_pool(estimator, options):
                     ))
         if enable2:
             for source in legal:
-                word = sim.value(source.name)
+                word = sim.words(source.name)
                 if agrees(word, va, obs):
                     tuples.append(Substitution(
                         kind2, target.name, source.name, branch=branch
@@ -265,7 +266,7 @@ def _reference_pool(estimator, options):
                     for cell in cells:
                         word = evaluate_cell(
                             cell,
-                            [sim.value(first.name), sim.value(second.name)],
+                            [sim.words(first.name), sim.words(second.name)],
                             nwords,
                         )
                         if agrees(word, va, obs):
@@ -292,13 +293,13 @@ def _reference_pool(estimator, options):
     pool = []
     for target in stems:
         if not target.is_input and target.fanout_count():
-            pool += per_target(target, None, target, maps.stem[target.name])
+            obs = int_to_words(maps.stem[target.name], nwords)
+            pool += per_target(target, None, target, obs)
     for target in stems:
         if target.fanout_count() >= 2:
             for sink, pin in list(target.fanouts):
-                pool += per_target(
-                    target, (sink.name, pin), sink, maps.branch(sink, pin)
-                )
+                obs = int_to_words(maps.branch(sink, pin), nwords)
+                pool += per_target(target, (sink.name, pin), sink, obs)
     pool.sort(key=lambda e: (-e[1].quick, e[0].candidate_id()))
     return [
         (s.candidate_id(), g.pg_a, g.pg_b, g.area_delta)
