@@ -1,9 +1,10 @@
-"""Benchmarks of the dataflow analysis framework.
+"""Benchmarks of the static fact base (:mod:`repro.analysis`).
 
 Three layers, matching the claims recorded in ``BENCH_analysis.json``:
 
 - fact-base construction cost per golden circuit (what ``LintPass``
-  and the S-rules pay up front),
+  and the S-rules pay up front: one simulation, one observability
+  sweep, one phase walk, and a SAT proof per nominated fact),
 - soundness-check cost (the CI gate's budget),
 - the end-to-end optimisation of ttt2 the fact base is weighed against.
 """
@@ -33,7 +34,7 @@ def golden(request, lib):
 
 
 def test_fact_base_construction(benchmark, golden):
-    """Full AnalysisSuite fact build (dataflow + SAT confirmation)."""
+    """Full AnalysisSuite fact build (simulation nominates, SAT proves)."""
     _name, netlist = golden
     benchmark(lambda: AnalysisSuite(netlist).refresh(force=True))
 

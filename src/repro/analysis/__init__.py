@@ -1,23 +1,19 @@
-"""Static analysis: a fixed-point dataflow engine plus builtin analyses.
+"""Static analysis: proven whole-netlist facts, nominated by simulation.
 
-The package has three layers:
+Every fact follows the recipe of "Simulation-Guided Boolean
+Resubstitution" and of POWDER's own candidate loop: packed simulation
+nominates, an exact check proves.
 
-- :mod:`repro.analysis.lattice` / :mod:`repro.analysis.engine` — the
-  reusable machinery: explicit lattices (bottom / join / widening) and a
-  worklist solver prioritised by the topological levels the packed
-  kernels already compute.
-- the builtin analyses — ternary constant propagation
-  (:mod:`~repro.analysis.constants`), a static observability
-  approximation (:mod:`~repro.analysis.observability`), phase/parity
-  tracking through inverter chains (:mod:`~repro.analysis.phase`), and
-  functional-equivalence classes (:mod:`~repro.analysis.equivalence`).
-  Each follows the two-tier recipe of "Simulation-Guided Boolean
-  Resubstitution": cheap approximate facts (dataflow / simulation
-  signatures) filtered by SAT confirmation, so every emitted fact is
-  *proven*, not heuristic.
 - :class:`~repro.analysis.suite.AnalysisSuite` — the facade consumers
-  use: it owns the shared simulation state and SAT oracle, and caches
-  the fact base per structural netlist state.
+  use: it owns the simulation state and SAT oracle, builds the fact
+  base in one nominate → prove pass (constants from flat signatures,
+  unobservables from zero observability masks or a missing path to an
+  output, phases from one walk over BUF/INV cells) and caches it per
+  structural netlist state.
+- :func:`~repro.analysis.equivalence.find_equivalences` — functional
+  equivalence classes from signature buckets and structural hashing.
+- :class:`~repro.analysis.oracle.FactOracle` — the incremental SAT
+  queries that promote a candidate to a fact.
 
 Soundness contract: every fact in a :class:`~repro.analysis.facts.
 NetlistFacts` holds for *all* input assignments of the netlist it was
@@ -26,7 +22,6 @@ suite in ``tests/analysis``) re-derive each fact from exhaustive
 simulation or a fresh SAT instance.
 """
 
-from repro.analysis.engine import DataflowAnalysis, DataflowEngine
 from repro.analysis.facts import (
     ConstantFact,
     EquivClass,
@@ -34,19 +29,13 @@ from repro.analysis.facts import (
     PhaseFact,
     UnobservableFact,
 )
-from repro.analysis.lattice import FlatLattice, Lattice, TernaryLattice
 from repro.analysis.suite import AnalysisSuite
 
 __all__ = [
     "AnalysisSuite",
     "ConstantFact",
-    "DataflowAnalysis",
-    "DataflowEngine",
     "EquivClass",
-    "FlatLattice",
-    "Lattice",
     "NetlistFacts",
     "PhaseFact",
-    "TernaryLattice",
     "UnobservableFact",
 ]

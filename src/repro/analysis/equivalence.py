@@ -25,7 +25,7 @@ Primary inputs participate (``BUF(x)`` classes with ``x``).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.kernels.bits import WORD_BYTES
 from repro.netlist.netlist import Netlist
@@ -50,13 +50,13 @@ class _Class:
 def find_equivalences(
     netlist: Netlist,
     sim: SimState,
-    oracle: Optional[FactOracle],
+    oracle: FactOracle,
 ) -> List[EquivClass]:
     """Partition signals into proven equivalence classes.
 
-    ``sim`` is the shared simulation state; ``oracle`` may be ``None``, in
-    which case only structural duplicates merge (signature buckets alone
-    are never trusted).
+    ``sim`` is the shared simulation state; signature buckets alone are
+    never trusted, so a merge is either a structural duplicate or an
+    UNSAT answer from ``oracle``.
     """
     values = sim.values
     size = WORD_BYTES * sim.nwords
@@ -94,7 +94,7 @@ def find_equivalences(
                 parity = placed.members[twin]  # same function as twin
                 placed.members[name] = parity
                 placed.proofs[name] = "structural"
-            elif oracle is not None:
+            else:
                 for group in groups:
                     rep_phase = values[group.rep] & 1
                     parity = phase ^ rep_phase

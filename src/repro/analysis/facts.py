@@ -1,21 +1,22 @@
-"""Typed facts the analyses emit and the fact base that holds them.
+"""Typed facts the analysis suite emits and the fact base that holds them.
 
 Every fact is a *proven* global property of the netlist it was computed
 on — "for all input assignments" claims, each carrying its provenance:
 
-- ``dataflow`` / ``structural`` — proven by the abstract interpretation
-  or by construction (no oracle involved),
-- ``sat`` — confirmed by an UNSAT answer from the incremental oracle.
+- ``structural`` — proven by construction (no path to an output, a
+  structural duplicate; phase facts carry no tag, every one is
+  structural),
+- ``sat`` — a simulation-nominated candidate confirmed by an UNSAT
+  answer from the incremental oracle.
 
-:class:`NetlistFacts` is what consumers receive: the lint rules iterate
-it, ``powder analyze`` serialises it, and the optimizer's pruning reads
-the derived name sets / equivalence tokens.
+:class:`NetlistFacts` is what consumers receive: the S-series lint
+rules iterate it and ``powder analyze`` serialises it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
 
 @dataclass(frozen=True)
@@ -24,7 +25,7 @@ class ConstantFact:
 
     name: str
     value: int
-    proof: str  # "dataflow" | "sat"
+    proof: str  # "sat"
 
     def to_dict(self) -> dict:
         return {"name": self.name, "value": self.value, "proof": self.proof}
@@ -35,8 +36,8 @@ class UnobservableFact:
     """Flipping ``name`` never changes any primary output.
 
     ``reason`` is ``"dead"`` (no structural path to a PO) or
-    ``"blocked"`` (paths exist but are blocked by proven constants,
-    confirmed by the SAT flip miter).
+    ``"blocked"`` (paths exist, but the SAT flip miter proved that no
+    input assignment carries the flip to an output).
     """
 
     name: str
@@ -89,47 +90,13 @@ class EquivClass:
 
 @dataclass
 class NetlistFacts:
-    """Every fact one analysis run produced, plus derived lookups."""
+    """Every fact one analysis run produced."""
 
     netlist_name: str = ""
     constants: List[ConstantFact] = field(default_factory=list)
     unobservables: List[UnobservableFact] = field(default_factory=list)
     phases: List[PhaseFact] = field(default_factory=list)
     equivalences: List[EquivClass] = field(default_factory=list)
-
-    # ------------------------------------------------------------------
-    # Derived lookups (computed lazily, cached on first use)
-    # ------------------------------------------------------------------
-    def constant_values(self) -> Dict[str, int]:
-        """name -> proven constant value."""
-        return {fact.name: fact.value for fact in self.constants}
-
-    def unobservable_names(self) -> frozenset:
-        return frozenset(fact.name for fact in self.unobservables)
-
-    def phase_roots(self) -> Dict[str, Tuple[str, int]]:
-        """name -> (root, parity) for every tracked BUF/INV chain."""
-        return {fact.name: (fact.root, fact.parity) for fact in self.phases}
-
-    def equiv_tokens(self) -> Dict[str, Tuple[str, int]]:
-        """name -> (representative, parity) for every class member.
-
-        Two names with the *same* token are proven pointwise-identical
-        signals (equal simulation words); antiphase members of one
-        class get distinct tokens.  This is the key the optimizer's
-        duplicate pruning groups by.
-        """
-        tokens: Dict[str, Tuple[str, int]] = {}
-        for cls in self.equivalences:
-            for name, parity in cls.members.items():
-                tokens[name] = (cls.representative, parity)
-        return tokens
-
-    def class_of(self, name: str) -> Optional[EquivClass]:
-        for cls in self.equivalences:
-            if name in cls.members:
-                return cls
-        return None
 
     # ------------------------------------------------------------------
     def counts(self) -> Dict[str, int]:

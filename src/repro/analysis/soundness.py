@@ -15,9 +15,9 @@ that shares nothing with the pass that produced it:
   for-all questions.
 
 Verdicts are three-valued per fact: confirmed, unsound (a concrete
-counterexample exists — this is the failure the suite's two-tier design
-must make impossible), or unverified (SAT budget ran out; counted
-separately and not treated as a failure).
+counterexample exists — this is the failure the suite's
+nominate-then-prove design must make impossible), or unverified (SAT
+budget ran out; counted separately and not treated as a failure).
 """
 
 from __future__ import annotations
@@ -27,8 +27,9 @@ from typing import Dict, List, Optional
 
 from repro.netlist.netlist import Netlist
 from repro.netlist.simulate import SimState, exhaustive_patterns
+from repro.netlist.traverse import po_reachable
+
 from repro.analysis.facts import NetlistFacts
-from repro.analysis.observability import po_reachable
 from repro.analysis.oracle import FactOracle
 
 #: Inputs at or below this bound are checked exhaustively.

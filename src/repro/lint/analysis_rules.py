@@ -2,11 +2,12 @@
 
 Unlike the local ``Q0xx`` quality rules, which pattern-match one gate at
 a time, every ``S0xx`` finding is a *proven* whole-netlist fact from
-:class:`repro.analysis.AnalysisSuite` — dataflow results, structural
-reachability, or SAT verdicts (the proof provenance is part of each
-message).  The rules read :attr:`LintContext.facts` and skip silently
-when the caller did not attach a fact base, mirroring how the ``P0xx``
-rules treat missing probabilities.
+:class:`repro.analysis.AnalysisSuite` — a structural fact, or a
+simulation-nominated candidate the SAT oracle proved (the proof
+provenance is part of each message).  The rules read
+:attr:`LintContext.facts` and skip silently when the caller did not
+attach a fact base, mirroring how the ``P0xx`` rules treat missing
+probabilities.
 """
 
 from __future__ import annotations
@@ -26,12 +27,11 @@ from repro.lint.rules import (
 class StaticallyConstantRule(Rule):
     """A logic gate's output is proven to never change.
 
-    The constant analysis propagates ternary values forward through the
-    netlist; gates it cannot decide are nominated by their simulation
-    signature and confirmed by the SAT oracle.  A constant gate burns
-    area and input load for a value a tie cell (or rewiring) provides
-    for free.  Deliberate tie cells are exempt: computing a constant is
-    their job.
+    A gate whose simulation signature is all-0 or all-1 is nominated,
+    and only the SAT oracle's proof that no input assignment yields the
+    other value makes it a fact.  A constant gate burns area and input
+    load for a value a tie cell (or rewiring) provides for free.
+    Deliberate tie cells are exempt: computing a constant is their job.
     """
 
     id = "S001"
@@ -64,9 +64,12 @@ class UnobservableConeRule(Rule):
 
     Two proof shapes: ``dead`` gates have no structural path to a PO at
     all (purely graph reachability), while ``blocked`` gates have paths
-    that the SAT flip-miter proved unable to propagate a change — every
-    path runs into side inputs whose proven values block it.  Either
-    way the gate and the cone feeding only it are wasted power.
+    that never carry a change: a zero simulation observability mask
+    nominates the gate and the SAT flip miter proves that no input
+    assignment lets its flip reach an output — a constant side input
+    may block every path, or the flip may cancel where paths
+    reconverge.  Either way the gate and the cone feeding only it are
+    wasted power.
     """
 
     id = "S002"

@@ -282,7 +282,7 @@ class MultiDrivenOutputRule(Rule):
 class CombinationalCycleRule(Rule):
     """The gate graph must be acyclic.
 
-    Topological order, simulation, timing, and every dataflow analysis
+    Topological order, simulation, timing, and the static fact base
     assume a DAG.  The DFS here is deliberately fresh (not the cached
     topological order, which may itself be stale on a corrupt netlist)
     and reports one representative gate per detected cycle.
@@ -396,7 +396,7 @@ class DoubleInverterRule(Rule):
     INV(INV(x)) == x, so sinks of the second inverter can read the root
     directly; both inverters often die after the rewire.  Kept as a
     syntactic check; S004 generalizes it to arbitrary-depth phase
-    chains via the phase analysis.
+    chains via the fact base's phase facts.
     """
 
     id = "Q003"

@@ -109,6 +109,14 @@ def transitive_fanin(netlist: Netlist, roots: Iterable[Gate]) -> list[Gate]:
     return [g for g in topological_order(netlist) if id(g) in result_ids]
 
 
+def po_reachable(netlist: Netlist) -> set[str]:
+    """Names of gates with a structural path to some primary output."""
+    drivers = list(netlist.outputs.values())
+    reachable = {gate.name for gate in drivers}
+    reachable.update(gate.name for gate in transitive_fanin(netlist, drivers))
+    return reachable
+
+
 def mffc(netlist: Netlist, root: Gate) -> list[Gate]:
     """Maximum fanout-free cone of ``root`` — the paper's ``Dom(root)``.
 

@@ -1,17 +1,45 @@
-"""The four builtin analyses on hand-built circuits with known answers."""
+"""The four fact categories on hand-built circuits with known answers."""
 
-import numpy as np
+from pathlib import Path
+
+import pytest
 
 from repro.analysis import AnalysisSuite
-from repro.analysis.constants import ConstantAnalysis
-from repro.analysis.engine import DataflowEngine
-from repro.analysis.lattice import TOP
-from repro.analysis.observability import pin_blocked, po_reachable
-from repro.analysis.phase import PhaseAnalysis
+from repro.analysis import suite as suite_module
+from repro.analysis.facts import PhaseFact
+from repro.analysis.oracle import FactOracle
+from repro.netlist.blif import parse_blif_file
 from repro.netlist.build import NetlistBuilder
+from repro.netlist.traverse import po_reachable
+
+BLIF_DIR = Path(__file__).resolve().parents[2] / "benchmarks" / "blif"
 
 
-class TestConstantAnalysis:
+class ExhaustedOracle(FactOracle):
+    """A FactOracle whose every solve runs out of budget (UNKNOWN)."""
+
+    def _solve(self, assumptions):
+        self.counters["solve_calls"] += 1
+        self.counters["unknown"] += 1
+        return None
+
+
+@pytest.fixture
+def exhausted(monkeypatch):
+    monkeypatch.setattr(suite_module, "FactOracle", ExhaustedOracle)
+
+
+def constants_of(facts):
+    return {fact.name: (fact.value, fact.proof) for fact in facts.constants}
+
+
+def unobservables_of(facts):
+    return {
+        fact.name: (fact.reason, fact.proof) for fact in facts.unobservables
+    }
+
+
+class TestConstants:
     def test_tie_cells_and_propagation(self, lib):
         b = NetlistBuilder(lib, "const")
         x = b.input("x")
@@ -19,40 +47,48 @@ class TestConstantAnalysis:
         g = b.and_(x, zero, name="g")     # AND(x, 0) == 0
         h = b.xor_(g, zero, name="h")     # XOR(0, 0) == 0
         b.output("z", h)
-        values = DataflowEngine(b.build()).run(ConstantAnalysis())
-        assert values["k0"] == 0
-        assert values["g"] == 0
-        assert values["h"] == 0
-        assert values["x"] is TOP
+        facts = AnalysisSuite(b.build()).facts
+        assert constants_of(facts) == {
+            "k0": (0, "sat"),
+            "g": (0, "sat"),
+            "h": (0, "sat"),
+        }
 
     def test_reconvergent_constant_needs_the_sat_tier(self, lib):
-        # OR(x, INV(x)) == 1, invisible to the dataflow pass (both
-        # fanins are TOP) — the suite's SAT tier must close the gap.
+        # OR(x, INV(x)) == 1: no tie cell feeds it, so only the flat
+        # signature nominates g and only the oracle proves it.
         b = NetlistBuilder(lib, "reconv")
         x = b.input("x")
         inv = b.not_(x, name="nx")
         g = b.or_(x, inv, name="g")
         b.output("z", g)
-        netlist = b.build()
-        dataflow = DataflowEngine(netlist).run(ConstantAnalysis())
-        assert dataflow["g"] is TOP
-        facts = AnalysisSuite(netlist).facts
-        assert facts.constant_values() == {"g": 1}
-        [fact] = facts.constants
-        assert fact.proof == "sat"
+        facts = AnalysisSuite(b.build()).facts
+        assert constants_of(facts) == {"g": (1, "sat")}
 
-    def test_no_sat_means_no_second_tier(self, lib):
+    def test_no_sat_means_no_second_tier(self, lib, exhausted):
+        # Every nominee needs an UNSAT answer: with the budget exhausted
+        # on every query, no constant and no blocked gate survives, while
+        # the structural facts (dead cone, phase chain) do.
         b = NetlistBuilder(lib, "reconv")
-        x = b.input("x")
+        x, y = b.inputs("x", "y")
+        zero = b.cell_gate("zero", name="k0")
         g = b.or_(x, b.not_(x, name="nx"), name="g")
-        b.output("z", g)
-        facts = AnalysisSuite(b.build(), use_sat=False).facts
-        # The signature nominates g, but without the oracle no proof
-        # exists and no fact may be emitted.
-        assert facts.constant_values() == {}
+        masked = b.and_(b.xor_(x, y, name="v"), zero, name="masked")
+        b.not_(y, name="dead1")
+        b.output("z", b.and_(g, b.or_(masked, y, name="m"), name="out"))
+        suite = AnalysisSuite(b.build())
+        facts = suite.facts
+        assert suite.oracle.counters["unknown"] > 0
+        assert suite.oracle.counters["proofs"] == 0
+        assert facts.constants == []
+        assert unobservables_of(facts) == {"dead1": ("dead", "structural")}
+        assert facts.phases == [
+            PhaseFact("dead1", "y", 1, 1),
+            PhaseFact("nx", "x", 1, 1),
+        ]
 
 
-class TestPhaseAnalysis:
+class TestPhases:
     def test_chain_roots_parity_and_depth(self, lib):
         b = NetlistBuilder(lib, "phase")
         x = b.input("x")
@@ -61,11 +97,13 @@ class TestPhaseAnalysis:
         n2 = b.not_(n1, name="n2")
         n3 = b.cell_gate("buf1", n2, name="n3")
         b.output("z", n3)
-        values = DataflowEngine(b.build()).run(PhaseAnalysis())
-        assert values["g"] == ("g", 0, 0)      # non-chain gate: own root
-        assert values["n1"] == ("g", 1, 1)
-        assert values["n2"] == ("g", 0, 2)     # double inversion cancels
-        assert values["n3"] == ("g", 0, 3)     # buffer keeps parity
+        facts = AnalysisSuite(b.build()).facts
+        # g is not a chain cell: it roots the chain and gets no fact.
+        assert facts.phases == [
+            PhaseFact("n1", "g", 1, 1),
+            PhaseFact("n2", "g", 0, 2),  # double inversion cancels
+            PhaseFact("n3", "g", 0, 3),  # buffer keeps parity
+        ]
 
     def test_suite_emits_only_chain_facts(self, lib):
         b = NetlistBuilder(lib, "phase")
@@ -73,19 +111,10 @@ class TestPhaseAnalysis:
         n1 = b.not_(x, name="n1")
         b.output("z", b.and_(n1, x, name="g"))
         facts = AnalysisSuite(b.build()).facts
-        assert facts.phase_roots() == {"n1": ("x", 1)}
+        assert facts.phases == [PhaseFact("n1", "x", 1, 1)]
 
 
 class TestObservability:
-    def test_pin_blocked_by_controlling_constant(self, lib):
-        and2 = lib["and2"]
-        # Pin 1 held at 0 makes the output 0 regardless of pin 0.
-        assert pin_blocked(and2, 0, {1: 0})
-        # Held at 1 the AND is transparent in pin 0.
-        assert not pin_blocked(and2, 0, {1: 1})
-        # No constants: every pin is live.
-        assert not pin_blocked(and2, 0, {})
-
     def test_dead_cone_is_structural(self, lib):
         b = NetlistBuilder(lib, "dead")
         x = b.input("x")
@@ -94,10 +123,7 @@ class TestObservability:
         netlist = b.build()
         assert po_reachable(netlist) == {"x", "live"}
         facts = AnalysisSuite(netlist).facts
-        [fact] = facts.unobservables
-        assert (fact.name, fact.reason, fact.proof) == (
-            "dead1", "dead", "structural"
-        )
+        assert unobservables_of(facts) == {"dead1": ("dead", "structural")}
 
     def test_blocked_cone_is_sat_confirmed(self, lib):
         # g is ANDed against a proven 0, so g never reaches the PO.
@@ -108,11 +134,7 @@ class TestObservability:
         masked = b.and_(g, zero, name="masked")
         b.output("z", b.or_(masked, x, name="out"))
         facts = AnalysisSuite(b.build()).facts
-        blocked = {
-            fact.name: (fact.reason, fact.proof)
-            for fact in facts.unobservables
-        }
-        assert blocked["g"] == ("blocked", "sat")
+        assert unobservables_of(facts)["g"] == ("blocked", "sat")
 
     def test_reconvergence_counterexample_is_not_promoted(self, lib):
         # The ALGORITHMS.md §18 counterexample: s = OR(g, INV(g)) is
@@ -127,7 +149,7 @@ class TestObservability:
         out = b.and_(g, x, name="keep")
         b.output("z2", out)
         facts = AnalysisSuite(b.build()).facts
-        assert "g" not in facts.unobservable_names()
+        assert "g" not in unobservables_of(facts)
 
 
 class TestEquivalence:
@@ -140,15 +162,12 @@ class TestEquivalence:
         b.output("z1", b.or_(g1, g2, name="o1"))
         b.output("z2", g3)
         facts = AnalysisSuite(b.build()).facts
-        tokens = facts.equiv_tokens()
-        assert tokens["g1"] == tokens["g2"] == ("g1", 0)
-        assert tokens["g3"] == ("g1", 1)
-        cls = facts.class_of("g2")
+        [cls] = facts.equivalences
         assert cls.representative == "g1"
-        assert cls.proofs["g2"] == "structural"
-        assert cls.proofs["g3"] == "sat"
+        assert cls.members == {"g1": 0, "g2": 0, "g3": 1, "o1": 0}
+        assert cls.proofs == {"g2": "structural", "g3": "sat", "o1": "sat"}
 
-    def test_without_oracle_only_structural_merges(self, lib):
+    def test_without_oracle_only_structural_merges(self, lib, exhausted):
         b = NetlistBuilder(lib, "equiv")
         x, y = b.inputs("x", "y")
         g1 = b.and_(x, y, name="g1")
@@ -156,16 +175,21 @@ class TestEquivalence:
         g3 = b.nand_(x, y, name="g3")
         b.output("z1", b.or_(g1, g2, name="o1"))
         b.output("z2", g3)
-        facts = AnalysisSuite(b.build(), use_sat=False).facts
-        tokens = facts.equiv_tokens()
-        assert tokens["g1"] == tokens["g2"]
-        assert "g3" not in tokens  # signature alone is never trusted
+        facts = AnalysisSuite(b.build()).facts
+        # The signature buckets g3 and o1 with g1, but without an
+        # UNSAT answer only the structural duplicate may merge.
+        [cls] = facts.equivalences
+        assert cls.members == {"g1": 0, "g2": 0}
+        assert cls.proofs == {"g2": "structural"}
 
-    def test_tokens_are_pointwise_identical_signals(self, lib, figure2):
-        suite = AnalysisSuite(figure2)
+    def test_tokens_are_pointwise_identical_signals(self, lib):
+        netlist = parse_blif_file(BLIF_DIR / "rd53.blif", lib)
+        suite = AnalysisSuite(netlist)
         facts = suite.facts
-        sim_values = suite._sim.values
-        ones = np.uint64(0xFFFFFFFFFFFFFFFF)
-        for name, (root, parity) in facts.equiv_tokens().items():
-            expected = sim_values[root] ^ (ones if parity else np.uint64(0))
-            assert (sim_values[name] == expected).all()
+        values = suite._sim.values
+        full = suite._sim.full
+        assert len(facts.equivalences) == 8
+        for cls in facts.equivalences:
+            rep = values[cls.representative]
+            for name, parity in cls.members.items():
+                assert values[name] == (rep ^ full if parity else rep)

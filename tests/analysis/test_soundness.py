@@ -36,6 +36,30 @@ def test_golden_circuits_have_zero_unsound_facts(name, lib):
     assert report.checked >= facts.total() - len(facts.equivalences)
 
 
+#: Per-category fact counts: constants / unobservables / phases / classes.
+GOLDEN_COUNTS = {
+    "rd53": (0, 0, 5, 8),
+    "misex1": (0, 0, 8, 9),
+    "sqrt8": (0, 0, 6, 6),
+    "ttt2": (1, 2, 32, 34),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN)
+def test_golden_fact_counts_are_pinned(name, lib):
+    netlist = parse_blif_file(BLIF_DIR / f"{name}.blif", lib)
+    facts = AnalysisSuite(netlist).facts
+    assert tuple(facts.counts().values()) == GOLDEN_COUNTS[name]
+    if name == "ttt2":
+        assert [fact.to_dict() for fact in facts.constants] == [
+            {"name": "tie30", "value": 0, "proof": "sat"}
+        ]
+        assert [fact.to_dict() for fact in facts.unobservables] == [
+            {"name": "x22", "reason": "dead", "proof": "structural"},
+            {"name": "x23", "reason": "dead", "proof": "structural"},
+        ]
+
+
 @pytest.mark.parametrize("name", ["rd53", "ttt2"])
 def test_facts_read_after_powder_match_a_fresh_suite(name, lib):
     # The fact base is built before powder edits the netlist and read
@@ -81,21 +105,20 @@ def test_report_detects_an_injected_lie(lib, figure2):
 
 
 @settings(max_examples=12, deadline=None)
-@given(
-    seed=st.integers(0, 10_000),
-    shape=st.sampled_from(SHAPES),
-)
-def test_generated_netlists_have_zero_unsound_facts(seed, shape):
-    config = GeneratorConfig(
-        seed=seed, shape=shape, min_inputs=3, max_inputs=7,
-        min_gates=6, max_gates=20,
-    )
-    netlist = random_mapped_netlist(config, standard_library())
-    facts = AnalysisSuite(netlist, num_patterns=128).facts
-    report = check_soundness(netlist, facts)
-    assert report.method == "exhaustive"  # <= 7 inputs: complete check
-    assert report.unsound == []
-    assert report.unverified == 0
+@given(seed=st.integers(0, 10_000))
+def test_generated_netlists_have_zero_unsound_facts(seed):
+    # Every shape on every example, so no shape depends on sampling.
+    for shape in SHAPES:
+        config = GeneratorConfig(
+            seed=seed, shape=shape, min_inputs=3, max_inputs=7,
+            min_gates=6, max_gates=20,
+        )
+        netlist = random_mapped_netlist(config, standard_library())
+        facts = AnalysisSuite(netlist, num_patterns=128).facts
+        report = check_soundness(netlist, facts)
+        assert report.method == "exhaustive", shape  # <= 7 inputs
+        assert report.unsound == [], shape
+        assert report.unverified == 0, shape
 
 
 @settings(max_examples=6, deadline=None)

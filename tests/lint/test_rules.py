@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.analysis import AnalysisSuite
 from repro.errors import LintError, NetlistError
 from repro.library.cell import Cell, Library, Pin
 from repro.lint import (
@@ -178,6 +179,96 @@ class TestPowerRules:
 
     def test_p001_skipped_without_probabilities(self, figure2):
         assert lint_netlist(figure2, select=["P001"]).diagnostics == []
+
+
+def lint_with_facts(netlist, rule_id):
+    """``rule_id``'s findings on ``netlist``'s fact base, by gate."""
+    facts = AnalysisSuite(netlist).facts
+    report = lint_netlist(netlist, select=[rule_id], facts=facts)
+    return facts, {d.gate: d.message for d in report.diagnostics}
+
+
+class TestAnalysisRules:
+    """One hand-built netlist per S-rule: the finding, its proof tag,
+    and the rule's documented exemptions."""
+
+    def test_s001_reconvergent_constant_and_tie_exemption(self, lib):
+        b = NetlistBuilder(lib, "s001")
+        x, y = b.inputs("x", "y")
+        tie = b.cell_gate("zero", name="k0")
+        g = b.or_(x, b.not_(x, name="nx"), name="g")  # OR(x, !x) == 1
+        b.output("z", b.and_(g, y, name="out"))
+        b.output("w", b.or_(y, tie, name="h"))  # OR(y, 0) == y
+        facts, found = lint_with_facts(b.build(), "S001")
+        assert "k0" in {fact.name for fact in facts.constants}
+        assert set(found) == {"g"}  # the tie cell is constant by design
+        assert "always outputs 1 (proof: sat)" in found["g"]
+
+    def test_s002_dead_and_blocked_cones(self, lib):
+        b = NetlistBuilder(lib, "s002")
+        x, y = b.inputs("x", "y")
+        b.not_(x, name="dead1")
+        zero = b.cell_gate("zero", name="k0")
+        g = b.xor_(x, y, name="g")
+        masked = b.and_(g, zero, name="masked")  # AND(g, 0): g is blocked
+        b.output("z", b.or_(masked, x, name="out"))
+        _facts, found = lint_with_facts(b.build(), "S002")
+        assert "no structural path" in found["dead1"]
+        assert "(proof: structural)" in found["dead1"]
+        assert "every path to a primary output is blocked" in found["g"]
+        assert "(proof: sat)" in found["g"]
+        assert "out" not in found and "x" not in found
+
+    def test_s002_flip_cancelled_by_reconvergence(self, lib):
+        # z = XOR(g, BUF(g)) is 0 for every input, and flipping g flips
+        # both XOR pins at once, so g (and y, which reaches the outputs
+        # only through g) never changes `out`, although no side input
+        # of any path is a constant.
+        b = NetlistBuilder(lib, "s002r")
+        x, y = b.inputs("x", "y")
+        g = b.and_(x, y, name="g")
+        buf = b.cell_gate("buf1", g, name="b")
+        z = b.xor_(g, buf, name="z")
+        b.output("o", b.or_(z, x, name="out"))
+        _facts, found = lint_with_facts(b.build(), "S002")
+        assert set(found) == {"g", "y"}
+        for name in ("g", "y"):
+            assert "blocked (proof: sat)" in found[name]
+
+    def test_s003_duplicates_with_phase_exemptions(self, lib):
+        b = NetlistBuilder(lib, "s003")
+        x, y = b.inputs("x", "y")
+        g1 = b.and_(x, y, name="g1")
+        g2 = b.and_(x, y, name="g2")  # structural duplicate of g1
+        g3 = b.nand_(x, y, name="g3")  # complement of g1
+        ax = b.not_(x, name="ax")  # class {ax, x}: x is a primary input
+        zy = b.not_(y, name="zy")  # class {y, zy}: zy is a lone INV of y
+        for index, gate in enumerate((g1, g2, g3, ax, zy)):
+            b.output(f"o{index}", gate)
+        facts, found = lint_with_facts(b.build(), "S003")
+        members = {
+            name for cls in facts.equivalences for name in cls.members
+        }
+        assert {"ax", "x", "y", "zy"} <= members
+        assert set(found) == {"g2", "g3"}
+        assert "duplicate of 'g1' (proof: structural)" in found["g2"]
+        assert "complement of 'g1' (proof: sat)" in found["g3"]
+
+    def test_s004_chain_depth_two_fires_depth_one_does_not(self, lib):
+        b = NetlistBuilder(lib, "s004")
+        x, y = b.inputs("x", "y")
+        n1 = b.not_(x, name="n1")
+        n2 = b.not_(n1, name="n2")
+        b.output("z1", b.and_(n1, y, name="g"))
+        b.output("z2", b.or_(n2, y, name="h"))
+        facts, found = lint_with_facts(b.build(), "S004")
+        assert {fact.name: fact.depth for fact in facts.phases} == {
+            "n1": 1, "n2": 2
+        }
+        assert set(found) == {"n2"}
+        assert "depth-2 inverter/buffer chain over 'x' (same-phase)" in (
+            found["n2"]
+        )
 
 
 class TestRegistryAndSelection:
