@@ -1,9 +1,13 @@
 """Bit-parallel (parallel-pattern) stuck-at fault simulation.
 
-For each fault the faulty machine is re-simulated only on the fault site's
-transitive fanout, word-parallel across all patterns of a
-:class:`~repro.netlist.simulate.SimState`.  A fault is detected on pattern
-*p* when some primary output differs between good and faulty machine.
+Each fault pins one value — the stuck stem, or the faulty sink of a stuck
+branch — and the packed view's cone-local overlay kernel
+(:meth:`~repro.kernels.packed.PackedCircuit.propagate_overlay`) carries
+it through the fault site's transitive fanout, word-parallel across all
+patterns of a :class:`~repro.netlist.simulate.SimState`, without
+touching the committed good-machine values.  A fault is detected on
+pattern *p* when some primary output differs between good and faulty
+machine.
 
 Used three ways in this system: classic fault-coverage evaluation, cheap
 redundancy filtering (a fault no random pattern detects is a redundancy
@@ -17,10 +21,10 @@ from collections.abc import Iterable, Sequence
 import numpy as np
 
 from repro.atpg.fault import StuckAtFault
-from repro.kernels.bits import evaluate_cell_bits, int_to_words
+from repro.kernels.bits import int_to_words
+from repro.kernels.packed import packed_view
 from repro.kernels.words import popcount
 from repro.netlist.simulate import SimState
-from repro.netlist.traverse import transitive_fanout
 
 
 def detected_mask(sim: SimState, fault: StuckAtFault) -> np.ndarray:
@@ -29,38 +33,21 @@ def detected_mask(sim: SimState, fault: StuckAtFault) -> np.ndarray:
     The faulty machine runs on the simulation's pattern ints; the mask is
     returned as ``uint64`` words.
     """
-    netlist = sim.netlist
-    stem, branch = fault.resolve(netlist)
-    values = sim.values
-    full = sim.full
-    stuck = full if fault.value else 0
-    overlay: dict[str, int] = {}
+    stem, branch = fault.resolve(sim.netlist)
+    stuck = sim.full if fault.value else 0
     if branch is None:
-        if stuck == values[stem.name]:
-            return int_to_words(0, sim.nwords)
-        overlay[stem.name] = stuck
-        roots = [stem]
+        site, faulty = stem, stuck
     else:
-        sink, pin = branch
-        ins = [
-            stuck if i == pin else values[f.name]
-            for i, f in enumerate(sink.fanins)
-        ]
-        faulty_sink = evaluate_cell_bits(sink.cell, ins, full)
-        if faulty_sink == values[sink.name]:
-            return int_to_words(0, sim.nwords)
-        overlay[sink.name] = faulty_sink
-        roots = [sink]
-    for gate in transitive_fanout(netlist, roots):
-        ins = [overlay.get(f.name, values[f.name]) for f in gate.fanins]
-        new = evaluate_cell_bits(gate.cell, ins, full)
-        if new != values[gate.name]:
-            overlay[gate.name] = new
+        site, pin = branch
+        faulty = sim.eval_with_pin(site, pin, stuck)
     mask = 0
-    for driver in netlist.outputs.values():
-        faulty = overlay.get(driver.name)
-        if faulty is not None:
-            mask |= faulty ^ values[driver.name]
+    if faulty != sim.values[site.name]:
+        packed = packed_view(sim.netlist)
+        rows = sim.rows()
+        overlay = packed.propagate_overlay(
+            rows, {packed.index[site.name]: faulty}, sim.full
+        )
+        mask = packed.output_diff_mask(rows, overlay)
     return int_to_words(mask, sim.nwords)
 
 

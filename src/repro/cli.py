@@ -37,16 +37,30 @@ from pathlib import Path
 
 from repro.bench.pla import parse_pla_file
 from repro.bench.suite import DEFAULT_SUITE, SUITE
+from repro.errors import NetlistError
 from repro.experiments.common import ExperimentConfig
 from repro.experiments.figure6 import format_figure6, run_figure6
 from repro.experiments.table1 import format_table1, run_table1
 from repro.experiments.table2 import format_table2, table2_from_runs
+from repro.kernels.words import validate_num_patterns
 from repro.library.genlib import parse_genlib_file
 from repro.library.standard import standard_library
 from repro.netlist.blif import parse_blif_file, write_blif
 from repro.synth.flow import SynthesisOptions, synthesize
 from repro.synth.mapper import MapOptions
 from repro.transform.optimizer import OptimizeOptions
+
+
+def _pattern_count(text: str) -> int:
+    """``--patterns`` value: a positive multiple of the simulation word."""
+    try:
+        value = int(text)
+        validate_num_patterns(value, "the pattern count")
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    except NetlistError as error:
+        raise argparse.ArgumentTypeError(str(error)) from None
+    return value
 
 
 def _load_library(args):
@@ -126,7 +140,7 @@ def _add_window_arguments(parser: argparse.ArgumentParser) -> None:
 
 def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--patterns", type=int, default=2048,
+        "--patterns", type=_pattern_count, default=2048,
         help="random patterns for probability estimation (default 2048)",
     )
     parser.add_argument(
@@ -709,7 +723,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="what each substitution must improve (default power)")
     p.add_argument("--delay-slack", type=float, default=None,
                    help="delay constraint as %% over initial (e.g. 0)")
-    p.add_argument("--patterns", type=int, default=2048)
+    p.add_argument("--patterns", type=_pattern_count, default=2048)
     p.add_argument("--repeat", type=int, default=25)
     p.add_argument("--max-rounds", type=int, default=20)
     p.add_argument("--max-moves", type=int, default=None)
@@ -750,7 +764,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "(stage parameters override)")
     pr.add_argument("--delay-slack", type=float, default=None,
                     help="delay constraint as %% over initial (e.g. 0)")
-    pr.add_argument("--patterns", type=int, default=2048)
+    pr.add_argument("--patterns", type=_pattern_count, default=2048)
     pr.add_argument("--repeat", type=int, default=25)
     pr.add_argument("--max-rounds", type=int, default=20)
     pr.add_argument("--max-moves", type=int, default=None)
@@ -805,7 +819,7 @@ def build_parser() -> argparse.ArgumentParser:
         "instead of the structural unmap",
     )
     p.add_argument(
-        "--patterns", type=int, default=1024,
+        "--patterns", type=_pattern_count, default=1024,
         help="random patterns for metrics and the oracle (default 1024)",
     )
     p.add_argument("--output", "-o", help="write retargeted BLIF here")
@@ -818,7 +832,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("atpg", help="fault coverage and redundancy report")
     p.add_argument("netlist", help="mapped BLIF input")
     p.add_argument("--library", help="genlib file (default: built-in)")
-    p.add_argument("--patterns", type=int, default=1024)
+    p.add_argument("--patterns", type=_pattern_count, default=1024)
     p.set_defaults(func=_cmd_atpg)
 
     p = sub.add_parser("glitch", help="glitch-aware power analysis")
@@ -830,7 +844,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stats", help="report netlist metrics and cell mix")
     p.add_argument("netlist", help="mapped BLIF input")
     p.add_argument("--library", help="genlib file (default: built-in)")
-    p.add_argument("--patterns", type=int, default=2048)
+    p.add_argument("--patterns", type=_pattern_count, default=2048)
     p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser(
@@ -858,7 +872,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="suppress these rule IDs (comma-separated, repeatable)",
     )
     p.add_argument(
-        "--patterns", type=int, default=2048,
+        "--patterns", type=_pattern_count, default=2048,
         help="random patterns for the probability rules (default 2048)",
     )
     p.add_argument(
@@ -892,7 +906,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="report format (default text)",
     )
     p.add_argument(
-        "--patterns", type=int, default=256,
+        "--patterns", type=_pattern_count, default=256,
         help="simulation patterns seeding the analyses, multiple of 64 "
         "(default 256)",
     )
@@ -926,7 +940,7 @@ def build_parser() -> argparse.ArgumentParser:
         "repeatable; default: random, reconvergent, high_fanout, "
         "inverter_chain)",
     )
-    p.add_argument("--patterns", type=int, default=256,
+    p.add_argument("--patterns", type=_pattern_count, default=256,
                    help="random patterns per case, multiple of 64 "
                    "(default 256)")
     p.add_argument("--library",

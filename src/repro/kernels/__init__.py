@@ -10,9 +10,10 @@ one Python value per pattern:
   paths: the int ↔ word conversions (fixed little-endian word order),
   per-cell op codes and the int cell evaluator,
 - :mod:`repro.kernels.packed` — :class:`~repro.kernels.packed.PackedCircuit`,
-  a topologically-ordered flat-array view of a netlist (gate op codes,
-  fanin indices, level-grouped evaluation schedule) with the vectorized
-  full-simulation kernel and the cone-local overlay and flip-mask kernels.
+  a topologically-ordered view of a netlist as flat per-gate lists (op
+  codes, fanin index tuples, cubes, fanout lists) with the per-gate int
+  kernels: full simulation and the cone-local overlay and flip-mask
+  walks.
 
 The packed view is cached per netlist and self-validates against the
 netlist's structural state, so callers never hold a stale view; see

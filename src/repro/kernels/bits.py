@@ -2,18 +2,17 @@
 
 A signal's simulated patterns are one non-negative Python int.  Bit
 ``64*w + b`` of the int is pattern ``64*w + b``, that is bit *b* of word
-*w* of the ``uint64`` word array the batched kernels use.  The
-conversions below fix the word byte order explicitly (``'<u8'``), so the
-bit order holds on any host.
+*w* of the ``uint64`` word array the pattern generators and the batched
+candidate kernels use.  The conversions below fix the word byte order
+explicitly (``'<u8'``), so the bit order holds on any host.
 
-Code that walks one signal's fanout cone gate by gate (overlay
-propagation, incremental re-simulation, observability, ``PG_C``, the
-triage simulation stage) runs on these ints: an AND of two 512-pattern
-sets is one C-level operation on the int instead of a numpy call whose
-dispatch costs ten times the bit math.  Kernels that need a matrix (the
-level-grouped full simulation, candidate compatibility, pair tables) read
-a ``(gates, nwords)`` ``uint64`` matrix derived with
-:func:`ints_to_matrix`.
+All simulation runs on these ints, gate by gate (full and incremental
+simulation, overlay propagation, observability, ``PG_C``, fault
+simulation, the triage simulation stage): an AND of two 512-pattern sets
+is one C-level operation on the int instead of a numpy call whose
+dispatch costs ten times the bit math.  Kernels that need a matrix
+(candidate compatibility, pair tables) read a ``(gates, nwords)``
+``uint64`` matrix derived with :func:`ints_to_matrix`.
 
 Inversion is ``full ^ x`` with ``full = full_mask(nwords)``, never ``~x``:
 on a Python int ``~x`` is negative, not the complement within the pattern

@@ -2,9 +2,9 @@
 
 ``SimState.stem_observability`` answers "on which patterns does flipping
 this stem flip some primary output?" by propagating a forced flip through
-the stem's entire transitive fanout — one full vector pass *per stem*.
-Candidate generation asks that question for every stem and every branch of
-every round, so the per-round cost is O(stems × TFO-size) vector passes.
+the stem's transitive fanout — one cone walk *per stem*.  Candidate
+generation asks that question for every stem and every branch of every
+round, so the per-round cost is O(stems × TFO-size) gate evaluations.
 
 :class:`ObservabilityMaps` computes the same masks for *all* stems in one
 reverse-topological sweep.  The recurrence is exact because gate evaluation
@@ -43,7 +43,6 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from repro.errors import NetlistError
-from repro.kernels.bits import evaluate_cell_bits
 from repro.netlist.netlist import Gate
 from repro.netlist.simulate import SimState
 from repro.netlist.traverse import (
@@ -142,31 +141,15 @@ class ObservabilityMaps:
         if len(branches) == 1:
             sink, pin = branches[0]
             return self._bd_mask(sink, pin) & self.stem[sink.name]
-        return self._flip_mask(gate)
+        # Reconvergent multi-fanout stem: exact flip propagation.
+        return self.sim.stem_observability(gate)
 
     def _bd_mask(self, sink: Gate, pin: int) -> int:
         key = (sink.name, pin)
         cached = self._bd.get(key)
         if cached is None:
-            values = self.sim.values
-            full = self.sim.full
-            ins = [
-                full ^ values[f.name] if i == pin else values[f.name]
-                for i, f in enumerate(sink.fanins)
-            ]
-            cached = evaluate_cell_bits(sink.cell, ins, full) ^ values[sink.name]
+            sim = self.sim
+            flipped = sim.full ^ sim.values[sink.fanins[pin].name]
+            cached = sim.eval_with_pin(sink, pin, flipped) ^ sim.values[sink.name]
             self._bd[key] = cached
         return cached
-
-    def _flip_mask(self, gate: Gate) -> int:
-        """Exact flip propagation for reconvergent multi-fanout stems.
-
-        Same semantics as ``SimState.stem_observability``: the packed
-        cone-local walk, which skips every fanout gate none of whose fanin
-        values were touched by the flip so far.
-        """
-        from repro.kernels.packed import packed_view
-
-        sim = self.sim
-        packed = packed_view(self.netlist)
-        return packed.flip_mask(sim.rows(), packed.index[gate.name], sim.full)

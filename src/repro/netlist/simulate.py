@@ -4,19 +4,19 @@ A :class:`SimState` binds a netlist to a pattern set and keeps every
 stem's simulated patterns as one Python int (:mod:`repro.kernels.bits`):
 bit ``64*w + b`` is the value under pattern ``64*w + b``, which is bit
 *b* of word *w* of the ``uint64`` word array the pattern generators and
-the batched kernels use.  It supports:
+the batched candidate kernels use.  It supports:
 
-- full evaluation in topological order, on the packed level-grouped
-  numpy kernel (:meth:`~repro.kernels.packed.PackedCircuit.simulate`),
+- full evaluation in topological order
+  (:meth:`~repro.kernels.packed.PackedCircuit.simulate`),
 - incremental re-simulation of the transitive fanout of edited gates
   (what makes the optimizer's ``PG_C`` re-estimation cheap),
-- forced-value propagation without touching the committed state, used to
-  compute observability masks for stems and branches.
+- observability masks for stems and branches, from forced values
+  propagated through the packed view's cone-local overlay kernel without
+  touching the committed state.
 
-The per-gate paths (re-simulation, forced propagation, observability)
-evaluate one gate at a time on the ints, through the same per-cell op
-codes and compiled cube lists as the packed kernels.  Batched consumers
-read the derived ``(num_gates, nwords)`` word matrix, :meth:`matrix`.
+Every path evaluates one gate at a time on the ints, through the same
+per-cell op codes and compiled cube lists.  Batched consumers read the
+derived ``(num_gates, nwords)`` word matrix, :meth:`SimState.matrix`.
 :func:`evaluate_cell` is the numpy per-cell reference every kernel is
 tested against.
 """
@@ -56,9 +56,9 @@ _ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 def evaluate_cell(cell: Cell, fanin_words: Sequence[np.ndarray], nwords: int) -> np.ndarray:
     """Vector-evaluate one cell on its fanin value words.
 
-    The numpy reference of cell evaluation: the int kernels
-    (:func:`~repro.kernels.bits.evaluate_cell_bits`) and the batched
-    matrix kernel are tested bit for bit against it.
+    The numpy reference of cell evaluation: the int cell evaluator
+    (:func:`~repro.kernels.bits.evaluate_cell_bits`) and every packed
+    kernel built on it are tested bit for bit against it.
     """
     if cell.num_inputs != len(fanin_words):
         raise NetlistError(
@@ -218,20 +218,15 @@ class SimState:
         return list(stale)
 
     def resimulate_all(self) -> None:
-        """Full forward evaluation on the packed level-grouped kernels."""
+        """Full forward evaluation on the packed per-gate kernel."""
         from repro.kernels.packed import packed_view
 
         packed = packed_view(self.netlist)
-        inputs = {
-            name: int_to_words(self.values[name], self.nwords)
-            for name in self.netlist.input_names
-        }
-        matrix = packed.simulate(inputs, self.nwords)
+        rows = packed.simulate(self.values, self.full)
         # Every live stem takes its row's int: dead gates drop out.
-        rows = matrix_to_ints(matrix)
         self.values = dict(zip(packed.names, rows))
         self._rows, self._rows_packed = rows, packed
-        self._matrix, self._matrix_packed = matrix, packed
+        self._matrix = None
 
     def _drop_stale(self) -> None:
         live = self.netlist.gates
@@ -293,23 +288,21 @@ class SimState:
             for po, driver in self.netlist.outputs.items()
         }
 
-    # ------------------------------------------------------------------
-    # Forced-value propagation (no committed-state mutation)
-    # ------------------------------------------------------------------
-    def propagate_forced(self, forced: Mapping[str, int]) -> dict[str, int]:
-        """Propagate overridden stem values through their TFO.
+    def eval_with_pin(self, sink: Gate, pin: int, value: int) -> int:
+        """``sink``'s value with input ``pin`` driven by ``value``.
 
-        Returns a name -> value mapping holding the *overlay*: forced stems,
-        plus every TFO gate whose value differs under the overlay.  Committed
-        values are untouched.
+        Every other pin reads its committed value; nothing is stored.
         """
-        from repro.kernels.packed import packed_view
+        values = self.values
+        ins = [
+            value if i == pin else values[f.name]
+            for i, f in enumerate(sink.fanins)
+        ]
+        return evaluate_cell_bits(sink.cell, ins, self.full)
 
-        packed = packed_view(self.netlist)
-        forced_idx = {packed.index[name]: value for name, value in forced.items()}
-        overlay = packed.propagate_overlay(self.rows(), forced_idx, self.full)
-        return {packed.names[i]: value for i, value in overlay.items()}
-
+    # ------------------------------------------------------------------
+    # Observability (no committed-state mutation)
+    # ------------------------------------------------------------------
     def stem_observability(self, gate: Gate) -> int:
         """Patterns on which flipping the stem flips some primary output."""
         from repro.kernels.packed import packed_view
@@ -321,20 +314,15 @@ class SimState:
         """Patterns on which flipping one input branch flips some output."""
         if sink.is_input:
             raise NetlistError("primary inputs have no input branches")
-        values = self.values
-        full = self.full
-        ins = [
-            full ^ values[f.name] if i == pin else values[f.name]
-            for i, f in enumerate(sink.fanins)
-        ]
-        flipped_sink = evaluate_cell_bits(sink.cell, ins, full)
-        if flipped_sink == values[sink.name]:
+        flipped = self.full ^ self.values[sink.fanins[pin].name]
+        flipped_sink = self.eval_with_pin(sink, pin, flipped)
+        if flipped_sink == self.values[sink.name]:
             return 0
         from repro.kernels.packed import packed_view
 
         packed = packed_view(self.netlist)
         rows = self.rows()
         overlay = packed.propagate_overlay(
-            rows, {packed.index[sink.name]: flipped_sink}, full
+            rows, {packed.index[sink.name]: flipped_sink}, self.full
         )
         return packed.output_diff_mask(rows, overlay)

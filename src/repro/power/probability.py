@@ -74,18 +74,20 @@ class SimulationProbability(ProbabilityEngine):
                     netlist.input_names, num_patterns, seed, input_probs
                 )
         self.sim = SimState(netlist, patterns)
-        self._probs: dict[str, float] = {}
-        self.refresh()
+        self._read_probabilities()
 
     def probability(self, name: str) -> float:
         return self._probs[name]
 
-    def refresh(self) -> None:
-        self.sim.resimulate_all()
-        self._probs = {
+    def _read_probabilities(self) -> None:
+        self._probs: dict[str, float] = {
             gate.name: self.sim.signal_probability(gate.name)
             for gate in self.netlist.gates.values()
         }
+
+    def refresh(self) -> None:
+        self.sim.resimulate_all()
+        self._read_probabilities()
 
     def update_fanout(self, roots: Iterable[Gate]) -> list[str]:
         """Re-simulate the TFO of ``roots``; names whose words changed.

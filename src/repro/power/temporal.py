@@ -118,8 +118,9 @@ class TemporalSimulationProbability(SimulationProbability):
         }
         # The base class owns `sim` (cycle t); `sim_next` holds cycle t+1.
         self.sim_next = SimState(netlist, patterns_next)
-        self._acts: dict[str, float] = {}
         super().__init__(netlist, patterns=patterns_t)
+        self._acts: dict[str, float] = {}
+        self._measure(netlist.gates)
 
     # ------------------------------------------------------------------
     def activity(self, name: str) -> float:
@@ -136,8 +137,6 @@ class TemporalSimulationProbability(SimulationProbability):
     def refresh(self) -> None:
         # Base-class refresh resimulates cycle t and rebuilds probabilities.
         super().refresh()
-        if not hasattr(self, "sim_next"):
-            return  # during base-class __init__; measured right after
         self.sim_next.resimulate_all()
         self._acts = {}
         self._measure(self.netlist.gates)

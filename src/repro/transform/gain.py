@@ -320,14 +320,10 @@ def _overlay_for(
         skip = root
     else:
         sink_name, pin = substitution.branch
-        sink = netlist.gate(sink_name)
-        values = sim.values
-        ins = [
-            new_bits if i == pin else values[f.name]
-            for i, f in enumerate(sink.fanins)
-        ]
         forced = {
-            packed.index[sink_name]: evaluate_cell_bits(sink.cell, ins, sim.full)
+            packed.index[sink_name]: sim.eval_with_pin(
+                netlist.gate(sink_name), pin, new_bits
+            )
         }
     return packed.propagate_overlay(sim.rows(), forced, sim.full), skip
 

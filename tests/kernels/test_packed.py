@@ -1,26 +1,39 @@
-"""Parity of the packed flat-array kernels against per-gate evaluation.
+"""Parity of the packed per-gate kernels against the numpy dict walk.
 
 Every kernel in :mod:`repro.kernels.packed` must be bit-identical to the
 reference dict-walk (one :func:`evaluate_cell` per gate in topological
 order) — that is the contract that lets the hot paths swap in the packed
-view without perturbing a single move of the optimizer.  The cone-local
-kernels run on pattern ints; their results are compared with the words
-of the numpy walk.
+view without perturbing a single move of the optimizer.  The kernels run
+on pattern ints; their results are compared with the words of the numpy
+walk.
 """
+
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kernels.bits import full_mask, matrix_to_ints, words_to_int
+from repro.kernels.bits import (
+    full_mask,
+    int_to_words,
+    ints_to_matrix,
+    words_to_int,
+)
 from repro.kernels.packed import PackedCircuit, packed_view
 from repro.library.standard import standard_library
-from repro.netlist.simulate import evaluate_cell, random_patterns
+from repro.netlist.blif import parse_blif_file
+from repro.netlist.simulate import (
+    evaluate_cell,
+    exhaustive_patterns,
+    random_patterns,
+)
 from repro.netlist.traverse import topological_order
 from tests.conftest import make_random_netlist
 
 LIB = standard_library()
 NWORDS = 4
+BLIF_DIR = Path(__file__).resolve().parents[2] / "benchmarks" / "blif"
 
 
 def reference_values(netlist, patterns, nwords):
@@ -36,31 +49,50 @@ def reference_values(netlist, patterns, nwords):
     return values
 
 
-def build(seed, num_gates=20):
+def build(seed, num_gates=20, nwords=NWORDS):
     netlist = make_random_netlist(LIB, 5, num_gates, 3, seed=seed)
     patterns = random_patterns(
-        netlist.input_names, NWORDS * 64, seed=seed + 1
+        netlist.input_names, nwords * 64, seed=seed + 1
     )
     return netlist, patterns
+
+
+def simulate_rows(packed, patterns, nwords=NWORDS):
+    """``packed.simulate`` on word-array input patterns."""
+    inputs = {name: words_to_int(words) for name, words in patterns.items()}
+    return packed.simulate(inputs, full_mask(nwords))
+
+
+def assert_matches_dict_walk(netlist, patterns, nwords):
+    packed = PackedCircuit(netlist)
+    rows = simulate_rows(packed, patterns, nwords)
+    expected = reference_values(netlist, patterns, nwords)
+    for i, name in enumerate(packed.names):
+        assert np.array_equal(int_to_words(rows[i], nwords), expected[name]), name
 
 
 class TestSimulateParity:
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10_000))
     def test_matches_dict_walk(self, seed):
-        netlist, patterns = build(seed)
-        packed = PackedCircuit(netlist)
-        matrix = packed.simulate(patterns, NWORDS)
-        expected = reference_values(netlist, patterns, NWORDS)
-        for i, name in enumerate(packed.names):
-            assert np.array_equal(matrix[i], expected[name]), name
+        for nwords in (1, 4, 8):
+            netlist, patterns = build(seed, nwords=nwords)
+            assert_matches_dict_walk(netlist, patterns, nwords)
+
+    def test_matches_dict_walk_exhaustive(self):
+        # misex1's 8 inputs give 256 patterns (4 words); its and3, aoi21
+        # and oai21 cells run the generic cube path.
+        netlist = parse_blif_file(BLIF_DIR / "misex1.blif", LIB)
+        patterns = exhaustive_patterns(netlist.input_names)
+        assert_matches_dict_walk(netlist, patterns, 4)
 
     def test_inputs_copied_into_rows(self):
         netlist, patterns = build(3)
         packed = PackedCircuit(netlist)
-        matrix = packed.simulate(patterns, NWORDS)
-        for i in packed.input_idx:
-            assert np.array_equal(matrix[i], patterns[packed.names[i]])
+        rows = simulate_rows(packed, patterns)
+        for name in netlist.input_names:
+            row = int_to_words(rows[packed.index[name]], NWORDS)
+            assert np.array_equal(row, patterns[name])
 
 
 class TestOverlayParity:
@@ -71,8 +103,8 @@ class TestOverlayParity:
     def test_forced_complement(self, seed, pick):
         netlist, patterns = build(seed)
         packed = PackedCircuit(netlist)
-        matrix = packed.simulate(patterns, NWORDS)
-        rows = matrix_to_ints(matrix)
+        rows = simulate_rows(packed, patterns)
+        matrix = ints_to_matrix(rows, NWORDS)
         logic = [
             i for i, g in enumerate(packed.order) if not g.is_input
         ]
@@ -105,14 +137,14 @@ class TestOverlayParity:
     def test_empty_forced_is_empty(self):
         netlist, patterns = build(11)
         packed = PackedCircuit(netlist)
-        rows = matrix_to_ints(packed.simulate(patterns, NWORDS))
+        rows = simulate_rows(packed, patterns)
         assert packed.propagate_overlay(rows, {}, full_mask(NWORDS)) == {}
 
     def test_overlay_never_mutates_matrix(self):
         # The committed rows the overlay reads stay as they were.
         netlist, patterns = build(5)
         packed = PackedCircuit(netlist)
-        rows = matrix_to_ints(packed.simulate(patterns, NWORDS))
+        rows = simulate_rows(packed, patterns)
         before = list(rows)
         full = full_mask(NWORDS)
         logic = [i for i, g in enumerate(packed.order) if not g.is_input]
@@ -128,12 +160,11 @@ class TestFlipMaskParity:
     def test_matches_brute_force(self, seed, pick):
         netlist, patterns = build(seed)
         packed = PackedCircuit(netlist)
-        matrix = packed.simulate(patterns, NWORDS)
+        rows = simulate_rows(packed, patterns)
+        matrix = ints_to_matrix(rows, NWORDS)
         logic = [i for i, g in enumerate(packed.order) if not g.is_input]
         root = logic[pick % len(logic)]
-        mask = packed.flip_mask(
-            matrix_to_ints(matrix), root, full_mask(NWORDS)
-        )
+        mask = packed.flip_mask(rows, root, full_mask(NWORDS))
 
         pinned = {}
         for gate in topological_order(netlist):

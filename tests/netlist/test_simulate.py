@@ -185,14 +185,6 @@ class TestObservability:
         with pytest.raises(NetlistError):
             sim.branch_observability(figure2.gate("a"), 0)
 
-    def test_propagate_forced_leaves_state(self, figure2):
-        sim = SimState(figure2, exhaustive_patterns(figure2.input_names))
-        before = dict(sim.values)
-        flipped = sim.full ^ sim.value("d")
-        sim.propagate_forced({"d": flipped})
-        for name in figure2.gates:
-            assert sim.value(name) == before[name]
-
 
 class TestPopcount:
     def test_popcount(self):

@@ -3,11 +3,13 @@
 import pytest
 
 from repro.errors import NetlistError
+from repro.kernels.packed import PackedCircuit
 from repro.power.probability import (
     ExactBddProbability,
     PropagationProbability,
     SimulationProbability,
 )
+from repro.power.temporal import TemporalSimulationProbability
 
 
 class TestSimulationEngine:
@@ -33,6 +35,26 @@ class TestSimulationEngine:
         b = SimulationProbability(figure2, num_patterns=512, seed=9)
         for name in figure2.gates:
             assert a.probability(name) == b.probability(name)
+
+    @pytest.mark.parametrize(
+        "engine, states",
+        [(SimulationProbability, 1), (TemporalSimulationProbability, 2)],
+    )
+    def test_one_full_simulation_per_state(
+        self, figure2, monkeypatch, engine, states
+    ):
+        calls = []
+        simulate = PackedCircuit.simulate
+
+        def counted(packed, *args):
+            calls.append(packed)
+            return simulate(packed, *args)
+
+        monkeypatch.setattr(PackedCircuit, "simulate", counted)
+        built = engine(figure2, num_patterns=512, seed=3)
+        assert len(calls) == states
+        built.refresh()  # the public full re-simulation
+        assert len(calls) == 2 * states
 
     def test_update_fanout_matches_refresh(self, figure2):
         engine = SimulationProbability(figure2, exhaustive=True)

@@ -1,9 +1,30 @@
 """Tests for the command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
 from repro.library.standard import STANDARD_GENLIB
+
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+RD53 = str(BENCHMARKS / "blif" / "rd53.blif")
+NANDNOR = str(BENCHMARKS / "genlib" / "nandnor.genlib")
+
+#: Every subcommand that takes ``--patterns``, with its required arguments.
+PATTERN_COMMANDS = {
+    "table1": ["table1", "--circuits", "rd53"],
+    "table2": ["table2", "--circuits", "rd53"],
+    "figure6": ["figure6", "--circuits", "rd53"],
+    "optimize": ["optimize", RD53],
+    "pipeline-run": ["pipeline", "run", RD53],
+    "retarget": ["retarget", RD53, "--to", NANDNOR],
+    "atpg": ["atpg", RD53],
+    "stats": ["stats", RD53],
+    "lint": ["lint", RD53],
+    "analyze": ["analyze", RD53],
+    "fuzz": ["fuzz", "--count", "1"],
+}
 
 
 class TestParser:
@@ -17,6 +38,16 @@ class TestParser:
         )
         assert args.patterns == 512
         assert args.circuits == ["rd53"]
+
+    @pytest.mark.parametrize("command", sorted(PATTERN_COMMANDS))
+    def test_bad_pattern_count_is_usage_error(self, command, capsys):
+        for bad in ("0", "100", "-64"):
+            with pytest.raises(SystemExit) as exit_info:
+                main(PATTERN_COMMANDS[command] + ["--patterns", bad])
+            assert exit_info.value.code == 2
+            err = capsys.readouterr().err
+            assert "error: argument --patterns" in err
+            assert "multiple of 64" in err and f"got {bad}" in err
 
     def test_optimize_args(self):
         args = build_parser().parse_args(
