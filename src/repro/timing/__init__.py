@@ -7,11 +7,10 @@ implements the substitution delay check of §3.4.
 """
 
 from repro.timing.analysis import TimingAnalysis, gate_delay
-from repro.timing.constraints import DelayConstraint, substitution_meets_constraint
+from repro.timing.constraints import DelayConstraint
 
 __all__ = [
     "TimingAnalysis",
     "gate_delay",
     "DelayConstraint",
-    "substitution_meets_constraint",
 ]

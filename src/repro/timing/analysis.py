@@ -12,14 +12,14 @@ through the dirtied fanout cone only, producing floats identical to a
 from-scratch rebuild on the same netlist (untouched gates keep delays
 computed from identical fanout lists, so every recomputed value sees
 bit-equal inputs).  Required times are derived lazily — one backward pass
-on first access, invalidated by updates — because the optimizer only reads
-them for the quick delay filter, not after every edit.
+on first access, invalidated by updates — because only the quick delay
+filter and :meth:`what_if` read them, not every edit.
 
 :meth:`what_if` answers "what would the circuit delay be after this
-substitution?" without building a trial netlist copy: it emulates the
-rewiring, the dead-logic sweep, and the load changes on a virtual overlay
-graph, re-deriving arrival times only inside the dirtied region and
-falling back to committed arrivals elsewhere.
+substitution?" without building a trial netlist copy: it takes the gates
+that die from the gain's dying region, emulates the rewiring and the load
+changes on a virtual overlay graph, and re-derives arrival times only
+inside the dirtied region, falling back to committed arrivals elsewhere.
 """
 
 from __future__ import annotations
@@ -28,10 +28,12 @@ from collections.abc import Iterable
 from typing import TYPE_CHECKING, Optional
 
 from repro.errors import TimingError
+from repro.library.cell import Cell
 from repro.netlist.netlist import Gate, Netlist
 from repro.netlist.traverse import (
     topological_index,
     topological_order,
+    transitive_fanin,
     transitive_fanout,
 )
 
@@ -43,25 +45,16 @@ _INF = float("inf")
 
 def gate_delay(netlist: Netlist, gate: Gate, extra_load: float = 0.0) -> float:
     """``D(s) = τ(s) + R(s)·C(s)`` for a logic gate (0 for primary inputs)."""
-    if gate.is_input:
-        return 0.0
-    pins = gate.cell.pins
-    if not pins:  # constant driver: no signal transition, no delay
-        return 0.0
-    tau = max(p.tau for p in pins)
-    resistance = max(p.resistance for p in pins)
-    return tau + resistance * (netlist.load_of(gate) + extra_load)
+    return _delay(gate.cell, netlist.load_of(gate) + extra_load)
 
 
-def _delay_for_load(gate: Gate, load: float) -> float:
-    """:func:`gate_delay` with an explicit load (trial/what-if paths)."""
-    if gate.is_input:
+def _delay(cell: Optional[Cell], load: float) -> float:
+    """``τ + R·load`` for ``cell``: 0 for a primary input (no cell) and
+    for a constant driver (no pins, so no signal transition)."""
+    if cell is None or not cell.pins:
         return 0.0
-    pins = gate.cell.pins
-    if not pins:
-        return 0.0
-    tau = max(p.tau for p in pins)
-    resistance = max(p.resistance for p in pins)
+    tau = max(p.tau for p in cell.pins)
+    resistance = max(p.resistance for p in cell.pins)
     return tau + resistance * load
 
 
@@ -85,6 +78,9 @@ class TimingAnalysis:
         self.delay_of: dict[str, float] = {}
         self._limit = required_limit
         self._required: Optional[dict[str, float]] = None
+        #: Logic gates with no path to an output (infinite required time),
+        #: listed each time the required times are derived.
+        self._dead: list[Gate] = []
         self._forward_full()
 
     # ------------------------------------------------------------------
@@ -166,6 +162,9 @@ class TimingAnalysis:
                     if candidate < required[fanin.name]:
                         required[fanin.name] = candidate
             self._required = required
+            self._dead = [
+                g for g in order if not g.is_input and required[g.name] == _INF
+            ]
         return self._required
 
     # ------------------------------------------------------------------
@@ -221,11 +220,13 @@ class TimingAnalysis:
         move no longer applies (stale description or cycle creation).
 
         Matches ``TimingAnalysis(apply_to_copy(netlist, sub)[0])
-        .circuit_delay`` without copying the netlist: the rewiring, the
-        dead-logic sweep, and the resulting load changes are emulated on a
-        virtual overlay, and arrivals are recomputed only inside the
-        dirtied fanout closure.
+        .circuit_delay`` without copying the netlist.  The gates that die
+        are the gain's dying region
+        (:func:`repro.transform.gain.predict_dying_region`); the rewiring
+        and the resulting load changes are emulated on a virtual overlay,
+        and arrivals are recomputed only inside the dirtied fanout closure.
         """
+        from repro.transform.gain import predict_dying_region
         from repro.transform.substitution import IS3, OS3
 
         netlist = self.netlist
@@ -233,40 +234,8 @@ class TimingAnalysis:
             return None
         library = netlist.library
         target = netlist.gate(substitution.target)
+        sources = [netlist.gate(s) for s in substitution.source_names()]
         is_os = substitution.is_output_substitution()
-        is_pair = substitution.kind in (OS3, IS3)
-
-        # --- the substituting chain (virtual nodes are \x00-tokens) ----
-        INV1, INV2, NEW = "\x00inv1", "\x00inv2", "\x00new"
-        chain_fanins: dict[str, list[str]] = {}
-        head_gate: Optional[Gate] = None  # existing gate receiving the load
-        if substitution.is_constant:
-            tie_cell = library.constant(bool(substitution.constant))
-            head_gate = next(
-                (g for g in netlist.logic_gates() if g.cell is tie_cell), None
-            )
-            if head_gate is not None:
-                head = head_gate.name
-            else:
-                head = NEW
-                chain_fanins[NEW] = []
-        elif is_pair:
-            eff1 = INV1 if substitution.invert1 else substitution.source1
-            eff2 = INV2 if substitution.invert2 else substitution.source2
-            if substitution.invert1:
-                chain_fanins[INV1] = [substitution.source1]
-            if substitution.invert2:
-                chain_fanins[INV2] = [substitution.source2]
-            chain_fanins[NEW] = [eff1, eff2]
-            head = NEW
-        elif substitution.invert1:
-            chain_fanins[INV1] = [substitution.source1]
-            head = INV1
-        else:
-            head = substitution.source1
-            head_gate = netlist.gate(substitution.source1)
-
-        # --- moved branches --------------------------------------------
         if is_os:
             moved = list(target.fanouts)
             moved_pos = list(target.po_names)
@@ -274,157 +243,91 @@ class TimingAnalysis:
             sink_name, pin = substitution.branch
             moved = [(netlist.gate(sink_name), pin)]
             moved_pos = []
-        moved_pins: dict[int, set[int]] = {}
-        for sink, sink_pin in moved:
-            moved_pins.setdefault(id(sink), set()).add(sink_pin)
+        if any(
+            netlist.would_create_cycle(source, sink)
+            for source in sources
+            for sink, _pin in moved
+        ):
+            return None
 
-        # --- cycle check (same predicate as replace_fanin/replace_fanouts):
-        # the move is rejected iff a rewired sink is, or reaches, a gate the
-        # substituting chain hangs off.
+        # --- the substituting chain (virtual nodes are \x00-tokens) ----
+        INV1, INV2, NEW = "\x00inv1", "\x00inv2", "\x00new"
+        chain: dict[str, tuple[Cell, list[str]]] = {}
+        tie = substitution.reused_tie(netlist)
+        head_gate = tie  # the existing gate taking the moved load, if any
         if substitution.is_constant:
-            chain_roots = {id(head_gate)} if head_gate is not None else set()
-        else:
-            chain_roots = {
-                id(netlist.gate(s)) for s in substitution.source_names()
-            }
-        if chain_roots:
-            stack = [s for s, _pin in moved if s is not target]
-            seen = {id(s) for s in stack}
-            if seen & chain_roots:
-                return None
-            while stack:
-                gate = stack.pop()
-                for out, _pin in gate.fanouts:
-                    if id(out) in chain_roots:
-                        return None
-                    if id(out) not in seen:
-                        seen.add(id(out))
-                        stack.append(out)
-
-        # --- trial-sweep emulation: which nodes die --------------------
-        # Mirrors sweep_dead on the rewired netlist: a node dies iff it is
-        # a logic node, drives no primary output, and every branch leads to
-        # a dead node.  Virtual chain nodes participate (an inserted gate
-        # whose only sinks die is itself swept).
-        children: dict[object, list[object]] = {}
-        keepalive: set[object] = set()
-        for key, fanins in chain_fanins.items():
-            children.setdefault(key, [])
-        head_children = [s.name for s, _pin in moved]
-        if head in chain_fanins:
-            children[head] = list(head_children)
-            if moved_pos:
-                keepalive.add(head)
-            if is_pair:
-                for token, eff in ((INV1, substitution.invert1),
-                                   (INV2, substitution.invert2)):
-                    if eff:
-                        children[token] = [NEW]
-        for gate in netlist.gates.values():
-            if is_os and gate is target:
-                # All branches and POs moved away; not kept alive by them.
-                children[gate.name] = []
-                if gate.is_input:
-                    keepalive.add(gate.name)
-                continue
-            kids = []
-            for s, p in gate.fanouts:
-                if gate is target and not is_os and (s, p) == moved[0]:
-                    continue  # the rewired branch leaves the target
-                kids.append(s.name)
-            children[gate.name] = kids
-            if gate.is_input or gate.po_names:
-                keepalive.add(gate.name)
-        # Chain attachment: sources (or the reused tie gate) drive the chain.
-        if substitution.is_constant:
-            if head_gate is not None:
-                children[head_gate.name] = children[head_gate.name] + head_children
-                if moved_pos:
-                    keepalive.add(head_gate.name)
-        elif is_pair:
-            eff1 = INV1 if substitution.invert1 else NEW
-            eff2 = INV2 if substitution.invert2 else NEW
-            s1, s2 = substitution.source1, substitution.source2
-            children[s1] = children[s1] + [eff1]
-            children[s2] = children[s2] + [eff2]
+            if tie is None:
+                chain[NEW] = (library.constant(bool(substitution.constant)), [])
+        elif substitution.kind in (OS3, IS3):
+            pins = []
+            for token, source, inverted in (
+                (INV1, substitution.source1, substitution.invert1),
+                (INV2, substitution.source2, substitution.invert2),
+            ):
+                if inverted:
+                    chain[token] = (library.inverter(), [source])
+                pins.append(token if inverted else source)
+            chain[NEW] = (library[substitution.new_cell], pins)
         elif substitution.invert1:
-            s1 = substitution.source1
-            children[s1] = children[s1] + [INV1]
+            chain[INV1] = (library.inverter(), [substitution.source1])
         else:
-            s1 = substitution.source1
-            children[s1] = children[s1] + head_children
-            if moved_pos:
-                keepalive.add(s1)
+            head_gate = sources[0]
+        head = head_gate.name if head_gate is not None else next(reversed(chain))
 
-        parents: dict[object, list[object]] = {}
-        remaining: dict[object, int] = {}
-        for key, kids in children.items():
-            remaining[key] = len(kids)
-            for kid in kids:
-                parents.setdefault(kid, []).append(key)
-        dead: set[object] = set()
-        worklist = [
-            key
-            for key, count in remaining.items()
-            if count == 0 and key not in keepalive
-        ]
-        while worklist:
-            key = worklist.pop()
-            if key in dead:
-                continue
-            dead.add(key)
-            for parent in parents.get(key, ()):
-                remaining[parent] -= 1
-                if remaining[parent] == 0 and parent not in keepalive:
-                    worklist.append(parent)
+        # --- which gates die -------------------------------------------
+        # A gate with no path to an output has an infinite required time.
+        # Only a netlist never swept has such dead logic, and the trial
+        # sweep removes it along with whatever the move kills.
+        required = self.required
+        if moved_pos or any(required[s.name] != _INF for s, _pin in moved):
+            # The substituting signal now reaches an output, so dead logic
+            # feeding a source (or the reused tie gate) comes back to life;
+            # the rest stays dead and seeds the dying-region growth.
+            stays: list[Gate] = []
+            if self._dead:
+                roots = [tie] if tie is not None else sources
+                feeds = {id(g) for g in roots + transitive_fanin(netlist, roots)}
+                stays = [g for g in self._dead if id(g) not in feeds]
+            dead = {
+                g.name for g in predict_dying_region(netlist, substitution, stays)
+            }
+        else:
+            # No moved load reaches an output: the chain dies with it and no
+            # gate changes liveness, so the trial netlist is this one with
+            # its dead logic swept.
+            moved, moved_pos, chain, head_gate = [], [], {}, None
+            dead = {g.name for g in self._dead}
 
         # --- trial loads and delay overrides ---------------------------
-        def pin_load(sink: Gate, sink_pin: int) -> float:
-            return sink.cell.pins[sink_pin].load
-
         moved_pin_load = 0.0
         for sink, sink_pin in moved:
             if sink.name not in dead:
-                moved_pin_load += pin_load(sink, sink_pin)
+                moved_pin_load += sink.cell.pins[sink_pin].load
         moved_po_load = 0.0
         for po in moved_pos:
             moved_po_load += netlist.output_loads[po]
 
-        # Loads newly hung on each source by the chain (0 when the chain
-        # node died in the sweep).
+        # The head drives the moved load and an inverter feeding the
+        # inserted gate drives that gate's pin; every pin a chain node
+        # presents to a source adds to the source's load.
+        chain_load = {head: moved_pin_load + moved_po_load}
         chain_pin: dict[str, float] = {}
-        if not substitution.is_constant:
-            inv_cell = library.inverter() if (
-                substitution.invert1 or substitution.invert2
-            ) else None
-            if is_pair:
-                cell = library[substitution.new_cell]
-                pairs = (
-                    (substitution.source1, substitution.invert1, INV1, 0),
-                    (substitution.source2, substitution.invert2, INV2, 1),
-                )
-                for source, inverted, token, cell_pin in pairs:
-                    if inverted:
-                        if token not in dead:
-                            chain_pin[source] = (
-                                chain_pin.get(source, 0.0)
-                                + inv_cell.pins[0].load
-                            )
-                    elif NEW not in dead:
-                        chain_pin[source] = (
-                            chain_pin.get(source, 0.0)
-                            + cell.pins[cell_pin].load
-                        )
-            elif substitution.invert1:
-                if INV1 not in dead:
-                    chain_pin[substitution.source1] = inv_cell.pins[0].load
+        for cell, fanins in chain.values():
+            for cell_pin, key in enumerate(fanins):
+                if key in chain:
+                    chain_load[key] = cell.pins[cell_pin].load
+                else:
+                    chain_pin[key] = (
+                        chain_pin.get(key, 0.0) + cell.pins[cell_pin].load
+                    )
+        delay_override = {
+            token: _delay(cell, chain_load[token])
+            for token, (cell, _fanins) in chain.items()
+        }
 
         affected: set[str] = set()
-        for key in dead:
-            gate = netlist.gates.get(key) if isinstance(key, str) else None
-            if gate is None:
-                continue
-            for fanin in gate.fanins:
+        for name in dead:
+            for fanin in netlist.gates[name].fanins:
                 if fanin.name not in dead:
                     affected.add(fanin.name)
         if head_gate is not None:
@@ -433,62 +336,41 @@ class TimingAnalysis:
         if not is_os and target.name not in dead:
             affected.add(target.name)
 
-        delay_override: dict[object, float] = {}
         for name in affected:
             gate = netlist.gates[name]
             load = 0.0
             for s, p in gate.fanouts:
-                if s.name in dead:
+                if s.name in dead or (gate is target and (s, p) in moved):
                     continue
-                if gate is target and not is_os and (s, p) == moved[0]:
-                    continue
-                load += pin_load(s, p)
+                load += s.cell.pins[p].load
             load += chain_pin.get(name, 0.0)
-            if head_gate is not None and name == head_gate.name:
+            if gate is head_gate:
                 load += moved_pin_load
             for po in gate.po_names:
                 load += netlist.output_loads[po]
-            if head_gate is not None and name == head_gate.name:
+            if gate is head_gate:
                 load += moved_po_load
-            delay_override[name] = _delay_for_load(gate, load)
-
-        if NEW in chain_fanins:
-            if substitution.is_constant:
-                delay_override[NEW] = 0.0  # tie cell: no pins, no transition
-            else:
-                cell = library[substitution.new_cell]
-                delay_override[NEW] = _delay_for_cell(
-                    cell, moved_pin_load + moved_po_load
-                )
-        if INV1 in chain_fanins:
-            inv_cell = library.inverter()
-            inv_load = (
-                library[substitution.new_cell].pins[0].load
-                if is_pair
-                else moved_pin_load + moved_po_load
-            )
-            delay_override[INV1] = _delay_for_cell(inv_cell, inv_load)
-        if INV2 in chain_fanins:
-            delay_override[INV2] = _delay_for_cell(
-                library.inverter(), library[substitution.new_cell].pins[1].load
-            )
+            delay_override[name] = _delay(gate.cell, load)
 
         # --- arrival recomputation over the dirtied closure ------------
         dirty_names = set(affected)
         dirty_names.update(s.name for s, _pin in moved)
-        dirty_gates = [
-            netlist.gates[n] for n in dirty_names if n in netlist.gates
-        ]
         closure = set(dirty_names)
         closure.update(
-            g.name for g in transitive_fanout(netlist, dirty_gates)
+            g.name
+            for g in transitive_fanout(
+                netlist, [netlist.gates[n] for n in dirty_names]
+            )
         )
+        moved_pins: dict[int, set[int]] = {}
+        for sink, sink_pin in moved:
+            moved_pins.setdefault(id(sink), set()).add(sink_pin)
 
-        arrivals: dict[object, float] = {}
+        arrivals: dict[str, float] = {}
 
-        def trial_fanins(key: object) -> list[object]:
-            if key in chain_fanins:
-                return list(chain_fanins[key])
+        def trial_fanins(key: str) -> list[str]:
+            if key in chain:
+                return list(chain[key][1])
             gate = netlist.gates[key]
             moved_here = moved_pins.get(id(gate), set())
             if not moved_here:
@@ -498,18 +380,18 @@ class TimingAnalysis:
                 for i, f in enumerate(gate.fanins)
             ]
 
-        def compute(root: object) -> None:
-            stack: list[object] = [root]
+        def compute(root: str) -> None:
+            stack: list[str] = [root]
             while stack:
                 key = stack[-1]
                 if key in arrivals:
                     stack.pop()
                     continue
-                if key not in chain_fanins and key not in closure:
+                if key not in chain and key not in closure:
                     arrivals[key] = self.arrival[key]
                     stack.pop()
                     continue
-                gate = None if key in chain_fanins else netlist.gates[key]
+                gate = None if key in chain else netlist.gates[key]
                 if gate is not None and gate.is_input:
                     arrivals[key] = 0.0
                     stack.pop()
@@ -532,19 +414,10 @@ class TimingAnalysis:
         best = 0.0
         seen_output = False
         for _po, driver in netlist.outputs.items():
-            key: object = head if (is_os and driver is target) else driver.name
+            key = head if (is_os and driver is target) else driver.name
             compute(key)
             value = arrivals[key]
             if not seen_output or value > best:
                 best = value
                 seen_output = True
         return best if seen_output else 0.0
-
-
-def _delay_for_cell(cell, load: float) -> float:
-    pins = cell.pins
-    if not pins:
-        return 0.0
-    tau = max(p.tau for p in pins)
-    resistance = max(p.resistance for p in pins)
-    return tau + resistance * load

@@ -9,18 +9,16 @@ the user constraint, identifying two mechanisms:
    path through it becomes critical.
 
 :func:`quick_delay_reject` implements (1) plus a slack test for (2) as a fast
-necessary filter.  The optimizer's ``check_delay`` runs it first and then
-takes the exact verdict from :meth:`TimingAnalysis.what_if
+filter.  The optimizer's ``check_delay`` runs it first and then takes the
+exact verdict from :meth:`TimingAnalysis.what_if
 <repro.timing.analysis.TimingAnalysis.what_if>`, which re-times the rewired
-netlist in place without copying it.  :func:`substitution_meets_constraint`
-is the same exact verdict from a full STA pass on an already-edited trial
-netlist, for callers that hold one.
+netlist in place without copying it.  The filter is not a necessary
+condition: it also rejects some moves the exact verdict would accept.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.errors import TimingError
 from repro.netlist.netlist import Gate, Netlist
@@ -45,9 +43,6 @@ class DelayConstraint:
             raise TimingError("slack percentage must be non-negative")
         return cls(limit=initial * (1.0 + slack_percent / 100.0))
 
-    def satisfied_by(self, netlist: Netlist, tolerance: float = 1e-9) -> bool:
-        return TimingAnalysis(netlist).circuit_delay <= self.limit + tolerance
-
 
 def quick_delay_reject(
     timing: TimingAnalysis,
@@ -57,12 +52,18 @@ def quick_delay_reject(
     new_gate_tau: float = 0.0,
     new_gate_resistance: float = 0.0,
 ) -> bool:
-    """Fast necessary filter: True when the move *certainly* violates timing.
+    """Fast filter: True when the move looks likely to violate timing.
 
     ``timing`` must have been built with the constraint as its required
     limit, so required times already encode the budget.  ``added_load`` is
     the capacitance newly hung on the substituting stem; for OS3/IS3 the new
     gate's τ/R describe the inserted 2-input cell.
+
+    A True answer is not proof of a violation.  For an input substitution
+    ``substituted`` is the stem, whose required time is the minimum over
+    all its branches, not the moved branch's own, so a move that a
+    :meth:`~repro.timing.analysis.TimingAnalysis.what_if` re-timing would
+    accept can be rejected here.
     """
     required_a = timing.required.get(substituted.name)
     if required_a is None:
@@ -85,14 +86,3 @@ def quick_delay_reject(
         if slack_b != float("inf") and resistance * added_load > slack_b + 1e-9:
             return True
     return False
-
-
-def substitution_meets_constraint(
-    trial_netlist: Netlist,
-    constraint: Optional[DelayConstraint],
-    tolerance: float = 1e-9,
-) -> bool:
-    """Exact check: STA on the edited netlist against the constraint."""
-    if constraint is None:
-        return True
-    return TimingAnalysis(trial_netlist).circuit_delay <= constraint.limit + tolerance

@@ -436,7 +436,6 @@ class CandidateWorkspace:
         va_b = va[:, None, None, :]
         obs_b = obs[:, None, None, :]
         done: dict[int, tuple[np.ndarray, int]] = {}
-        full_words = total == 64 * self.sim.nwords
         for ci, cell in enumerate(cells):
             bits = cell.function.bits
             mate = done.get(~bits & 0b1111)
@@ -448,14 +447,7 @@ class CandidateWorkspace:
                 # symmetric in p <-> 1-p).
                 d_mate, mi = mate
                 table[:, :, :, ci] = ~((d_mate ^ obs_b).any(axis=3))
-                if rows_next is not None or full_words:
-                    act[:, :, :, ci] = act[:, :, :, mi]
-                else:
-                    # Padding bits flip under complement, so the shortcut
-                    # is only exact when every word bit is a pattern.
-                    word = _two_input_word(bits, wa, wb)
-                    p = popcount_lastaxis(word) / total
-                    act[:, :, :, ci] = 2.0 * p * (1.0 - p)
+                act[:, :, :, ci] = act[:, :, :, mi]
                 continue
             word = _two_input_word(bits, wa, wb)
             if word is not None:
@@ -613,10 +605,7 @@ def _try_candidate(
     collected: list[Candidate],
     min_quick: Optional[float],
 ) -> None:
-    try:
-        gain = quick_gain(estimator, substitution)
-    except TransformError:
-        return  # e.g. source inside the dying region
+    gain = quick_gain(estimator, substitution)
     if min_quick is not None and gain.quick < min_quick:
         return
     collected.append(Candidate(substitution, gain))

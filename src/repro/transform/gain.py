@@ -22,10 +22,10 @@ on the process's string-hash seed.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.errors import TransformError
 from repro.kernels.bits import evaluate_cell_bits
 from repro.kernels.packed import PackedCircuit, packed_view
 from repro.netlist.netlist import Gate, Netlist
@@ -60,39 +60,55 @@ class GainBreakdown:
 # Dying-region prediction
 # ----------------------------------------------------------------------
 def predict_dying_region(
-    netlist: Netlist, substitution: Substitution
+    netlist: Netlist,
+    substitution: Substitution,
+    dead: Sequence[Gate] = (),
 ) -> list[Gate]:
     """Gates that die when the move is applied (the paper's ``Dom(a)``).
 
     For output substitutions this is the target's maximum fanout-free cone,
-    except that the substituting source gates (which gain fanout) and their
-    transitive fanins must survive.  For input substitutions the region is
-    empty unless the rewired branch was the target's only fanout.
+    except that the gates the move hangs its load on survive: the sources
+    (which gain fanout), the tie gate a constant move reuses, and their
+    transitive fanins.  For input substitutions the region is empty unless
+    the rewired branch was the target's only fanout.
+
+    ``dead`` lists gates that reach no primary output and still reach none
+    after the move (the dead logic of a netlist never swept).  They die
+    too and seed the growth; an input substitution's target then also dies
+    when its other branches all lead into them.
     """
     target = netlist.gate(substitution.target)
     if target.is_input:
+        dies = False
+    elif substitution.is_output_substitution():
+        dies = True
+    else:
+        sink_name, moved_pin = substitution.branch
+        dies = not target.po_names and all(
+            sink in dead
+            for sink, pin in target.fanouts
+            if sink.name != sink_name or pin != moved_pin
+        )
+    if not dies and not dead:
         return []
-    if not substitution.is_output_substitution() and target.fanout_count() > 1:
-        return []
-
     keep_ids = {id(netlist.gate(s)) for s in substitution.source_names()}
-    region = _grow_region(netlist, target, keep_ids)
-    # Sources must really be outside: if a source ended up dominated by the
-    # target the substitution is self-referential and invalid.
-    region_ids = {id(g) for g in region}
-    for source in substitution.source_names():
-        if id(netlist.gate(source)) in region_ids:
-            raise TransformError(
-                f"substitution source {source!r} lies in the dying region"
-            )
-    return region
+    tie = substitution.reused_tie(netlist)
+    if tie is not None:
+        keep_ids.add(id(tie))
+    seeds = list(dead)
+    if dies and id(target) not in keep_ids:
+        seeds.insert(0, target)
+    return _grow_region(netlist, seeds, keep_ids)
 
 
 def _grow_region(
-    netlist: Netlist, target: Gate, keep_ids: set[int]
+    netlist: Netlist, seeds: list[Gate], keep_ids: set[int]
 ) -> list[Gate]:
-    region: list[Gate] = [target]
-    region_ids = {id(target)}
+    """``seeds`` plus, transitively, every gate whose branches all lead
+    into the region, except primary inputs, gates driving a primary output
+    and gates in ``keep_ids``."""
+    region: list[Gate] = list(seeds)
+    region_ids = {id(g) for g in region}
     changed = True
     while changed:
         changed = False
@@ -118,15 +134,14 @@ def _grow_region(
 def dominated_region(netlist: Netlist, target: Gate) -> list[Gate]:
     """The unconstrained dying region of an output substitution of ``target``.
 
-    Equal to :func:`predict_dying_region` for any output substitution none
-    of whose sources lies inside this region (the keep set then never
-    binds, so the growth is identical step for step).  Candidate
-    generation computes it once per target and shares it across the whole
-    OS3 pair table.
+    Equal to :func:`predict_dying_region` for any output substitution by
+    sources outside this region (the keep set then never binds, so the
+    growth is identical step for step).  Candidate generation computes it
+    once per target and shares it across the whole OS3 pair table.
     """
     if target.is_input:
         return []
-    return _grow_region(netlist, target, set())
+    return _grow_region(netlist, [target], set())
 
 
 def _branch_load(netlist: Netlist, substitution: Substitution) -> float:
@@ -277,12 +292,9 @@ def _area_delta(
         delta += inversions * library.inverter().area
     if substitution.new_cell is not None:
         delta += library[substitution.new_cell].area
-    if substitution.is_constant and library is not None:
-        tie = library.constant(bool(substitution.constant))
-        if tie is not None and not any(
-            g.cell is tie for g in netlist.logic_gates()
-        ):
-            delta += tie.area  # a new tie gate must be instantiated
+    if substitution.is_constant and substitution.reused_tie(netlist) is None:
+        # A new tie gate must be instantiated.
+        delta += library.constant(bool(substitution.constant)).area
     return delta
 
 

@@ -75,6 +75,16 @@ class Substitution:
                 )
         elif not self.source1:
             raise TransformError("substitution requires a source signal")
+        if self.target in self.source_names() and (
+            self.is_output_substitution() or (self.kind == IS2 and not self.invert1)
+        ):
+            # Moving a stem's fanout onto a function of the stem closes a
+            # loop (onto the stem itself it changes nothing), and a branch
+            # rewired to the stem it reads stays as it was.  An inserted
+            # inverter or IS3 gate may read the target's stem.
+            raise TransformError(
+                f"{self.kind} names its target {self.target!r} as a source"
+            )
 
     # ------------------------------------------------------------------
     def candidate_id(self) -> str:
@@ -136,6 +146,18 @@ class Substitution:
                 return False
         return True
 
+    def reused_tie(self, netlist: Netlist) -> Optional[Gate]:
+        """The existing tie gate a constant move rewires its load to.
+
+        :func:`apply_substitution` reuses the first gate of the library's
+        tie cell for the constant and instantiates one only when there is
+        none; ``None`` then, and for every non-constant move.
+        """
+        if self.constant is None:
+            return None
+        cell = netlist.library.constant(bool(self.constant))
+        return next((g for g in netlist.logic_gates() if g.cell is cell), None)
+
     def __str__(self) -> str:
         inv1 = "!" if self.invert1 else ""
         src = str(self.constant) if self.constant is not None else (
@@ -188,17 +210,6 @@ class AppliedSubstitution:
         return [n for n in names if n in netlist.gates]
 
 
-def _tie_gate(netlist: Netlist, value: int, added: list[str]) -> Gate:
-    """Find or create a library tie gate driving the constant ``value``."""
-    cell = netlist.library.constant(bool(value))
-    for gate in netlist.logic_gates():
-        if gate.cell is cell:
-            return gate
-    gate = netlist.add_gate(cell, [], name=netlist.fresh_name(f"powder_tie{value}"))
-    added.append(gate.name)
-    return gate
-
-
 def _effective_source(
     netlist: Netlist, source: Gate, invert: bool, added: list[str]
 ) -> Gate:
@@ -230,7 +241,14 @@ def apply_substitution(
     added: list[str] = []
 
     if substitution.is_constant:
-        substituting = _tie_gate(netlist, substitution.constant, added)
+        substituting = substitution.reused_tie(netlist)
+        if substituting is None:
+            value = substitution.constant
+            substituting = netlist.add_gate(
+                netlist.library.constant(bool(value)), [],
+                name=netlist.fresh_name(f"powder_tie{value}"),
+            )
+            added.append(substituting.name)
     elif substitution.kind in (OS3, IS3):
         source = netlist.gate(substitution.source1)
         source2 = netlist.gate(substitution.source2)

@@ -49,9 +49,13 @@ def figure2(lib):
 
 
 def make_random_netlist(
-    lib, num_inputs: int, num_gates: int, num_outputs: int, seed: int
+    lib, num_inputs: int, num_gates: int, num_outputs: int, seed: int,
+    sweep: bool = True,
 ) -> Netlist:
-    """A random mapped DAG over 2-input cells (deterministic per seed)."""
+    """A random mapped DAG over 2-input cells (deterministic per seed).
+
+    ``sweep=False`` keeps the gates that reach no output (dead logic).
+    """
     rng = random.Random(seed)
     b = NetlistBuilder(lib, f"rand{seed}")
     signals = [b.input(f"x{i}") for i in range(num_inputs)]
@@ -70,7 +74,8 @@ def make_random_netlist(
     for index, gate in enumerate(chosen):
         b.output(f"o{index}", gate)
     netlist = b.build()
-    netlist.sweep_dead()
+    if sweep:
+        netlist.sweep_dead()
     return netlist
 
 

@@ -194,3 +194,51 @@ class TestWhatIf:
                 )
                 kinds.add((sub.kind, sub.invert1))
         assert len(kinds) >= 3
+
+    # Seeds 110, 112 and 170 rewire the one live branch of a stem whose
+    # other branches all lead into dead logic, so the stem dies as well.
+    @pytest.mark.parametrize("seed", [*range(0, 60, 4), 110, 112, 170])
+    def test_matches_trial_copy_with_dead_logic(self, seed):
+        # An input netlist can carry gates that reach no output.  The trial
+        # copy's sweep removes them too, except those a move's sources now
+        # feed to an output.
+        netlist = make_random_netlist(LIB, 6, 20, 3, seed, sweep=False)
+        assert netlist.copy().sweep_dead()
+        checked = _check_what_if_against_trial_copy(
+            netlist, TimingAnalysis(netlist), CandidateOptions(max_total=80)
+        )
+        assert checked > 0
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_constant_candidates_match_trial_copy(self, seed):
+        # The first constant move instantiates a tie gate; the candidates
+        # after it reuse that gate.
+        netlist = make_random_netlist(LIB, 6, 20, 3, seed)
+        options = CandidateOptions(max_total=80, constant_substitution=True)
+        for _move in range(2):
+            timing = TimingAnalysis(netlist)
+            _check_what_if_against_trial_copy(netlist, timing, options)
+            constants = [
+                c.substitution
+                for c in generate_candidates(_estimator(netlist), options)
+                if c.substitution.is_constant
+            ]
+            assert constants
+            apply_substitution(netlist, constants[0])
+
+
+def _check_what_if_against_trial_copy(netlist, timing, options) -> int:
+    checked = 0
+    for candidate in generate_candidates(_estimator(netlist), options):
+        predicted = timing.what_if(candidate.substitution)
+        try:
+            trial, _ = apply_to_copy(netlist, candidate.substitution)
+        except (TransformError, NetlistError):
+            assert predicted is None
+            continue
+        expected = TimingAnalysis(trial).circuit_delay
+        assert predicted == pytest.approx(expected, abs=1e-9), str(
+            candidate.substitution
+        )
+        checked += 1
+    return checked

@@ -77,6 +77,18 @@ class TestDyingRegion:
         region = predict_dying_region(nl, Substitution(OS2, "g2", "g1", invert1=True))
         assert {g.name for g in region} == {"g2"}
 
+    def test_constant_move_keeps_the_reused_tie(self, builder, lib):
+        # OS2(a <- 1) hangs z's pin on t1, the tie gate a read: only a dies.
+        x, y = builder.inputs("x", "y")
+        t1 = builder.netlist.add_gate(lib.constant(True), [], name="t1")
+        a = builder.and_(x, t1, name="a")
+        builder.output("o", builder.and_(a, y, name="z"))
+        nl = builder.build()
+        sub = Substitution(OS2, "a", "", constant=1)
+        assert [g.name for g in predict_dying_region(nl, sub)] == ["a"]
+        assert_gain_exact(nl, sub)
+        assert "t1" in nl.gates
+
 
 class TestQuickGainFigure2:
     def test_figure2_is2_components(self, figure2):

@@ -36,6 +36,26 @@ class TestValidation:
         with pytest.raises(TransformError):
             Substitution(OS2, "a", "b", source2="c", new_cell="and2")
 
+    @pytest.mark.parametrize(
+        "kind, source1, extra",
+        [
+            (OS2, "a", {}),  # no-op
+            (OS2, "a", {"invert1": True}),  # the inverter on a feeds itself
+            (OS3, "b", {"source2": "a", "new_cell": "nand2"}),  # loop
+            (IS2, "a", {"branch": ("f", 0)}),  # no-op
+        ],
+    )
+    def test_target_as_its_own_source_rejected(self, kind, source1, extra):
+        with pytest.raises(TransformError):
+            Substitution(kind, "a", source1, **extra)
+
+    def test_inserted_gate_may_read_the_target(self):
+        # The branch reads a new gate (inverter or IS3 cell) on the stem.
+        Substitution(IS2, "a", "a", invert1=True, branch=("f", 0))
+        Substitution(
+            IS3, "a", "a", branch=("f", 0), source2="b", new_cell="and2"
+        )
+
     def test_validate_against(self, figure2):
         good = Substitution(OS2, "d", "e")
         assert good.validate_against(figure2)
