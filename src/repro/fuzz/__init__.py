@@ -14,8 +14,9 @@ across randomized circuits:
   simulation, SAT miter, random-vector prefilter) and cross-checking the
   reported power/area/delay against from-scratch re-estimation,
 - :mod:`~repro.fuzz.properties` — metamorphic properties of the optimizer
-  (power never increases, the delay constraint holds, re-running is safe,
-  the pass pipeline and the directly driven engine agree move for move),
+  (power never increases, the delay constraint holds, no dead logic is
+  left behind, re-running is safe, the pass pipeline and the directly
+  driven engine agree move for move),
 - :mod:`~repro.fuzz.shrink` — delta-debugging reduction of a failing
   netlist to a small reproducer,
 - :mod:`~repro.fuzz.harness` — the ``powder fuzz`` campaign driver and the

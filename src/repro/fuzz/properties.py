@@ -7,6 +7,9 @@ input, no reference answer needed:
   loop only accepts strictly improving moves),
 - ``delay-constraint`` — when a limit is configured, the final circuit
   delay respects it,
+- ``dead-logic`` — the output has no fanout-free logic gate the input did
+  not have: every applied move sweeps what it kills, and a rejected move
+  leaves nothing behind,
 - ``idempotent-rerun`` — running the optimizer again on its own output is
   safe: it converges, keeps equivalence, and never pushes power back up,
 - ``pipeline-identity`` — the default pass pipeline (what
@@ -53,6 +56,7 @@ def run_properties(
     if check_power_monotone:
         failures.extend(power_monotone(result))
     failures.extend(delay_constraint(result))
+    failures.extend(dead_logic(original, result))
     if check_rerun:
         failures.extend(
             idempotent_rerun(result, options, check_power=check_power_monotone)
@@ -96,6 +100,19 @@ def delay_constraint(result: OptimizeResult) -> list[str]:
             f"[delay-constraint] final delay {result.final_delay!r} violates "
             f"the limit {result.delay_limit!r}"
         ]
+    return []
+
+
+def dead_logic(original: Netlist, result: OptimizeResult) -> list[str]:
+    """[dead-logic] no fanout-free logic gate the input did not have."""
+    before = {g.name for g in original.logic_gates() if not g.fanout_count()}
+    left = sorted(
+        g.name
+        for g in result.netlist.logic_gates()
+        if not g.fanout_count() and g.name not in before
+    )
+    if left:
+        return [f"[dead-logic] fanout-free gates left behind: {left}"]
     return []
 
 

@@ -3,7 +3,7 @@
 - :mod:`~repro.netlist.netlist` — the mutable gate-level DAG with ordered
   pins, stems/branches and incremental edit operations.
 - :mod:`~repro.netlist.traverse` — topological orders, transitive fanin/
-  fanout, maximum fanout-free cones (the paper's dominated regions).
+  fanout.
 - :mod:`~repro.netlist.simulate` — bit-parallel logic simulation with
   incremental re-simulation of fanout cones.
 - :mod:`~repro.netlist.blif` — BLIF I/O for mapped netlists.
@@ -15,8 +15,6 @@ from repro.netlist.traverse import (
     topological_order,
     transitive_fanin,
     transitive_fanout,
-    mffc,
-    logic_levels,
 )
 from repro.netlist.simulate import SimState, random_patterns, exhaustive_patterns
 from repro.netlist.blif import parse_blif, write_blif
@@ -29,8 +27,6 @@ __all__ = [
     "topological_order",
     "transitive_fanin",
     "transitive_fanout",
-    "mffc",
-    "logic_levels",
     "SimState",
     "random_patterns",
     "exhaustive_patterns",

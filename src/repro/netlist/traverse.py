@@ -1,11 +1,9 @@
 """Graph traversals over netlists.
 
 Includes the paper's structural notions: transitive fanout ``TFO(s)``,
-transitive fanin, and the *dominated region* ``Dom(s)`` — the set of gates
-every one of whose output paths passes through ``s``.  When a stem is
-substituted away, exactly this region becomes dead; it coincides with the
-maximum fanout-free cone (MFFC) rooted at the gate, which :func:`mffc`
-computes by virtual fanout peeling.
+transitive fanin, and the inputs of a region (eq. 3's ``inputs(Dom(s))``).
+The dominated region ``Dom(s)`` itself, the gates that die when a stem is
+substituted away, is grown by :func:`repro.transform.gain.dominated_region`.
 """
 
 from __future__ import annotations
@@ -117,43 +115,6 @@ def po_reachable(netlist: Netlist) -> set[str]:
     return reachable
 
 
-def mffc(netlist: Netlist, root: Gate) -> list[Gate]:
-    """Maximum fanout-free cone of ``root`` — the paper's ``Dom(root)``.
-
-    Returns the logic gates (root included, primary inputs excluded) that die
-    when the root's stem is disconnected, i.e. the gates all of whose paths
-    to primary outputs run through ``root``.  Computed by virtually removing
-    the root and peeling gates whose remaining fanout count reaches zero.
-    """
-    if root.is_input:
-        return []
-    region: list[Gate] = [root]
-    region_ids = {id(root)}
-    # Remaining external fanout count for gates we are considering.
-    pending: dict[int, int] = {}
-    worklist = list(root.fanins)
-    for gate in worklist:
-        pending[id(gate)] = pending.get(id(gate), 0)
-    # Breadth: repeatedly try to absorb fanins whose every branch lands in
-    # the region and that drive no primary output.
-    changed = True
-    while changed:
-        changed = False
-        candidates: dict[int, Gate] = {}
-        for gate in region:
-            for fanin in gate.fanins:
-                if not fanin.is_input and id(fanin) not in region_ids:
-                    candidates[id(fanin)] = fanin
-        for gate in candidates.values():
-            if gate.po_names:
-                continue
-            if all(id(sink) in region_ids for sink, _pin in gate.fanouts):
-                region.append(gate)
-                region_ids.add(id(gate))
-                changed = True
-    return region
-
-
 def region_inputs(netlist: Netlist, region: list[Gate]) -> list[Gate]:
     """Gates outside the region with a direct fanout into it.
 
@@ -166,14 +127,3 @@ def region_inputs(netlist: Netlist, region: list[Gate]) -> list[Gate]:
             if id(fanin) not in region_ids:
                 found.setdefault(id(fanin), fanin)
     return list(found.values())
-
-
-def logic_levels(netlist: Netlist) -> dict[str, int]:
-    """Level of each gate: PIs at 0, otherwise 1 + max fanin level."""
-    levels: dict[str, int] = {}
-    for gate in topological_order(netlist):
-        if gate.is_input or not gate.fanins:
-            levels[gate.name] = 0
-        else:
-            levels[gate.name] = 1 + max(levels[f.name] for f in gate.fanins)
-    return levels

@@ -216,8 +216,9 @@ class TimingAnalysis:
     # What-if analysis (trial delay without a netlist copy)
     # ------------------------------------------------------------------
     def what_if(self, substitution: "Substitution") -> Optional[float]:
-        """Circuit delay if ``substitution`` were applied; ``None`` when the
-        move no longer applies (stale description or cycle creation).
+        """Circuit delay if ``substitution`` were applied; ``None`` when
+        :meth:`~repro.transform.substitution.Substitution.blocker` rejects
+        the move, the one rule ``apply_substitution`` raises on.
 
         Matches ``TimingAnalysis(apply_to_copy(netlist, sub)[0])
         .circuit_delay`` without copying the netlist.  The gates that die
@@ -230,7 +231,7 @@ class TimingAnalysis:
         from repro.transform.substitution import IS3, OS3
 
         netlist = self.netlist
-        if not substitution.validate_against(netlist):
+        if substitution.blocker(netlist) is not None:
             return None
         library = netlist.library
         target = netlist.gate(substitution.target)
@@ -243,12 +244,6 @@ class TimingAnalysis:
             sink_name, pin = substitution.branch
             moved = [(netlist.gate(sink_name), pin)]
             moved_pos = []
-        if any(
-            netlist.would_create_cycle(source, sink)
-            for source in sources
-            for sink, _pin in moved
-        ):
-            return None
 
         # --- the substituting chain (virtual nodes are \x00-tokens) ----
         INV1, INV2, NEW = "\x00inv1", "\x00inv2", "\x00new"

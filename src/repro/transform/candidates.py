@@ -42,10 +42,9 @@ import numpy as np
 
 from repro.errors import TransformError
 from repro.kernels.bits import int_to_words
-from repro.kernels.words import popcount, popcount_lastaxis
+from repro.kernels.words import popcount_lastaxis
 from repro.netlist.netlist import Gate, Netlist
 from repro.netlist.observability import ObservabilityMaps
-from repro.netlist.simulate import evaluate_cell
 from repro.netlist.traverse import topological_order
 from repro.power.estimate import PowerEstimator
 from repro.power.probability import SimulationProbability
@@ -276,7 +275,7 @@ class CandidateWorkspace:
         ranked sources agrees with the target on every observable pattern;
         ``activity[ai, bi, ci]`` is the switching activity the inserted
         gate's output would have — the whole OS3/IS3 gain table in two
-        broadcast passes instead of one ``evaluate_cell`` per tuple.
+        broadcast passes instead of one cell evaluation per tuple.
         :meth:`_precompute_pair_tables` validated or rebuilt every key the
         round reads; this counts the reuse and returns the entry.
         """
@@ -450,43 +449,15 @@ class CandidateWorkspace:
                 act[:, :, :, ci] = act[:, :, :, mi]
                 continue
             word = _two_input_word(bits, wa, wb)
-            if word is not None:
-                d = (word ^ va_b) & obs_b
-                table[:, :, :, ci] = ~(d.any(axis=3))
-                if rows_next is not None:
-                    word_next = _two_input_word(bits, na, nb)
-                    act[:, :, :, ci] = (
-                        popcount_lastaxis(word ^ word_next) / total
-                    )
-                else:
-                    p = popcount_lastaxis(word) / total
-                    act[:, :, :, ci] = 2.0 * p * (1.0 - p)
-                done[bits] = (d, ci)
-                continue
-            # Odd cell without a broadcast fast path: per-pair fallback.
-            for ji in range(j):
-                for ai in range(k):
-                    for bi in range(ai + 1, k):
-                        w = evaluate_cell(
-                            cell,
-                            [rows[ji, ai], rows[ji, bi]],
-                            self.sim.nwords,
-                        )
-                        table[ji, ai, bi, ci] = not (
-                            (w ^ va[ji]) & obs[ji]
-                        ).any()
-                        if rows_next is not None:
-                            w_next = evaluate_cell(
-                                cell,
-                                [rows_next[ji, ai], rows_next[ji, bi]],
-                                self.sim.nwords,
-                            )
-                            act[ji, ai, bi, ci] = (
-                                popcount(w ^ w_next) / total
-                            )
-                        else:
-                            p = popcount(w) / total
-                            act[ji, ai, bi, ci] = 2.0 * p * (1.0 - p)
+            d = (word ^ va_b) & obs_b
+            table[:, :, :, ci] = ~(d.any(axis=3))
+            if rows_next is not None:
+                word_next = _two_input_word(bits, na, nb)
+                act[:, :, :, ci] = popcount_lastaxis(word ^ word_next) / total
+            else:
+                p = popcount_lastaxis(word) / total
+                act[:, :, :, ci] = 2.0 * p * (1.0 - p)
+            done[bits] = (d, ci)
         return table, act
 
     # ------------------------------------------------------------------
@@ -712,8 +683,16 @@ def _upper_mask(k: int) -> np.ndarray:
     return mask
 
 
-def _two_input_word(bits: int, wa: np.ndarray, wb: np.ndarray):
-    """Fast path for the common 2-input functions (pin order symmetric)."""
+def _two_input_word(
+    bits: int, wa: np.ndarray, wb: np.ndarray
+) -> np.ndarray:
+    """A 2-input cell's words over broadcast pin-a/pin-b words.
+
+    ``bits`` is the cell's truth table (bit ``a + 2b`` is the output on
+    pin values ``a``, ``b``).  The common symmetric functions take one
+    word operation; any other, such as ``a·!b``, is the OR of its
+    minterms.
+    """
     if bits == 0b1000:
         return wa & wb
     if bits == 0b1110:
@@ -726,7 +705,11 @@ def _two_input_word(bits: int, wa: np.ndarray, wb: np.ndarray):
         return ~(wa | wb)
     if bits == 0b1001:
         return ~(wa ^ wb)
-    return None
+    word = np.zeros(np.broadcast_shapes(wa.shape, wb.shape), dtype=np.uint64)
+    for minterm in range(4):
+        if bits >> minterm & 1:
+            word |= (wa if minterm & 1 else ~wa) & (wb if minterm & 2 else ~wb)
+    return word
 
 
 def _constant_candidates(
@@ -738,23 +721,32 @@ def _constant_candidates(
     options: CandidateOptions,
     found: list[Candidate],
 ) -> None:
-    """Tie-cell substitutions where the signal is constant when observed."""
-    library = workspace.netlist.library
+    """Tie-cell substitutions where the signal is constant when observed.
+
+    A tie gate is not moved onto its own constant when it is the gate
+    :func:`~repro.transform.substitution.apply_substitution` would reuse:
+    that move changes nothing.
+    """
+    netlist = workspace.netlist
+    library = netlist.library
     if library is None:
         return
     kind = OS2 if branch is None else IS2
     for value in (0, 1):
-        if library.constant(bool(value)) is None:
+        cell = library.constant(bool(value))
+        if cell is None:
             continue
         # Signal must equal `value` on every observable pattern.
         mismatch = (~va & obs) if value else (va & obs)
         if mismatch.any():
             continue
+        substitution = Substitution(
+            kind, target.name, "", branch=branch, constant=value
+        )
+        if target.cell is cell and substitution.reused_tie(netlist) is target:
+            continue
         _try_candidate(
-            workspace.estimator,
-            Substitution(kind, target.name, "", branch=branch, constant=value),
-            found,
-            options.min_quick_gain,
+            workspace.estimator, substitution, found, options.min_quick_gain
         )
 
 

@@ -380,10 +380,10 @@ class PowerOptimizer:
         self.rejected_aborted = 0
         self.rejected_stale = 0
         #: ``full_gain`` results since the last committed move, by
-        #: substitution; ``None`` where it raised :class:`TransformError`.
-        #: Rejecting a winner changes neither the netlist nor the
-        #: probabilities, so a re-score would compute the same figures.
-        self._gains: dict[Substitution, Optional[GainBreakdown]] = {}
+        #: substitution.  Rejecting a winner changes neither the netlist
+        #: nor the probabilities, so a re-score would compute the same
+        #: figures.
+        self._gains: dict[Substitution, GainBreakdown] = {}
         self._round = 0
         #: Telemetry hooks; every call site is guarded by ``is not None``
         #: so the untraced path (the default) pays nothing.
@@ -443,8 +443,7 @@ class PowerOptimizer:
         Examines candidates in quick-gain order, chunk by chunk: the first
         chunk whose best score clears the floor wins.  Examined losers are
         dropped from the pool, guaranteeing progress.  ``full_gain`` runs
-        once per substitution between committed moves; a memoized
-        :class:`TransformError` counts as a stale rejection every time.
+        once per substitution between committed moves.
         """
         opts = self.options
         while pool:
@@ -467,19 +466,10 @@ class PowerOptimizer:
             best: Optional[tuple[int, Candidate, float]] = None
             for position, candidate in chunk:
                 substitution = candidate.substitution
-                if substitution not in self._gains:
-                    try:
-                        self._gains[substitution] = full_gain(
-                            self.estimator, substitution
-                        )
-                    except TransformError:
-                        self._gains[substitution] = None
-                gain = self._gains[substitution]
+                gain = self._gains.get(substitution)
                 if gain is None:
-                    self.rejected_stale += 1
-                    if self.tracer is not None:
-                        self.tracer.record_rejection("stale")
-                    continue
+                    gain = full_gain(self.estimator, substitution)
+                    self._gains[substitution] = gain
                 candidate.gain = gain
                 score = self._objective_score(candidate)
                 if best is None or score > best[2]:
@@ -513,8 +503,8 @@ class PowerOptimizer:
             ):
                 return False
         # Exact verdict: what_if evaluates the rewired netlist in place;
-        # None means the move is stale or cycle-creating (what apply
-        # would raise), so it is rejected.
+        # None means the move's blocker rejects it (what apply would
+        # raise on), so it is rejected.
         verdict = self.timing.what_if(substitution)
         if verdict is None:
             return False

@@ -41,7 +41,6 @@ from typing import Optional
 
 from repro.atpg.podem import DEFAULT_BACKTRACK_LIMIT
 from repro.equiv.checker import EQUAL, NOT_EQUAL, check_equivalent
-from repro.errors import NetlistError, TransformError
 from repro.kernels.bits import first_pattern
 from repro.kernels.packed import packed_view
 from repro.netlist.netlist import Gate, Netlist
@@ -88,11 +87,15 @@ def check_candidate(
     seed: int = 7,
     bdd_node_limit: int = 200_000,
 ) -> PermissibilityResult:
-    """Decide whether ``substitution`` preserves the netlist's I/O behaviour."""
-    try:
-        trial, _applied = apply_to_copy(netlist, substitution)
-    except (TransformError, NetlistError):
+    """Decide whether ``substitution`` preserves the netlist's I/O behaviour.
+
+    A move :meth:`Substitution.blocker` rejects cannot be applied, so it is
+    not permissible (stage ``"apply"``); any other is applied to a copy and
+    compared with the equivalence oracle.
+    """
+    if substitution.blocker(netlist) is not None:
         return PermissibilityResult(NOT_PERMISSIBLE, stage="apply")
+    trial, _applied = apply_to_copy(netlist, substitution)
     verdict = check_equivalent(
         netlist,
         trial,
@@ -208,37 +211,21 @@ class TriageChecker:
 
     # ------------------------------------------------------------------
     def check(self, substitution: Substitution) -> PermissibilityResult:
-        """Decide whether ``substitution`` preserves the I/O behaviour."""
-        netlist = self.netlist
-        if not substitution.validate_against(netlist):
-            return PermissibilityResult(NOT_PERMISSIBLE, stage="apply")
-        if (substitution.invert1 or substitution.invert2) and (
-            netlist.library is None
-        ):
-            return PermissibilityResult(NOT_PERMISSIBLE, stage="apply")
-        if (
-            substitution.new_cell is not None
-            and netlist.library[substitution.new_cell].num_inputs != 2
-        ):
-            return PermissibilityResult(NOT_PERMISSIBLE, stage="apply")
-        if substitution.is_output_substitution():
-            root = netlist.gate(substitution.target)
-            affected = transitive_fanout(netlist, [root])
-        else:
-            root = netlist.gate(substitution.branch[0])
-            affected = [root] + transitive_fanout(netlist, [root])
-        # Rewiring a source inside its own fanout cone would create a
-        # combinational cycle; ``apply`` rejects that, so must we.
-        affected_names = {g.name for g in affected}
-        if any(s in affected_names for s in substitution.source_names()):
-            return PermissibilityResult(NOT_PERMISSIBLE, stage="apply")
+        """Decide whether ``substitution`` preserves the I/O behaviour.
 
+        A move :meth:`Substitution.blocker` rejects is ``NOT_PERMISSIBLE``
+        at stage ``"apply"``, the answer :func:`check_candidate` gives;
+        every other move goes to the simulation and SAT stages.
+        """
+        netlist = self.netlist
+        if substitution.blocker(netlist) is not None:
+            return PermissibilityResult(NOT_PERMISSIBLE, stage="apply")
         if netlist.input_names and self.num_patterns:
             cex = self._simulation_cex(substitution)
             if cex is not None:
                 self.counters["sim_kills"] += 1
                 return PermissibilityResult(NOT_PERMISSIBLE, cex, stage="sim")
-        return self._sat_verdict(substitution, affected)
+        return self._sat_verdict(substitution)
 
     # ------------------------------------------------------------------
     # Stage 1: forced-overlay simulation on the current netlist
@@ -293,9 +280,7 @@ class TriageChecker:
         encode_cell(solver, out, [literal, literal2], cell)
         return out
 
-    def _sat_verdict(
-        self, substitution: Substitution, affected: list
-    ) -> PermissibilityResult:
+    def _sat_verdict(self, substitution: Substitution) -> PermissibilityResult:
         """PERMISSIBLE / NOT_PERMISSIBLE, or ABORTED when the budget ran out.
 
         The miter shares the whole base encoding between the two sides:
@@ -306,6 +291,12 @@ class TriageChecker:
         is constrained by the base netlist's clauses, never left free.
         """
         netlist = self.netlist
+        if substitution.is_output_substitution():
+            root = netlist.gate(substitution.target)
+            affected = transitive_fanout(netlist, [root])
+        else:
+            root = netlist.gate(substitution.branch[0])
+            affected = [root] + transitive_fanout(netlist, [root])
         formula, solver = self._sat_state()
         new_literal = self._new_signal_literal(formula, solver, substitution)
         activation = encode_rewire_miter(

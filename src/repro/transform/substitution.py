@@ -16,6 +16,13 @@ paper, only cells present in the library may be inserted.
 Application performs the rewiring, removes the logic that died (the paper's
 ``Dom(a)`` region), and reports everything the caller needs to update power
 and timing state incrementally.
+
+:meth:`Substitution.blocker` is the one legality rule for a move: it names
+why the move cannot be applied to a netlist, or returns ``None``.
+:func:`apply_substitution` asks it before touching anything, so a rejected
+move leaves the netlist exactly as it was, and every layer that must
+predict apply's answer (triage, ``what_if``, the windowed replay) asks the
+same method.
 """
 
 from __future__ import annotations
@@ -124,7 +131,7 @@ class Substitution:
         return (self.source1, self.source2)
 
     def validate_against(self, netlist: Netlist) -> bool:
-        """True when every named gate/branch still exists unchanged."""
+        """True when every gate, branch and library cell named still exists."""
         if self.target not in netlist.gates:
             return False
         if any(s not in netlist.gates for s in self.source_names()):
@@ -145,6 +152,45 @@ class Substitution:
             if netlist.library is None or self.new_cell not in netlist.library:
                 return False
         return True
+
+    def blocker(self, netlist: Netlist) -> Optional[str]:
+        """Why the move cannot be applied to ``netlist``; ``None`` when it can.
+
+        The one legality rule for moves.  A move is blocked when it is
+        stale (:meth:`validate_against`: a gate, branch, tie cell or
+        insertion cell it names is gone), when it inverts a source but the
+        library has no inverter, when its insertion cell is not 2-input,
+        or when a source is reachable from a rewired sink: wiring the
+        source in, directly or through the inserted inverter or gate,
+        would close a combinational cycle.  The reachability test is one
+        forward walk from the rewired sinks and gives the answer
+        :meth:`Netlist.would_create_cycle` gives over every source and
+        rewired sink.
+        """
+        if not self.validate_against(netlist):
+            return "stale: it names a gate, branch or cell the netlist lacks"
+        library = netlist.library
+        if (self.invert1 or self.invert2) and (
+            library is None or not any(cell.is_inverter() for cell in library)
+        ):
+            return "the library has no inverter"
+        if self.new_cell is not None and library[self.new_cell].num_inputs != 2:
+            return f"cell {self.new_cell!r} is not a 2-input gate"
+        gates = netlist.gates
+        sources = {id(gates[name]) for name in self.source_names()}
+        if self.is_output_substitution():
+            stack = [sink for sink, _pin in gates[self.target].fanouts]
+        else:
+            stack = [gates[self.branch[0]]]
+        seen: set[int] = set()
+        while sources and stack:
+            gate = stack.pop()
+            if id(gate) in sources:
+                return f"wiring in {gate.name!r} closes a combinational cycle"
+            if id(gate) not in seen:
+                seen.add(id(gate))
+                stack.extend(sink for sink, _pin in gate.fanouts)
+        return None
 
     def reused_tie(self, netlist: Netlist) -> Optional[Gate]:
         """The existing tie gate a constant move rewires its load to.
@@ -216,11 +262,9 @@ def _effective_source(
     """The signal to wire in: ``source`` or a fresh inverter on it."""
     if not invert:
         return source
-    if netlist.library is None:
-        raise TransformError("inverted substitution requires a library")
-    inv_cell = netlist.library.inverter()
     gate = netlist.add_gate(
-        inv_cell, [source], name=netlist.fresh_name("powder_inv")
+        netlist.library.inverter(), [source],
+        name=netlist.fresh_name("powder_inv"),
     )
     added.append(gate.name)
     return gate
@@ -231,11 +275,14 @@ def apply_substitution(
 ) -> AppliedSubstitution:
     """Perform the substitution in place.
 
-    Raises :class:`TransformError` when the move no longer matches the
-    netlist (stale candidate) or would create a cycle.
+    Raises :class:`TransformError` with :meth:`Substitution.blocker`'s
+    reason, before any edit, when the move cannot be applied; the
+    netlist's gates, area, ``structural_version`` and fresh-name counter
+    are then unchanged.
     """
-    if not substitution.validate_against(netlist):
-        raise TransformError(f"stale substitution {substitution}")
+    reason = substitution.blocker(netlist)
+    if reason is not None:
+        raise TransformError(f"cannot apply {substitution}: {reason}")
     target = netlist.gate(substitution.target)
     area_before = netlist.total_area()
     added: list[str] = []
@@ -254,13 +301,9 @@ def apply_substitution(
         source2 = netlist.gate(substitution.source2)
         eff1 = _effective_source(netlist, source, substitution.invert1, added)
         eff2 = _effective_source(netlist, source2, substitution.invert2, added)
-        cell = netlist.library[substitution.new_cell]
-        if cell.num_inputs != 2:
-            raise TransformError(
-                f"OS3/IS3 cell {cell.name!r} is not a 2-input gate"
-            )
         new_gate = netlist.add_gate(
-            cell, [eff1, eff2], name=netlist.fresh_name("powder_g")
+            netlist.library[substitution.new_cell], [eff1, eff2],
+            name=netlist.fresh_name("powder_g"),
         )
         added.append(new_gate.name)
         substituting = new_gate

@@ -34,11 +34,12 @@ gates its earlier moves created (``powder_inv*``/``powder_g*``/
 :class:`~repro.transform.report.MoveRecord` the worker returns carries
 its move's ``added`` names and substituting gate; the parent zips them
 against its own :class:`~repro.transform.substitution.AppliedSubstitution`
-to grow a sub-name -> full-name map.  A replay rejected by the netlist
-(e.g. a cycle through external paths the window could not see) stops
-that window's replay before the failed move — never corrupting the
-netlist, because :func:`apply_substitution` validates before mutating;
-a replayed move whose fresh names cannot be translated is recorded and
+to grow a sub-name -> full-name map.  A move the full netlist rejects
+(:meth:`~repro.transform.substitution.Substitution.blocker`: a stale name,
+or a cycle through external paths the window could not see) stops that
+window's replay before it — the netlist is untouched, because the replay
+asks the same rule :func:`apply_substitution` checks before any edit; a
+replayed move whose fresh names cannot be translated is recorded and
 stops the replay after it.
 """
 
@@ -50,7 +51,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.errors import NetlistError, TransformError
+from repro.errors import TransformError
 from repro.netlist.blif import parse_blif, write_blif
 from repro.netlist.netlist import Netlist
 from repro.partition import (
@@ -236,12 +237,9 @@ class WindowedOptimizer:
         records: list[MoveRecord] = []
         for move in outcome.moves:
             substitution = _translate(move.substitution, name_map)
-            if not substitution.validate_against(netlist):
+            if substitution.blocker(netlist) is not None:
                 break
-            try:
-                applied = apply_substitution(netlist, substitution)
-            except (NetlistError, TransformError):
-                break
+            applied = apply_substitution(netlist, substitution)
             translated = True
             if len(applied.added) == len(move.added):
                 for sub_name, full_name in zip(move.added, applied.added):

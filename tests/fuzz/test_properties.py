@@ -9,6 +9,7 @@ import pytest
 from repro.fuzz.generator import GeneratorConfig, random_mapped_netlist
 from repro.fuzz.harness import FuzzOptions, optimizer_options
 from repro.fuzz.properties import (
+    dead_logic,
     delay_constraint,
     idempotent_rerun,
     pipeline_identity,
@@ -45,6 +46,16 @@ def test_delay_constraint_flags_violation(run):
     assert delay_constraint(result) == []  # unconstrained run: no limit
     doctored = replace(result, delay_limit=result.final_delay * 0.5)
     assert any("[delay-constraint]" in f for f in delay_constraint(doctored))
+
+
+def test_dead_logic_flags_a_left_behind_gate(run):
+    original, result, _options = run
+    assert dead_logic(original, result) == []
+    netlist = result.netlist.copy()
+    gate = next(netlist.logic_gates())
+    netlist.add_gate(netlist.library.inverter(), [gate], name="left")
+    failures = dead_logic(original, replace(result, netlist=netlist))
+    assert failures == ["[dead-logic] fanout-free gates left behind: ['left']"]
 
 
 def test_rerun_holds(run):

@@ -1,16 +1,15 @@
-"""Tests for graph traversals: topo order, TFO/TFI, MFFC."""
+"""Tests for graph traversals: topo order, TFO/TFI, dominated regions."""
 
 import pytest
 
 from repro.errors import NetlistError
 from repro.netlist.traverse import (
-    logic_levels,
-    mffc,
     region_inputs,
     topological_order,
     transitive_fanin,
     transitive_fanout,
 )
+from repro.transform.gain import dominated_region
 
 
 def build_diamond(builder):
@@ -78,13 +77,13 @@ class TestMffc:
         g2 = builder.not_(g1, name="g2")
         builder.output("o", g2)
         nl = builder.build()
-        region = {g.name for g in mffc(nl, g2)}
+        region = {g.name for g in dominated_region(nl, g2)}
         assert region == {"g1", "g2"}
 
     def test_stops_at_shared_logic(self, builder):
         nl = build_diamond(builder)
         # g1 feeds only g3, but its fanins a/b also feed g2: region = {g1}.
-        region = {g.name for g in mffc(nl, nl.gate("g1"))}
+        region = {g.name for g in dominated_region(nl, nl.gate("g1"))}
         assert region == {"g1"}
 
     def test_stops_at_po_driver(self, builder):
@@ -94,16 +93,16 @@ class TestMffc:
         builder.output("o1", g1)
         builder.output("o2", g2)
         nl = builder.build()
-        region = {g.name for g in mffc(nl, g2)}
+        region = {g.name for g in dominated_region(nl, g2)}
         assert region == {"g2"}  # g1 survives: it drives a PO
 
     def test_input_has_empty_mffc(self, builder):
         nl = build_diamond(builder)
-        assert mffc(nl, nl.gate("a")) == []
+        assert dominated_region(nl, nl.gate("a")) == []
 
     def test_mffc_matches_sweep(self, random_netlist):
         # Removing a root's fanout then sweeping dead must delete exactly
-        # the MFFC.
+        # the dominated region (the maximum fanout-free cone).
         nl = random_netlist
         for name in list(nl.gates):
             gate = nl.gates.get(name)
@@ -111,7 +110,7 @@ class TestMffc:
                 continue
             trial = nl.copy("trial")
             troot = trial.gate(name)
-            expected = {g.name for g in mffc(trial, troot)}
+            expected = {g.name for g in dominated_region(trial, troot)}
             # Disconnect: move fanouts to a PI, drop PO bindings.
             some_pi = trial.gate(trial.input_names[0])
             for sink, pin in list(troot.fanouts):
@@ -134,18 +133,9 @@ class TestRegionInputs:
         g2 = builder.not_(g1, name="g2")
         builder.output("o", g2)
         nl = builder.build()
-        region = mffc(nl, g2)
+        region = dominated_region(nl, g2)
         inputs = {g.name for g in region_inputs(nl, region)}
         assert inputs == {"a", "b"}
-
-
-class TestLevels:
-    def test_levels(self, builder):
-        nl = build_diamond(builder)
-        levels = logic_levels(nl)
-        assert levels["a"] == 0
-        assert levels["g1"] == 1
-        assert levels["g3"] == 2
 
 
 class TestTopologicalIndex:

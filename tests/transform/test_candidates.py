@@ -24,15 +24,22 @@ from repro.transform.candidates import (
 )
 from repro.transform.gain import dominated_region, quick_gain
 from repro.transform.permissible import PERMISSIBLE, check_candidate
-from repro.transform.substitution import IS2, IS3, OS2, OS3, Substitution
+from repro.transform.substitution import (
+    IS2,
+    IS3,
+    OS2,
+    OS3,
+    Substitution,
+    apply_substitution,
+)
 from repro.library.genlib import parse_genlib
 from repro.library.standard import STANDARD_GENLIB, standard_library
 from tests.conftest import make_random_netlist
 
 LIB = standard_library()
 #: The standard cells plus an asymmetric 2-input cell, ``a·!b`` with
-#: unequal pin loads: no broadcast fast path covers it, so its pair
-#: tables come from the per-pair fallback loop.
+#: unequal pin loads: no one-operation fast path covers it, so its pair
+#: tables come from the OR of its truth table's minterms.
 ASYM_LIB = parse_genlib(
     STANDARD_GENLIB
     + "GATE andn2 1624 O=a*!b; PIN a NONINV 1.0 999 1.9 0.9 1.9 0.9\n"
@@ -150,6 +157,32 @@ class TestCandidateQuality:
                     sink = random_netlist.gate(sub.branch[0])
                     assert not random_netlist.would_create_cycle(source, sink)
 
+    def test_no_tie_moved_onto_its_own_constant(self):
+        # The first constant move instantiates a tie gate; moving that gate
+        # (the one apply reuses) onto its own constant would change nothing.
+        options = CandidateOptions(constant_substitution=True)
+        ties = 0
+        for seed in range(30):
+            netlist = make_random_netlist(LIB, 6, 20, 3, seed)
+            for _round in range(2):
+                estimator = PowerEstimator(
+                    netlist, SimulationProbability(netlist, num_patterns=256)
+                )
+                constants = [
+                    c.substitution
+                    for c in generate_candidates(estimator, options)
+                    if c.substitution.is_constant
+                ]
+                no_ops = [
+                    sub for sub in constants
+                    if sub.reused_tie(netlist) is netlist.gate(sub.target)
+                ]
+                assert no_ops == []
+                ties += sum(g.cell.is_constant() for g in netlist.logic_gates())
+                if constants:
+                    apply_substitution(netlist, constants[0])
+        assert ties > 0
+
     def test_branch_targets_only_multi_fanout(self, random_netlist):
         est = exhaustive_estimator(random_netlist)
         for candidate in generate_candidates(est):
@@ -238,12 +271,15 @@ def _reference_pool(estimator, options):
         if options.constant_substitution:
             for value in (0, 1):
                 tie_word = ~np.zeros_like(va) if value else np.zeros_like(va)
-                if library.constant(bool(value)) is not None and agrees(
-                    tie_word, va, obs
+                substitution = Substitution(
+                    kind2, target.name, "", branch=branch, constant=value
+                )
+                if (
+                    library.constant(bool(value)) is not None
+                    and agrees(tie_word, va, obs)
+                    and substitution.reused_tie(netlist) is not target
                 ):
-                    tuples.append(Substitution(
-                        kind2, target.name, "", branch=branch, constant=value
-                    ))
+                    tuples.append(substitution)
         if enable2:
             for source in legal:
                 word = sim.words(source.name)

@@ -6,21 +6,18 @@ import pytest
 
 import repro.transform.optimizer as optimizer_module
 from repro.equiv.checker import check_equivalent
-from repro.errors import TransformError
 from repro.netlist.blif import parse_blif_file
 from repro.netlist.verify import check_netlist
 from repro.power.estimate import PowerEstimator
 from repro.power.probability import SimulationProbability
 from repro.telemetry import Tracer
 from repro.timing.analysis import TimingAnalysis
-from repro.transform.candidates import Candidate
-from repro.transform.gain import GainBreakdown
 from repro.transform.optimizer import (
     OptimizeOptions,
     PowerOptimizer,
     power_optimize,
 )
-from repro.transform.substitution import IS2, OS2, Substitution
+from repro.transform.substitution import IS2
 from tests.conftest import make_random_netlist
 
 BLIF_DIR = Path(__file__).resolve().parents[2] / "benchmarks" / "blif"
@@ -186,23 +183,3 @@ class TestGainMemo:
         evaluations = sum(len(epoch) for epoch in scored_since_move)
         examined = result.trace.counters["shortlist_evaluations"]
         assert evaluations < examined
-
-    def test_memoized_transform_error_counts_as_stale_every_time(
-        self, figure2, monkeypatch
-    ):
-        stub = Substitution(OS2, "f", "e")
-        calls = []
-
-        def raising_full_gain(estimator, substitution):
-            calls.append(substitution)
-            raise TransformError("stub candidate cannot be scored")
-
-        monkeypatch.setattr(optimizer_module, "full_gain", raising_full_gain)
-        tracer = Tracer()
-        optimizer = PowerOptimizer(figure2, quick_options(trace=tracer))
-        for examined in (1, 2, 3):
-            pool = [Candidate(stub, GainBreakdown(pg_a=1.0, pg_b=0.0))]
-            assert optimizer.select_power_red_subst(pool) is None
-            assert optimizer.rejected_stale == examined
-            assert tracer.metrics.counters()["rejected_stale"] == examined
-        assert calls == [stub]

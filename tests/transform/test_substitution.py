@@ -1,9 +1,16 @@
 """Tests for the substitution move model."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import TransformError
+from repro.library.standard import standard_library
 from repro.netlist.verify import check_netlist
+from repro.timing.analysis import TimingAnalysis
+from repro.transform.permissible import TriageChecker, check_candidate
 from repro.transform.substitution import (
     IS2,
     IS3,
@@ -13,6 +20,9 @@ from repro.transform.substitution import (
     apply_substitution,
     apply_to_copy,
 )
+from tests.conftest import make_random_netlist
+
+LIB = standard_library()
 
 
 class TestValidation:
@@ -160,3 +170,136 @@ class TestApplication:
         assert "d" not in trial.gates
         check_netlist(figure2)
         check_netlist(trial)
+
+
+def chain_netlist(builder):
+    """``t`` feeds ``u`` and ``u`` feeds ``v``: wiring ``v`` (or a gate
+    reading it) in place of ``t`` closes a cycle."""
+    a, b, c = builder.inputs("a", "b", "c")
+    t = builder.and_(a, b, name="t")
+    u = builder.or_(t, c, name="u")
+    v = builder.xor_(u, a, name="v")
+    builder.output("o", builder.nand_(t, v, name="w"))
+    return builder.build()
+
+
+#: Moves the legality rule rejects on :func:`chain_netlist`.  Each adds a
+#: gate (an inverter, the OS3 cell) before it rewires, so only a check
+#: before the first edit leaves the netlist untouched.
+BLOCKED_MOVES = [
+    Substitution(OS2, "t", "v", invert1=True),
+    Substitution(IS2, "t", "v", invert1=True, branch=("u", 0)),
+    Substitution(OS3, "t", "v", invert1=True, source2="c", new_cell="and2"),
+    Substitution(OS3, "t", "a", invert1=True, source2="c", new_cell="inv1"),
+]
+
+
+def _state(netlist):
+    return (
+        sorted(netlist.gates),
+        netlist.total_area(),
+        netlist.structural_version,
+        netlist.copy().fresh_name("powder_inv"),
+    )
+
+
+class TestRejectedMove:
+    @pytest.mark.parametrize("sub", BLOCKED_MOVES, ids=str)
+    def test_apply_leaves_the_netlist_untouched(self, builder, sub):
+        netlist = chain_netlist(builder)
+        before = _state(netlist)
+        with pytest.raises(TransformError, match="cannot apply"):
+            apply_substitution(netlist, sub)
+        assert _state(netlist) == before
+        check_netlist(netlist)
+
+    @pytest.mark.parametrize("sub", BLOCKED_MOVES, ids=str)
+    def test_every_layer_rejects_it(self, builder, sub):
+        netlist = chain_netlist(builder)
+        assert TimingAnalysis(netlist).what_if(sub) is None
+        assert TriageChecker(netlist).check(sub).stage == "apply"
+        assert check_candidate(netlist, sub).stage == "apply"
+        assert sub.blocker(netlist) is not None
+
+
+def _moves(netlist, rng, pair_samples):
+    """Every OS2/IS2 tuple (inverted, constant, cycle-closing ones too)
+    and a sample of OS3/IS3 tuples over 2-, 1- and 3-input cells."""
+    names = list(netlist.gates)
+    points = [(OS2, OS3, g.name, None) for g in netlist.logic_gates()] + [
+        (IS2, IS3, g.name, (sink.name, pin))
+        for g in netlist.gates.values()
+        for sink, pin in g.fanouts
+    ]
+    moves = []
+    for kind2, _kind3, target, branch in points:
+        moves += [
+            (kind2, target, "", dict(branch=branch, constant=value))
+            for value in (0, 1)
+        ]
+        moves += [
+            (kind2, target, source, dict(branch=branch, invert1=invert))
+            for source in names
+            for invert in (False, True)
+        ]
+    for _ in range(pair_samples):
+        _kind2, kind3, target, branch = rng.choice(points)
+        moves.append((kind3, target, rng.choice(names), dict(
+            branch=branch,
+            invert1=rng.random() < 0.5,
+            source2=rng.choice(names),
+            invert2=rng.random() < 0.5,
+            new_cell=rng.choice(["and2", "nor2", "xor2", "inv1", "nand3"]),
+        )))
+    built = []
+    for kind, target, source, extra in moves:
+        try:
+            built.append(Substitution(kind, target, source, **extra))
+        except TransformError:
+            continue  # a target named as its own source
+    return built
+
+
+class TestOneLegalityRule:
+    """The rule rejects a move exactly when apply raises, triage answers
+    stage ``"apply"`` and ``what_if`` answers ``None``."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 10_000))
+    def test_four_answers_agree(self, seed):
+        netlist = make_random_netlist(LIB, 5, 12, 2, seed)
+        timing = TimingAnalysis(netlist)
+        triage = TriageChecker(netlist, num_patterns=64)
+        seen = set()
+        for sub in _moves(netlist, random.Random(seed), 60):
+            reason = sub.blocker(netlist)
+            try:
+                apply_to_copy(netlist, sub)
+                raised = False
+            except TransformError:
+                raised = True
+            answers = (
+                reason is not None,
+                raised,
+                triage.check(sub).stage == "apply",
+                timing.what_if(sub) is None,
+            )
+            assert len(set(answers)) == 1, (str(sub), reason, answers)
+            if reason is None or "cycle" in reason:
+                # The one walk answers what would_create_cycle answers
+                # over every source and rewired sink.
+                sinks = (
+                    [sink for sink, _pin in netlist.gate(sub.target).fanouts]
+                    if sub.is_output_substitution()
+                    else [netlist.gate(sub.branch[0])]
+                )
+                closes = any(
+                    netlist.would_create_cycle(netlist.gate(source), sink)
+                    for source in sub.source_names()
+                    for sink in sinks
+                )
+                assert closes == (reason is not None), str(sub)
+                seen.add("cycle" if reason else "legal")
+            elif "2-input" in reason:
+                seen.add("arity")
+        assert seen == {"legal", "cycle", "arity"}

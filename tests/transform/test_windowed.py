@@ -290,6 +290,45 @@ class TestUntranslatableReplay:
         assert check_equivalence_tiers(reference, netlist).equal
 
 
+class TestCycleRejectedReplay:
+    def test_rejected_move_leaves_nothing_behind(self, monkeypatch):
+        # Window 7 is re-optimized after a conflict; its fourth move wires
+        # g30 in place of g6, but the full netlist reaches g30 from g6
+        # through gates outside the window (g6 -> powder_inv3 -> g15 ->
+        # ...).  The replay stops before that move, and the nand2 it would
+        # have inserted never reaches the netlist.
+        netlist = generated(10, gates=30, shape="high_fanout")
+        reference = netlist.copy("ref")
+        rejected = []
+        blocker = Substitution.blocker
+
+        def recording_blocker(substitution, target):
+            reason = blocker(substitution, target)
+            if target is netlist and reason is not None:
+                rejected.append((str(substitution), reason))
+            return reason
+
+        monkeypatch.setattr(Substitution, "blocker", recording_blocker)
+        options = windowed_options(window_size=15)
+        optimizer = WindowedOptimizer(netlist, options)
+        result = optimizer.run()
+
+        assert rejected == [(
+            "OS3(g6 <- nand2(g2, g30))",
+            "wiring in 'g30' closes a combinational cycle",
+        )]
+        stopped = [
+            (o.window.index, o.replayed, len(o.moves))
+            for o in optimizer.outcomes
+            if o.replayed < len(o.moves)
+        ]
+        assert stopped == [(7, 3, 4)]
+        assert [
+            g.name for g in netlist.logic_gates() if not g.fanout_count()
+        ] == []
+        assert_oracle_clean(reference, result, options)
+
+
 class TestGuards:
     def test_requires_windowed_options(self):
         netlist = generated(1, gates=20)
