@@ -12,8 +12,9 @@ set.  After every applied substitution it
    times, gate delays, and the circuit delay exactly (``X003``),
 4. recomputes the batched observability masks and compares them against
    the persistent candidate workspace (``X004``),
-5. revalidates every cached OS3/IS3 pair-compatibility table against a
-   recomputation from its own stored inputs (``X005``),
+5. revalidates every cached OS3/IS3 pair entry (its compatible tuples
+   and their activities) against a recomputation from its own stored
+   inputs (``X005``),
 6. compares the triage checker's followed simulation against a fresh
    simulation of the checker's own patterns, and every simulation
    state's cached rows and word matrix against its committed pattern ints
@@ -232,28 +233,29 @@ class TransformSanitizer:
         findings: list[Diagnostic] = []
         for key, entry in workspace._pair_cache.items():
             target, _branch = key
-            names, cell_names, va, obs, rows, rows_next, table, act = entry
-            if library is None or any(n not in library for n in cell_names):
+            if library is None or any(n not in library for n in entry.cells):
                 continue  # entry can never validate; dropped on next use
-            cells = [library[n] for n in cell_names]
+            cells = [library[n] for n in entry.cells]
+            va, obs, rows, rows_next = workspace.pair_inputs(entry)
             # The precompute's kernel, on a one-job batch.
-            expected, expected_act = workspace._compute_pair_tables_batch(
+            (expected,) = workspace._pair_kernel(
                 rows[None],
                 None if rows_next is None else rows_next[None],
                 va[None],
                 obs[None],
                 cells,
             )
-            if not (
-                np.array_equal(table, expected[0])
-                and np.array_equal(act, expected_act[0])
+            cached = (entry.a, entry.b, entry.cell, entry.act)
+            if not all(
+                np.array_equal(got, want)
+                for got, want in zip(cached, expected)
             ):
                 findings.append(
                     _finding(
                         X_PAIR_TABLE,
-                        f"cached pair-compatibility table for target "
-                        f"{target!r} (sources {list(names)}) disagrees "
-                        f"with recomputation from its own inputs",
+                        f"cached pair entry for target {target!r} (sources "
+                        f"{list(entry.names)}) disagrees with recomputation "
+                        f"from its own inputs",
                         gate=target,
                     )
                 )

@@ -17,15 +17,23 @@ To keep rounds bounded the generator ranks sources per target by the
 no-re-estimation gain ``PG_A + PG_B`` and keeps the best few; 3-signal
 substitutions (OS3/IS3) additionally restrict the pair search to a short
 list of low-activity sources and are only attempted where the dying region
-is worth at least one new gate.  The quick gains of a target's OS2/IS2
-singles and OS3/IS3 pairs are computed as arrays, and only the entries
-that reach the target's ``max_per_target``-th best gain become
-:class:`Candidate` objects.
+is worth at least one new gate.
+
+A round runs a few array passes over all its targets.  One table holds
+every stem target, then every branch target, with its observability
+words, the gate whose fanout cone no source may be in, and its dying
+region.  Each fixed-size chunk of targets is tested against every stem at
+once; the OS2/IS2 singles and the cached OS3/IS3 pair entries are scored
+as flat arrays with ``quick_gain``'s float grouping, and one sort over
+(target, quick gain) finds each target's ``max_per_target``-th best gain,
+so only the entries that reach it become :class:`Candidate` objects.
 
 :class:`CandidateWorkspace` holds the expensive per-netlist state — the
 batched observability maps, the stem-value matrix, the stem-reachability
-matrix, and a content-validated cache of OS3/IS3 pair-compatibility tables
-— and keeps it alive across optimizer rounds.  After a committed edit the
+matrix, and a content-validated cache of OS3/IS3 pair entries — and keeps
+it alive across optimizer rounds.  A pair entry holds only the compatible
+tuples: every ``a < b`` source pair with every insertion cell, and an
+asymmetric cell also with its pins swapped.  After a committed edit the
 caller reports the dirty gates via :meth:`CandidateWorkspace.invalidate`
 and only the affected observability masks are recomputed; everything
 derived from unchanged signals is reused.  Candidates themselves are
@@ -35,13 +43,13 @@ bit-identical to a from-scratch generation.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
-from typing import Callable, Optional
+from dataclasses import asdict, dataclass, field, fields
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from repro.errors import TransformError
-from repro.kernels.bits import int_to_words
+from repro.kernels.bits import ints_to_matrix
 from repro.kernels.words import popcount_lastaxis
 from repro.netlist.netlist import Gate, Netlist
 from repro.netlist.observability import ObservabilityMaps
@@ -55,6 +63,18 @@ from repro.transform.gain import (
     region_power,
 )
 from repro.transform.substitution import IS2, IS3, OS2, OS3, Substitution
+
+#: Targets per array pass, and pair-table jobs per kernel batch.  Fixed
+#: sizes bound a round's temporaries: a pass over a chunk holds
+#: ``(chunk, stems)`` words and every compatible entry of its targets (at
+#: 64 patterns nearly every stem is compatible with every target), a
+#: kernel batch ``(jobs, pairs, pin orders)`` flags and activities, which
+#: ``pair_source_limit`` bounds however large the netlist is.
+_CHUNK = 16
+_PAIR_BATCH = 64
+
+#: Entry codes of a scored single; a pair entry's code is its cell index.
+_DIRECT, _INVERTED = -1, -2
 
 
 @dataclass(frozen=True)
@@ -126,6 +146,65 @@ class Candidate:
         return self.gain.quick
 
 
+class _PairEntry(NamedTuple):
+    """One target's cached OS3/IS3 entry: its compatible tuples alone.
+
+    Tuple ``i`` inserts ``cells[cell[i]]`` with ranked source ``a[i]`` on
+    pin 0 and ``b[i]`` on pin 1; ``act[i]`` is the inserted gate's output
+    activity.  ``names`` (the ranked sources), ``cells`` and ``inputs``
+    validate the entry: ``inputs`` is the byte image of the words it was
+    computed from, read back by :meth:`CandidateWorkspace.pair_inputs`.
+    """
+
+    names: tuple[str, ...]
+    cells: tuple[str, ...]
+    inputs: bytes
+    a: np.ndarray
+    b: np.ndarray
+    cell: np.ndarray
+    act: np.ndarray
+
+
+@dataclass
+class _Targets:
+    """One round's targets: every stem's output (rows ``:split``), then
+    every branch of a multi-fanout stem, with what their moves share."""
+
+    #: Pair-cache key of each row: (target name, branch or None).
+    keys: list[tuple[str, Optional[tuple[str, int]]]]
+    #: Stem index of the target, and of the gate that no source may be or
+    #: reach: the target itself, or the branch's sink.
+    tgt: np.ndarray
+    avoid: np.ndarray
+    #: ``(rows, words)`` observability words of the target or branch.
+    obs: np.ndarray
+    #: PG_A, moved load, area change and dying names of every move whose
+    #: sources lie outside the dying region.
+    pg_a: np.ndarray
+    moved: np.ndarray
+    area_base: list[float]
+    dying: list[list[str]]
+    #: ``(members, 2)`` dying-region members as (row, stem index), by row.
+    region: np.ndarray
+    split: int
+    #: The pair search's ranked sources of every row, flat, and each row's
+    #: start in them; set by the pair-table precompute.
+    ranked: np.ndarray = field(default_factory=lambda: np.zeros(0, np.intp))
+    rank_start: np.ndarray = field(
+        default_factory=lambda: np.zeros(0, np.intp)
+    )
+
+    def sections(self) -> tuple[tuple[int, int, bool], ...]:
+        """``(start, stop, is_branch)`` of the stem and branch rows."""
+        return ((0, self.split, False), (self.split, len(self.keys), True))
+
+    def legal(self, reach: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """``(hi - lo, stems)`` mask of the rows' usable sources."""
+        legal = ~reach[self.avoid[lo:hi]]
+        legal[np.arange(hi - lo), self.tgt[lo:hi]] = False
+        return legal
+
+
 def _require_sim(estimator: PowerEstimator) -> SimulationProbability:
     engine = estimator.engine
     if not isinstance(engine, SimulationProbability):
@@ -152,14 +231,11 @@ class CandidateWorkspace:
         self.engine = _require_sim(estimator)
         self.sim = self.engine.sim
         self.maps = ObservabilityMaps(self.sim)
-        #: (target name, branch) -> content-validated pair-compat table.
+        #: (target name, branch) -> content-validated pair entry.
         self._pair_cache: dict[
-            tuple[str, Optional[tuple[str, int]]], tuple
+            tuple[str, Optional[tuple[str, int]]], _PairEntry
         ] = {}
-        #: Keys whose cache entry was validated/rebuilt by this round's
-        #: batch precompute, mapped to whether it counted as a reuse.
-        self._fresh: dict[tuple[str, Optional[tuple[str, int]]], bool] = {}
-        #: Lifetime tallies of pair-table reuse, read by the run tracer.
+        #: Lifetime tallies of pair-entry reuse, read by the run tracer.
         self.pair_cache_hits = 0
         self.pair_cache_misses = 0
         #: Dirty gates accumulated since the last mask flush (by id: names
@@ -173,9 +249,6 @@ class CandidateWorkspace:
         self.reach: Optional[np.ndarray] = None
         self.activity: np.ndarray = np.zeros(0, dtype=np.float64)
         self.act_order: np.ndarray = np.zeros(0, dtype=np.intp)
-        #: The round's deduplicated 2-input cell list (None outside a
-        #: generate() round with pair substitutions enabled).
-        self._round_cells: Optional[list] = None
 
     # ------------------------------------------------------------------
     def invalidate(self, dirty: list[Gate]) -> None:
@@ -235,261 +308,429 @@ class CandidateWorkspace:
                 row |= reach[self.index[sink.name]]
         return reach
 
-    def word_row(self, gate: Gate) -> np.ndarray:
-        """The round's committed words of ``gate`` (a matrix row view)."""
-        return self.matrix[self.index[gate.name]]
-
-    def obs_words(
-        self, target: Gate, branch: Optional[tuple[Gate, int]] = None
-    ) -> np.ndarray:
-        """Observability words of a stem, or of its ``(sink, pin)`` branch."""
-        mask = (
-            self.maps.stem[target.name]
-            if branch is None
-            else self.maps.branch(*branch)
-        )
-        return int_to_words(mask, self.sim.nwords)
-
-    def legal_sources(self, avoid: Gate, target: Gate) -> np.ndarray:
-        """Stem mask of usable sources: outside TFO(avoid), not target."""
-        mask = ~self.reach[self.index[avoid.name]]
-        mask[self.index[target.name]] = False
-        return mask
-
-    def compatible_rows(
-        self, target_word: np.ndarray, obs: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(direct, inverted) boolean masks over stems: agree on obs."""
-        diff = (self.matrix ^ target_word) & obs
-        direct = ~diff.any(axis=1)
-        inverted = ~((diff ^ obs).any(axis=1))
-        return direct, inverted
-
-    # ------------------------------------------------------------------
-    def pair_tables(
-        self, key: tuple[str, Optional[tuple[str, int]]]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(compat, activity) tables of one target/branch this round.
-
-        ``compat[ai, bi, ci]`` (ai < bi) is True when the cell over the
-        ranked sources agrees with the target on every observable pattern;
-        ``activity[ai, bi, ci]`` is the switching activity the inserted
-        gate's output would have — the whole OS3/IS3 gain table in two
-        broadcast passes instead of one cell evaluation per tuple.
-        :meth:`_precompute_pair_tables` validated or rebuilt every key the
-        round reads; this counts the reuse and returns the entry.
-        """
-        if self._fresh.pop(key):
-            self.pair_cache_hits += 1
-        else:
-            self.pair_cache_misses += 1
-        cached = self._pair_cache[key]
-        return cached[6], cached[7]
-
-    def _ranked_rows(
-        self, ranked: list[int]
-    ) -> tuple[np.ndarray, Optional[np.ndarray]]:
-        rows = self.matrix[ranked] if ranked else np.zeros(
-            (0, self.sim.nwords), dtype=np.uint64
-        )
-        rows_next = (
-            self.matrix_next[ranked]
-            if self.matrix_next is not None and ranked
-            else (None if self.matrix_next is None else rows[:0])
-        )
-        return rows, rows_next
-
-    def _cache_valid(
-        self, key, names, cell_sig, va, obs, rows, rows_next
-    ) -> bool:
-        cached = self._pair_cache.get(key)
-        if cached is None:
-            return False
-        (
-            c_names, c_cells, c_va, c_obs, c_rows, c_rows_next,
-            _c_table, _c_act,
-        ) = cached
-        next_match = (
-            c_rows_next is None
-            if rows_next is None
-            else c_rows_next is not None
-            and np.array_equal(c_rows_next, rows_next)
-        )
-        return (
-            c_names == names
-            and c_cells == cell_sig
-            and next_match
-            and np.array_equal(c_va, va)
-            and np.array_equal(c_obs, obs)
-            and np.array_equal(c_rows, rows)
-        )
-
-    def _ranked_sources(
-        self, source_mask: np.ndarray, limit: int
-    ) -> list[int]:
-        """First ``limit`` legal sources in the round's activity order."""
-        order = self.act_order
-        return order[source_mask[order]][:limit].tolist()
-
-    def _precompute_pair_tables(self, options: "CandidateOptions") -> None:
-        """Batch-(re)build every pair table this round's enumeration needs.
-
-        Computing the tables one target at a time spends more wall clock on
-        numpy dispatch than on bit-math; stacking all stale targets of equal
-        source-list length into one broadcast pass amortises it.  Every
-        key :func:`_pair_candidates` reads is validated or rebuilt here,
-        and reuse accounting is deferred to :meth:`pair_tables`.
-        """
-        cells = self._round_cells
-        if not cells:
-            return
-        limit = options.pair_source_limit
-        jobs: list[tuple] = []
-        if options.enable_os3:
+    def _target_table(self, options: "CandidateOptions") -> _Targets:
+        """The round's targets, in the order every round enumerates them."""
+        netlist, estimator, index = self.netlist, self.estimator, self.index
+        rows: list[tuple] = []
+        if options.enable_os2 or options.enable_os3:
             for target in self.stems:
                 if target.is_input or not target.fanout_count():
                     continue
-                jobs.append((
-                    (target.name, None),
-                    self._ranked_sources(
-                        self.legal_sources(target, target), limit
-                    ),
-                    self.word_row(target),
-                    self.obs_words(target),
+                # Output moves by sources outside the dying region all
+                # share the region, its released power and the moved load.
+                region = dominated_region(netlist, target)
+                rows.append((
+                    target.name, None, target, self.maps.stem[target.name],
+                    region_power(estimator, region), netlist.load_of(target),
+                    -sum(g.cell.area for g in region if not g.is_input),
+                    region,
                 ))
-        if options.enable_is3:
+        split = len(rows)
+        if options.enable_is2 or options.enable_is3:
             for target in self.stems:
                 if target.fanout_count() < 2:
-                    continue
+                    continue  # single-branch stems are covered by OS2
                 for sink, pin in list(target.fanouts):
-                    jobs.append((
-                        (target.name, (sink.name, pin)),
-                        self._ranked_sources(
-                            self.legal_sources(sink, target), limit
-                        ),
-                        self.word_row(target),
-                        self.obs_words(target, (sink, pin)),
+                    # The target keeps its other fanouts, so the dying
+                    # region of every branch move is empty.
+                    moved = sink.cell.pins[pin].load
+                    rows.append((
+                        target.name, (sink.name, pin), sink,
+                        self.maps.branch(sink, pin),
+                        moved * estimator.activity(target), moved, 0, [],
                     ))
-        cell_sig = tuple(c.name for c in cells)
-        by_k: dict[int, list[tuple]] = {}
-        for key, ranked, va, obs in jobs:
-            names = tuple(self.stems[i].name for i in ranked)
-            rows, rows_next = self._ranked_rows(ranked)
-            if self._cache_valid(
-                key, names, cell_sig, va, obs, rows, rows_next
-            ):
-                self._fresh[key] = True
-                continue
-            self._fresh[key] = False
-            by_k.setdefault(len(ranked), []).append(
-                (key, names, va, obs, rows, rows_next)
-            )
-        for group in by_k.values():
-            rows_b = np.stack([job[4] for job in group])
-            rows_next_b = (
-                np.stack([job[5] for job in group])
-                if group[0][5] is not None
-                else None
-            )
-            va_b = np.stack([job[2] for job in group])
-            obs_b = np.stack([job[3] for job in group])
-            tables, acts = self._compute_pair_tables_batch(
-                rows_b, rows_next_b, va_b, obs_b, cells
-            )
-            for ji, (key, names, va, obs, rows, rows_next) in enumerate(
-                group
-            ):
-                self._pair_cache[key] = (
-                    names, cell_sig, va, obs, rows, rows_next,
-                    tables[ji], acts[ji],
-                )
+        names, branches, avoid, obs, pg_a, moved, area, regions = (
+            list(zip(*rows)) or [()] * 8
+        )
+        region = [
+            (row, index[g.name])
+            for row, members in enumerate(regions)
+            for g in members
+        ]
+        return _Targets(
+            keys=list(zip(names, branches)),
+            tgt=np.array([index[n] for n in names], dtype=np.intp),
+            avoid=np.array([index[g.name] for g in avoid], dtype=np.intp),
+            obs=ints_to_matrix(obs, self.sim.nwords),
+            pg_a=np.array(pg_a, dtype=np.float64),
+            moved=np.array(moved, dtype=np.float64),
+            area_base=list(area),
+            dying=[[g.name for g in members] for members in regions],
+            region=np.array(region, dtype=np.intp).reshape(-1, 2),
+            split=split,
+        )
 
-    def _compute_pair_tables_batch(
+    # ------------------------------------------------------------------
+    def pair_tables(
+        self, table: _Targets, lo: int, hi: int
+    ) -> tuple[np.ndarray, ...]:
+        """The OS3/IS3 entries of rows ``lo:hi`` as flat arrays.
+
+        Returns ``(row, first, second, cell, activity)``: the row relative
+        to ``lo``, the stems on pin 0 and pin 1, the cell's index in the
+        round's list and the inserted gate's activity.
+        :meth:`_precompute_pair_tables` validated or rebuilt every entry
+        the round reads.
+        """
+        entries = [self._pair_cache[key] for key in table.keys[lo:hi]]
+        row = np.repeat(
+            np.arange(hi - lo), [entry.act.size for entry in entries]
+        )
+        start = table.rank_start[lo:hi][row]
+        ranked = table.ranked
+        return (
+            row,
+            ranked[start + np.concatenate([entry.a for entry in entries])],
+            ranked[start + np.concatenate([entry.b for entry in entries])],
+            np.concatenate([entry.cell for entry in entries]),
+            np.concatenate([entry.act for entry in entries]),
+        )
+
+    def pair_inputs(
+        self, entry: _PairEntry
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]:
+        """``(va, obs, rows, rows_next)`` an entry was computed from."""
+        words = np.frombuffer(entry.inputs, dtype=np.uint64).reshape(
+            -1, self.sim.nwords
+        )
+        k = len(entry.names)
+        rows_next = words[2 + k:] if self.matrix_next is not None else None
+        return words[0], words[1], words[2:2 + k], rows_next
+
+    def _precompute_pair_tables(
+        self, table: _Targets, cells: list, options: "CandidateOptions"
+    ) -> None:
+        """Rank every OS3/IS3 row's sources; validate or rebuild its entry.
+
+        A row's sources are its first ``pair_source_limit`` legal stems in
+        the round's activity order (low-activity signals make cheap
+        drivers).  An entry whose ranked names, cells and input words are
+        unchanged is reused; the rest are rebuilt by :meth:`_pair_kernel`
+        in batches of equal source count.
+        """
+        limit = options.pair_source_limit
+        names = [g.name for g in self.stems]
+        cell_sig = tuple(cell.name for cell in cells)
+        width = self.matrix.itemsize * self.sim.nwords
+        va_bytes = self.matrix[table.tgt].tobytes()
+        obs_bytes = table.obs.tobytes()
+        ranked_parts: list[np.ndarray] = []
+        rank_start = np.zeros(len(table.keys), dtype=np.intp)
+        offset = 0
+        stale: dict[int, list[tuple]] = {}
+        for lo, hi, branch in table.sections():
+            if not (options.enable_is3 if branch else options.enable_os3):
+                continue
+            for start in range(lo, hi, _CHUNK):
+                stop = min(start + _CHUNK, hi)
+                ordered = table.legal(self.reach, start, stop)[
+                    :, self.act_order
+                ]
+                rank_row, position = np.nonzero(
+                    ordered & (np.cumsum(ordered, axis=1) <= limit)
+                )
+                ranked = self.act_order[position]
+                ranked_parts.append(ranked)
+                bounds = np.searchsorted(
+                    rank_row, np.arange(stop - start + 1)
+                ).tolist()
+                ranked_list = ranked.tolist()
+                source_bytes = self.matrix[ranked].tobytes()
+                next_bytes = (
+                    self.matrix_next[ranked].tobytes()
+                    if self.matrix_next is not None else b""
+                )
+                for r in range(stop - start):
+                    row = start + r
+                    first, last = bounds[r], bounds[r + 1]
+                    rank_start[row] = offset + first
+                    key_names = tuple(
+                        [names[i] for i in ranked_list[first:last]]
+                    )
+                    inputs = b"".join((
+                        va_bytes[row * width:(row + 1) * width],
+                        obs_bytes[row * width:(row + 1) * width],
+                        source_bytes[first * width:last * width],
+                        next_bytes[first * width:last * width],
+                    ))
+                    key = table.keys[row]
+                    cached = self._pair_cache.get(key)
+                    if (
+                        cached is not None
+                        and cached.names == key_names
+                        and cached.cells == cell_sig
+                        and cached.inputs == inputs
+                    ):
+                        self.pair_cache_hits += 1
+                        continue
+                    self.pair_cache_misses += 1
+                    stale.setdefault(last - first, []).append(
+                        (key, key_names, inputs, row, ranked[first:last])
+                    )
+                offset += ranked.size
+        if ranked_parts:
+            table.ranked = np.concatenate(ranked_parts)
+        table.rank_start = rank_start
+        for k, jobs in stale.items():
+            for start in range(0, len(jobs), _PAIR_BATCH):
+                batch = jobs[start:start + _PAIR_BATCH]
+                sources = np.array([job[4] for job in batch])
+                sources = sources.reshape(len(batch), k)
+                rows = [job[3] for job in batch]
+                entries = self._pair_kernel(
+                    self.matrix[sources],
+                    None if self.matrix_next is None
+                    else self.matrix_next[sources],
+                    self.matrix[table.tgt[rows]],
+                    table.obs[rows],
+                    cells,
+                )
+                for (key, key_names, inputs, _row, _src), entry in zip(
+                    batch, entries
+                ):
+                    self._pair_cache[key] = _PairEntry(
+                        key_names, cell_sig, inputs, *entry
+                    )
+
+    def _pair_kernel(
         self,
         rows: np.ndarray,
         rows_next: Optional[np.ndarray],
         va: np.ndarray,
         obs: np.ndarray,
         cells: list,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The pair tables of a batch of jobs sharing one source count.
+    ) -> list[tuple[np.ndarray, ...]]:
+        """The compatible OS3/IS3 tuples of jobs sharing one source count.
 
         ``rows`` is ``(jobs, k, words)`` — the ranked sources' words —
         with ``rows_next`` their cycle-t+1 words under a temporal engine,
-        else ``None``; ``va``/``obs`` are ``(jobs, words)``.  Returns
-        ``(jobs, k, k, cells)`` compat and activity tables, purely
-        elementwise over the job axis, so a one-job batch gives the same
-        slice; fewer than two sources form no pair and stay all-zero.
+        else ``None``; ``va``/``obs`` are ``(jobs, words)``.  Every source
+        pair ``a < b`` is tested with every cell, and with an asymmetric
+        cell's pins swapped as ``(b, a)``; activities are computed for the
+        compatible tuples alone.  Returns each job's ``(a, b, cell,
+        activity)``, elementwise over the job axis, so a one-job batch
+        gives the same entry.
         """
-        j, k, _w = rows.shape
+        jobs, k, _words = rows.shape
+        pa, pb = np.triu_indices(k, 1)
+        orders = _pin_orders(cells)
+        # Word 0 rules out most tuples; only its survivors are read whole,
+        # and the words that pass give the activities too.
+        wa, wb = rows[:, pa, 0], rows[:, pb, 0]  # (jobs, pairs)
+        survive = np.empty((jobs, pa.size, len(orders)), dtype=bool)
+        for v, (_ci, bits, _swapped) in enumerate(orders):
+            d = _two_input_word(bits, wa, wb)
+            d ^= va[:, None, 0]
+            d &= obs[:, None, 0]
+            survive[:, :, v] = d == 0
+        compat = np.zeros(survive.shape, dtype=bool)
+        activity = np.empty(survive.shape, dtype=np.float64)
         total = self.sim.num_patterns
-        table = np.zeros((j, k, k, len(cells)), dtype=bool)
-        act = np.zeros((j, k, k, len(cells)), dtype=np.float64)
-        if k < 2:
-            return table, act
-        wa = rows[:, :, None, :]  # (j, k, 1, w)
-        wb = rows[:, None, :, :]  # (j, 1, k, w)
-        if rows_next is not None:
-            na = rows_next[:, :, None, :]
-            nb = rows_next[:, None, :, :]
-        va_b = va[:, None, None, :]
-        obs_b = obs[:, None, None, :]
-        done: dict[int, tuple[np.ndarray, int]] = {}
-        for ci, cell in enumerate(cells):
-            bits = cell.function.bits
-            mate = done.get(~bits & 0b1111)
-            if mate is not None:
-                # Complement pairs (AND/NAND, OR/NOR, XOR/XNOR) share one
-                # evaluation: with d = (word ^ va) & obs the complement's
-                # masked disagreement is d ^ obs, and its switching
-                # activity is identical (~w ^ ~w' == w ^ w'; 2p(1-p) is
-                # symmetric in p <-> 1-p).
-                d_mate, mi = mate
-                table[:, :, :, ci] = ~((d_mate ^ obs_b).any(axis=3))
-                act[:, :, :, ci] = act[:, :, :, mi]
-                continue
-            word = _two_input_word(bits, wa, wb)
-            d = (word ^ va_b) & obs_b
-            table[:, :, :, ci] = ~(d.any(axis=3))
-            if rows_next is not None:
-                word_next = _two_input_word(bits, na, nb)
-                act[:, :, :, ci] = popcount_lastaxis(word ^ word_next) / total
+        job, pair, order = np.nonzero(survive)
+        for v, (_ci, bits, _swapped) in enumerate(orders):
+            hit = np.flatnonzero(order == v)
+            j, p = job[hit], pair[hit]
+            word = _two_input_word(bits, rows[j, pa[p]], rows[j, pb[p]])
+            ok = ~((word ^ va[j]) & obs[j]).any(axis=1)
+            j, p, word = j[ok], p[ok], word[ok]
+            compat[j, p, v] = True
+            if rows_next is None:
+                prob = popcount_lastaxis(word) / total
+                activity[j, p, v] = 2.0 * prob * (1.0 - prob)
             else:
-                p = popcount_lastaxis(word) / total
-                act[:, :, :, ci] = 2.0 * p * (1.0 - p)
-            done[bits] = (d, ci)
-        return table, act
+                word ^= _two_input_word(
+                    bits, rows_next[j, pa[p]], rows_next[j, pb[p]]
+                )
+                activity[j, p, v] = popcount_lastaxis(word) / total
+        job, pair, order = np.nonzero(compat)
+        act = activity[job, pair, order]
+        swapped = np.array([s for _c, _b, s in orders], dtype=bool)[order]
+        index = np.min_scalar_type(max(k - 1, 0))
+        a = np.where(swapped, pb[pair], pa[pair]).astype(index)
+        b = np.where(swapped, pa[pair], pb[pair]).astype(index)
+        cell = np.array([c for c, _b, _s in orders], dtype=np.intp)[
+            order
+        ].astype(np.min_scalar_type(len(cells)))
+        bounds = np.searchsorted(job, np.arange(jobs + 1)).tolist()
+        return [
+            (a[s:e], b[s:e], cell[s:e], act[s:e])
+            for s, e in zip(bounds, bounds[1:])
+        ]
 
     # ------------------------------------------------------------------
+    def _chunk_candidates(
+        self,
+        table: _Targets,
+        lo: int,
+        hi: int,
+        branch: bool,
+        cells: list,
+        options: "CandidateOptions",
+    ) -> list[Candidate]:
+        """Each of rows ``lo:hi``'s ``max_per_target`` best candidates.
+
+        Moves whose sources lie outside the row's dying region share its
+        PG_A and moved load, so their quick gains are flat arrays; a source
+        inside the region reshapes it, and an inverted source has no scalar
+        price without a library inverter, so those take the exact
+        per-candidate path.
+        """
+        estimator, stems = self.estimator, self.stems
+        library = self.netlist.library
+        inverter = library.inverter() if library is not None else None
+        min_quick = options.min_quick_gain
+        kind2, kind3 = (IS2, IS3) if branch else (OS2, OS3)
+        size = hi - lo
+        tgt = table.tgt[lo:hi]
+        obs = table.obs[lo:hi]
+        moved = table.moved[lo:hi]
+        legal = table.legal(self.reach, lo, hi)
+        in_region = np.zeros(legal.shape, dtype=bool)
+        first, last = np.searchsorted(table.region[:, 0], [lo, hi])
+        members = table.region[first:last]
+        in_region[members[:, 0] - lo, members[:, 1]] = True
+
+        def substitution(r, kind, source, invert=False, **pair):
+            return Substitution(
+                kind, table.keys[lo + r][0], stems[source].name,
+                invert1=invert, branch=table.keys[lo + r][1], **pair,
+            )
+
+        # Each row's candidates: the exact path's first, then the winners.
+        best: list[list[Candidate]] = [[] for _ in range(size)]
+        # Scored entries: row, code (_DIRECT, _INVERTED or cell index),
+        # pin-0 and pin-1 source stems, PG_B.
+        scored: list[tuple[np.ndarray, ...]] = []
+        if options.constant_substitution:
+            for r in range(size):
+                _constant_candidates(
+                    self, stems[tgt[r]], table.keys[lo + r][1],
+                    self.matrix[tgt[r]], obs[r], options, best[r],
+                )
+        if options.enable_is2 if branch else options.enable_os2:
+            # Word 0 rules out most sources; only its survivors are read
+            # whole.  A source is compatible inverted where it disagrees
+            # with the target on every observable pattern.
+            va = self.matrix[tgt]
+            d = self.matrix[None, :, 0] ^ va[:, None, 0]
+            d &= obs[:, None, 0]
+            survive = d == 0
+            if options.allow_inversion:
+                survive |= d == obs[:, None, 0]
+            r, s = np.nonzero(legal & survive)
+            d = self.matrix[s] ^ va[r]
+            d &= obs[r]
+            direct = ~d.any(axis=1)
+            hits = [(direct, False)]
+            if options.allow_inversion:
+                d ^= obs[r]
+                hits.append((~direct & ~d.any(axis=1), True))
+            for hit, invert in hits:
+                rr, ss = r[hit], s[hit]
+                exact_only = invert and inverter is None
+                slow = (
+                    np.ones(rr.size, dtype=bool) if exact_only
+                    else in_region[rr, ss]
+                )
+                for rj, sj in zip(rr[slow], ss[slow]):
+                    _try_candidate(
+                        estimator, substitution(rj, kind2, sj, invert),
+                        best[rj], min_quick,
+                    )
+                if exact_only:
+                    continue
+                rr, ss = rr[~slow], ss[~slow]
+                # quick_gain's scalar expressions, elementwise: the floats
+                # are bit-identical to building each candidate.
+                act_src = self.activity[ss]
+                if invert:
+                    load = inverter.pins[0].load
+                    pg_b = -(load * act_src + moved[rr] * act_src)
+                else:
+                    pg_b = -(moved[rr] * act_src)
+                code = np.full(rr.size, _INVERTED if invert else _DIRECT)
+                scored.append((rr, code, ss, ss, pg_b))
+        if cells and (options.enable_is3 if branch else options.enable_os3):
+            r, s1, s2, ci, act = self.pair_tables(table, lo, hi)
+            slow = in_region[r, s1] | in_region[r, s2]
+            for j in np.flatnonzero(slow):
+                _try_candidate(estimator, substitution(
+                    r[j], kind3, s1[j], source2=stems[s2[j]].name,
+                    new_cell=cells[ci[j]].name,
+                ), best[r[j]], min_quick)
+            fast = ~slow
+            r, s1, s2 = r[fast], s1[fast], s2[fast]
+            ci, act = ci[fast], act[fast]
+            load0 = np.array([c.pins[0].load for c in cells])
+            load1 = np.array([c.pins[1].load for c in cells])
+            # PG_B grouped as _pg_b groups it for one tuple.
+            pg_b = -(
+                (load0[ci] * self.activity[s1]
+                 + load1[ci] * self.activity[s2])
+                + moved[r] * act
+            )
+            scored.append((r, ci.astype(np.intp), s1, s2, pg_b))
+
+        row, code, src1, src2, pg_b = [
+            np.concatenate(column) for column in zip(*scored)
+        ] or [np.zeros(0, dtype=np.intp)] * 5
+        quick = table.pg_a[lo:hi][row] + pg_b
+        if min_quick is not None:
+            keep = ~(quick < min_quick)
+            row, code, quick = row[keep], code[keep], quick[keep]
+            src1, src2, pg_b = src1[keep], src2[keep], pg_b[keep]
+        limit = options.max_per_target
+        exact_rows = [r for r, found in enumerate(best) for _c in found]
+        reach_floor = _reaches_floor(
+            np.concatenate([row, exact_rows]).astype(np.intp),
+            np.concatenate([quick, [c.quick for f in best for c in f]]),
+            limit,
+            size,
+        )
+        built = np.flatnonzero(reach_floor[:row.size])
+        pg_a = table.pg_a[lo:hi].tolist()
+        for r, c, s1, s2, b in zip(*(
+            column[built].tolist() for column in (row, code, src1, src2, pg_b)
+        )):
+            area = table.area_base[lo + r]
+            if c >= 0:
+                sub = substitution(
+                    r, kind3, s1, source2=stems[s2].name,
+                    new_cell=cells[c].name,
+                )
+                area = area + cells[c].area
+            else:
+                sub = substitution(r, kind2, s1, c == _INVERTED)
+                if c == _INVERTED:
+                    area = area + inverter.area
+            best[r].append(Candidate(sub, GainBreakdown(
+                pg_a=pg_a[r], pg_b=b, area_delta=area,
+                dying=list(table.dying[lo + r]),
+            )))
+        return [c for found in best for c in _keep_best(found, limit)]
+
     def generate(
         self, options: CandidateOptions | None = None
     ) -> list[Candidate]:
         """All simulation-compatible substitutions, best quick gain first."""
         options = options or CandidateOptions()
         self._refresh_round()
-        self._fresh.clear()
-        if options.enable_os3 or options.enable_is3:
-            self._round_cells = _two_input_cells(self.netlist, options)
-            self._precompute_pair_tables(options)
-        else:
-            self._round_cells = None
+        table = self._target_table(options)
+        cells = (
+            _two_input_cells(self.netlist, options)
+            if options.enable_os3 or options.enable_is3
+            else []
+        )
+        if cells:
+            self._precompute_pair_tables(table, cells, options)
         collected: list[Candidate] = []
-
-        if options.enable_os2 or options.enable_os3:
-            for target in self.stems:
-                if target.is_input or not target.fanout_count():
-                    continue
-                collected.extend(_stem_candidates(self, target, options))
-
-        if options.enable_is2 or options.enable_is3:
-            for target in self.stems:
-                if target.fanout_count() < 2:
-                    continue  # single-branch stems are covered by OS2
-                for sink, pin in list(target.fanouts):
-                    collected.extend(
-                        _branch_candidates(self, target, sink, pin, options)
-                    )
-
+        if options.max_per_target:
+            for lo, hi, branch in table.sections():
+                for start in range(lo, hi, _CHUNK):
+                    collected.extend(self._chunk_candidates(
+                        table, start, min(start + _CHUNK, hi), branch,
+                        cells, options,
+                    ))
         # Ties on quick gain are broken by the canonical candidate ID, so
         # the ranking (and with it the whole move sequence) is reproducible
         # across Python builds and immune to generation-order changes.
@@ -523,51 +764,11 @@ def _rank_key(candidate: Candidate) -> tuple[float, str]:
     return key
 
 
-#: Quick gains of a target's array-scored entries, with the builder of
-#: the candidate behind entry ``j``.
-_Scored = tuple[np.ndarray, Callable[[int], Candidate]]
-
-
 def _keep_best(
     candidates: list[Candidate], limit: int
 ) -> list[Candidate]:
     candidates.sort(key=_rank_key)
     return candidates[:limit]
-
-
-def _build_best(
-    exact: list[Candidate], scored: list[_Scored], limit: int
-) -> list[Candidate]:
-    """A target's ``limit`` best candidates by ``(-quick, candidate_id)``.
-
-    ``exact`` holds built candidates; ``scored`` entries are built only
-    when their quick gain reaches the ``limit``-th best of all of them.
-    Entries tied with that gain are built too, because the candidate ID
-    decides among them, so the result is the one sorting every candidate
-    would give.
-    """
-    if limit == 0:
-        return []
-    quicks = np.concatenate(
-        [np.array([c.quick for c in exact], dtype=np.float64)]
-        + [quick for quick, _build in scored]
-    )
-    floor = -np.inf
-    if quicks.size > limit:
-        floor = np.partition(quicks, quicks.size - limit)[quicks.size - limit]
-    found = list(exact)
-    for quick, build in scored:
-        found.extend(build(j) for j in np.flatnonzero(quick >= floor))
-    return _keep_best(found, limit)
-
-
-def _min_quick_filter(
-    quick: np.ndarray, min_quick: Optional[float]
-) -> np.ndarray:
-    """Entries ``_try_candidate`` would keep: not below ``min_quick``."""
-    if min_quick is None:
-        return np.ones(quick.shape, dtype=bool)
-    return ~(quick < min_quick)
 
 
 def _try_candidate(
@@ -582,105 +783,42 @@ def _try_candidate(
     collected.append(Candidate(substitution, gain))
 
 
-def _stem_candidates(
-    workspace: CandidateWorkspace,
-    target: Gate,
-    options: CandidateOptions,
-) -> list[Candidate]:
-    """OS2/OS3 candidates for one stem."""
-    estimator = workspace.estimator
-    netlist = workspace.netlist
-    obs = workspace.obs_words(target)
-    va = workspace.word_row(target)
-    source_mask = workspace.legal_sources(target, target)
-    direct, inverted = workspace.compatible_rows(va, obs)
+def _reaches_floor(
+    rows: np.ndarray, quick: np.ndarray, limit: int, size: int
+) -> np.ndarray:
+    """Entries whose quick gain reaches their row's ``limit``-th best.
 
-    # Output substitutions from sources outside the dying region all share
-    # the region, its released power, and the moved load — computed once
-    # per target and reused across OS2 singles and the OS3 pair table.
-    region = dominated_region(netlist, target)
-    pg_a = region_power(estimator, region)
-    moved = netlist.load_of(target)
-    area_base = -sum(g.cell.area for g in region if not g.is_input)
-    in_region = np.zeros(len(workspace.stems), dtype=bool)
-    in_region[[workspace.index[g.name] for g in region]] = True
-    dying = [g.name for g in region]
-    region_info = (pg_a, moved, area_base, in_region, dying)
+    Entries tied with that gain reach it too, because the candidate ID
+    decides among them, so sorting only these by :func:`_rank_key` keeps
+    what sorting all of a row's entries would.  ``limit`` is positive.
+    """
+    order = np.lexsort((quick, rows))
+    counts = np.bincount(rows, minlength=size)
+    over = counts > limit
+    floor = np.full(size, -np.inf)
+    floor[over] = quick[order[np.cumsum(counts)[over] - limit]]
+    return quick >= floor[rows]
 
-    exact: list[Candidate] = []
-    scored: list[_Scored] = []
-    if options.constant_substitution:
-        _constant_candidates(
-            workspace, target, None, va, obs, options, exact
+
+def _pin_orders(cells: list) -> list[tuple[int, int, bool]]:
+    """``(cell index, truth table over (a, b), pins swapped)`` to test a
+    source pair ``a < b`` with.
+
+    Every cell in order, then every asymmetric 2-input cell with its pins
+    swapped, unless a round cell already computes the swapped function
+    (one cell per function, as :func:`_two_input_cells` keeps them).
+    """
+    functions = {cell.function.bits for cell in cells}
+    orders = [(ci, cell.function.bits, False) for ci, cell in enumerate(cells)]
+    for ci, cell in enumerate(cells):
+        bits = cell.function.bits
+        # Bit a + 2b of the truth table moves to bit b + 2a.
+        swapped = (
+            (bits & 0b1001) | ((bits & 0b0010) << 1) | ((bits & 0b0100) >> 1)
         )
-    if options.enable_os2:
-        _single_candidates(
-            workspace, target, None, source_mask, direct, inverted,
-            options, region_info, exact, scored,
-        )
-    if options.enable_os3:
-        _pair_candidates(
-            workspace, target, None, source_mask, options, region_info,
-            exact, scored,
-        )
-    return _build_best(exact, scored, options.max_per_target)
-
-
-def _branch_candidates(
-    workspace: CandidateWorkspace,
-    target: Gate,
-    sink: Gate,
-    pin: int,
-    options: CandidateOptions,
-) -> list[Candidate]:
-    """IS2/IS3 candidates for one branch of ``target``."""
-    estimator = workspace.estimator
-    obs = workspace.obs_words(target, (sink, pin))
-    va = workspace.word_row(target)
-    source_mask = workspace.legal_sources(sink, target)
-    direct, inverted = workspace.compatible_rows(va, obs)
-    branch = (sink.name, pin)
-
-    # The target keeps its other fanouts (the caller guarantees >= 2), so
-    # the dying region is empty for every branch substitution: the gain
-    # scalars are shared across IS2 singles and the IS3 pair table.
-    moved = sink.cell.pins[pin].load
-    pg_a = moved * estimator.activity(target)
-    in_region = np.zeros(len(workspace.stems), dtype=bool)
-    region_info = (pg_a, moved, 0, in_region, [])
-
-    exact: list[Candidate] = []
-    scored: list[_Scored] = []
-    if options.constant_substitution:
-        _constant_candidates(
-            workspace, target, branch, va, obs, options, exact
-        )
-    if options.enable_is2:
-        _single_candidates(
-            workspace, target, branch, source_mask, direct, inverted,
-            options, region_info, exact, scored,
-        )
-    if options.enable_is3:
-        _pair_candidates(
-            workspace, target, branch, source_mask, options, region_info,
-            exact, scored,
-        )
-    return _build_best(exact, scored, options.max_per_target)
-
-
-#: Read-only ``k × k`` strict-upper-triangle masks, shared across targets
-#: (every target with the same ranked-list length uses the same mask).
-_UPPER_CACHE: dict[int, np.ndarray] = {}
-
-
-def _upper_mask(k: int) -> np.ndarray:
-    mask = _UPPER_CACHE.get(k)
-    if mask is None:
-        mask = np.zeros((k, k), dtype=bool)
-        if k >= 2:
-            mask[np.triu_indices(k, 1)] = True
-        _UPPER_CACHE[k] = mask
-    return mask
+        if cell.num_inputs == 2 and swapped not in functions:
+            orders.append((ci, swapped, True))
+    return orders
 
 
 def _two_input_word(
@@ -748,179 +886,6 @@ def _constant_candidates(
         _try_candidate(
             workspace.estimator, substitution, found, options.min_quick_gain
         )
-
-
-def _single_candidates(
-    workspace: CandidateWorkspace,
-    target: Gate,
-    branch: Optional[tuple[str, int]],
-    source_mask: np.ndarray,
-    direct: np.ndarray,
-    inverted: np.ndarray,
-    options: CandidateOptions,
-    region_info: tuple,
-    exact: list[Candidate],
-    scored: list[_Scored],
-) -> None:
-    """OS2/IS2: move the target (or its branch) onto one stem.
-
-    Compatible sources are sparse, so only the hits are enumerated.  The
-    sources that share the target's gain scalars are scored as one array
-    into ``scored``; the rest take the exact per-candidate path into
-    ``exact``.
-    """
-    library = workspace.netlist.library
-    inverter = library.inverter() if library is not None else None
-    kind = OS2 if branch is None else IS2
-    _pg_a, _moved, _area_base, in_region, _dying = region_info
-    hits: list[tuple[np.ndarray, bool]] = [(source_mask & direct, False)]
-    if options.allow_inversion:
-        hits.append((source_mask & inverted & ~direct, True))
-    for mask, invert in hits:
-        # A source inside the dying region reshapes it, and an inverted
-        # source has no scalar price without a library inverter.
-        exact_only = invert and inverter is None
-        slow = mask if exact_only else mask & in_region
-        for i in np.flatnonzero(slow):
-            _try_candidate(
-                workspace.estimator,
-                Substitution(
-                    kind, target.name, workspace.stems[i].name,
-                    invert1=invert, branch=branch,
-                ),
-                exact,
-                options.min_quick_gain,
-            )
-        if not exact_only:
-            scored.append(_scored_singles(
-                workspace, kind, target, branch,
-                np.flatnonzero(mask & ~slow), invert, inverter,
-                options, region_info,
-            ))
-
-
-def _scored_singles(
-    workspace: CandidateWorkspace,
-    kind: str,
-    target: Gate,
-    branch: Optional[tuple[str, int]],
-    indices: np.ndarray,
-    invert: bool,
-    inverter,
-    options: CandidateOptions,
-    region_info: tuple,
-) -> _Scored:
-    """Quick gains of the moves onto the stems at ``indices``."""
-    pg_a, moved, area_base, _in_region, dying = region_info
-    act_src = workspace.activity[indices]
-    # The scalar expressions of quick_gain, elementwise: the floats are
-    # bit-identical to building each candidate.
-    if invert:
-        pg_b = -(inverter.pins[0].load * act_src + moved * act_src)
-        area_delta = area_base + inverter.area
-    else:
-        pg_b = -(moved * act_src)
-        area_delta = area_base
-    quick = pg_a + pg_b
-    keep = _min_quick_filter(quick, options.min_quick_gain)
-    indices, pg_b, quick = indices[keep], pg_b[keep], quick[keep]
-
-    def build(j: int) -> Candidate:
-        return Candidate(
-            Substitution(
-                kind, target.name, workspace.stems[indices[j]].name,
-                invert1=invert, branch=branch,
-            ),
-            GainBreakdown(
-                pg_a=pg_a,
-                pg_b=float(pg_b[j]),
-                area_delta=area_delta,
-                dying=list(dying),
-            ),
-        )
-
-    return quick, build
-
-
-def _pair_candidates(
-    workspace: CandidateWorkspace,
-    target: Gate,
-    branch: Optional[tuple[str, int]],
-    source_mask: np.ndarray,
-    options: CandidateOptions,
-    region_info: tuple,
-    exact: list[Candidate],
-    scored: list[_Scored],
-) -> None:
-    """OS3/IS3: insert a new 2-input gate over a short source list.
-
-    ``region_info`` is the caller's per-target PG_A, moved load, area
-    base, dying-region stem mask and dying names; the insertion cells are
-    the round's, set by :meth:`CandidateWorkspace.generate`.  Tuples with
-    a source inside the dying region go through the exact path into
-    ``exact``; the rest are scored as one array into ``scored``.
-    """
-    estimator = workspace.estimator
-    cells = workspace._round_cells
-    if not cells:
-        return
-    # Rank sources by activity: low-activity signals make cheap drivers.
-    # The round's stable activity order restricted to the legal sources is
-    # exactly what sorting them per target would give.
-    ranked = workspace._ranked_sources(source_mask, options.pair_source_limit)
-    kind = OS3 if branch is None else IS3
-    table, act = workspace.pair_tables((target.name, branch))
-    pg_a, moved, area_base, in_region, dying = region_info
-    stems = workspace.stems
-
-    def substitution(ai: int, bi: int, ci: int) -> Substitution:
-        return Substitution(
-            kind,
-            target.name,
-            stems[ranked[ai]].name,
-            branch=branch,
-            source2=stems[ranked[bi]].name,
-            new_cell=cells[ci].name,
-        )
-
-    ranked_array = np.asarray(ranked, dtype=np.intp)
-    ai, bi, ci = np.nonzero(table & _upper_mask(len(ranked))[:, :, None])
-    # A source inside the unconstrained region would reshape it (the keep
-    # set binds); those rare tuples take the exact per-candidate path.
-    slow = in_region[ranked_array[ai]] | in_region[ranked_array[bi]]
-    for j in np.flatnonzero(slow):
-        _try_candidate(
-            estimator, substitution(ai[j], bi[j], ci[j]), exact,
-            options.min_quick_gain,
-        )
-    ai, bi, ci = ai[~slow], bi[~slow], ci[~slow]
-    # Every other tuple shares the dying region, the PG_A sum and the
-    # moved load, so PG_B is one expression over the whole table, grouped
-    # as _pg_b groups it for one tuple.
-    act_src = workspace.activity[ranked_array]
-    load0 = np.array([cell.pins[0].load for cell in cells], dtype=np.float64)
-    load1 = np.array([cell.pins[1].load for cell in cells], dtype=np.float64)
-    pg_b = -(
-        (load0[ci] * act_src[ai] + load1[ci] * act_src[bi])
-        + moved * act[ai, bi, ci]
-    )
-    quick = pg_a + pg_b
-    keep = _min_quick_filter(quick, options.min_quick_gain)
-    ai, bi, ci = ai[keep], bi[keep], ci[keep]
-    pg_b, quick = pg_b[keep], quick[keep]
-
-    def build(j: int) -> Candidate:
-        return Candidate(
-            substitution(ai[j], bi[j], ci[j]),
-            GainBreakdown(
-                pg_a=pg_a,
-                pg_b=float(pg_b[j]),
-                area_delta=area_base + cells[ci[j]].area,
-                dying=list(dying),
-            ),
-        )
-
-    scored.append((quick, build))
 
 
 def generate_candidates(

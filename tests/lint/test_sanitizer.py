@@ -152,20 +152,27 @@ class TestCorruptionDetection:
         h.expect(X_OBSERVABILITY)
 
     def test_x005_corrupted_pair_table(self):
-        h = _Harness()
-        workspace = h.optimizer._workspace
-        assert workspace._pair_cache, "expected cached OS3/IS3 tables"
-        key, entry = next(iter(workspace._pair_cache.items()))
-        names, cells, va, obs, rows, rows_next, table, act = entry
-        if not table.any():
-            table = table.copy()
-            table.flat[0] = True
-        else:
-            table = ~table
-        workspace._pair_cache[key] = (
-            names, cells, va, obs, rows, rows_next, table, act,
-        )
-        h.expect(X_PAIR_TABLE)
+        # A flipped activity and a dropped tuple are both caught.
+        for corrupt in ("activity", "tuple"):
+            h = _Harness()
+            workspace = h.optimizer._workspace
+            assert workspace._pair_cache, "expected cached OS3/IS3 entries"
+            key, entry = next(
+                (key, entry)
+                for key, entry in workspace._pair_cache.items()
+                if entry.act.size
+            )
+            if corrupt == "activity":
+                act = entry.act.copy()
+                act[0] = 1.0 - act[0] if act[0] != 0.5 else 0.25
+                entry = entry._replace(act=act)
+            else:
+                entry = entry._replace(
+                    a=entry.a[1:], b=entry.b[1:], cell=entry.cell[1:],
+                    act=entry.act[1:],
+                )
+            workspace._pair_cache[key] = entry
+            h.expect(X_PAIR_TABLE)
 
     def test_x002_value_for_dead_gate(self):
         h = _Harness()

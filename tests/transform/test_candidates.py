@@ -16,6 +16,7 @@ from repro.power.probability import (
     SimulationProbability,
 )
 from repro.power.temporal import TemporalSimulationProbability
+from repro.transform import candidates as candidates_module
 from repro.transform.candidates import (
     CandidateOptions,
     CandidateWorkspace,
@@ -250,6 +251,15 @@ def _reference_pool(estimator, options):
     cells = _two_input_cells(netlist, options)
     library = netlist.library
     nwords = sim.nwords
+    # An asymmetric cell is also tried with its pins swapped, unless a
+    # round cell already computes the swapped function.
+    pin_a = np.array([0b1010], dtype=np.uint64)
+    pin_b = np.array([0b1100], dtype=np.uint64)
+    functions = {int(evaluate_cell(c, [pin_a, pin_b], 1)[0]) for c in cells}
+    both_orders = {
+        c.name for c in cells
+        if int(evaluate_cell(c, [pin_b, pin_a], 1)[0]) not in functions
+    }
 
     def agrees(word, va, obs):
         return not ((word ^ va) & obs).any()
@@ -300,17 +310,21 @@ def _reference_pool(estimator, options):
             for i, first in enumerate(ranked):
                 for second in ranked[i + 1:]:
                     for cell in cells:
-                        word = evaluate_cell(
-                            cell,
-                            [sim.words(first.name), sim.words(second.name)],
-                            nwords,
-                        )
-                        if agrees(word, va, obs):
-                            tuples.append(Substitution(
-                                kind3, target.name, first.name,
-                                branch=branch, source2=second.name,
-                                new_cell=cell.name,
-                            ))
+                        orders = [(first, second)]
+                        if cell.name in both_orders:
+                            orders.append((second, first))
+                        for one, two in orders:
+                            word = evaluate_cell(
+                                cell,
+                                [sim.words(one.name), sim.words(two.name)],
+                                nwords,
+                            )
+                            if agrees(word, va, obs):
+                                tuples.append(Substitution(
+                                    kind3, target.name, one.name,
+                                    branch=branch, source2=two.name,
+                                    new_cell=cell.name,
+                                ))
         scored = []
         for substitution in tuples:
             try:
@@ -437,7 +451,42 @@ class TestPoolExactness:
         options = CandidateOptions(max_per_target=400)
         reference = _reference_pool(estimator, options)
         assert _pool(estimator, options) == reference
-        assert any("|andn2|" in entry[0] for entry in reference)
+        # a·!b is not b·!a: some source pair is proposed in both orders.
+        pairs = {
+            (fields[2], fields[5])
+            for fields in (entry[0].split("|") for entry in reference)
+            if fields[7] == "andn2"
+        }
+        assert any((second, first) in pairs for first, second in pairs)
+
+    @pytest.mark.parametrize(
+        "engine,patterns",
+        [
+            (SimulationProbability, 256),
+            (TemporalSimulationProbability, 256),
+            # Compatibility is densest at one word of patterns.
+            (SimulationProbability, 64),
+            # c/192 and (192 - c)/192 round differently: every cell's
+            # activity must come from its own words, not its complement's.
+            (SimulationProbability, 192),
+        ],
+    )
+    @pytest.mark.parametrize("seed", [5, 23])
+    def test_pool_independent_of_chunk_size(
+        self, monkeypatch, engine, patterns, seed
+    ):
+        netlist = make_random_netlist(LIB, 6, 20, 3, seed)
+        estimator = PowerEstimator(
+            netlist, engine(netlist, num_patterns=patterns, seed=3)
+        )
+        options = CandidateOptions()
+        reference = _reference_pool(estimator, options)
+        # One target (and one pair-table job) per chunk, and one chunk
+        # for every target.
+        for chunk in (1, 10_000):
+            monkeypatch.setattr(candidates_module, "_CHUNK", chunk)
+            monkeypatch.setattr(candidates_module, "_PAIR_BATCH", chunk)
+            assert _pool(estimator, options) == reference
 
     def test_constant_substitution(self, builder):
         from tests.transform.test_extensions import redundant_netlist
