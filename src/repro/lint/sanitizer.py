@@ -43,7 +43,7 @@ from repro.errors import LintError
 from repro.lint.diagnostics import Diagnostic, LintReport, Severity
 from repro.lint.rules import Rule, lint_netlist, resolve_rules
 from repro.netlist.observability import ObservabilityMaps
-from repro.netlist.simulate import SimState, random_patterns
+from repro.netlist.simulate import SimState, covering_patterns
 from repro.power.probability import SimulationProbability
 from repro.timing.analysis import TimingAnalysis
 
@@ -285,7 +285,7 @@ class TransformSanitizer:
                 )
             else:
                 states.append(("triage simulation", followed))
-                patterns = random_patterns(
+                patterns, _ = covering_patterns(
                     netlist.input_names, triage.num_patterns, triage.seed
                 )
                 findings.extend(

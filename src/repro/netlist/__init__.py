@@ -16,7 +16,12 @@ from repro.netlist.traverse import (
     transitive_fanin,
     transitive_fanout,
 )
-from repro.netlist.simulate import SimState, random_patterns, exhaustive_patterns
+from repro.netlist.simulate import (
+    SimState,
+    covering_patterns,
+    exhaustive_patterns,
+    random_patterns,
+)
 from repro.netlist.blif import parse_blif, write_blif
 from repro.netlist.verilog import write_verilog
 from repro.netlist.verify import check_netlist
@@ -30,6 +35,7 @@ __all__ = [
     "SimState",
     "random_patterns",
     "exhaustive_patterns",
+    "covering_patterns",
     "parse_blif",
     "write_blif",
     "write_verilog",

@@ -123,6 +123,23 @@ def exhaustive_patterns(input_names: Sequence[str]) -> dict[str, np.ndarray]:
     return patterns
 
 
+def covering_patterns(
+    input_names: Sequence[str], num_patterns: int, seed: int
+) -> tuple[dict[str, np.ndarray], bool]:
+    """``num_patterns`` patterns that hold every input vector when they can.
+
+    Returns ``(patterns, exhaustive)``.  When ``2**len(input_names) <=
+    num_patterns`` the set is :func:`exhaustive_patterns` (never more
+    words than ``num_patterns`` asks for) and ``exhaustive`` is True:
+    two circuits whose outputs agree on it compute the same functions.
+    Otherwise it is ``random_patterns(input_names, num_patterns, seed)``.
+    """
+    validate_num_patterns(num_patterns)
+    if 1 << len(input_names) <= num_patterns:
+        return exhaustive_patterns(input_names), True
+    return random_patterns(input_names, num_patterns, seed), False
+
+
 class SimState:
     """Committed simulation values for one netlist and pattern set.
 

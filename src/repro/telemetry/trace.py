@@ -65,7 +65,7 @@ class MoveTrace:
     measured_area_delta: float
     circuit_delay_after: float
     atpg_status: str  # permissible verdict behind the acceptance
-    atpg_stage: str  # which oracle stage decided (simulation/bdd/atpg)
+    atpg_stage: str  # triage stage that proved it: "sim" or "sat"
     atpg_backtracks: int
 
 

@@ -714,13 +714,13 @@ class CandidateWorkspace:
     ) -> list[Candidate]:
         """All simulation-compatible substitutions, best quick gain first."""
         options = options or CandidateOptions()
-        self._refresh_round()
-        table = self._target_table(options)
         cells = (
             _two_input_cells(self.netlist, options)
             if options.enable_os3 or options.enable_is3
             else []
         )
+        self._refresh_round()
+        table = self._target_table(options)
         if cells:
             self._precompute_pair_tables(table, cells, options)
         collected: list[Candidate] = []
@@ -740,13 +740,24 @@ class CandidateWorkspace:
 
 def _two_input_cells(netlist: Netlist, options: CandidateOptions):
     """OS3/IS3 insertion gates: the library's capability query, or the
-    explicit ``os3_cells`` override (deduped the same way)."""
+    explicit ``os3_cells`` override (deduped the same way).
+
+    An override naming a cell that is not 2-input raises
+    :class:`TransformError`.
+    """
     library = netlist.library
     if library is None:
         return []
     if options.os3_cells is None:
         return library.insertion_cells()
     cells = [library[name] for name in options.os3_cells]
+    for cell in cells:
+        if cell.num_inputs != 2:
+            raise TransformError(
+                f"candidates.os3_cells: {cell.name!r} is a "
+                f"{cell.num_inputs}-input cell; an OS3/IS3 insertion gate "
+                f"needs 2 input pins"
+            )
     # One cell per distinct function (cheapest) keeps the pair search lean.
     by_function = {}
     for cell in sorted(cells, key=lambda c: c.area):

@@ -16,16 +16,19 @@ the same question without ever copying the netlist:
 1. **Simulation triage** — the substituting signal's patterns are forced
    over the checker's own-pattern simulation of the *current* netlist and
    propagated through the fanout cone; any differing primary-output
-   pattern yields an immediate counterexample (stage ``"sim"``).  The
-   simulation follows each committed move the optimizer reports
-   (:meth:`TriageChecker.update_after_edit`) and is rebuilt only after
-   an edit nobody reported,
-2. **SAT proof** — survivors go to an incremental CDCL miter: the base
-   Tseitin encoding of the current netlist is shared across candidates,
-   only the substitution's fanout cone is duplicated against the
-   substituting literal, and the per-candidate goal clause is activated
-   through an assumption literal (stage ``"sat"``).  When the conflict
-   budget runs out first the verdict is ``ABORTED``.
+   pattern yields an immediate counterexample (stage ``"sim"``).  When
+   the netlist has so few inputs that the patterns enumerate every input
+   vector (:func:`~repro.netlist.simulate.covering_patterns`), no
+   difference is a proof, and the move is ``PERMISSIBLE`` at stage
+   ``"sim"``.  The simulation follows each committed move the optimizer
+   reports (:meth:`TriageChecker.update_after_edit`) and is rebuilt only
+   after an edit nobody reported,
+2. **SAT proof** — the other survivors go to an incremental CDCL miter:
+   the base Tseitin encoding of the current netlist is shared across
+   candidates, only the substitution's fanout cone is duplicated against
+   the substituting literal, and the per-candidate goal clause is
+   activated through an assumption literal (stage ``"sat"``).  When the
+   conflict budget runs out first the verdict is ``ABORTED``.
 
 Return values follow the paper exactly: ``PERMISSIBLE`` only on a *proof*;
 a counterexample yields ``NOT_PERMISSIBLE``; an exhausted search budget
@@ -44,7 +47,7 @@ from repro.equiv.checker import EQUAL, NOT_EQUAL, check_equivalent
 from repro.kernels.bits import first_pattern
 from repro.kernels.packed import packed_view
 from repro.netlist.netlist import Gate, Netlist
-from repro.netlist.simulate import SimState, random_patterns
+from repro.netlist.simulate import SimState, covering_patterns
 from repro.netlist.traverse import topological_order, transitive_fanout
 from repro.sat.cnf import (
     CnfFormula,
@@ -123,17 +126,23 @@ def check_candidate(
 class TriageChecker:
     """Simulation-first, SAT-second permissibility for one netlist.
 
-    One instance serves every check against one (mutating) netlist.  The
-    base CNF + CDCL solver is cached per structural state and rebuilt
-    after every edit (validated against the identity of the netlist's
-    cached topological order, the same coherence protocol as the packed
-    simulation view).  The own-pattern simulation state follows the
-    edits reported through :meth:`update_after_edit` by re-simulating
-    their fanout, and is rebuilt from scratch when the netlist's
-    structural version shows an edit nobody reported.
+    One instance serves every check against one (mutating) netlist.  Its
+    ``num_patterns`` patterns come from
+    :func:`~repro.netlist.simulate.covering_patterns`: when the netlist
+    has at most ``log2(num_patterns)`` primary inputs they are every
+    input vector, so the simulation stage decides each move alone, as a
+    counterexample or a proof, and no SAT state is ever built.
+    Otherwise the base CNF + CDCL solver is cached per structural state
+    and rebuilt after every edit (validated against the identity of the
+    netlist's cached topological order, the same coherence protocol as
+    the packed simulation view).  The own-pattern simulation state
+    follows the edits reported through :meth:`update_after_edit` by
+    re-simulating their fanout, and is rebuilt from scratch when the
+    netlist's structural version shows an edit nobody reported.
 
     ``counters`` tallies triage effectiveness for telemetry:
     ``sim_kills`` (candidates rejected by the simulation stage),
+    ``sim_proofs`` (candidates proven by exhaustive simulation),
     ``sat_calls`` / ``sat_proofs`` / ``sat_cex``, and ``fallbacks`` (SAT
     budget exhausted, verdict ``ABORTED``).
     """
@@ -151,15 +160,17 @@ class TriageChecker:
         self.conflict_limit = conflict_limit
         self.counters = {
             "sim_kills": 0,
+            "sim_proofs": 0,
             "sat_calls": 0,
             "sat_proofs": 0,
             "sat_cex": 0,
             "fallbacks": 0,
         }
-        #: The own-pattern simulation and the netlist structural version
-        #: it is current for.
+        #: The own-pattern simulation, the netlist structural version it
+        #: is current for, and whether its patterns are every input vector.
         self._sim: Optional[SimState] = None
         self._sim_version = -1
+        self._exhaustive = False
         self._sat_cache: Optional[tuple] = None
 
     # ------------------------------------------------------------------
@@ -173,7 +184,7 @@ class TriageChecker:
     def _sim_state(self) -> SimState:
         version = self.netlist.structural_version
         if self._sim is None or self._sim_version != version:
-            patterns = random_patterns(
+            patterns, self._exhaustive = covering_patterns(
                 self.netlist.input_names, self.num_patterns, self.seed
             )
             self._sim = SimState(self.netlist, patterns)
@@ -215,16 +226,22 @@ class TriageChecker:
 
         A move :meth:`Substitution.blocker` rejects is ``NOT_PERMISSIBLE``
         at stage ``"apply"``, the answer :func:`check_candidate` gives;
-        every other move goes to the simulation and SAT stages.
+        every other move goes to the simulation stage, which decides it
+        when its patterns are every input vector, and then to SAT.
         """
         netlist = self.netlist
         if substitution.blocker(netlist) is not None:
             return PermissibilityResult(NOT_PERMISSIBLE, stage="apply")
-        if netlist.input_names and self.num_patterns:
+        if self.num_patterns:
             cex = self._simulation_cex(substitution)
             if cex is not None:
                 self.counters["sim_kills"] += 1
                 return PermissibilityResult(NOT_PERMISSIBLE, cex, stage="sim")
+            if self._exhaustive:
+                # The overlay holds the modified circuit's outputs on every
+                # input vector, and none differs: equal output functions.
+                self.counters["sim_proofs"] += 1
+                return PermissibilityResult(PERMISSIBLE, stage="sim")
         return self._sat_verdict(substitution)
 
     # ------------------------------------------------------------------

@@ -146,15 +146,17 @@ class TestCounterexamplePattern:
         assert first_pattern(words_to_int(diff)) == 64 * word + bit
 
     def test_triage_simulation_counterexample_is_pinned(self):
-        # Word 0 agrees and word 1 differs on several patterns; the
-        # counterexample is pattern 64 + 46, the highest differing bit of
-        # the first differing word.
+        # 256 patterns are every vector of the 8 inputs: pattern p sets
+        # x_i to bit i of p.  Words 0 and 1 both differ, on patterns 1, 3,
+        # 17, 19, 33, 35, 49 and 51 of each; the counterexample is pattern
+        # 51, the highest differing bit of the first differing word (not
+        # pattern 1, the lowest, nor 64 + 51, the highest overall).
         netlist = make_random_netlist(standard_library(), 8, 24, 3, 15)
         checker = TriageChecker(netlist, num_patterns=256, seed=7)
         result = checker.check(Substitution(OS2, "g1", "x2"))
         assert result.status == NOT_PERMISSIBLE
         assert result.stage == "sim"
         assert result.counterexample == {
-            "x0": 1, "x1": 0, "x2": 0, "x3": 0,
-            "x4": 1, "x5": 0, "x6": 1, "x7": 0,
+            "x0": 1, "x1": 1, "x2": 0, "x3": 0,
+            "x4": 1, "x5": 1, "x6": 0, "x7": 0,
         }

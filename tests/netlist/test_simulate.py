@@ -7,6 +7,7 @@ from repro.errors import NetlistError
 from repro.kernels.words import popcount
 from repro.netlist.simulate import (
     SimState,
+    covering_patterns,
     evaluate_cell,
     exhaustive_patterns,
     random_patterns,
@@ -48,6 +49,37 @@ class TestPatterns:
     def test_exhaustive_limit(self):
         with pytest.raises(NetlistError):
             exhaustive_patterns([f"x{i}" for i in range(21)])
+
+    def test_covering_is_exhaustive_at_the_bound(self):
+        names = [f"x{i}" for i in range(9)]
+        patterns, exhaustive = covering_patterns(names, 512, seed=7)
+        assert exhaustive
+        reference = exhaustive_patterns(names)
+        assert all(np.array_equal(patterns[n], reference[n]) for n in names)
+        assert len(patterns["x0"]) == 8
+
+    @pytest.mark.parametrize("num_inputs, num_patterns", [(9, 256), (10, 512)])
+    def test_covering_is_random_above_the_bound(self, num_inputs, num_patterns):
+        names = [f"x{i}" for i in range(num_inputs)]
+        patterns, exhaustive = covering_patterns(names, num_patterns, seed=7)
+        assert not exhaustive
+        reference = random_patterns(names, num_patterns, seed=7)
+        assert all(np.array_equal(patterns[n], reference[n]) for n in names)
+
+    @pytest.mark.parametrize("num_inputs", range(6))
+    def test_covering_pads_few_inputs_to_one_word(self, num_inputs):
+        names = [f"x{i}" for i in range(num_inputs)]
+        patterns, exhaustive = covering_patterns(names, 512, seed=7)
+        assert exhaustive
+        assert all(len(patterns[n]) == 1 for n in names)
+        vectors = {
+            tuple(bit(patterns[n], i) for n in names) for i in range(64)
+        }
+        assert len(vectors) == 2**num_inputs
+
+    def test_covering_checks_the_pattern_count(self):
+        with pytest.raises(NetlistError):
+            covering_patterns(["x"], 100, seed=7)
 
 
 class TestEvaluateCell:

@@ -238,6 +238,38 @@ class TestTwoInputCells:
         netlist.library = None
         assert _two_input_cells(netlist, CandidateOptions()) == []
 
+    @pytest.mark.parametrize("cell, pins", [("inv1", 1), ("nand3", 3)])
+    def test_os3_cells_override_rejects_other_arities(self, cell, pins):
+        from repro.bench.suite import build_benchmark
+        from repro.netlist.blif import write_blif
+        from repro.telemetry import Tracer
+        from repro.transform.optimizer import OptimizeOptions, power_optimize
+
+        netlist = build_benchmark("rd53", LIB)
+        before = write_blif(netlist)
+        tracer = Tracer()
+        options = OptimizeOptions.from_dict({
+            "num_patterns": 64,
+            "max_rounds": 1,
+            "candidates": {"os3_cells": [cell]},
+        })
+        options.trace = tracer
+        with pytest.raises(TransformError) as caught:
+            power_optimize(netlist, options)
+        message = str(caught.value)
+        assert "candidates.os3_cells" in message
+        assert repr(cell) in message and f"{pins}-input" in message
+        # Raised before the first round: nothing traced, nothing moved.
+        assert tracer.trace.rounds == []
+        assert write_blif(netlist) == before
+
+    def test_os3_cells_override_unknown_cell_is_a_library_error(self):
+        from repro.errors import LibraryError
+
+        netlist = make_random_netlist(standard_library(), 4, 8, 2, seed=5)
+        with pytest.raises(LibraryError, match="has no cell 'nope'"):
+            _two_input_cells(netlist, CandidateOptions(os3_cells=("nope",)))
+
 
 def _reference_pool(estimator, options):
     """Brute-force pool: score every simulation-compatible tuple with

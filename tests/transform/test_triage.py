@@ -6,6 +6,11 @@ sequences, same final netlists.  These tests pin that equivalence from
 three angles — verdict agreement per substitution, counter consistency,
 and end-to-end move sequence equality — plus the abort verdict an
 exhausted SAT budget yields, and the conservative run it degrades to.
+
+Both routes are pinned.  On a netlist with at most 9 primary inputs the
+checker's 512 patterns are every input vector, so simulation decides
+each move alone (stage ``"sim"``, proofs included); the SAT stage is
+exercised on netlists with 10 or more inputs.
 """
 
 import pytest
@@ -13,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.equiv.checker import check_equivalent
+from repro.netlist.netlist import Netlist
 from repro.pipeline.context import OptimizationContext
 from repro.power.estimate import PowerEstimator
 from repro.power.probability import SimulationProbability
@@ -35,6 +41,10 @@ from repro.transform.substitution import (
 )
 from tests.conftest import make_random_netlist
 
+#: Primary inputs that put a netlist above the checker's exhaustive bound
+#: (``2**10 > 512`` default patterns), so its survivors reach SAT.
+ABOVE_BOUND = 10
+
 
 def workspace_for(netlist, num_patterns=256, seed=3):
     engine = SimulationProbability(
@@ -43,14 +53,27 @@ def workspace_for(netlist, num_patterns=256, seed=3):
     return CandidateWorkspace(PowerEstimator(netlist, engine))
 
 
+def widened(netlist, total_inputs=ABOVE_BOUND):
+    """``netlist`` with unused primary inputs added up to ``total_inputs``."""
+    for i in range(total_inputs - len(netlist.input_names)):
+        netlist.add_input(f"unused{i}")
+    return netlist
+
+
+def paper_move(netlist):
+    """Figure 2's permissible move: d reads e in place of a."""
+    d = netlist.gate("d")
+    pin = [i for i, g in enumerate(d.fanins) if g.name == "a"][0]
+    return Substitution(IS2, "a", "e", branch=("d", pin))
+
+
 class TestTriageVerdicts:
     def test_paper_move_is_permissible(self, figure2):
-        d = figure2.gate("d")
-        pin = [i for i, g in enumerate(d.fanins) if g.name == "a"][0]
-        sub = Substitution(IS2, "a", "e", branch=("d", pin))
-        result = TriageChecker(figure2).check(sub)
+        triage = TriageChecker(widened(figure2))
+        result = triage.check(paper_move(figure2))
         assert result.status == PERMISSIBLE
         assert result.stage == "sat"
+        assert triage.counters["sim_proofs"] == 0
 
     def test_wrong_move_killed_by_simulation(self, figure2):
         result = TriageChecker(figure2).check(Substitution(OS2, "d", "e"))
@@ -88,10 +111,31 @@ class TestTriageVerdicts:
 class TestAgreementWithLegacyOracle:
     """Per-substitution verdicts match ``check_candidate`` exactly."""
 
+    @settings(max_examples=12, deadline=None)
+    @given(num_inputs=st.integers(1, 9), seed=st.integers(0, 10_000))
+    def test_generated_candidates_agree(self, lib, num_inputs, seed):
+        # At most 9 inputs: simulation decides every candidate of the
+        # first pool, proofs included, and no SAT state is built.  The
+        # pool comes from 64 patterns, so some of it is not permissible.
+        netlist = make_random_netlist(lib, num_inputs, 14, 3, seed=seed)
+        pool = workspace_for(netlist, num_patterns=64).generate()
+        triage = TriageChecker(netlist)
+        for candidate in pool:
+            sub = candidate.substitution
+            fast = triage.check(sub)
+            exact = check_candidate(netlist, sub)
+            assert fast.status == exact.status, sub
+            if fast.status == PERMISSIBLE:
+                assert fast.stage == "sim", sub
+        counters = triage.counters
+        assert counters["sat_calls"] == 0
+        assert counters["sim_kills"] + counters["sim_proofs"] == len(pool)
+        assert triage._sat_cache is None
+
     @settings(max_examples=8, deadline=None)
     @given(seed=st.integers(0, 10_000))
-    def test_generated_candidates_agree(self, lib, seed):
-        netlist = make_random_netlist(lib, 5, 14, 3, seed=seed)
+    def test_generated_candidates_agree_above_the_bound(self, lib, seed):
+        netlist = make_random_netlist(lib, ABOVE_BOUND, 14, 3, seed=seed)
         pool = workspace_for(netlist).generate()
         triage = TriageChecker(netlist)
         for candidate in pool[:12]:
@@ -100,19 +144,80 @@ class TestAgreementWithLegacyOracle:
             exact = check_candidate(netlist, sub)
             assert fast.status == exact.status, sub
         counters = triage.counters
+        assert counters["sim_proofs"] == 0
         assert counters["sat_calls"] == (
             counters["sat_proofs"] + counters["sat_cex"]
         )
         assert counters["fallbacks"] == 0
 
     def test_counters_tally_stages(self, figure2):
+        widened(figure2)
         triage = TriageChecker(figure2)
         triage.check(Substitution(OS2, "d", "e"))  # sim kill
-        d = figure2.gate("d")
-        pin = [i for i, g in enumerate(d.fanins) if g.name == "a"][0]
-        triage.check(Substitution(IS2, "a", "e", branch=("d", pin)))  # proof
+        triage.check(paper_move(figure2))  # SAT proof
         assert triage.counters["sim_kills"] == 1
         assert triage.counters["sat_proofs"] == 1
+        assert triage.counters["sim_proofs"] == 0
+
+    def test_counters_tally_stages_below_the_bound(self, figure2):
+        triage = TriageChecker(figure2)
+        triage.check(Substitution(OS2, "d", "e"))  # sim kill
+        proof = triage.check(paper_move(figure2))
+        assert (proof.status, proof.stage) == (PERMISSIBLE, "sim")
+        assert triage.counters["sim_kills"] == 1
+        assert triage.counters["sim_proofs"] == 1
+        assert triage.counters["sat_calls"] == 0
+        assert triage._sat_cache is None
+
+
+class TestExhaustiveBound:
+    """Simulation proves a move only when its patterns are every vector."""
+
+    @pytest.mark.parametrize(
+        "num_inputs, num_patterns, exhaustive",
+        [(9, 512, True), (9, 256, False), (ABOVE_BOUND, 512, False)],
+    )
+    def test_bound(self, lib, num_inputs, num_patterns, exhaustive):
+        netlist = make_random_netlist(lib, num_inputs, 14, 3, seed=0)
+        pool = workspace_for(netlist).generate()
+        triage = TriageChecker(netlist, num_patterns=num_patterns)
+        proven = []
+        for candidate in pool[:12]:
+            sub = candidate.substitution
+            verdict = triage.check(sub)
+            assert verdict.status == check_candidate(netlist, sub).status
+            if verdict.status == PERMISSIBLE:
+                proven.append(verdict.stage)
+        assert proven
+        if exhaustive:
+            assert set(proven) == {"sim"}
+            assert triage.counters["sat_calls"] == 0
+        else:
+            assert set(proven) == {"sat"}
+            assert triage.counters["sim_proofs"] == 0
+
+    def test_netlist_without_inputs(self, lib):
+        netlist = Netlist("tied", lib)
+        zero = netlist.add_gate(lib["zero"], [], "z")
+        one = netlist.add_gate(lib["one"], [], "o")
+        netlist.set_output("p", netlist.add_gate(lib["nand2"], [zero, one], "g"))
+        netlist.set_output("q", netlist.add_gate(lib["and2"], [zero, one], "h"))
+        moves = [
+            Substitution(OS2, "g", "o"),
+            Substitution(OS2, "g", "z", invert1=True),
+            Substitution(OS2, "h", "z"),
+            Substitution(OS2, "h", "o"),
+            Substitution(OS2, "g", "z"),
+        ]
+        triage = TriageChecker(netlist)
+        verdicts = [triage.check(sub) for sub in moves]
+        assert [v.status for v in verdicts] == [
+            check_candidate(netlist, sub).status for sub in moves
+        ]
+        assert [v.status for v in verdicts] == [PERMISSIBLE] * 3 + [
+            NOT_PERMISSIBLE
+        ] * 2
+        assert triage.counters["sat_calls"] == 0
 
 
 class TestBudgetAbort:
@@ -121,7 +226,7 @@ class TestBudgetAbort:
 
     @pytest.mark.parametrize("seed", [1, 7, 29])
     def test_sat_stage_verdicts_abort(self, lib, seed):
-        netlist = make_random_netlist(lib, 5, 14, 3, seed=seed)
+        netlist = make_random_netlist(lib, ABOVE_BOUND, 14, 3, seed=seed)
         pool = workspace_for(netlist).generate()
         triage = TriageChecker(netlist, conflict_limit=0)
         verdicts = [triage.check(c.substitution) for c in pool[:12]]
@@ -134,7 +239,7 @@ class TestBudgetAbort:
     def test_exhausted_budget_degrades_to_a_conservative_run(
         self, lib, conflict_limit
     ):
-        netlist = make_random_netlist(lib, 6, 20, 3, seed=3)
+        netlist = make_random_netlist(lib, ABOVE_BOUND, 20, 3, seed=3)
         reference = netlist.copy("ref")
         ctx = OptimizationContext(
             netlist,
@@ -165,18 +270,32 @@ class _PodemOptimizer(PowerOptimizer):
 class TestEndToEndEquivalence:
     """Same moves, same final power, whichever engine decides."""
 
-    @settings(max_examples=4, deadline=None)
-    @given(seed=st.integers(0, 10_000))
-    def test_move_sequences_identical(self, lib, seed):
+    @staticmethod
+    def _assert_same_run(lib, num_inputs, seed):
         options = OptimizeOptions(num_patterns=256, max_rounds=3)
         podem = _PodemOptimizer(
-            make_random_netlist(lib, 6, 20, 3, seed=seed), options
+            make_random_netlist(lib, num_inputs, 20, 3, seed=seed), options
         ).run()
-        triage = PowerOptimizer(
-            make_random_netlist(lib, 6, 20, 3, seed=seed), options
-        ).run()
+        optimizer = PowerOptimizer(
+            make_random_netlist(lib, num_inputs, 20, 3, seed=seed), options
+        )
+        triage = optimizer.run()
         assert [
             m.substitution.candidate_id() for m in podem.moves
         ] == [m.substitution.candidate_id() for m in triage.moves]
         assert podem.final_power == triage.final_power
         assert podem.final_area == triage.final_area
+        checker = optimizer.triage_checker
+        return checker.counters if checker is not None else None
+
+    @settings(max_examples=4, deadline=None)
+    @given(seed=st.integers(0, 10_000))
+    def test_move_sequences_identical(self, lib, seed):
+        counters = self._assert_same_run(lib, 6, seed)
+        assert counters is None or counters["sat_calls"] == 0
+
+    @settings(max_examples=4, deadline=None)
+    @given(seed=st.integers(0, 10_000))
+    def test_move_sequences_identical_above_the_bound(self, lib, seed):
+        counters = self._assert_same_run(lib, ABOVE_BOUND, seed)
+        assert counters is None or counters["sim_proofs"] == 0
