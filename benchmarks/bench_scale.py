@@ -2,9 +2,8 @@
 
 The numbers recorded in ``BENCH_scale.json`` come from these benches run
 over ``large``-shape generator netlists (64 PIs, exact gate budget).  The
-flat optimizer's candidate rounds are super-linear in netlist size — it
-cannot finish 2 000 gates in ten minutes — so the baseline is measured at
-a size it can handle and the windowed flow carries the larger sizes.
+throughput baseline is measured at a size the flat optimizer finishes
+quickly, and the windowed flow carries the larger sizes.
 
 Worker-pool size comes from the harness ``--jobs`` option::
 
@@ -13,21 +12,37 @@ Worker-pool size comes from the harness ``--jobs`` option::
 Pool spawn time is reported separately (``spawn_seconds``) and excluded
 from the throughput figure, so worker startup is never billed as
 optimizer time.
+
+The flat-round permissibility bench runs one flat round at 600 and
+1,200 gates and reports where its permissibility checks spend their
+time (:func:`flat_round`).  It also runs without pytest-benchmark, and
+exits nonzero when a SAT budget ran out::
+
+    PYTHONPATH=src python -m benchmarks.bench_scale 600 1200
 """
 
 from __future__ import annotations
 
+import json
+import sys
 import time
+
+import pytest
 
 from benchmarks.conftest import once
 from repro.fuzz.generator import large_config, random_mapped_netlist
 from repro.library.standard import standard_library
+from repro.pipeline.context import OptimizationContext
+from repro.telemetry import Tracer
 from repro.transform.optimizer import OptimizeOptions, PowerOptimizer
+from repro.transform.permissible import TriageChecker
 from repro.transform.windowed import WindowedOptimizer
 
 #: The flat baseline is quadratic-ish; keep it at a size it finishes.
 SEQUENTIAL_GATES = 300
 WINDOWED_GATES = 600
+#: Sizes of the flat-round permissibility bench.
+FLAT_ROUND_GATES = (600, 1_200)
 SCALE_SEED = 9
 
 
@@ -83,3 +98,70 @@ def test_windowed_throughput(benchmark, jobs):
     )
     benchmark.extra_info["windows"] = result.rounds
     benchmark.extra_info["moves"] = len(result.moves)
+
+
+def flat_round(num_gates: int) -> dict:
+    """One flat round on the ``large`` shape, its triage checker timed.
+
+    Returns the round's wall seconds, the seconds spent generating
+    candidates (``candidates_s``), in ``TriageChecker.check``
+    (``check_s``) and in its SAT stage (``sat_s``), the SAT calls,
+    ``atpg_backtracks`` (the SAT stage's conflicts), ``triage_fallbacks``
+    (exhausted SAT budgets), the moves and the power left.
+    """
+    netlist = _large(num_gates)
+    ctx = OptimizationContext(netlist, _scale_options(trace=Tracer()))
+    triage = TriageChecker(netlist)
+    seconds = {"check": 0.0, "sat": 0.0}
+
+    def timed(method, key):
+        def wrapper(substitution):
+            tick = time.perf_counter()
+            try:
+                return method(substitution)
+            finally:
+                seconds[key] += time.perf_counter() - tick
+
+        return wrapper
+
+    triage.check = timed(triage.check, "check")
+    triage._sat_verdict = timed(triage._sat_verdict, "sat")
+    ctx.put("triage", triage)
+    tick = time.perf_counter()
+    result = PowerOptimizer(context=ctx).run()
+    wall = time.perf_counter() - tick
+    counters = result.trace.counters
+    return {
+        "gates": num_gates,
+        "wall_s": round(wall, 3),
+        "candidates_s": round(result.phase_seconds["candidates"], 3),
+        "check_s": round(seconds["check"], 3),
+        "sat_s": round(seconds["sat"], 3),
+        "sat_calls": counters["triage_sat_calls"],
+        "atpg_backtracks": counters["atpg_backtracks"],
+        "triage_fallbacks": counters["triage_fallbacks"],
+        "moves": len(result.moves),
+        "final_power": result.final_power,
+    }
+
+
+@pytest.mark.parametrize("num_gates", FLAT_ROUND_GATES)
+def test_flat_round_permissibility(benchmark, num_gates):
+    """One flat round: where the permissibility checks spend their time."""
+    row = once(benchmark, flat_round, num_gates)
+    benchmark.extra_info.update(row)
+
+
+def main(argv: list[str]) -> int:
+    """Print one flat round per size as JSON; 1 if any SAT budget ran out."""
+    sizes = [int(arg) for arg in argv] or list(FLAT_ROUND_GATES)
+    fallbacks = 0
+    for num_gates in sizes:
+        row = flat_round(num_gates)
+        print(json.dumps(row), flush=True)
+        fallbacks += row["triage_fallbacks"]
+    return 1 if fallbacks else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

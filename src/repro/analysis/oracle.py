@@ -1,8 +1,9 @@
 """The SAT confirmation oracle behind the analysis facts.
 
-One :class:`FactOracle` owns a Tseitin encoding of the netlist plus an
-incremental CDCL solver (the same pair the PR-6 triage engine keeps per
-structural state) and answers the three queries the analyses need:
+One :class:`FactOracle` owns a Tseitin encoding of the whole netlist
+plus an incremental CDCL solver (its constant and equivalence queries
+read gates all over the netlist, so unlike triage it does not encode
+cone by cone) and answers the three queries the analyses need:
 
 - ``prove_constant(name, value)`` — UNSAT of the opposite literal,
 - ``prove_equivalent(a, b, parity)`` — UNSAT of an XOR difference
@@ -11,7 +12,8 @@ structural state) and answers the three queries the analyses need:
 - ``prove_unobservable(name)`` — the flip miter: the rewire miter of
   :func:`~repro.sat.cnf.encode_rewire_miter` (the one triage uses) with
   the gate's literal *inverted* at the rewired point, so UNSAT means no
-  input assignment lets the flip reach any output.
+  input assignment lets the flip reach any output.  Its difference
+  chain's excitation variable is always true.
 
 Every query runs under a conflict limit; UNKNOWN means "not proven" and
 the caller must drop the candidate — budget exhaustion can only lose

@@ -17,7 +17,9 @@ Every fact takes one path: simulation nominates, SAT proves
 - **Unobservables.**  A gate with no structural path to a primary
   output is dead (``proof="structural"``).  Any other gate whose stem
   observability mask is zero on every pattern is nominated;
-  ``prove_unobservable``, the flip miter, promotes it.
+  ``prove_unobservable``, the flip miter, promotes it, unless the gate
+  drives no output and feeds only one sink already proven blocked,
+  which makes it blocked by construction.
 - **Phases.**  One topological walk over BUF/INV cells; sound by
   construction, so no oracle is involved.
 - **Equivalences.**  :func:`~repro.analysis.equivalence.
@@ -29,7 +31,7 @@ budget is dropped: an exhausted budget loses facts, never invents them.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.netlist.netlist import Gate, Netlist
 from repro.netlist.observability import ObservabilityMaps
@@ -89,13 +91,14 @@ class AnalysisSuite:
                 facts.constants.append(ConstantFact(gate.name, value, "sat"))
 
         reachable = po_reachable(netlist)
-        stems = ObservabilityMaps(sim).stem
+        maps = ObservabilityMaps(sim)
+        blocked = _blocked_gates(key, reachable, maps, oracle)
         for name in sorted(netlist.gates):
             if name not in reachable:
                 facts.unobservables.append(
                     UnobservableFact(name, "dead", "structural")
                 )
-            elif stems[name] == 0 and oracle.prove_unobservable(name) is True:
+            elif name in blocked:
                 facts.unobservables.append(
                     UnobservableFact(name, "blocked", "sat")
                 )
@@ -105,6 +108,35 @@ class AnalysisSuite:
         self._facts = facts
         self._state_key = key
         return facts
+
+
+def _blocked_gates(
+    order: Sequence[Gate],
+    reachable: Set[str],
+    maps: ObservabilityMaps,
+    oracle: FactOracle,
+) -> Set[str]:
+    """Names of the reachable nominees proven unobservable.
+
+    A nominee (stem mask zero on every pattern) is walked in reverse
+    topological order, so its sinks are decided first.  A gate that
+    drives no output and whose fanout edges all enter one sink already
+    proven blocked is blocked too: flipping it leaves that sink as it
+    is or flips it, and neither reaches an output.  Every other nominee
+    takes the flip miter.
+    """
+    stems = maps.stem
+    blocked: Set[str] = set()
+    for gate in reversed(order):
+        name = gate.name
+        if name not in reachable or stems[name] != 0:
+            continue
+        sinks = {sink.name for sink, _pin in gate.fanouts}
+        if not gate.po_names and len(sinks) == 1 and sinks <= blocked:
+            blocked.add(name)
+        elif oracle.prove_unobservable(name) is True:
+            blocked.add(name)
+    return blocked
 
 
 def _phase_facts(order: Sequence[Gate]) -> List[PhaseFact]:

@@ -11,16 +11,21 @@ generically from each cell's irredundant SOP and its complement's SOP:
 via the two-sided cube translation: for every cube c of F,
 ``c → out`` (one clause); for every cube d of ¬F, ``d → ¬out``.
 Together these force ``out = F`` exactly.
+
+Every gate's clauses come from one emitter, :func:`encode_gate`: the
+whole-netlist :func:`tseitin_encode`, the two sides of :func:`miter_cnf`
+and :func:`encode_fanin_cone`, which encodes only the part of a netlist a
+query reads, all call it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from repro.logic.sop import Cover
-from repro.netlist.netlist import Netlist
-from repro.netlist.traverse import topological_order
+from repro.netlist.netlist import Gate, Netlist
+from repro.netlist.traverse import topological_index, topological_order
 
 # Per-cell-function clause templates, shared across encodings.
 _TEMPLATE_CACHE: dict[tuple[int, int], tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]] = {}
@@ -135,21 +140,35 @@ def encode_rewire_miter(
 ) -> Optional[int]:
     """Encode "rewiring ``target`` to ``literal`` changes some output".
 
-    ``formula`` holds the Tseitin encoding of ``netlist`` and allocates
-    the new variables; ``solver`` receives the clauses.  Every reader of
-    ``target`` reads ``literal`` instead — with ``branch=(sink, pin)``
-    only that one pin does.  The gates of ``cone`` (the fanout cone of
-    the rewired point, in topological order) are duplicated over the
-    rewired literals, one XOR difference is added per primary output
-    whose driver was duplicated or rewired, and the differences are ORed
-    under the returned activation literal: solving under it is UNSAT
-    exactly when no input assignment lets the rewiring reach an output.
+    ``formula`` names the variables of ``netlist``'s encoded gates and
+    allocates the new ones; ``solver`` receives the clauses.  Every
+    reader of ``target`` reads ``literal`` instead — with
+    ``branch=(sink, pin)`` only that one pin does.  The gates of ``cone``
+    (the fanout cone of the rewired point, in topological order) are
+    duplicated over the rewired literals, and their originals must be
+    encoded.  Solving under the returned activation literal is UNSAT
+    exactly when no input assignment lets the rewiring reach an output;
     ``None`` means no primary output depends on the rewired point.
 
-    Emission order — each cone gate's variable then its clauses, the
-    activation variable, the differences in sorted output order — is
-    fixed, because CDCL conflict counts (pinned by the golden traces)
-    depend on it.
+    The miter carries ATPG's difference chain (Larrabee, "Test Pattern
+    Generation Using Boolean Satisfiability", IEEE TCAD 1992):
+
+    - an excitation variable ``x <-> v(target) xor literal``;
+    - per duplicated gate ``g`` with copy ``c_g`` a difference variable
+      ``d_g <-> v_g xor c_g``, and the clause ``d_g -> x or d_f ...``
+      over the rewired pin (``x``) and the duplicated fanins ``f`` that
+      ``g`` reads: a gate can only differ when one of its inputs does;
+    - each output's difference is its driver's ``d_g``, or ``x`` for an
+      output the rewired stem drives, and the differences are ORed under
+      the activation literal.
+
+    Every chain clause holds under the circuit's own values, so the
+    verdict is exact either way; it lets propagation rule out a cone
+    gate no difference can reach.  Emission order — ``x`` and its
+    clauses; per cone gate its copy's variable and clauses, then ``d_g``,
+    its clauses and its chain clause; the activation variable; the goal
+    clause over the outputs in sorted order — is fixed, because CDCL
+    conflict counts (pinned by the golden traces) depend on it.
     """
     var_of = formula.var_of
 
@@ -158,39 +177,46 @@ def encode_rewire_miter(
         solver.ensure_vars(formula.num_vars)
         return var
 
+    excitation = fresh()
+    encode_xor(solver, excitation, var_of[target], literal)
     copies: dict[str, int] = {}
+    diffs: dict[str, int] = {}
     for gate in cone:
         literals = []
+        differing_inputs = []
         for pin, fanin in enumerate(gate.fanins):
             copied = copies.get(fanin.name)
             if copied is not None:
                 literals.append(copied)
+                differing_inputs.append(diffs[fanin.name])
             elif (
                 fanin.name == target
                 if branch is None
                 else gate.name == branch[0] and pin == branch[1]
             ):
                 literals.append(literal)
+                differing_inputs.append(excitation)
             else:
                 literals.append(var_of[fanin.name])
         out = fresh()
         encode_cell(solver, out, literals, gate.cell)
         copies[gate.name] = out
+        diff = fresh()
+        encode_xor(solver, diff, var_of[gate.name], out)
+        solver.add_clause(-diff, *differing_inputs)
+        diffs[gate.name] = diff
     activation = fresh()
-    diff_vars = []
+    goal = []
     for po in sorted(netlist.outputs):
         driver = netlist.outputs[po].name
-        new_side = copies.get(driver)
-        if new_side is None and branch is None and driver == target:
-            new_side = literal
-        if new_side is None:
-            continue  # this output's cone is untouched
-        diff = fresh()
-        encode_xor(solver, diff, var_of[driver], new_side)
-        diff_vars.append(diff)
-    if not diff_vars:
+        diff = diffs.get(driver)
+        if diff is None and branch is None and driver == target:
+            diff = excitation
+        if diff is not None:
+            goal.append(diff)  # otherwise this output's cone is untouched
+    if not goal:
         return None
-    solver.add_clause(-activation, *diff_vars)
+    solver.add_clause(-activation, *goal)
     return activation
 
 
@@ -204,6 +230,21 @@ def tseitin_encode(netlist: Netlist) -> CnfFormula:
     formula = CnfFormula()
     _encode_gates(netlist, formula, formula.var_of)
     return formula
+
+
+def encode_gate(sink, gate: Gate, var: Callable[[Gate], int]) -> None:
+    """Add the consistency clauses of ``gate`` to ``sink``.
+
+    ``var`` maps a gate to its variable.  A tie cell (no fanins) is one
+    unit clause; any other cell goes through :func:`encode_cell`.  The
+    one per-gate emitter of every netlist encoding in the package.
+    """
+    out = var(gate)
+    if not gate.fanins:  # tie cell
+        value = gate.cell.function.bits & 1
+        sink.add_clause(out if value else -out)
+        return
+    encode_cell(sink, out, [var(f) for f in gate.fanins], gate.cell)
 
 
 def _encode_gates(
@@ -225,14 +266,45 @@ def _encode_gates(
         return (formula.var_of if gate.is_input else gate_var)[gate.name]
 
     for gate in order:
-        if gate.is_input:
+        if not gate.is_input:
+            encode_gate(formula, gate, var)
+
+
+def encode_fanin_cone(
+    formula: CnfFormula, solver, netlist: Netlist, roots: Iterable[Gate]
+) -> None:
+    """Encode the unencoded transitive fanin of ``roots``, roots included.
+
+    A gate is encoded once ``formula.var_of`` names it, so the encoded
+    part of ``netlist`` is always closed under fanin: a query reads only
+    signals it fully defines, and a primary input outside it cannot
+    reach the query.  The new gates take their variables in topological
+    order, then their clauses go to ``solver`` in the same order, as
+    :func:`tseitin_encode` does for a whole netlist.
+    """
+    var_of = formula.var_of
+    new: dict[int, Gate] = {}
+    stack = [gate for gate in roots if gate.name not in var_of]
+    while stack:
+        gate = stack.pop()
+        if id(gate) in new:
             continue
-        out = var(gate)
-        if not gate.fanins:  # tie cell
-            value = gate.cell.function.bits & 1
-            formula.assume(out if value else -out)
-            continue
-        encode_cell(formula, out, [var(f) for f in gate.fanins], gate.cell)
+        new[id(gate)] = gate
+        stack.extend(f for f in gate.fanins if f.name not in var_of)
+    if not new:
+        return
+    index = topological_index(netlist)
+    order = sorted(new.values(), key=lambda gate: index[id(gate)])
+    for gate in order:
+        formula.new_var(gate.name)
+    solver.ensure_vars(formula.num_vars)
+
+    def var(gate) -> int:
+        return var_of[gate.name]
+
+    for gate in order:
+        if not gate.is_input:
+            encode_gate(solver, gate, var)
 
 
 def miter_cnf(left: Netlist, right: Netlist) -> CnfFormula:

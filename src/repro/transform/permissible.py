@@ -23,12 +23,17 @@ the same question without ever copying the netlist:
    ``"sim"``.  The simulation follows each committed move the optimizer
    reports (:meth:`TriageChecker.update_after_edit`) and is rebuilt only
    after an edit nobody reported,
-2. **SAT proof** — the other survivors go to an incremental CDCL miter:
-   the base Tseitin encoding of the current netlist is shared across
-   candidates, only the substitution's fanout cone is duplicated against
-   the substituting literal, and the per-candidate goal clause is
-   activated through an assumption literal (stage ``"sat"``).  When the
-   conflict budget runs out first the verdict is ``ABORTED``.
+2. **SAT proof** — the other survivors go to an incremental CDCL miter
+   (stage ``"sat"``).  One solver serves each structural state of the
+   netlist, and it starts empty: before each miter the checker encodes
+   the not-yet-encoded transitive fanin of what the miter reads (the
+   target, the duplicated gates and the substituting sources), so a
+   query never pays for logic it cannot reach and later queries reuse
+   the encoded gates.  Only the substitution's fanout cone is
+   duplicated against the substituting literal, with ATPG's difference
+   chain, and the per-candidate goal clause is activated through an
+   assumption literal.  When the conflict budget runs out first the
+   verdict is ``ABORTED``.
 
 Return values follow the paper exactly: ``PERMISSIBLE`` only on a *proof*;
 a counterexample yields ``NOT_PERMISSIBLE``; an exhausted search budget
@@ -52,8 +57,8 @@ from repro.netlist.traverse import topological_order, transitive_fanout
 from repro.sat.cnf import (
     CnfFormula,
     encode_cell,
+    encode_fanin_cone,
     encode_rewire_miter,
-    tseitin_encode,
 )
 from repro.sat.incremental import SAT as SAT_STATUS
 from repro.sat.incremental import UNSAT as UNSAT_STATUS
@@ -132,10 +137,11 @@ class TriageChecker:
     has at most ``log2(num_patterns)`` primary inputs they are every
     input vector, so the simulation stage decides each move alone, as a
     counterexample or a proof, and no SAT state is ever built.
-    Otherwise the base CNF + CDCL solver is cached per structural state
-    and rebuilt after every edit (validated against the identity of the
-    netlist's cached topological order, the same coherence protocol as
-    the packed simulation view).  The own-pattern simulation state
+    Otherwise one formula + CDCL solver pair is cached per structural
+    state and started empty after every edit (validated against the
+    identity of the netlist's cached topological order, the same
+    coherence protocol as the packed simulation view); each SAT check
+    adds the fanin cone its miter reads.  The own-pattern simulation state
     follows the edits reported through :meth:`update_after_edit` by
     re-simulating their fanout, and is rebuilt from scratch when the
     netlist's structural version shows an edit nobody reported.
@@ -214,10 +220,10 @@ class TriageChecker:
         self._sim_version = self.netlist.structural_version
 
     def _sat_state(self) -> tuple[CnfFormula, IncrementalSolver]:
+        """The current state's formula and solver; empty after an edit."""
         key = self._state_key()
         if self._sat_cache is None or self._sat_cache[0] is not key:
-            formula = tseitin_encode(self.netlist)
-            self._sat_cache = (key, formula, IncrementalSolver(formula))
+            self._sat_cache = (key, CnfFormula(), IncrementalSolver())
         return self._sat_cache[1], self._sat_cache[2]
 
     # ------------------------------------------------------------------
@@ -300,21 +306,30 @@ class TriageChecker:
     def _sat_verdict(self, substitution: Substitution) -> PermissibilityResult:
         """PERMISSIBLE / NOT_PERMISSIBLE, or ABORTED when the budget ran out.
 
-        The miter shares the whole base encoding between the two sides:
+        Both sides of the miter share the netlist's own encoding:
         :func:`~repro.sat.cnf.encode_rewire_miter` duplicates only the
         gates in ``affected`` (the fanout cone of the rewired point, in
         topological order), reading the substituting literal in place of
-        the rewired fanin.  Exact in both directions — every side input
-        is constrained by the base netlist's clauses, never left free.
+        the rewired fanin.  The original side is the transitive fanin of
+        the target, ``affected`` and the sources, encoded on demand by
+        :func:`~repro.sat.cnf.encode_fanin_cone`.  Exact in both
+        directions — every side input the miter reads is constrained by
+        the netlist's clauses, never left free, and a primary input
+        outside that fanin cannot reach the miter, so a counterexample
+        reads 0 there.
         """
         netlist = self.netlist
+        target = netlist.gate(substitution.target)
         if substitution.is_output_substitution():
-            root = netlist.gate(substitution.target)
-            affected = transitive_fanout(netlist, [root])
+            affected = transitive_fanout(netlist, [target])
         else:
             root = netlist.gate(substitution.branch[0])
             affected = [root] + transitive_fanout(netlist, [root])
         formula, solver = self._sat_state()
+        sources = [netlist.gate(name) for name in substitution.source_names()]
+        encode_fanin_cone(
+            formula, solver, netlist, [target, *affected, *sources]
+        )
         new_literal = self._new_signal_literal(formula, solver, substitution)
         activation = encode_rewire_miter(
             formula,
@@ -337,8 +352,9 @@ class TriageChecker:
             )
         if result.status == SAT_STATUS:
             self.counters["sat_cex"] += 1
+            model, var_of = result.model, formula.var_of
             cex = {
-                name: int(result.model.get(formula.var_of[name], False))
+                name: int(name in var_of and model.get(var_of[name], False))
                 for name in netlist.input_names
             }
             return PermissibilityResult(

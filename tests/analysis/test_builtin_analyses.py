@@ -136,6 +136,35 @@ class TestObservability:
         facts = AnalysisSuite(b.build()).facts
         assert unobservables_of(facts)["g"] == ("blocked", "sat")
 
+    def test_fanin_of_a_blocked_sink_needs_no_flip_miter(
+        self, lib, monkeypatch
+    ):
+        # g is ANDed against a proven 0, and h feeds only g: once g's flip
+        # miter proves g blocked, h is blocked by construction.  y feeds
+        # two sinks, so it takes a flip miter of its own.
+        b = NetlistBuilder(lib, "implied")
+        x, y = b.inputs("x", "y")
+        zero = b.cell_gate("zero", name="k0")
+        h = b.and_(x, y, name="h")
+        g = b.xor_(h, y, name="g")
+        masked = b.and_(g, zero, name="masked")
+        b.output("z", b.or_(masked, x, name="out"))
+        solves = {}
+        prove = FactOracle.prove_unobservable
+
+        def counted(oracle, name):
+            before = oracle.counters["solve_calls"]
+            verdict = prove(oracle, name)
+            solves[name] = oracle.counters["solve_calls"] - before
+            return verdict
+
+        monkeypatch.setattr(FactOracle, "prove_unobservable", counted)
+        facts = AnalysisSuite(b.build()).facts
+        assert unobservables_of(facts) == {
+            name: ("blocked", "sat") for name in ("g", "h", "y")
+        }
+        assert solves == {"g": 1, "y": 1}
+
     def test_reconvergence_counterexample_is_not_promoted(self, lib):
         # The ALGORITHMS.md §18 counterexample: s = OR(g, INV(g)) is
         # constant 1, but flipping g rewrites s itself, so g must NOT

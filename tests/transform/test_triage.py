@@ -13,12 +13,15 @@ each move alone (stage ``"sim"``, proofs included); the SAT stage is
 exercised on netlists with 10 or more inputs.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.equiv.checker import check_equivalent
 from repro.netlist.netlist import Netlist
+from repro.netlist.simulate import SimState
+from repro.netlist.traverse import topological_order
 from repro.pipeline.context import OptimizationContext
 from repro.power.estimate import PowerEstimator
 from repro.power.probability import SimulationProbability
@@ -38,6 +41,7 @@ from repro.transform.substitution import (
     OS3,
     Substitution,
     apply_substitution,
+    apply_to_copy,
 )
 from tests.conftest import make_random_netlist
 
@@ -218,6 +222,83 @@ class TestExhaustiveBound:
             NOT_PERMISSIBLE
         ] * 2
         assert triage.counters["sat_calls"] == 0
+
+
+def side_by_side(lib, seeds):
+    """Generated netlists of ``ABOVE_BOUND`` inputs each, side by side in
+    one netlist with disjoint inputs; half ``i`` prefixes its names with
+    ``h<i>_``."""
+    merged = Netlist("halves", lib)
+    for index, seed in enumerate(seeds):
+        half = make_random_netlist(lib, ABOVE_BOUND, 24, 3, seed=seed)
+        prefix = f"h{index}_"
+        gates = {}
+        for gate in topological_order(half):
+            name = prefix + gate.name
+            gates[gate.name] = (
+                merged.add_input(name)
+                if gate.is_input
+                else merged.add_gate(
+                    gate.cell, [gates[f.name] for f in gate.fanins], name
+                )
+            )
+        for po, driver in half.outputs.items():
+            merged.set_output(prefix + po, gates[driver.name])
+    return merged
+
+
+def output_values(netlist, vector):
+    """Every primary output's value under one input vector."""
+    words = {
+        name: np.full(1, np.uint64(0xFFFFFFFFFFFFFFFF if vector[name] else 0))
+        for name in netlist.input_names
+    }
+    sim = SimState(netlist, words)
+    return {
+        po: sim.values[driver.name] & 1
+        for po, driver in netlist.outputs.items()
+    }
+
+
+class TestConeOfInfluence:
+    """The SAT stage encodes only the logic a miter reads."""
+
+    @pytest.mark.parametrize("seeds", [(1, 2), (5, 6)])
+    def test_a_move_in_one_half_never_encodes_the_other(self, lib, seeds):
+        netlist = side_by_side(lib, seeds)
+        # A 64-pattern pool holds moves that are not permissible.
+        pool = workspace_for(netlist, num_patterns=64).generate()
+        moves = [
+            c.substitution
+            for c in pool
+            if all(
+                name.startswith("h0_")
+                for name in (
+                    c.substitution.target,
+                    *c.substitution.source_names(),
+                    *(c.substitution.branch or ())[:1],
+                )
+            )
+        ]
+        # Without patterns the simulation stage is skipped, so SAT
+        # decides every move, the refutations included.
+        triage = TriageChecker(netlist, num_patterns=0)
+        verdicts = {}
+        for sub in moves:
+            verdict = triage.check(sub)
+            assert verdict.status == check_candidate(netlist, sub).status, sub
+            verdicts[verdict.status] = verdicts.get(verdict.status, 0) + 1
+            if verdict.status == NOT_PERMISSIBLE:
+                assert verdict.stage == "sat"
+                trial, _applied = apply_to_copy(netlist, sub)
+                vector = verdict.counterexample
+                assert output_values(netlist, vector) != output_values(
+                    trial, vector
+                ), sub
+        assert verdicts.get(PERMISSIBLE) and verdicts.get(NOT_PERMISSIBLE)
+        formula = triage._sat_cache[1]
+        assert formula.var_of
+        assert all(name.startswith("h0_") for name in formula.var_of)
 
 
 class TestBudgetAbort:
