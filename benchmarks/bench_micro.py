@@ -79,7 +79,7 @@ def test_podem_full_fault_list(benchmark, circuit):
 
 
 def test_equivalence_check(benchmark, circuit):
-    """Miter + justification on a self-copy (the permissibility oracle)."""
+    """Every stage of the equivalence checker on a self-copy."""
     copy = circuit.copy("copy")
     result = benchmark.pedantic(
         check_equivalent, args=(circuit, copy), rounds=1, iterations=1
@@ -362,18 +362,22 @@ def test_technology_mapping(benchmark, lib):
 
 
 def test_sat_oracle_equivalence(benchmark, circuit):
-    """CNF miter solved by the CDCL solver on an alu2 self-copy."""
-    from repro.sat.oracle import sat_check_equivalent
-
+    """CNF miter solved by the CDCL solver on an alu2 self-copy (the
+    checker's SAT stage alone)."""
     copy = circuit.copy("sat_copy")
     result = benchmark.pedantic(
-        sat_check_equivalent, args=(circuit, copy), rounds=1, iterations=1
+        check_equivalent,
+        args=(circuit, copy),
+        kwargs={"num_patterns": 0, "bdd_node_limit": 0},
+        rounds=1,
+        iterations=1,
     )
-    assert result.equal
+    assert result.equal and result.stage == "sat"
 
 
 def test_bdd_oracle_equivalence(benchmark, circuit):
-    """Global-BDD comparison on an alu2 self-copy (fallback engine)."""
+    """Global-BDD comparison on an alu2 self-copy (the checker's BDD
+    stage)."""
     from repro.equiv.checker import _bdd_verdict
 
     copy = circuit.copy("bdd_copy")

@@ -15,8 +15,7 @@ Run:  python examples/paper_figure2.py
 """
 
 from repro import NetlistBuilder, standard_library
-from repro.atpg import justify
-from repro.equiv import build_miter
+from repro.equiv import check_equivalent
 from repro.power import PowerEstimator, SimulationProbability
 from repro.transform import (
     IS2,
@@ -61,8 +60,8 @@ def main():
         f"  total predicted gain = {gain.total:+.3f}"
     )
 
-    # Permissibility, the ATPG way: the substitution is allowed iff the
-    # miter of (original, modified) cannot be justified to 1.
+    # Permissibility, the ATPG way: the substitution is allowed iff no
+    # input vector drives the miter of (original, modified) to 1.
     verdict = check_candidate(netlist, move)
     print(f"ATPG permissibility check: {verdict.status} "
           f"(decided by {verdict.stage})")
@@ -75,17 +74,19 @@ def main():
         print(f"  optimizer applied: {m.substitution}")
 
     # Show the don't-care reasoning concretely: e and a differ exactly on
-    # (a=1, b=0) — justify a distinguishing pattern on the pre-move miter.
+    # (a=1, b=0), yet no vector tells the circuits apart.  The SAT stage
+    # alone (no simulation, no BDDs) searches the CNF miter for one.
     before = build_circuit_a()
     after = build_circuit_a()
     from repro.transform.substitution import apply_substitution
 
     apply_substitution(after, move)
-    miter, out = build_miter(before, after)
-    witness = justify(miter, out, 1, backtrack_limit=10000)
+    search = check_equivalent(before, after, num_patterns=0, bdd_node_limit=0)
+    outcome = {"equal": "UNSAT", "not-equal": "SAT"}.get(search.status, "UNKNOWN")
     print(
         "\ndistinguishing-vector search on the miter: "
-        f"{witness.status} (UNSAT = circuits identical = move permissible)"
+        f"{outcome} after {search.conflicts} conflicts "
+        "(UNSAT = circuits identical = move permissible)"
     )
 
 

@@ -1,20 +1,16 @@
-"""PODEM test generation and circuit-SAT justification.
+"""PODEM test generation for stuck-at faults.
 
-Two search problems share the machinery here:
+:class:`Podem` finds a test for a stuck-at fault (5-valued D-calculus,
+objective/backtrace/implication, D-frontier with X-path check), or proves
+the fault untestable (= redundant), or aborts at a backtrack limit.
 
-- :class:`Podem` — find a test for a stuck-at fault (5-valued D-calculus,
-  objective/backtrace/implication, D-frontier with X-path check), or prove
-  the fault untestable (= redundant), or abort at a backtrack limit.
-- :func:`justify` — fault-free search for an input assignment driving one
-  stem to a target value.  This is what the permissibility oracle runs on
-  the miter: the substitution is permissible iff the miter output cannot be
-  justified to 1.
-
-Both searches make decisions only at primary inputs (PODEM's defining
-trait), run full multi-valued implication after each decision, and count
-every decision flip as a backtrack against the limit.  Exceeding the limit
-raises :class:`~repro.errors.AtpgAbort` — callers treat an abort as "not
-proven", exactly like the paper's ``check_candidate``.
+The search makes decisions only at primary inputs (PODEM's defining
+trait), runs full multi-valued implication after each decision, and
+counts every decision flip as a backtrack against the limit.  Exceeding
+the limit raises :class:`~repro.errors.AtpgAbort` — callers treat an
+abort as "not proven", exactly like the paper's ``check_candidate``.
+Permissibility itself is proven on the miter by the SAT form of ATPG
+(:mod:`repro.equiv.checker`, :mod:`repro.transform.permissible`).
 """
 
 from __future__ import annotations
@@ -34,7 +30,7 @@ from repro.atpg.values import (
 )
 from repro.errors import AtpgAbort, AtpgError
 from repro.netlist.netlist import Gate, Netlist
-from repro.netlist.traverse import topological_order, transitive_fanout
+from repro.netlist.traverse import topological_order
 
 #: Default decision-flip budget before the search aborts.
 DEFAULT_BACKTRACK_LIMIT = 20000
@@ -45,7 +41,7 @@ UNSAT = "UNSAT"
 
 @dataclass
 class PodemResult:
-    """Outcome of a PODEM or justification run."""
+    """Outcome of a PODEM run."""
 
     status: str  # SAT or UNSAT (aborts raise AtpgAbort instead)
     assignment: dict[str, int] = field(default_factory=dict)  # PI name -> 0/1
@@ -70,10 +66,15 @@ def _po_depths(netlist: Netlist) -> dict[str, int]:
     return depths
 
 
-class _SearchBase:
-    """Shared decision-stack search over primary-input assignments."""
+class Podem:
+    """PODEM for one stuck-at fault."""
 
-    def __init__(self, netlist: Netlist, backtrack_limit: int):
+    def __init__(
+        self,
+        netlist: Netlist,
+        fault: StuckAtFault,
+        backtrack_limit: int = DEFAULT_BACKTRACK_LIMIT,
+    ):
         self.netlist = netlist
         self.backtrack_limit = backtrack_limit
         self.order = topological_order(netlist)
@@ -84,6 +85,9 @@ class _SearchBase:
         # (pi name, current value, exhausted both polarities?)
         self.decisions: list[tuple[str, int, bool]] = []
         self.backtracks = 0
+        self.fault = fault
+        self.stem, self.branch = fault.resolve(netlist)
+        self.values: dict[str, tuple[int, int]] = {}
 
     def _decide(self, pi: str, value: int) -> None:
         self.pi_values[pi] = value
@@ -111,21 +115,6 @@ class _SearchBase:
         return {
             name: v for name, v in self.pi_values.items() if v != X
         }
-
-
-class Podem(_SearchBase):
-    """PODEM for one stuck-at fault."""
-
-    def __init__(
-        self,
-        netlist: Netlist,
-        fault: StuckAtFault,
-        backtrack_limit: int = DEFAULT_BACKTRACK_LIMIT,
-    ):
-        super().__init__(netlist, backtrack_limit)
-        self.fault = fault
-        self.stem, self.branch = fault.resolve(netlist)
-        self.values: dict[str, tuple[int, int]] = {}
 
     # ------------------------------------------------------------------
     # Implication
@@ -360,156 +349,3 @@ class Podem(_SearchBase):
                     continue
             if not self._backtrack():
                 return PodemResult(UNSAT, {}, self.backtracks)
-
-
-class _Justifier:
-    """Fault-free 3-valued search driving one stem to a target value.
-
-    Unlike :class:`Podem`, the justifier simulates *incrementally*: each
-    primary-input decision re-evaluates only that input's transitive fanout
-    (changes recorded on an undo trail, restored on backtracking).  On the
-    optimizer's miters this is the difference between O(decisions × gates)
-    and O(decisions × affected-cone) — roughly two orders of magnitude.
-    """
-
-    def __init__(
-        self,
-        netlist: Netlist,
-        target: Gate,
-        target_value: int,
-        backtrack_limit: int,
-    ):
-        self.netlist = netlist
-        self.target = target
-        self.target_value = target_value
-        self.backtrack_limit = backtrack_limit
-        self.backtracks = 0
-        self.pi_values: dict[str, int] = {
-            name: X for name in netlist.input_names
-        }
-        #: per-PI transitive fanout, topological order (lazy).
-        self._tfo_cache: dict[str, list[Gate]] = {}
-        # Initial all-X implication pass.
-        self.values: dict[str, int] = {}
-        for gate in topological_order(netlist):
-            if gate.is_input:
-                self.values[gate.name] = X
-            else:
-                self.values[gate.name] = eval3(
-                    gate.cell, [self.values[f.name] for f in gate.fanins]
-                )
-        #: decision stack entries: [pi name, value, tried_both, undo list]
-        self.decisions: list[list] = []
-
-    # ------------------------------------------------------------------
-    def _tfo_of(self, pi_name: str) -> list[Gate]:
-        cached = self._tfo_cache.get(pi_name)
-        if cached is None:
-            cached = transitive_fanout(
-                self.netlist, [self.netlist.gates[pi_name]]
-            )
-            self._tfo_cache[pi_name] = cached
-        return cached
-
-    def _apply_pi(self, pi_name: str, value: int) -> list[tuple[str, int]]:
-        """Set a PI and propagate through its TFO; returns the undo list."""
-        undo = [(pi_name, self.pi_values[pi_name], self.values[pi_name])]
-        self.pi_values[pi_name] = value
-        self.values[pi_name] = value
-        for gate in self._tfo_of(pi_name):
-            new = eval3(
-                gate.cell, [self.values[f.name] for f in gate.fanins]
-            )
-            old = self.values[gate.name]
-            if new != old:
-                undo.append((gate.name, None, old))
-                self.values[gate.name] = new
-        return undo
-
-    def _revert(self, undo: list) -> None:
-        for name, pi_old, value_old in reversed(undo):
-            if pi_old is not None or name in self.pi_values:
-                self.pi_values[name] = pi_old if pi_old is not None else X
-            self.values[name] = value_old
-
-    def _decide(self, pi_name: str, value: int) -> None:
-        undo = self._apply_pi(pi_name, value)
-        self.decisions.append([pi_name, value, False, undo])
-
-    def _backtrack(self) -> bool:
-        while self.decisions:
-            entry = self.decisions[-1]
-            pi_name, value, tried_both, undo = entry
-            self._revert(undo)
-            if not tried_both:
-                self.backtracks += 1
-                if self.backtracks > self.backtrack_limit:
-                    raise AtpgAbort(
-                        f"backtrack limit {self.backtrack_limit} exceeded"
-                    )
-                entry[1] = 1 - value
-                entry[2] = True
-                entry[3] = self._apply_pi(pi_name, 1 - value)
-                return True
-            self.decisions.pop()
-        return False
-
-    def _assignment(self) -> dict[str, int]:
-        return {
-            name: v for name, v in self.pi_values.items() if v != X
-        }
-
-    def _backtrace(self) -> Optional[tuple[str, int]]:
-        current, target = self.target, self.target_value
-        for _ in range(len(self.netlist.gates) + 1):
-            if current.is_input:
-                if self.pi_values[current.name] != X:
-                    return None
-                return (current.name, target)
-            goods = [self.values[f.name] for f in current.fanins]
-            chosen = None
-            for pin, fanin in enumerate(current.fanins):
-                if goods[pin] != X:
-                    continue
-                settings = pin_settings_allowing(
-                    current.cell, goods, pin, target
-                )
-                if settings:
-                    chosen = (fanin, settings[0])
-                    break
-            if chosen is None:
-                return None
-            current, target = chosen
-        raise AtpgError("backtrace exceeded gate count (cycle?)")
-
-    def run(self) -> PodemResult:
-        while True:
-            value = self.values[self.target.name]
-            if value == self.target_value:
-                return PodemResult(SAT, self._assignment(), self.backtracks)
-            conflict = value != X
-            if not conflict:
-                step = self._backtrace()
-                if step is None:
-                    conflict = True
-                else:
-                    self._decide(*step)
-                    continue
-            if not self._backtrack():
-                return PodemResult(UNSAT, {}, self.backtracks)
-
-
-def justify(
-    netlist: Netlist,
-    gate: Gate,
-    value: int,
-    backtrack_limit: int = DEFAULT_BACKTRACK_LIMIT,
-) -> PodemResult:
-    """Search for an input vector setting ``gate``'s stem to ``value``.
-
-    Returns SAT with a (partial) PI assignment, UNSAT when no vector exists,
-    or raises :class:`AtpgAbort` past the backtrack limit.
-    """
-    if value not in (0, 1):
-        raise AtpgError(f"justification target must be 0/1, got {value}")
-    return _Justifier(netlist, gate, value, backtrack_limit).run()

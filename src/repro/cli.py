@@ -11,7 +11,8 @@ Commands:
 - ``trace`` — inspect (``show``) and compare (``diff``) the JSON run
   traces written by ``optimize --trace``; ``diff`` exits nonzero on any
   deterministic-field divergence,
-- ``verify`` — equivalence-check two mapped BLIFs,
+- ``verify`` — equivalence-check two mapped BLIFs (exit 1 when they differ
+  or the check cannot decide),
 - ``atpg`` — fault coverage and redundancy report,
 - ``glitch`` — glitch-aware power analysis,
 - ``stats`` — netlist metrics and cell mix,
@@ -27,6 +28,10 @@ Commands:
   check metamorphic properties, and shrink failures to reproducers
   (``--shrink``, ``--corpus-dir``, ``--replay``, ``--self-test``),
 - ``bench-list`` — list the benchmark registry.
+
+Every command reports a rejected input (any
+:class:`~repro.errors.ReproError`: malformed BLIF, mismatched interfaces,
+a bad library...) as one ``error: <message>`` line on stderr and exits 2.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from pathlib import Path
 
 from repro.bench.pla import parse_pla_file
 from repro.bench.suite import DEFAULT_SUITE, SUITE
-from repro.errors import NetlistError
+from repro.errors import NetlistError, ReproError
 from repro.experiments.common import ExperimentConfig
 from repro.experiments.figure6 import format_figure6, run_figure6
 from repro.experiments.table1 import format_table1, run_table1
@@ -1045,7 +1050,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ReproError as error:
+        # Rejected input (malformed BLIF, mismatched interfaces...): one
+        # line, not a traceback.
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,17 +1,16 @@
-"""Combinational equivalence checking via miters and ATPG.
+"""Combinational equivalence checking.
 
 The permissibility oracle of the optimizer reduces to one question: do two
 netlists (original, and original-with-substitution) compute the same primary
-outputs?  :func:`~repro.equiv.miter.build_miter` joins them over shared
-inputs with XOR/OR compare logic; :func:`~repro.equiv.checker.check_equivalent`
-stages the engines by expected cost — bit-parallel simulation for cheap
-counterexamples, bounded ROBDD comparison on larger circuits, and the
-(incremental) ATPG justifier to find a distinguishing vector or prove there
-is none.  An unresolvable query returns UNKNOWN, which callers must treat
-as "not proven" (the paper's abort semantics).
+outputs?  :func:`~repro.equiv.checker.check_equivalent` answers it through
+one sequence of stages at every size — bit-parallel simulation for cheap
+counterexamples, a bounded ROBDD comparison, then the CNF miter of
+:func:`~repro.sat.cnf.miter_cnf` solved once by the package's CDCL solver
+to find a distinguishing vector or prove there is none.  An unresolvable
+query returns UNKNOWN, which callers must treat as "not proven" (the
+paper's abort semantics).
 """
 
-from repro.equiv.miter import build_miter
 from repro.equiv.checker import (
     EquivalenceResult,
     EQUAL,
@@ -21,7 +20,6 @@ from repro.equiv.checker import (
 )
 
 __all__ = [
-    "build_miter",
     "EquivalenceResult",
     "EQUAL",
     "NOT_EQUAL",

@@ -1,28 +1,28 @@
 """The equivalence / permissibility oracle.
 
-``check_equivalent`` decides whether two netlists compute the same outputs:
+``check_equivalent`` decides whether two netlists compute the same outputs
+through one sequence of stages, whatever their size:
 
-1. **Simulation filter** — simulate both on a shared random pattern set; any
+1. **Interface check** — differing primary-input or primary-output name
+   sets raise :class:`~repro.errors.NetlistError`.
+2. **Simulation** — simulate both on a shared random pattern set; any
    differing output word yields an immediate counterexample (most
    non-permissible substitutions die here, as in the paper's
    fault-simulation-based candidate filtering).
-2. **BDD first on large pairs** — when the two netlists together have
-   more than :data:`BDD_FIRST_GATE_THRESHOLD` gates (80), compare
-   per-output ROBDDs under a node limit before any search; at that size
-   one justification pass already costs more than typical whole-circuit
-   BDDs.  A blow-up falls through to the ATPG stage.
-3. **ATPG decision** — build the miter and ask the PODEM justifier for an
-   input vector driving it to 1, first under a quick budget (at most 2,000
-   backtracks).  SAT gives a counterexample; UNSAT proves equivalence.
-4. **BDD fallback, then the full budget** — when the quick search aborts
-   (XOR/carry-chain miters have exponential branch-and-bound trees but
-   linear BDDs), compare BDDs; if they blow up too, rerun PODEM with the
-   full ``backtrack_limit``.  Only if that also aborts does the check
-   return :data:`UNKNOWN`, which callers must treat as "not permissible"
-   (paper §3.5 semantics).
+3. **BDD** — compare per-output ROBDDs under ``bdd_node_limit``; equal
+   roots prove equivalence, a differing pair yields a counterexample by
+   BDD descent.  A blow-up falls through.
+4. **SAT** — Tseitin-encode both netlists into one miter CNF
+   (:func:`~repro.sat.cnf.miter_cnf`) and solve it once with
+   :class:`~repro.sat.incremental.IncrementalSolver` under
+   ``conflict_limit``: UNSAT proves equivalence, a model is a
+   counterexample (the SAT form of ATPG on the miter, Larrabee 1992).
+5. Otherwise the verdict is :data:`UNKNOWN`, which callers must treat as
+   "not proven" (the paper's abort semantics, §3.5).
 
-``bdd_node_limit=0`` switches both BDD stages off, and the search then
-gets its full budget at once.
+``num_patterns=0`` and ``bdd_node_limit=0`` switch their stages off, so
+``check_equivalent(left, right, num_patterns=0, bdd_node_limit=0)`` is
+the SAT stage alone.
 """
 
 from __future__ import annotations
@@ -30,16 +30,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.atpg.podem import DEFAULT_BACKTRACK_LIMIT, justify
-from repro.equiv.miter import build_miter
-from repro.errors import AtpgAbort, NetlistError
+from repro.errors import NetlistError
 from repro.kernels.bits import first_pattern
 from repro.netlist.netlist import Netlist
 from repro.netlist.simulate import SimState, random_patterns
+from repro.sat.cnf import miter_cnf
+from repro.sat.incremental import SAT, UNSAT, IncrementalSolver
 
 EQUAL = "equal"
 NOT_EQUAL = "not-equal"
 UNKNOWN = "unknown"
+
+#: Default CDCL conflict budget of the SAT stage.
+DEFAULT_CONFLICT_LIMIT = 200_000
 
 
 def _validate_interfaces(left: Netlist, right: Netlist) -> None:
@@ -71,8 +74,9 @@ class EquivalenceResult:
 
     status: str  # EQUAL, NOT_EQUAL or UNKNOWN
     counterexample: Optional[dict[str, int]] = None  # PI name -> 0/1
-    stage: str = ""  # "simulation", "bdd" or "atpg"
-    backtracks: int = 0
+    stage: str = ""  # "simulation", "bdd" or "sat"
+    #: CDCL conflicts the SAT stage spent (0 when another stage decided).
+    conflicts: int = 0
 
     @property
     def equal(self) -> bool:
@@ -135,10 +139,23 @@ def _bdd_verdict(
     return EquivalenceResult(EQUAL, stage="bdd")
 
 
-#: Above this many gates, try the BDD comparison before the ATPG search —
-#: at that size one justification pass already costs more than typical
-#: whole-circuit BDDs (the search stays as the fallback when BDDs blow up).
-BDD_FIRST_GATE_THRESHOLD = 80
+def _sat_verdict(
+    left: Netlist, right: Netlist, conflict_limit: int
+) -> EquivalenceResult:
+    """Solve the CNF miter once: UNSAT is a proof, a model a witness."""
+    formula = miter_cnf(left, right)
+    result = IncrementalSolver(formula).solve(conflict_limit=conflict_limit)
+    if result.status == UNSAT:
+        return EquivalenceResult(EQUAL, stage="sat", conflicts=result.conflicts)
+    if result.status == SAT:
+        cex = {
+            name: int(result.model.get(formula.var_of[name], False))
+            for name in left.input_names
+        }
+        return EquivalenceResult(
+            NOT_EQUAL, cex, stage="sat", conflicts=result.conflicts
+        )
+    return EquivalenceResult(UNKNOWN, stage="sat", conflicts=result.conflicts)
 
 
 def check_equivalent(
@@ -146,7 +163,7 @@ def check_equivalent(
     right: Netlist,
     num_patterns: int = 2048,
     seed: int = 99,
-    backtrack_limit: int = DEFAULT_BACKTRACK_LIMIT,
+    conflict_limit: int = DEFAULT_CONFLICT_LIMIT,
     bdd_node_limit: int = 200_000,
 ) -> EquivalenceResult:
     """Decide combinational equivalence of two netlists.
@@ -162,36 +179,8 @@ def check_equivalent(
         cex = _simulation_counterexample(left, right, num_patterns, seed)
         if cex is not None:
             return EquivalenceResult(NOT_EQUAL, cex, stage="simulation")
-    if (
-        bdd_node_limit > 0
-        and left.num_gates() + right.num_gates() > BDD_FIRST_GATE_THRESHOLD
-    ):
+    if bdd_node_limit > 0:
         verdict = _bdd_verdict(left, right, bdd_node_limit)
         if verdict is not None:
             return verdict
-    miter, out = build_miter(left, right)
-    # Stage the ATPG budget: most decisions need few backtracks, and when
-    # the search stalls the BDD fallback usually resolves instantly (XOR
-    # chains).  Only when BDDs blow up too is the full budget spent.
-    quick_limit = min(backtrack_limit, 2000) if bdd_node_limit > 0 else backtrack_limit
-    try:
-        result = justify(miter, out, 1, quick_limit)
-    except AtpgAbort:
-        if bdd_node_limit > 0:
-            verdict = _bdd_verdict(left, right, bdd_node_limit)
-            if verdict is not None:
-                return verdict
-        if quick_limit < backtrack_limit:
-            try:
-                result = justify(miter, out, 1, backtrack_limit)
-            except AtpgAbort:
-                return EquivalenceResult(UNKNOWN, stage="atpg")
-        else:
-            return EquivalenceResult(UNKNOWN, stage="atpg")
-    if result.testable:
-        # Complete the partial assignment deterministically with zeros.
-        cex = {name: result.assignment.get(name, 0) for name in left.input_names}
-        return EquivalenceResult(
-            NOT_EQUAL, cex, stage="atpg", backtracks=result.backtracks
-        )
-    return EquivalenceResult(EQUAL, stage="atpg", backtracks=result.backtracks)
+    return _sat_verdict(left, right, conflict_limit)

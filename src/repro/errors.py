@@ -62,10 +62,11 @@ class AtpgError(ReproError):
 
 
 class AtpgAbort(AtpgError):
-    """The ATPG search exceeded its backtrack limit.
+    """The PODEM search exceeded its backtrack limit.
 
-    Mirrors the paper's ``check_candidate`` semantics: an aborted ATPG run
-    means the substitution is treated as not permissible.
+    An aborted search proves nothing, the paper's abort semantics:
+    :func:`~repro.atpg.redundancy.classify_fault` reports the fault as
+    aborted, never as redundant.
     """
 
 

@@ -9,17 +9,20 @@ their verdicts are compared:
    :data:`EXHAUSTIVE_INPUT_LIMIT` primary inputs, both netlists are
    simulated on all ``2^n`` vectors.  This is ground truth: no search, no
    abstraction, nothing shared with the production oracle.
-3. **SAT miter** — :func:`repro.sat.oracle.sat_check_equivalent`, a
-   Tseitin encoding of both netlists solved by
+3. **SAT miter** — the SAT stage of
+   :func:`repro.equiv.checker.check_equivalent` alone (no simulation, no
+   BDDs): a Tseitin encoding of both netlists solved by
    :class:`~repro.sat.incremental.IncrementalSolver`.  That is the CDCL
    solver the optimizer's triage proves moves with, so this tier shares
    its solver with the optimizer; it shares no code with exhaustive
-   simulation or with the PODEM/BDD production tier below.
+   simulation.
 
-The production oracle (:func:`repro.equiv.checker.check_equivalent`:
-simulation, then PODEM over a miter and BDDs) runs alongside as a fourth
-opinion.  Any disagreement between definite verdicts is a finding — by
-construction it implicates one of the engines, whichever way it falls.
+The production oracle (``check_equivalent`` with every stage:
+simulation, BDDs, then the same SAT miter) runs alongside as a fourth
+opinion; below its BDD node limit its verdict comes from BDDs, an engine
+no other tier uses.  Any disagreement between definite verdicts is a
+finding — by construction it implicates one of the engines, whichever
+way it falls.
 
 :func:`cross_check_metrics` re-derives an :class:`OptimizeResult`'s power,
 area and delay figures from scratch and flags drift against the numbers
@@ -39,7 +42,6 @@ from repro.netlist.netlist import Netlist
 from repro.netlist.simulate import SimState, exhaustive_patterns, random_patterns
 from repro.power.estimate import PowerEstimator
 from repro.power.probability import SimulationProbability
-from repro.sat.oracle import sat_check_equivalent
 from repro.timing.analysis import TimingAnalysis
 from repro.transform.optimizer import OptimizeOptions, OptimizeResult
 
@@ -111,7 +113,6 @@ def check_equivalence_tiers(
     num_patterns: int = 1024,
     seed: int = 17,
     sat_conflict_limit: int = 200_000,
-    atpg_backtrack_limit: int = 50_000,
 ) -> OracleReport:
     """Run every oracle tier on the pair and reconcile the verdicts."""
     report = OracleReport()
@@ -157,7 +158,13 @@ def check_equivalence_tiers(
     # Tier 3: SAT miter over the Tseitin encoding.  An engine crashing on
     # an input the others handled is itself a finding, not a fuzzer crash.
     try:
-        sat = sat_check_equivalent(left, right, conflict_limit=sat_conflict_limit)
+        sat = check_equivalent(
+            left,
+            right,
+            num_patterns=0,
+            conflict_limit=sat_conflict_limit,
+            bdd_node_limit=0,
+        )
     except NetlistError as exc:
         report.verdicts["sat"] = "error"
         report.disagreements.append(f"sat tier raised: {exc}")
@@ -173,7 +180,7 @@ def check_equivalence_tiers(
             right,
             num_patterns=num_patterns,
             seed=seed,
-            backtrack_limit=atpg_backtrack_limit,
+            conflict_limit=sat_conflict_limit,
         )
     except NetlistError as exc:
         report.verdicts["production"] = "error"

@@ -1,13 +1,13 @@
 """Global BDD construction for netlists.
 
 Builds one ROBDD per stem over the primary inputs.  Used by the exact
-probability engine and as the equivalence oracle's fallback for circuits
-whose miters defeat plain PODEM (XOR/carry chains have linear-sized BDDs
-but exponential branch-and-bound search trees).
+probability engine and by the BDD stage of the equivalence checker, which
+runs before its SAT stage (XOR/carry chains have linear-sized BDDs but
+hard search trees).
 
 Construction is bounded by the manager's node limit;
 :class:`~repro.logic.bdd.BddSizeError` propagates to the caller, which
-treats it as "fallback unavailable".
+treats it as "BDD stage undecided".
 """
 
 from __future__ import annotations

@@ -5,19 +5,15 @@ same idea (redundancy addition/removal, resubstitution) are SAT-based.
 This package provides the SAT side:
 
 - :mod:`~repro.sat.cnf` — CNF formulas and the Tseitin encoding of
-  netlists/miters,
+  netlists and miters,
 - :mod:`~repro.sat.incremental` — the one SAT solver: CDCL with clause
   learning, assumptions and a persistent database, behind the
   optimizer's triage permissibility front-end, the fact oracle and the
-  equivalence check below,
-- :func:`~repro.sat.oracle.sat_check_equivalent` — a drop-in equivalence
-  check used by the test-suite and the fuzz oracle to cross-validate the
-  PODEM/BDD oracle.
+  SAT stage of :func:`repro.equiv.checker.check_equivalent`.
 """
 
 from repro.sat.cnf import CnfFormula, tseitin_encode, miter_cnf
 from repro.sat.incremental import IncrementalSolver, SAT, UNSAT, UNKNOWN
-from repro.sat.oracle import sat_check_equivalent
 
 __all__ = [
     "CnfFormula",
@@ -27,5 +23,4 @@ __all__ = [
     "SAT",
     "UNSAT",
     "UNKNOWN",
-    "sat_check_equivalent",
 ]

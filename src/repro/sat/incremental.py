@@ -6,8 +6,8 @@ Tseitin encoding) plus per-candidate definitional clauses, each query
 activated through an assumption literal.  Every learned clause is a
 consequence of the monotonically-growing database, so learning persists
 across queries — the classic MiniSat incremental interface.  One-shot
-callers (:func:`repro.sat.oracle.sat_check_equivalent`) load a formula
-and solve it once.
+callers (the SAT stage of :func:`repro.equiv.checker.check_equivalent`)
+load a formula and solve it once.
 
 Features: two-watched-literal unit propagation, first-UIP conflict
 analysis with non-chronological backjumping, VSIDS-style activity

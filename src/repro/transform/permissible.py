@@ -7,8 +7,9 @@ the substituted signal (§3.2).  The reference check,
 :func:`check_candidate`:
 
 1. applies the substitution to a scratch copy,
-2. runs the equivalence oracle (simulation counterexample hunt, then the
-   ATPG justifier on the miter).
+2. runs the equivalence oracle on the pair: a simulation counterexample
+   hunt, a BDD comparison, then the SAT form of ATPG on the CNF miter
+   (:func:`~repro.equiv.checker.check_equivalent`).
 
 :class:`TriageChecker` is the front-end the optimizer uses.  It decides
 the same question without ever copying the netlist:
@@ -37,8 +38,8 @@ the same question without ever copying the netlist:
 
 Return values follow the paper exactly: ``PERMISSIBLE`` only on a *proof*;
 a counterexample yields ``NOT_PERMISSIBLE``; an exhausted search budget
-(ATPG backtracks or SAT conflicts) yields ``ABORTED``, which callers must
-treat as not permissible.
+(SAT conflicts) yields ``ABORTED``, which callers must treat as not
+permissible.
 """
 
 from __future__ import annotations
@@ -47,8 +48,12 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.atpg.podem import DEFAULT_BACKTRACK_LIMIT
-from repro.equiv.checker import EQUAL, NOT_EQUAL, check_equivalent
+from repro.equiv.checker import (
+    DEFAULT_CONFLICT_LIMIT,
+    EQUAL,
+    NOT_EQUAL,
+    check_equivalent,
+)
 from repro.kernels.bits import first_pattern
 from repro.kernels.packed import packed_view
 from repro.netlist.netlist import Gate, Netlist
@@ -77,8 +82,9 @@ class PermissibilityResult:
     status: str
     counterexample: Optional[dict[str, int]] = None
     stage: str = ""
-    #: ATPG decisions spent by the deciding justification (0 when another
-    #: stage decided); deterministic, so run traces may pin it.
+    #: CDCL conflicts spent by the deciding SAT solve (0 when another stage
+    #: decided); deterministic, so run traces pin it as
+    #: ``atpg_backtracks``.
     backtracks: int = 0
 
     @property
@@ -90,7 +96,7 @@ class PermissibilityResult:
 def check_candidate(
     netlist: Netlist,
     substitution: Substitution,
-    backtrack_limit: int = DEFAULT_BACKTRACK_LIMIT,
+    conflict_limit: int = DEFAULT_CONFLICT_LIMIT,
     num_patterns: int = 512,
     seed: int = 7,
     bdd_node_limit: int = 200_000,
@@ -109,22 +115,22 @@ def check_candidate(
         trial,
         num_patterns=num_patterns,
         seed=seed,
-        backtrack_limit=backtrack_limit,
+        conflict_limit=conflict_limit,
         bdd_node_limit=bdd_node_limit,
     )
     if verdict.status == EQUAL:
         return PermissibilityResult(
-            PERMISSIBLE, stage=verdict.stage, backtracks=verdict.backtracks
+            PERMISSIBLE, stage=verdict.stage, backtracks=verdict.conflicts
         )
     if verdict.status == NOT_EQUAL:
         return PermissibilityResult(
             NOT_PERMISSIBLE,
             verdict.counterexample,
             stage=verdict.stage,
-            backtracks=verdict.backtracks,
+            backtracks=verdict.conflicts,
         )
     return PermissibilityResult(
-        ABORTED, stage=verdict.stage, backtracks=verdict.backtracks
+        ABORTED, stage=verdict.stage, backtracks=verdict.conflicts
     )
 
 

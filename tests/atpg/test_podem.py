@@ -1,11 +1,11 @@
-"""Tests for the PODEM engine and the justifier."""
+"""Tests for the PODEM engine."""
 
 import pytest
 
 from repro.atpg.fault import StuckAtFault, all_faults
 from repro.atpg.faultsim import detected_mask
-from repro.atpg.podem import Podem, justify
-from repro.errors import AtpgAbort, AtpgError
+from repro.atpg.podem import Podem
+from repro.errors import AtpgAbort
 from repro.netlist.simulate import SimState, exhaustive_patterns, popcount
 from tests.conftest import make_random_netlist
 
@@ -103,53 +103,3 @@ class TestPodemExhaustiveCrossCheck:
         nl = builder.build()
         for fault in all_faults(nl):
             verdict_matches_brute_force(nl, fault)
-
-
-class TestJustify:
-    def test_sat(self, figure2):
-        result = justify(figure2, figure2.gate("e"), 1)
-        assert result.testable
-        assert result.assignment["a"] == 1
-        assert result.assignment["b"] == 1
-
-    def test_unsat_constant(self, builder):
-        a = builder.input("a")
-        na = builder.not_(a, name="na")
-        f = builder.and_(a, na, name="f")
-        builder.output("o", f)
-        nl = builder.build()
-        assert not justify(nl, f, 1).testable
-        assert justify(nl, f, 0).testable
-
-    def test_justify_zero(self, figure2):
-        result = justify(figure2, figure2.gate("e"), 0)
-        assert result.testable
-        # Any returned assignment must actually produce 0.
-        env = {n: result.assignment.get(n, 0) for n in figure2.input_names}
-        assert env["a"] == 0 or env["b"] == 0
-
-    def test_bad_target_value(self, figure2):
-        with pytest.raises(AtpgError):
-            justify(figure2, figure2.gate("e"), 2)
-
-    def test_justify_respects_backtrack_limit(self, builder):
-        a = builder.input("a")
-        na = builder.not_(a, name="na")
-        f = builder.and_(a, na, name="f")
-        builder.output("o", f)
-        nl = builder.build()
-        # Proving f can never be 1 needs at least one backtrack.
-        with pytest.raises(AtpgAbort):
-            justify(nl, f, 1, backtrack_limit=0)
-
-    @pytest.mark.parametrize("seed", [5, 6])
-    def test_justify_cross_check(self, lib, seed):
-        nl = make_random_netlist(lib, 5, 12, 2, seed=seed)
-        sim = SimState(nl, exhaustive_patterns(nl.input_names))
-        for gate in list(nl.logic_gates())[:10]:
-            word = sim.value(gate.name)
-            total = popcount(word)
-            can_be_1 = total > 0
-            can_be_0 = total < sim.num_patterns
-            assert justify(nl, gate, 1).testable == can_be_1, gate.name
-            assert justify(nl, gate, 0).testable == can_be_0, gate.name

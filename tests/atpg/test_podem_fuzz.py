@@ -107,17 +107,17 @@ def test_check_candidate_abort_is_a_reject(lib):
     netlist = _twin_xor_chains(lib)
     sub = Substitution(OS2, "a6", "b6")
 
-    # Tiny search budget with the BDD fallback disabled: the justifier
+    # Tiny search budget with the BDD stage disabled: the SAT stage
     # aborts, and the abort maps to "not allowed" (paper §3.5: an aborted
     # check must never be applied).
     result = check_candidate(
-        netlist, sub, backtrack_limit=5, bdd_node_limit=0
+        netlist, sub, conflict_limit=5, bdd_node_limit=0
     )
     assert result.status == ABORTED
     assert not result.allowed
 
     # With a real budget the same candidate is proven permissible.
-    full = check_candidate(netlist, sub, backtrack_limit=20_000)
+    full = check_candidate(netlist, sub, conflict_limit=20_000)
     assert full.status == PERMISSIBLE and full.allowed
 
 

@@ -48,6 +48,15 @@ def figure2(lib):
     return make_figure2(lib)
 
 
+def sat_stage(left: Netlist, right: Netlist):
+    """``check_equivalent`` with the simulation and BDD stages off."""
+    from repro.equiv.checker import check_equivalent
+
+    result = check_equivalent(left, right, num_patterns=0, bdd_node_limit=0)
+    assert result.stage == "sat"
+    return result
+
+
 def make_random_netlist(
     lib, num_inputs: int, num_gates: int, num_outputs: int, seed: int,
     sweep: bool = True,

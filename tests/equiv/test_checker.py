@@ -3,7 +3,7 @@
 import pytest
 
 from repro.equiv.checker import EQUAL, NOT_EQUAL, UNKNOWN, check_equivalent
-from repro.netlist.simulate import SimState, exhaustive_patterns
+from repro.netlist.simulate import SimState
 from tests.conftest import make_figure2, make_random_netlist
 
 
@@ -62,7 +62,8 @@ class TestCheckEquivalent:
         )
 
     def test_atpg_only_path(self, lib, builder):
-        # Disable the simulation stage; ATPG must find the difference.
+        # Disable the simulation and BDD stages; the SAT miter (ATPG in
+        # its SAT form) must find the difference.
         a, b = builder.inputs("a", "b")
         builder.output("o", builder.and_(a, b))
         left = builder.build()
@@ -72,22 +73,25 @@ class TestCheckEquivalent:
         a2, bb2 = b2.inputs("a", "b")
         b2.output("o", b2.xor_(a2, bb2))
         right = b2.build()
-        result = check_equivalent(left, right, num_patterns=0)
+        result = check_equivalent(
+            left, right, num_patterns=0, bdd_node_limit=0
+        )
         assert result.status == NOT_EQUAL
-        assert result.stage == "atpg"
+        assert result.stage == "sat"
         assert evaluate_outputs(left, result.counterexample) != evaluate_outputs(
             right, result.counterexample
         )
 
     def test_unknown_on_zero_budget(self, lib, figure2):
-        # Equal circuits with no ATPG budget: cannot prove, must say so.
+        # Equal circuits with no SAT budget and no BDDs: cannot prove,
+        # must say so.
         result = check_equivalent(
-            figure2, make_figure2(lib), backtrack_limit=0
+            figure2, make_figure2(lib), conflict_limit=0, bdd_node_limit=0
         )
         assert result.status in (EQUAL, UNKNOWN)
         # With equal circuits the simulation stage finds nothing and the
-        # justifier proves UNSAT only if it needs no backtracking; a zero
-        # budget must never yield NOT_EQUAL.
+        # solver proves UNSAT only if it needs no conflict past the root;
+        # a zero budget must never yield NOT_EQUAL.
         assert result.status != NOT_EQUAL
 
     @pytest.mark.parametrize("seed", [21, 22, 23])
@@ -138,21 +142,21 @@ class TestBddFallback:
         return nl, other
 
     def test_bdd_proves_adder_equivalence(self, lib):
-        # Zero ATPG budget forces the BDD stage; adders have linear BDDs.
+        # The BDD stage decides before SAT spends a conflict; adders have
+        # linear BDDs.
         left, right = self.build_adder_pair(lib)
-        result = check_equivalent(right, left, backtrack_limit=0)
+        result = check_equivalent(right, left, conflict_limit=0)
         assert result.equal
         assert result.stage == "bdd"
 
     def test_bdd_counterexample_is_valid(self, lib):
         left, right = self.build_adder_pair(lib, mutate=True)
         result = check_equivalent(
-            left, right, num_patterns=0, backtrack_limit=0
+            left, right, num_patterns=0, conflict_limit=0
         )
         assert result.status == NOT_EQUAL
-        # Inverted-output differences are easy: ATPG may find them without
-        # any backtracking; either stage must hand back a real witness.
-        assert result.stage in ("atpg", "bdd")
+        # Without simulation the BDD descent hands back the witness.
+        assert result.stage == "bdd"
         assert evaluate_outputs(left, result.counterexample) != evaluate_outputs(
             right, result.counterexample
         )
@@ -160,6 +164,7 @@ class TestBddFallback:
     def test_fallback_disabled_gives_unknown(self, lib):
         left, right = self.build_adder_pair(lib)
         result = check_equivalent(
-            right, left, backtrack_limit=0, bdd_node_limit=0
+            right, left, conflict_limit=0, bdd_node_limit=0
         )
         assert result.status == UNKNOWN
+        assert result.stage == "sat"

@@ -40,22 +40,23 @@ def test_equal_with_permuted_pi_and_po_order(lib):
 
 
 def test_equal_with_permuted_order_through_atpg_stage(lib):
-    # num_patterns=0 skips the simulation filter: the ATPG/miter stage must
-    # itself be order-independent.
+    # num_patterns=0 skips the simulation filter and bdd_node_limit=0 the
+    # BDDs: the SAT miter must itself be order-independent.
     left = _build(lib, ["a", "b", "cin"])
     right = _build(lib, ["cin", "a", "b"])
-    result = check_equivalent(left, right, num_patterns=0)
+    result = check_equivalent(left, right, num_patterns=0, bdd_node_limit=0)
     assert result.status == EQUAL
-    assert result.stage in ("atpg", "bdd")
+    assert result.stage == "sat"
 
 
 def test_equal_with_permuted_order_through_bdd_stage(lib):
-    # A one-backtrack budget forces the ATPG stage to abort, pushing the
-    # decision into the BDD fallback, which must also match by name.
+    # Without simulation and with no SAT budget the BDD stage decides, and
+    # it must also match by name.
     left = _build(lib, ["a", "b", "cin"])
     right = _build(lib, ["b", "cin", "a"])
-    result = check_equivalent(left, right, num_patterns=0, backtrack_limit=1)
+    result = check_equivalent(left, right, num_patterns=0, conflict_limit=0)
     assert result.status == EQUAL
+    assert result.stage == "bdd"
 
 
 def test_not_equal_with_permuted_order_gives_valid_counterexample(lib):

@@ -1,6 +1,6 @@
-"""Tests for the CNF encoder and the SAT equivalence oracle, including
-cross-validation of the SAT oracle against the PODEM/BDD equivalence
-oracle."""
+"""Tests for the CNF encoder and the SAT stage of the equivalence
+checker, including cross-validation of the SAT stage against the
+checker's simulation and BDD stages."""
 
 from pathlib import Path
 
@@ -14,11 +14,20 @@ from repro.netlist.blif import parse_blif_file
 from repro.netlist.build import NetlistBuilder
 from repro.sat.cnf import CnfFormula, tseitin_encode
 from repro.sat.incremental import SAT, IncrementalSolver
-from repro.sat.oracle import sat_check_equivalent
-from tests.conftest import make_figure2, make_random_netlist
+from tests.conftest import make_figure2, make_random_netlist, sat_stage
 from tests.sat.test_incremental import assert_matches_enumeration
 
 BLIF_DIR = Path(__file__).resolve().parents[2] / "benchmarks" / "blif"
+
+#: The stages that decide a reference verdict without the SAT solver.
+REFERENCE_STAGES = ("simulation", "bdd")
+
+
+def reference_verdict(left, right):
+    """``check_equivalent`` decided before its SAT stage."""
+    result = check_equivalent(left, right)
+    assert result.stage in REFERENCE_STAGES
+    return result
 
 
 class TestTseitin:
@@ -72,7 +81,7 @@ class TestTseitin:
 
 class TestSatOracle:
     def test_equal_copies(self, lib, figure2):
-        result = sat_check_equivalent(figure2, make_figure2(lib))
+        result = sat_stage(figure2, make_figure2(lib))
         assert result.equal
 
     def test_detects_difference(self, lib, figure2, builder):
@@ -82,7 +91,7 @@ class TestSatOracle:
         builder.output("f_out", f)
         builder.output("e_out", e)
         other = builder.build()
-        result = sat_check_equivalent(figure2, other)
+        result = sat_stage(figure2, other)
         assert result.status == "not-equal"
         assert result.counterexample is not None
 
@@ -90,9 +99,9 @@ class TestSatOracle:
     def test_cross_validation_equal(self, lib, seed):
         nl = make_random_netlist(lib, 6, 16, 3, seed=seed)
         copy = nl.copy("c")
-        podem_verdict = check_equivalent(nl, copy)
-        sat_verdict = sat_check_equivalent(nl, copy)
-        assert podem_verdict.equal and sat_verdict.equal
+        reference = reference_verdict(nl, copy)
+        sat_verdict = sat_stage(nl, copy)
+        assert reference.equal and sat_verdict.equal
 
     @pytest.mark.parametrize("seed", [311, 312, 313])
     def test_cross_validation_mutated(self, lib, seed):
@@ -101,9 +110,9 @@ class TestSatOracle:
         po, driver = next(iter(mutated.outputs.items()))
         inv = mutated.add_gate(mutated.library.inverter(), [driver], name="mut")
         mutated.set_output(po, inv)
-        podem_verdict = check_equivalent(nl, mutated)
-        sat_verdict = sat_check_equivalent(nl, mutated)
-        assert podem_verdict.status == "not-equal"
+        reference = reference_verdict(nl, mutated)
+        sat_verdict = sat_stage(nl, mutated)
+        assert reference.status == "not-equal"
         assert sat_verdict.status == "not-equal"
         # Each oracle's counterexample satisfies the CNF-level difference.
         cex = sat_verdict.counterexample
@@ -120,7 +129,7 @@ class TestSatOracle:
         power_optimize(
             nl, OptimizeOptions(num_patterns=1024, max_rounds=2, max_moves=8)
         )
-        assert sat_check_equivalent(ref, nl).equal
+        assert sat_stage(ref, nl).equal
 
     def test_mismatched_interfaces(self, figure2, builder):
         builder.input("z")
@@ -131,7 +140,7 @@ class TestSatOracle:
         from repro.errors import NetlistError
 
         with _pytest.raises(NetlistError):
-            sat_check_equivalent(figure2, builder.build())
+            sat_stage(figure2, builder.build())
 
 
 class TestMiterNamespaces:
@@ -150,8 +159,8 @@ class TestMiterNamespaces:
         right.output("o", right.not_(a, name="g"))
         right.output("p", right.not_(a, name="h"))
         left, right = left.build(), right.build()
-        assert check_equivalent(left, right).status == "not-equal"
-        result = sat_check_equivalent(left, right)
+        assert reference_verdict(left, right).status == "not-equal"
+        result = sat_stage(left, right)
         assert result.status == "not-equal"
         assert verify_counterexample(left, right, result.counterexample)
 
@@ -165,21 +174,22 @@ class TestMiterNamespaces:
         a, _ = right.inputs("a", "diff.o")
         right.output("o", a)
         left, right = left.build(), right.build()
-        result = sat_check_equivalent(left, right)
+        result = sat_stage(left, right)
         assert result.status == "not-equal"
         assert verify_counterexample(left, right, result.counterexample)
 
 
 def test_ttt2_self_copy_is_proved_equal(lib):
-    # 24 inputs: too many for exhaustive simulation, so the SAT tier has
+    # 24 inputs: too many for exhaustive simulation, so the SAT stage has
     # to decide this itself, within its default conflict budget.
     netlist = parse_blif_file(BLIF_DIR / "ttt2.blif", lib)
-    result = sat_check_equivalent(netlist, netlist.copy("copy"))
+    result = sat_stage(netlist, netlist.copy("copy"))
     assert result.status == "equal"
 
 
 class TestTripleOracleAgreement:
-    """PODEM, BDD and SAT must agree on candidate permissibility."""
+    """The simulation-or-BDD reference, the SAT stage and exhaustive
+    simulation must agree on candidate permissibility."""
 
     @pytest.mark.parametrize("seed", [321, 322])
     def test_candidates_triple_checked(self, lib, seed):
@@ -189,20 +199,26 @@ class TestTripleOracleAgreement:
             CandidateOptions,
             generate_candidates,
         )
+        from repro.netlist.simulate import SimState, exhaustive_patterns
         from repro.transform.substitution import apply_to_copy
-        from repro.equiv.checker import _bdd_verdict
 
         nl = make_random_netlist(lib, 6, 14, 3, seed=seed)
+        patterns = exhaustive_patterns(nl.input_names)
+
+        def outputs(netlist):
+            sim = SimState(netlist, patterns)
+            return {po: sim.value(d.name) for po, d in netlist.outputs.items()}
+
         est = PowerEstimator(nl, SimulationProbability(nl, exhaustive=True))
         candidates = generate_candidates(
             est, CandidateOptions(max_per_target=2, max_total=12)
         )
         for candidate in candidates[:8]:
             trial, _ = apply_to_copy(nl, candidate.substitution)
-            podem = check_equivalent(nl, trial).equal
-            sat = sat_check_equivalent(nl, trial).equal
-            bdd = _bdd_verdict(nl, trial, 200_000).equal
-            assert podem == sat == bdd, str(candidate.substitution)
+            reference = reference_verdict(nl, trial).equal
+            sat = sat_stage(nl, trial).equal
+            exhaustive = outputs(nl) == outputs(trial)
+            assert reference == sat == exhaustive, str(candidate.substitution)
 
 
 @st.composite
@@ -223,7 +239,7 @@ def formulas(draw):
 class TestDpllBruteForce:
     """Property: solver verdicts and models match brute-force enumeration.
     The solver under test used to be DPLL; it is now `IncrementalSolver`,
-    the one behind `sat_check_equivalent`."""
+    the one behind every SAT query in the package."""
 
     @settings(max_examples=150, deadline=None)
     @given(formulas())

@@ -170,6 +170,31 @@ class TestUtilityCommands:
         out = capsys.readouterr().out
         assert "not-equal" in out and "counterexample" in out
 
+    def test_verify_different_input_sets_is_one_error_line(self, capsys):
+        misex1 = str(BENCHMARKS / "blif" / "misex1.blif")
+        assert main(["verify", RD53, misex1]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "primary-input sets" in captured.err
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("command", ["optimize", "verify"])
+    def test_multi_input_names_is_one_error_line(
+        self, command, tmp_path, capsys
+    ):
+        blif = tmp_path / "logic.blif"
+        blif.write_text(
+            ".model m\n.inputs a b\n.outputs o\n.names a b o\n11 1\n.end\n"
+        )
+        argv = [command, str(blif)] + ([str(blif)] if command == "verify" else [])
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: line 4: .names with multiple inputs is not a "
+            "mapped-netlist construct\n"
+        )
+
     def test_atpg_report(self, mapped_blif, capsys):
         assert main(["atpg", str(mapped_blif), "--patterns", "256"]) == 0
         out = capsys.readouterr().out

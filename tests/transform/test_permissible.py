@@ -60,10 +60,10 @@ class TestCheckCandidate:
         d = figure2.gate("d")
         pin = [i for i, g in enumerate(d.fanins) if g.name == "a"][0]
         sub = Substitution(IS2, "a", "e", branch=("d", pin))
-        # Zero ATPG budget, BDD fallback disabled, no simulation
+        # Zero SAT budget, BDD stage disabled, no simulation
         # counterexample: the check must abort.
         result = check_candidate(
-            figure2, sub, backtrack_limit=0, num_patterns=64,
+            figure2, sub, conflict_limit=0, num_patterns=64,
             bdd_node_limit=0,
         )
         assert result.status == ABORTED
@@ -73,7 +73,7 @@ class TestCheckCandidate:
         pin = [i for i, g in enumerate(d.fanins) if g.name == "a"][0]
         sub = Substitution(IS2, "a", "e", branch=("d", pin))
         result = check_candidate(
-            figure2, sub, backtrack_limit=0, num_patterns=64
+            figure2, sub, conflict_limit=0, num_patterns=64
         )
         assert result.status == PERMISSIBLE
         assert result.stage == "bdd"
