@@ -13,7 +13,7 @@ import pytest
 
 from repro.atpg.fault import all_stem_faults
 from repro.atpg.faultsim import fault_simulate
-from repro.atpg.podem import Podem
+from repro.atpg.redundancy import generate_test
 from repro.bench.suite import build_benchmark
 from repro.equiv.checker import check_equivalent
 from repro.library.standard import standard_library
@@ -63,14 +63,14 @@ def test_fault_simulation(benchmark, circuit, sim):
     benchmark(fault_simulate, sim, faults)
 
 
-def test_podem_full_fault_list(benchmark, circuit):
-    """PODEM over every stem fault of alu2."""
+def test_sat_test_generation_full_fault_list(benchmark, circuit):
+    """SAT stuck-at test generation over every stem fault of alu2."""
     faults = all_stem_faults(circuit)
 
     def run():
         detected = 0
         for fault in faults:
-            if Podem(circuit, fault, backtrack_limit=5000).run().testable:
+            if generate_test(circuit, fault).testable:
                 detected += 1
         return detected
 

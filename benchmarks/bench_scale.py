@@ -125,7 +125,7 @@ def flat_round(num_gates: int) -> dict:
         return wrapper
 
     triage.check = timed(triage.check, "check")
-    triage._sat_verdict = timed(triage._sat_verdict, "sat")
+    triage.sat_verdict = timed(triage.sat_verdict, "sat")
     ctx.put("triage", triage)
     tick = time.perf_counter()
     result = PowerOptimizer(context=ctx).run()

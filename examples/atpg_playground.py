@@ -5,7 +5,8 @@ POWDER's enabling technology is test generation.  This example shows the
 machinery directly on a circuit with a deliberately redundant gate:
 
 - fault simulation measures coverage of random patterns,
-- PODEM generates a test (or proves untestability) per fault,
+- the SAT stage that proves the optimizer's moves generates a test (or
+  proves untestability) per fault, each fault posed as a constant move,
 - untestable faults expose the don't-cares structural rewiring exploits.
 
 Run:  python examples/atpg_playground.py
@@ -13,10 +14,11 @@ Run:  python examples/atpg_playground.py
 
 from repro import NetlistBuilder, standard_library
 from repro.atpg import (
-    Podem,
+    StuckAtFault,
     all_faults,
     fault_coverage,
     fault_simulate,
+    generate_test,
     is_redundant,
 )
 from repro.atpg.faultsim import undetected_faults
@@ -51,17 +53,16 @@ def main():
     ):
         print(f"  {str(fault):16s} detected by {count:3d}/256 patterns")
 
-    print("\nPODEM on the undetected faults:")
-    for fault in undetected_faults(sim, faults):
-        result = Podem(netlist, fault).run()
+    undetected = undetected_faults(sim, faults)
+    print("\nSAT test generation on the undetected faults and on ab/sa0:")
+    for fault in undetected + [StuckAtFault("ab", 0)]:
+        result = generate_test(netlist, fault)
         verdict = (
             f"test {result.assignment}" if result.testable else "REDUNDANT"
         )
         print(f"  {str(fault):16s} -> {verdict}")
 
     # The redundancy is exactly the absorption y = ab + ab·c = ab.
-    from repro.atpg import StuckAtFault
-
     assert is_redundant(netlist, StuckAtFault("abc", 0))
     print("\nabc/sa0 is redundant: the OR's second term is absorbed — this "
           "is the kind\nof don't-care POWDER's substitutions exploit.")

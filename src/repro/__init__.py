@@ -5,7 +5,7 @@ The package implements the POWDER power optimizer — a greedy sequence of
 ATPG-verified permissible signal substitutions on mapped netlists — together
 with every substrate it needs: a Boolean-function kernel, genlib cell
 libraries, a mapped-netlist DAG with bit-parallel simulation, power and
-timing models, a PODEM ATPG engine, a POSE-like synthesis front-end, and the
+timing models, SAT-based ATPG, a POSE-like synthesis front-end, and the
 benchmark/experiment harness that regenerates the paper's tables and figures.
 
 Quickstart::

@@ -2,22 +2,20 @@
 
 This package is the paper's enabling technology — permissible substitutions
 are identified by test generation (§3.2, refs [2, 5]); the optimizer runs
-that test in its SAT form (:mod:`repro.transform.permissible`).  It
-provides:
+that test in its SAT form (:mod:`repro.transform.permissible`), and so does
+this package.  It provides:
 
-- :mod:`~repro.atpg.values` — 3- and 5-valued logic evaluation of library
-  cells (the D-calculus),
 - :mod:`~repro.atpg.fault` — stuck-at faults on stems and branches,
 - :mod:`~repro.atpg.faultsim` — bit-parallel parallel-pattern fault
   simulation,
-- :mod:`~repro.atpg.podem` — a PODEM test generator with a backtrack limit,
-- :mod:`~repro.atpg.redundancy` — redundancy identification built on PODEM.
+- :mod:`~repro.atpg.redundancy` — test generation and redundancy
+  identification: a stuck-at fault is a constant move, decided by the
+  triage SAT stage under a conflict budget.
 """
 
 from repro.atpg.fault import StuckAtFault, all_stem_faults, all_faults
 from repro.atpg.faultsim import fault_simulate, detected_mask, fault_coverage
-from repro.atpg.podem import Podem, PodemResult
-from repro.atpg.redundancy import is_redundant
+from repro.atpg.redundancy import AtpgResult, generate_test, is_redundant
 
 __all__ = [
     "StuckAtFault",
@@ -26,7 +24,7 @@ __all__ = [
     "fault_simulate",
     "detected_mask",
     "fault_coverage",
-    "Podem",
-    "PodemResult",
+    "AtpgResult",
+    "generate_test",
     "is_redundant",
 ]

@@ -28,10 +28,6 @@ class StuckAtFault:
         if self.value not in (0, 1):
             raise NetlistError(f"stuck-at value must be 0/1, got {self.value}")
 
-    @property
-    def is_stem(self) -> bool:
-        return self.branch is None
-
     def site_str(self) -> str:
         if self.branch is None:
             return self.gate_name

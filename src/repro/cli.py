@@ -410,7 +410,7 @@ def _cmd_atpg(args) -> int:
         f"({args.patterns} patterns): {coverage:.1%}"
     )
     leftovers = undetected_faults(sim, faults)
-    print(f"{len(leftovers)} undetected faults; classifying with PODEM:")
+    print(f"{len(leftovers)} undetected faults; classifying with SAT:")
     for fault in leftovers:
         print(f"  {str(fault):24s} {classify_fault(netlist, fault)}")
     return 0
@@ -1052,9 +1052,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ReproError as error:
-        # Rejected input (malformed BLIF, mismatched interfaces...): one
-        # line, not a traceback.
+    except (ReproError, OSError) as error:
+        # Rejected or unreadable input (malformed BLIF, mismatched
+        # interfaces, a missing file...): one line, not a traceback.
         print(f"error: {error}", file=sys.stderr)
         return 2
 

@@ -57,19 +57,6 @@ class MappingError(ReproError):
     """Technology mapping could not cover the subject graph."""
 
 
-class AtpgError(ReproError):
-    """Internal failure of the test-generation engine."""
-
-
-class AtpgAbort(AtpgError):
-    """The PODEM search exceeded its backtrack limit.
-
-    An aborted search proves nothing, the paper's abort semantics:
-    :func:`~repro.atpg.redundancy.classify_fault` reports the fault as
-    aborted, never as redundant.
-    """
-
-
 class TransformError(ReproError):
     """A structural transformation could not be applied."""
 

@@ -10,8 +10,8 @@ DAG over the standard library under a :class:`GeneratorConfig`:
   wide shallow cones),
 - ``shape="reconvergent"`` — explicit fan-out/reconverge diamonds: one
   stem feeds two disjoint gates that re-join downstream.  These produce
-  observability don't-cares, the substrate of every OS2/IS2 move, and the
-  branch-and-bound worst case for PODEM,
+  observability don't-cares, the substrate of every OS2/IS2 move, and
+  the redundant stuck-at faults that are hardest to prove untestable,
 - ``shape="high_fanout"`` — a few hub stems drive many branches, the IS2
   per-branch substitution playground,
 - ``shape="inverter_chain"`` — inverter ladders riding on random stems,

@@ -20,9 +20,11 @@ their verdicts are compared:
 The production oracle (``check_equivalent`` with every stage:
 simulation, BDDs, then the same SAT miter) runs alongside as a fourth
 opinion; below its BDD node limit its verdict comes from BDDs, an engine
-no other tier uses.  Any disagreement between definite verdicts is a
-finding — by construction it implicates one of the engines, whichever
-way it falls.
+no other tier uses.  Above it, the production oracle has solved tier
+3's miter under tier 3's budget, and tier 3 takes that verdict rather
+than solve the same miter twice.  Any disagreement between definite
+verdicts is a finding — by construction it implicates one of the
+engines, whichever way it falls.
 
 :func:`cross_check_metrics` re-derives an :class:`OptimizeResult`'s power,
 area and delay figures from scratch and flags drift against the numbers
@@ -35,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.equiv.checker import check_equivalent
+from repro.equiv.checker import EquivalenceResult, check_equivalent
 from repro.errors import NetlistError
 from repro.kernels.bits import first_pattern, words_to_int
 from repro.netlist.netlist import Netlist
@@ -155,25 +157,11 @@ def check_equivalence_tiers(
     else:
         report.verdicts["exhaustive"] = "skipped"
 
-    # Tier 3: SAT miter over the Tseitin encoding.  An engine crashing on
-    # an input the others handled is itself a finding, not a fuzzer crash.
-    try:
-        sat = check_equivalent(
-            left,
-            right,
-            num_patterns=0,
-            conflict_limit=sat_conflict_limit,
-            bdd_node_limit=0,
-        )
-    except NetlistError as exc:
-        report.verdicts["sat"] = "error"
-        report.disagreements.append(f"sat tier raised: {exc}")
-    else:
-        report.verdicts["sat"] = sat.status
-        if sat.counterexample is not None and report.counterexample is None:
-            report.counterexample = sat.counterexample
-
-    # The production oracle, as the fourth opinion.
+    # The production oracle, the fourth opinion, runs before tier 3: when
+    # it decided at its SAT stage it has already solved tier 3's miter
+    # under tier 3's budget, deterministically.  An engine crashing on an
+    # input the others handled is itself a finding, not a fuzzer crash.
+    prod: EquivalenceResult | None = None
     try:
         prod = check_equivalent(
             left,
@@ -183,8 +171,31 @@ def check_equivalence_tiers(
             conflict_limit=sat_conflict_limit,
         )
     except NetlistError as exc:
+        prod_error = exc
+
+    # Tier 3: SAT miter over the Tseitin encoding.
+    try:
+        if prod is not None and prod.stage == "sat":
+            sat = prod
+        else:
+            sat = check_equivalent(
+                left,
+                right,
+                num_patterns=0,
+                conflict_limit=sat_conflict_limit,
+                bdd_node_limit=0,
+            )
+    except NetlistError as exc:
+        report.verdicts["sat"] = "error"
+        report.disagreements.append(f"sat tier raised: {exc}")
+    else:
+        report.verdicts["sat"] = sat.status
+        if sat.counterexample is not None and report.counterexample is None:
+            report.counterexample = sat.counterexample
+
+    if prod is None:
         report.verdicts["production"] = "error"
-        report.disagreements.append(f"production tier raised: {exc}")
+        report.disagreements.append(f"production tier raised: {prod_error}")
     else:
         report.verdicts["production"] = prod.status
         if prod.counterexample is not None and report.counterexample is None:

@@ -88,9 +88,6 @@ class Cell:
             return self.pins[self.pin_index(index_or_name)]
         return self.pins[index_or_name]
 
-    def input_load(self, index: int) -> float:
-        return self.pins[index].load
-
     def total_input_load(self) -> float:
         return sum(p.load for p in self.pins)
 

@@ -66,9 +66,6 @@ class BddManager:
     def high_of(self, node: int) -> int:
         return self._high[node]
 
-    def num_nodes(self) -> int:
-        return len(self._var)
-
     def mk(self, var: int, low: int, high: int) -> int:
         """Get-or-create the canonical node (var, low, high)."""
         if low == high:
@@ -361,9 +358,6 @@ class ReorderResult:
     order: tuple[int, ...]
     initial_cost: float
     final_cost: float
-
-    def level_of(self, original_var: int) -> int:
-        return self.order.index(original_var)
 
 
 def _rebuild(

@@ -146,10 +146,6 @@ class Cube:
             return None
         return self.with_literal(var, None)
 
-    def size_log2(self) -> int:
-        """log2 of the number of minterms covered."""
-        return self.nvars - self.care.bit_count()
-
     def to_truthtable(self) -> TruthTable:
         bits = 0
         for minterm in range(1 << self.nvars):

@@ -45,10 +45,6 @@ class Window:
     #: (filled by :func:`partition_windows`; empty for a lone extraction).
     overlap: frozenset[str] = field(default_factory=frozenset)
 
-    @property
-    def member_set(self) -> frozenset[str]:
-        return frozenset(self.members)
-
     def __str__(self) -> str:
         return (
             f"window[{self.index}] seeds={','.join(self.seeds)} "

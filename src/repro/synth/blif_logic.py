@@ -19,7 +19,6 @@ constant 0; a ``.names`` with no inputs and a ``1`` row is constant 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Optional
 
 from repro.errors import ParseError
@@ -158,11 +157,6 @@ def _node_from_rows(
     if polarity == "0":
         cover = cover.complement()
     return LogicNode(out, list(fanins), cover)
-
-
-def parse_logic_blif_file(path: str | Path) -> LogicNetwork:
-    path = Path(path)
-    return parse_logic_blif(path.read_text(), name=path.stem)
 
 
 # ----------------------------------------------------------------------

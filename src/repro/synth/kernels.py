@@ -140,10 +140,3 @@ def kernels(
             found.append((common_cube(cover), base))
     recurse(cover, Cube.universe(cover.nvars), 0)
     return found
-
-
-def kernel_value(kernel: Cover, uses: int) -> int:
-    """Literal savings from extracting a kernel used ``uses`` times."""
-    body_literals = kernel.num_literals()
-    # Each use replaces the kernel body by one literal.
-    return (uses - 1) * (body_literals - 1) - 1

@@ -176,12 +176,6 @@ class TimingAnalysis:
             return _INF
         return req - self.arrival[gate.name]
 
-    def worst_slack(self) -> float:
-        return min(
-            (self.slack(g) for g in self.netlist.gates.values()),
-            default=0.0,
-        )
-
     def meets(self, limit: float, tolerance: float = 1e-9) -> bool:
         return self.circuit_delay <= limit + tolerance
 

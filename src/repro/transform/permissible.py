@@ -74,6 +74,9 @@ PERMISSIBLE = "permissible"
 NOT_PERMISSIBLE = "not-permissible"
 ABORTED = "aborted"
 
+#: Default CDCL conflict budget of one triage SAT solve.
+TRIAGE_CONFLICT_LIMIT = 20_000
+
 
 @dataclass
 class PermissibilityResult:
@@ -164,7 +167,7 @@ class TriageChecker:
         netlist: Netlist,
         num_patterns: int = 512,
         seed: int = 7,
-        conflict_limit: int = 20_000,
+        conflict_limit: int = TRIAGE_CONFLICT_LIMIT,
     ):
         self.netlist = netlist
         self.num_patterns = num_patterns
@@ -254,7 +257,7 @@ class TriageChecker:
                 # input vector, and none differs: equal output functions.
                 self.counters["sim_proofs"] += 1
                 return PermissibilityResult(PERMISSIBLE, stage="sim")
-        return self._sat_verdict(substitution)
+        return self.sat_verdict(substitution)
 
     # ------------------------------------------------------------------
     # Stage 1: forced-overlay simulation on the current netlist
@@ -309,8 +312,14 @@ class TriageChecker:
         encode_cell(solver, out, [literal, literal2], cell)
         return out
 
-    def _sat_verdict(self, substitution: Substitution) -> PermissibilityResult:
+    def sat_verdict(self, substitution: Substitution) -> PermissibilityResult:
         """PERMISSIBLE / NOT_PERMISSIBLE, or ABORTED when the budget ran out.
+
+        The SAT stage of :meth:`check`, which asks it only after
+        :meth:`Substitution.blocker` and the simulation stage.  Called
+        alone on a constant move it is stuck-at test generation
+        (:func:`repro.atpg.redundancy.generate_test`): the constant's
+        literal is a fixed variable, never a library tie cell.
 
         Both sides of the miter share the netlist's own encoding:
         :func:`~repro.sat.cnf.encode_rewire_miter` duplicates only the

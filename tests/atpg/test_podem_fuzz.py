@@ -1,22 +1,19 @@
-"""PODEM's redundant-fault and abort paths on generator-produced circuits.
+"""Stuck-at test generation's redundant-fault and abort paths on
+generator-produced circuits.
 
 Reconvergent fanout is what makes faults redundant (the diamond masks the
-fault effect) and what blows up the branch-and-bound search; the fuzz
-generator's ``reconvergent`` shape produces both on demand.  Every PODEM
-verdict is cross-checked against exhaustive fault simulation, and the
-optimizer-facing contract — an aborted check is a rejected candidate — is
-pinned down explicitly.
+fault effect) and what makes proving them hard; the fuzz generator's
+``reconvergent`` shape produces both on demand.  Every verdict of the
+triage SAT stage is cross-checked against exhaustive fault simulation,
+and the optimizer-facing contract — an aborted check is a rejected
+candidate — is pinned down explicitly.
 """
 
 from __future__ import annotations
 
-import pytest
-
 from repro.atpg.fault import StuckAtFault, all_faults
 from repro.atpg.faultsim import detected_mask, undetected_faults
-from repro.atpg.podem import Podem
-from repro.atpg.redundancy import classify_fault, is_redundant
-from repro.errors import AtpgAbort
+from repro.atpg.redundancy import classify_fault, generate_test, is_redundant
 from repro.fuzz.generator import GeneratorConfig, random_mapped_netlist
 from repro.netlist.build import NetlistBuilder
 from repro.netlist.simulate import SimState, exhaustive_patterns
@@ -39,7 +36,7 @@ def test_known_redundant_fault_proved_untestable(lib):
     netlist = b.build()
 
     fault = StuckAtFault("b", 1)
-    result = Podem(netlist, fault, backtrack_limit=10_000).run()
+    result = generate_test(netlist, fault, conflict_limit=10_000)
     assert not result.testable
     assert is_redundant(netlist, fault)
     # Exhaustive fault simulation agrees: no vector ever detects it.
@@ -47,7 +44,7 @@ def test_known_redundant_fault_proved_untestable(lib):
     assert int(detected_mask(sim, fault).sum()) == 0
 
 
-def test_podem_verdicts_match_exhaustive_fault_simulation(lib):
+def test_sat_verdicts_match_exhaustive_fault_simulation(lib):
     netlist = random_mapped_netlist(
         GeneratorConfig(seed=0, shape="reconvergent"), lib
     )
@@ -57,16 +54,16 @@ def test_podem_verdicts_match_exhaustive_fault_simulation(lib):
 
     redundant = []
     for fault in faults:
-        verdict = classify_fault(netlist, fault, backtrack_limit=20_000)
+        verdict = classify_fault(netlist, fault, conflict_limit=20_000)
         assert verdict in ("testable", "redundant")
         if verdict == "redundant":
             redundant.append(fault)
             assert str(fault) in undetectable, (
-                f"PODEM called {fault} redundant but simulation detects it"
+                f"SAT called {fault} redundant but simulation detects it"
             )
         else:
             assert str(fault) not in undetectable, (
-                f"PODEM called {fault} testable but no vector detects it"
+                f"SAT called {fault} testable but no vector detects it"
             )
     assert redundant, "the reconvergent shape must produce redundancies"
 
@@ -77,11 +74,12 @@ def test_tiny_budget_aborts_and_classifies_as_aborted(lib):
     )
     aborted = []
     for fault in all_faults(netlist):
-        if classify_fault(netlist, fault, backtrack_limit=1) == "aborted":
+        if classify_fault(netlist, fault, conflict_limit=1) == "aborted":
             aborted.append(fault)
-    assert aborted, "a one-backtrack budget must abort on reconvergence"
-    with pytest.raises(AtpgAbort):
-        Podem(netlist, aborted[0], backtrack_limit=1).run()
+    assert aborted, "a one-conflict budget must abort on reconvergence"
+    result = generate_test(netlist, aborted[0], conflict_limit=1)
+    assert result.status == "aborted" and not result.testable
+    assert not is_redundant(netlist, aborted[0], conflict_limit=1)
 
 
 def _twin_xor_chains(lib):

@@ -33,8 +33,8 @@ class TestClassification:
 
     def test_abort_is_not_redundant(self, builder):
         nl = redundant_circuit(builder)
-        assert classify_fault(nl, StuckAtFault("g", 0), backtrack_limit=0) == ABORTED
-        assert not is_redundant(nl, StuckAtFault("g", 0), backtrack_limit=0)
+        assert classify_fault(nl, StuckAtFault("g", 0), conflict_limit=0) == ABORTED
+        assert not is_redundant(nl, StuckAtFault("g", 0), conflict_limit=0)
 
     def test_redundant_faults_filter(self, builder):
         nl = redundant_circuit(builder)

@@ -195,10 +195,40 @@ class TestUtilityCommands:
             "mapped-netlist construct\n"
         )
 
+    @pytest.mark.parametrize("command", ["optimize", "verify"])
+    def test_missing_input_is_one_error_line(self, command, tmp_path, capsys):
+        missing = str(tmp_path / "nope.blif")
+        argv = [command, missing] + ([RD53] if command == "verify" else [])
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "nope.blif" in captured.err
+        assert captured.err.count("\n") == 1
+
     def test_atpg_report(self, mapped_blif, capsys):
         assert main(["atpg", str(mapped_blif), "--patterns", "256"]) == 0
         out = capsys.readouterr().out
         assert "coverage" in out
+
+    def test_atpg_classifies_a_redundant_fault(self, tmp_path, capsys):
+        # y = ab + abc: the second term is absorbed, so abc/sa0 is
+        # redundant and no random pattern can detect it.
+        from repro.library.standard import standard_library
+        from repro.netlist.blif import write_blif
+        from repro.netlist.build import NetlistBuilder
+
+        builder = NetlistBuilder(standard_library(), "absorb")
+        a, b, c = builder.inputs("a", "b", "c")
+        ab = builder.and_(a, b, name="ab")
+        abc = builder.and_(ab, c, name="abc")
+        builder.output("y", builder.or_(ab, abc, name="y_g"))
+        blif = tmp_path / "absorb.blif"
+        blif.write_text(write_blif(builder.build()))
+        assert main(["atpg", str(blif), "--patterns", "256"]) == 0
+        out = capsys.readouterr().out
+        assert "classifying with SAT" in out
+        verdicts = dict(line.split() for line in out.splitlines()[2:])
+        assert verdicts["abc/sa0"] == "redundant"
 
     def test_glitch_report(self, mapped_blif, capsys):
         assert main(["glitch", str(mapped_blif), "--pairs", "64"]) == 0
@@ -637,10 +667,15 @@ class TestAnalyzeCommand:
         assert payload["soundness"]["ok"] is True
         assert payload["soundness"]["unsound"] == []
 
-    def test_missing_netlist_raises_like_other_commands(self, tmp_path):
+    def test_missing_netlist_raises_like_other_commands(
+        self, tmp_path, capsys
+    ):
         missing = tmp_path / "nope.blif"
-        with pytest.raises(FileNotFoundError):
-            main(["analyze", str(missing)])
+        assert main(["analyze", str(missing)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "nope.blif" in captured.err
+        assert captured.err.count("\n") == 1
 
 
 class TestRetargetCommand:

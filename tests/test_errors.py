@@ -3,8 +3,6 @@
 import pytest
 
 from repro.errors import (
-    AtpgAbort,
-    AtpgError,
     LibraryError,
     LogicError,
     MappingError,
@@ -25,7 +23,6 @@ class TestHierarchy:
             LibraryError,
             NetlistError,
             MappingError,
-            AtpgError,
             TransformError,
             TimingError,
         ],
@@ -34,9 +31,6 @@ class TestHierarchy:
         assert issubclass(exc, ReproError)
         with pytest.raises(ReproError):
             raise exc("boom")
-
-    def test_abort_is_atpg_error(self):
-        assert issubclass(AtpgAbort, AtpgError)
 
     def test_parse_error_line_prefix(self):
         err = ParseError("bad token", line=42)
