@@ -19,10 +19,17 @@ time (:func:`flat_round`).  It also runs without pytest-benchmark, and
 exits nonzero when a SAT budget ran out::
 
     PYTHONPATH=src python -m benchmarks.bench_scale 600 1200
+
+With ``--windowed`` it runs the windowed flow on a two-process pool
+instead (:func:`windowed_run`) and exits nonzero when the touch check
+deferred any window::
+
+    PYTHONPATH=src python -m benchmarks.bench_scale --windowed 600 2000
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import sys
 import time
@@ -43,6 +50,8 @@ SEQUENTIAL_GATES = 300
 WINDOWED_GATES = 600
 #: Sizes of the flat-round permissibility bench.
 FLAT_ROUND_GATES = (600, 1_200)
+#: Pool size of the windowed rows ``main`` prints.
+WINDOWED_JOBS = 2
 SCALE_SEED = 9
 
 
@@ -55,6 +64,12 @@ def _scale_options(**overrides):
     base = dict(num_patterns=64, max_rounds=1)
     base.update(overrides)
     return OptimizeOptions(**base)
+
+
+def _windowed_options(jobs):
+    return _scale_options(
+        windowed=True, window_size=40, window_radius=3, jobs=jobs
+    )
 
 
 def test_sequential_baseline(benchmark):
@@ -77,9 +92,7 @@ def test_sequential_baseline(benchmark):
 def test_windowed_throughput(benchmark, jobs):
     """Windowed flow at the harness ``--jobs`` worker count."""
     netlist = _large(WINDOWED_GATES)
-    options = _scale_options(
-        windowed=True, window_size=40, window_radius=3, jobs=jobs
-    )
+    options = _windowed_options(jobs)
 
     def run():
         optimizer = WindowedOptimizer(netlist.copy(), options)
@@ -87,9 +100,9 @@ def test_windowed_throughput(benchmark, jobs):
         result = optimizer.run()
         wall = time.perf_counter() - tick
         spawn = result.phase_seconds.get("spawn", 0.0)
-        return result, wall - spawn, spawn
+        return optimizer, result, wall - spawn, spawn
 
-    result, work_seconds, spawn_seconds = once(benchmark, run)
+    optimizer, result, work_seconds, spawn_seconds = once(benchmark, run)
     benchmark.extra_info["gates"] = WINDOWED_GATES
     benchmark.extra_info["jobs"] = jobs
     benchmark.extra_info["spawn_seconds"] = round(spawn_seconds, 3)
@@ -97,7 +110,38 @@ def test_windowed_throughput(benchmark, jobs):
         WINDOWED_GATES / work_seconds, 1
     )
     benchmark.extra_info["windows"] = result.rounds
+    benchmark.extra_info["generations"] = optimizer.generations
+    benchmark.extra_info["deferrals"] = len(optimizer.conflicts)
     benchmark.extra_info["moves"] = len(result.moves)
+
+
+def windowed_run(num_gates: int, jobs: int = WINDOWED_JOBS) -> dict:
+    """One windowed run on the ``large`` shape.
+
+    Returns the run's wall seconds and its ``spawn``, ``partition`` and
+    ``optimize`` phase seconds, the windows, the generations they ran in,
+    the deferrals (windows the touch check caught and requeued), the
+    moves, and the power and area left in percent of the initial totals.
+    """
+    optimizer = WindowedOptimizer(_large(num_gates), _windowed_options(jobs))
+    tick = time.perf_counter()
+    result = optimizer.run()
+    wall = time.perf_counter() - tick
+    phases = result.phase_seconds
+    return {
+        "gates": num_gates,
+        "jobs": jobs,
+        "wall_s": round(wall, 3),
+        "spawn_s": round(phases["spawn"], 3),
+        "partition_s": round(phases["partition"], 3),
+        "optimize_s": round(phases["optimize"], 3),
+        "windows": result.rounds,
+        "generations": optimizer.generations,
+        "deferrals": len(optimizer.conflicts),
+        "moves": len(result.moves),
+        "power_pct": round(100.0 * result.final_power / result.initial_power, 2),
+        "area_pct": round(100.0 * result.final_area / result.initial_area, 2),
+    }
 
 
 def flat_round(num_gates: int) -> dict:
@@ -153,14 +197,30 @@ def test_flat_round_permissibility(benchmark, num_gates):
 
 
 def main(argv: list[str]) -> int:
-    """Print one flat round per size as JSON; 1 if any SAT budget ran out."""
-    sizes = [int(arg) for arg in argv] or list(FLAT_ROUND_GATES)
-    fallbacks = 0
-    for num_gates in sizes:
-        row = flat_round(num_gates)
+    """Print one JSON row per size: a flat round, or a windowed run with
+    ``--windowed``.  Returns 1 if any SAT budget ran out (flat) or any
+    window was deferred (windowed)."""
+    parser = argparse.ArgumentParser(
+        prog="python -m benchmarks.bench_scale",
+        description="Scale rows on the large generator shape.",
+    )
+    parser.add_argument(
+        "--windowed", action="store_true",
+        help=f"run the windowed flow on {WINDOWED_JOBS} processes "
+        "instead of one flat round",
+    )
+    parser.add_argument("sizes", nargs="*", type=int, metavar="GATES")
+    args = parser.parse_args(argv)
+    if args.windowed:
+        run, sizes, failure = windowed_run, [WINDOWED_GATES], "deferrals"
+    else:
+        run, sizes, failure = flat_round, list(FLAT_ROUND_GATES), "triage_fallbacks"
+    failures = 0
+    for num_gates in args.sizes or sizes:
+        row = run(num_gates)
         print(json.dumps(row), flush=True)
-        fallbacks += row["triage_fallbacks"]
-    return 1 if fallbacks else 0
+        failures += row[failure]
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

@@ -123,9 +123,10 @@ def _add_window_arguments(parser: argparse.ArgumentParser) -> None:
     """The windowed-optimization flags shared by ``optimize`` and ``fuzz``."""
     parser.add_argument(
         "--windowed", action="store_true",
-        help="partition into TFI/TFO windows, optimize each on a "
-        "multiprocessing pool, and merge non-conflicting moves "
-        "(for netlists too large for whole-netlist candidate rounds)",
+        help="partition into TFI/TFO windows, optimize them in "
+        "conflict-free generations on a multiprocessing pool, and merge "
+        "each generation's moves (for netlists too large for "
+        "whole-netlist candidate rounds)",
     )
     parser.add_argument(
         "--jobs", type=int, default=1, metavar="N",

@@ -205,12 +205,14 @@ class PowderPass(Pass):
 class WindowPass(Pass):
     """Windowed POWDER for large netlists (:mod:`repro.transform.windowed`).
 
-    Partitions the netlist into TFI/TFO windows, optimizes each on a
-    ``multiprocessing`` pool, and merges the non-conflicting move lists.
-    Keyword parameters override :class:`OptimizeOptions` fields, e.g.
-    ``window(jobs=4, window_size=120)``; ``windowed=True`` is implied.
-    The merge edits the netlist outside the context's incremental
-    machinery, so every analysis is invalidated afterwards.
+    Partitions the netlist into TFI/TFO windows, optimizes them in
+    conflict-free generations on a ``multiprocessing`` pool, and merges
+    each generation's move lists.  Keyword parameters override
+    :class:`OptimizeOptions` fields, e.g. ``window(jobs=4,
+    window_size=120)``; ``windowed=True`` is implied.  The details count
+    the windows by status and the ``generations`` they ran in.  The merge
+    edits the netlist outside the context's incremental machinery, so
+    every analysis is invalidated afterwards.
     """
 
     name = "window"
@@ -241,6 +243,7 @@ class WindowPass(Pass):
             details={
                 "moves": len(result.moves),
                 "windows": result.rounds,
+                "generations": engine.generations,
                 "jobs": options.jobs,
                 "power": round(result.final_power, 6),
                 **statuses,
