@@ -108,6 +108,8 @@ class TestIncrementalEngine:
     ``_fresh`` variant pays the full rebuild the legacy loop paid per
     round/move, the ``_incremental`` variant pays what the persistent
     engine pays.  ``BENCH_incremental.json`` records the measured ratios.
+    A candidate round has no incremental variant: it rebuilds its masks
+    and pair entries every round.
     """
 
     CIRCUITS = ("rd53", "alu2")
@@ -172,23 +174,10 @@ class TestIncrementalEngine:
 
     # -- candidate generation ---------------------------------------------
     def test_candidates_fresh(self, benchmark, sized_estimator):
-        """Legacy loop: a from-scratch workspace every round."""
+        """One candidate round; every round builds its state from scratch."""
         benchmark.pedantic(
             generate_candidates,
             args=(sized_estimator, CandidateOptions()),
-            rounds=1,
-            iterations=1,
-        )
-
-    def test_candidates_warm_workspace(self, benchmark, sized_estimator):
-        """Incremental loop: a persistent workspace generating again."""
-        from repro.transform.candidates import CandidateWorkspace
-
-        workspace = CandidateWorkspace(sized_estimator)
-        workspace.generate(CandidateOptions())
-        benchmark.pedantic(
-            workspace.generate,
-            args=(CandidateOptions(),),
             rounds=1,
             iterations=1,
         )

@@ -9,7 +9,7 @@ Commands:
   power|area|delay``, ``--delay-slack``, ``--trace out.json`` telemetry,
   Verilog export),
 - ``trace`` — inspect (``show``) and compare (``diff``) the JSON run
-  traces written by ``optimize --trace``; ``diff`` exits nonzero on any
+  traces written by ``optimize --trace``; ``diff`` exits 1 on any
   deterministic-field divergence,
 - ``verify`` — equivalence-check two mapped BLIFs (exit 1 when they differ
   or the check cannot decide),
@@ -245,7 +245,6 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_pipeline_run(args) -> int:
-    from repro.errors import PipelineError
     from repro.pipeline import (
         OptimizationContext,
         PassManager,
@@ -260,15 +259,14 @@ def _cmd_pipeline_run(args) -> int:
                 print(f"{'':10s}   parameters: {entry.parameters}")
         return 0
     if args.netlist is None:
-        print("error: a mapped BLIF input is required (or --list-passes)")
-        return 2
-    try:
-        netlist, options, _tracer, passes = _build_pipeline_from_args(
-            args, spec=args.spec
+        print(
+            "error: a mapped BLIF input is required (or --list-passes)",
+            file=sys.stderr,
         )
-    except PipelineError as error:
-        print(f"error: invalid pipeline spec: {error}")
         return 2
+    netlist, options, _tracer, passes = _build_pipeline_from_args(
+        args, spec=args.spec
+    )
     print(f"pipeline: {'; '.join(stage.spec() for stage in passes)}")
     manager = PassManager(verbose=True)
     outcome = manager.run(OptimizationContext(netlist, options), passes)
@@ -474,7 +472,6 @@ def _split_rule_ids(values):
 
 
 def _cmd_lint(args) -> int:
-    from repro.errors import LintError
     from repro.lint import Severity, get_rule, lint_netlist, rule_catalog
     from repro.power.probability import SimulationProbability
 
@@ -486,11 +483,7 @@ def _cmd_lint(args) -> int:
     if args.explain:
         import inspect
 
-        try:
-            rule = get_rule(args.explain)
-        except LintError as error:
-            print(f"error: {error}")
-            return 2
+        rule = get_rule(args.explain)
         print(f"{rule.id}: {rule.title}")
         print(f"severity: {rule.severity}   category: {rule.category}")
         doc = type(rule).__doc__
@@ -500,7 +493,8 @@ def _cmd_lint(args) -> int:
     if args.netlist is None:
         print(
             "error: a mapped BLIF input is required "
-            "(or --list-rules / --explain)"
+            "(or --list-rules / --explain)",
+            file=sys.stderr,
         )
         return 2
     netlist, _library = _load_mapped_netlist(args)
@@ -517,17 +511,13 @@ def _cmd_lint(args) -> int:
         from repro.analysis import AnalysisSuite
 
         facts = AnalysisSuite(netlist).facts
-    try:
-        report = lint_netlist(
-            netlist,
-            select=_split_rule_ids(args.select),
-            ignore=_split_rule_ids(args.ignore),
-            probabilities=probabilities,
-            facts=facts,
-        )
-    except LintError as error:  # unknown rule ID in --select/--ignore
-        print(f"error: {error}")
-        return 2
+    report = lint_netlist(
+        netlist,
+        select=_split_rule_ids(args.select),
+        ignore=_split_rule_ids(args.ignore),
+        probabilities=probabilities,
+        facts=facts,
+    )
     if args.format == "json":
         print(report.format_json())
     else:
@@ -628,29 +618,19 @@ def _cmd_fuzz(args) -> int:
 
 
 def _cmd_trace_show(args) -> int:
-    from repro.errors import TelemetryError
     from repro.telemetry import format_trace, read_trace
 
-    try:
-        trace = read_trace(args.trace)
-    except TelemetryError as error:
-        print(f"error: {error}")
-        return 1
+    trace = read_trace(args.trace)
     limit = None if args.moves < 0 else args.moves
     print(format_trace(trace, max_moves=limit))
     return 0
 
 
 def _cmd_trace_diff(args) -> int:
-    from repro.errors import TelemetryError
     from repro.telemetry import compare_traces, read_trace
 
-    try:
-        left = read_trace(args.left)
-        right = read_trace(args.right)
-    except TelemetryError as error:
-        print(f"error: {error}")
-        return 1
+    left = read_trace(args.left)
+    right = read_trace(args.right)
     diff = compare_traces(left, right, tolerance=args.tolerance)
     print(diff.format())
     return 0 if diff.ok else 1

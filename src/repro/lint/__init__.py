@@ -9,7 +9,8 @@ Public surface:
   registry (built-in IDs: ``N0xx`` structure, ``Q0xx`` quality, ``L0xx``
   library, ``P0xx`` power),
 - :class:`TransformSanitizer` — per-move optimizer validation behind
-  ``OptimizeOptions(sanitize=True)`` (check IDs ``X001``–``X005``).
+  ``OptimizeOptions(sanitize=True)`` (check IDs ``X001``–``X003`` and
+  ``X006``; ``X004`` and ``X005`` are retired).
 """
 
 from repro.lint.diagnostics import Diagnostic, LintReport, Severity

@@ -10,23 +10,20 @@ set.  After every applied substitution it
    engine (``X002``),
 3. rebuilds the static timing analysis from scratch and compares arrival
    times, gate delays, and the circuit delay exactly (``X003``),
-4. recomputes the batched observability masks and compares them against
-   the persistent candidate workspace (``X004``),
-5. revalidates every cached OS3/IS3 pair entry (its compatible tuples
-   and their activities) against a recomputation from its own stored
-   inputs (``X005``),
-6. compares the triage checker's followed simulation against a fresh
+4. compares the triage checker's followed simulation against a fresh
    simulation of the checker's own patterns, and every simulation
    state's cached rows and word matrix against its committed pattern ints
    (``X006``).
 
+``X004`` and ``X005`` are retired and not reused: the candidate
+workspace they checked now rebuilds its state every round.
+
 It is built over the optimizer's
 :class:`~repro.pipeline.OptimizationContext` and only *reads* the
-analyses there (the workspace's pending-edit queue is flushed, which is
-a pure reordering of work the next candidate round would do anyway), so
-a sanitized run applies a bit-identical move sequence to an unsanitized
-one.  On any finding it raises :class:`~repro.errors.LintError` naming
-the offending move, the rule ID, and the minimal repro context.
+analyses there, so a sanitized run applies a bit-identical move sequence
+to an unsanitized one.  On any finding it raises
+:class:`~repro.errors.LintError` naming the offending move, the rule ID,
+and the minimal repro context.
 
 The same checks are available between pipeline stages as the
 ``sanitize`` pass (:class:`repro.pipeline.SanitizePass`), which
@@ -37,12 +34,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-import numpy as np
-
 from repro.errors import LintError
 from repro.lint.diagnostics import Diagnostic, LintReport, Severity
 from repro.lint.rules import Rule, lint_netlist, resolve_rules
-from repro.netlist.observability import ObservabilityMaps
 from repro.netlist.simulate import SimState, covering_patterns
 from repro.power.probability import SimulationProbability
 from repro.timing.analysis import TimingAnalysis
@@ -55,8 +49,6 @@ if TYPE_CHECKING:  # pragma: no cover
 X_LINT = "X001"
 X_PROBABILITY = "X002"
 X_TIMING = "X003"
-X_OBSERVABILITY = "X004"
-X_PAIR_TABLE = "X005"
 X_FOLLOWED_SIM = "X006"
 
 
@@ -88,8 +80,6 @@ class TransformSanitizer:
             # alone rather than masking it with a secondary exception.
             findings.extend(self._check_probabilities())
             findings.extend(self._check_timing())
-            findings.extend(self._check_observability())
-            findings.extend(self._check_pair_tables())
             findings.extend(self._check_followed_simulation())
         move = str(applied.substitution)
         report = LintReport(
@@ -192,73 +182,6 @@ class TransformSanitizer:
                     f"!= rebuilt {fresh.circuit_delay!r}",
                 )
             )
-        return findings
-
-    def _check_observability(self) -> list[Diagnostic]:
-        workspace = self.ctx.peek("workspace")
-        if workspace is None:
-            return []
-        # Flush the accumulated per-move invalidations: the next candidate
-        # round would do exactly this, so it cannot change move selection.
-        workspace._flush_pending()
-        fresh = ObservabilityMaps(workspace.sim)
-        findings: list[Diagnostic] = []
-        for name, mask in fresh.stem.items():
-            if workspace.maps.stem.get(name) != mask:
-                findings.append(
-                    _finding(
-                        X_OBSERVABILITY,
-                        f"incremental observability mask of {name!r} "
-                        f"diverged from a full recomputation",
-                        gate=name,
-                    )
-                )
-        for name in workspace.maps.stem:
-            if name not in fresh.stem:
-                findings.append(
-                    _finding(
-                        X_OBSERVABILITY,
-                        f"observability map carries mask for dead gate "
-                        f"{name!r}",
-                        gate=name,
-                    )
-                )
-        return findings
-
-    def _check_pair_tables(self) -> list[Diagnostic]:
-        workspace = self.ctx.peek("workspace")
-        if workspace is None:
-            return []
-        library = workspace.netlist.library
-        findings: list[Diagnostic] = []
-        for key, entry in workspace._pair_cache.items():
-            target, _branch = key
-            if library is None or any(n not in library for n in entry.cells):
-                continue  # entry can never validate; dropped on next use
-            cells = [library[n] for n in entry.cells]
-            va, obs, rows, rows_next = workspace.pair_inputs(entry)
-            # The precompute's kernel, on a one-job batch.
-            (expected,) = workspace._pair_kernel(
-                rows[None],
-                None if rows_next is None else rows_next[None],
-                va[None],
-                obs[None],
-                cells,
-            )
-            cached = (entry.a, entry.b, entry.cell, entry.act)
-            if not all(
-                np.array_equal(got, want)
-                for got, want in zip(cached, expected)
-            ):
-                findings.append(
-                    _finding(
-                        X_PAIR_TABLE,
-                        f"cached pair entry for target {target!r} (sources "
-                        f"{list(entry.names)}) disagrees with recomputation "
-                        f"from its own inputs",
-                        gate=target,
-                    )
-                )
         return findings
 
     def _check_followed_simulation(self) -> list[Diagnostic]:

@@ -30,25 +30,16 @@ Masks, boolean differences and the committed values they read are
 Python-int pattern sets (:mod:`repro.kernels.bits`), so each recurrence
 step is one or two int operations.
 
-Masks stay valid across netlist edits through
-:meth:`ObservabilityMaps.update_after_edit`: a mask can only change if the
-edit touched the stem's transitive fanout, so the recompute set is the
-dirty gates, their direct sinks (whose boolean differences depend on the
-dirtied fanin words), and the transitive fanin of both.  Everything else
-keeps its existing mask.
+The maps describe one netlist and simulation state; after an edit the
+caller builds new maps (candidate generation does, every round).
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-
 from repro.errors import NetlistError
 from repro.netlist.netlist import Gate
 from repro.netlist.simulate import SimState
-from repro.netlist.traverse import (
-    topological_order,
-    transitive_fanin,
-)
+from repro.netlist.traverse import topological_order
 
 
 class ObservabilityMaps:
@@ -61,7 +52,9 @@ class ObservabilityMaps:
         self.stem: dict[str, int] = {}
         # Boolean differences, keyed (sink name, pin).
         self._bd: dict[tuple[str, int], int] = {}
-        self.recompute()
+        # One reverse-topological sweep: every sink's mask is final first.
+        for gate in reversed(topological_order(self.netlist)):
+            self.stem[gate.name] = self._stem_mask(gate)
 
     # ------------------------------------------------------------------
     # Queries
@@ -71,63 +64,6 @@ class ObservabilityMaps:
         if sink.is_input:
             raise NetlistError("primary inputs have no input branches")
         return self._bd_mask(sink, pin) & self.stem[sink.name]
-
-    # ------------------------------------------------------------------
-    # Full sweep
-    # ------------------------------------------------------------------
-    def recompute(self) -> None:
-        """Rebuild every stem mask in one reverse-topological sweep."""
-        self.stem.clear()
-        self._bd.clear()
-        for gate in reversed(topological_order(self.netlist)):
-            self.stem[gate.name] = self._stem_mask(gate)
-
-    # ------------------------------------------------------------------
-    # Incremental maintenance
-    # ------------------------------------------------------------------
-    def update_after_edit(self, dirty: Iterable[Gate]) -> set[str]:
-        """Refresh masks after a netlist edit; returns names whose mask changed.
-
-        ``dirty`` must contain every live gate whose committed value, fanin
-        list, fanout list, or primary-output binding changed (newly added
-        gates included).  Removed gates are detected by absence from the
-        netlist.
-        """
-        live = self.netlist.gates
-        for name in [n for n in self.stem if n not in live]:
-            del self.stem[name]
-        for key in [k for k in self._bd if k[0] not in live]:
-            del self._bd[key]
-
-        frontier: set[str] = set()
-        for gate in dirty:
-            if gate.name not in live:
-                continue
-            frontier.add(gate.name)
-            for sink, _pin in gate.fanouts:
-                frontier.add(sink.name)
-        if not frontier:
-            return set()
-        # Boolean differences of dirtied sinks are stale.
-        for key in [k for k in self._bd if k[0] in frontier]:
-            del self._bd[key]
-        # A stem mask depends only on the stem's transitive fanout, so the
-        # recompute set is the frontier plus everything upstream of it.
-        seeds = [live[name] for name in frontier]
-        recompute_ids = {id(g) for g in seeds}
-        recompute_ids.update(
-            id(g) for g in transitive_fanin(self.netlist, seeds)
-        )
-        changed: set[str] = set()
-        for gate in reversed(topological_order(self.netlist)):
-            if id(gate) not in recompute_ids:
-                continue
-            new = self._stem_mask(gate)
-            if self.stem.get(gate.name) == new:
-                continue
-            self.stem[gate.name] = new
-            changed.add(gate.name)
-        return changed
 
     # ------------------------------------------------------------------
     # Mask computation

@@ -2,8 +2,9 @@
 
 An :class:`OptimizationContext` owns one netlist plus every derived
 analysis the passes need — the probability engine, the power estimator,
-the delay constraint, static timing, and the persistent candidate
-workspace — under declared build/invalidate semantics:
+the delay constraint, static timing, and the candidate workspace (which
+rebuilds its own state every round, so edits need not reach it) — under
+declared build/invalidate semantics:
 
 - analyses are **built lazily**: ``ctx.get("estimator")`` constructs the
   estimator (and its prerequisite probability engine) on first use and

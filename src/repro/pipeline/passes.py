@@ -335,9 +335,9 @@ class SanitizePass(Pass):
 
     The pipeline-level counterpart of the per-move
     :class:`~repro.lint.sanitizer.TransformSanitizer`: structural lint
-    always runs; the probability/timing/observability/pair-table
-    rebuild comparisons run only for analyses earlier passes actually
-    built, so a clean pipeline pays nothing extra.  Read-only: raises
+    (X001) always runs; the probability (X002) and timing (X003) rebuild
+    comparisons run only for analyses earlier passes actually built, so
+    a clean pipeline pays nothing extra.  Read-only: raises
     :class:`~repro.errors.LintError` on the first divergence and never
     mutates the netlist or the analyses.
     """
@@ -361,10 +361,6 @@ class SanitizePass(Pass):
             if ctx.is_built("timing"):
                 findings.extend(checker._check_timing())
                 checked.append("timing")
-            if ctx.is_built("workspace"):
-                findings.extend(checker._check_observability())
-                findings.extend(checker._check_pair_tables())
-                checked.append("workspace")
         if findings:
             first = findings[0]
             report = LintReport(

@@ -93,8 +93,8 @@ class SimulationProbability(ProbabilityEngine):
         """Re-simulate the TFO of ``roots``; names whose words changed.
 
         A word can change while its popcount, and so the probability,
-        stays put.  Such a gate is reported too: its observability masks
-        and everything else read from the words are stale.
+        stays put; such a gate is reported too, and so are gates new to
+        the netlist.
         """
         changed: list[str] = []
         for gate in self.sim.resimulate_fanout(roots):

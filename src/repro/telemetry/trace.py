@@ -12,8 +12,8 @@ A :class:`RunTrace` pins everything the paper's value claims rest on:
   backtracks spent),
 - per-round candidate counts by class (OS2/IS2/OS3/IS3), short-list
   sizes, and rejection tallies,
-- run-level counters (ATPG calls/backtracks/aborts, workspace cache hit
-  rates) and phase wall-times.
+- run-level counters (ATPG calls/backtracks/aborts, the triage checker's
+  counters) and phase wall-times.
 
 Every field except the ``timers`` section is a pure function of
 (netlist, options), so two runs of the same build must produce

@@ -94,14 +94,6 @@ class Tracer:
         self.metrics.timer("total").stop()
         for phase, seconds in optimizer.phase_seconds.items():
             self.metrics.timer(f"phase.{phase}").add(seconds)
-        workspace = getattr(optimizer, "_workspace", None)
-        if workspace is not None:
-            self.metrics.counter("workspace_pair_cache_hits").increment(
-                workspace.pair_cache_hits
-            )
-            self.metrics.counter("workspace_pair_cache_misses").increment(
-                workspace.pair_cache_misses
-            )
         triage = getattr(optimizer, "triage_checker", None)
         if triage is not None:
             for name, value in triage.counters.items():

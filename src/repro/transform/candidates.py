@@ -23,28 +23,25 @@ A round runs a few array passes over all its targets.  One table holds
 every stem target, then every branch target, with its observability
 words, the gate whose fanout cone no source may be in, and its dying
 region.  Each fixed-size chunk of targets is tested against every stem at
-once; the OS2/IS2 singles and the cached OS3/IS3 pair entries are scored
+once; the OS2/IS2 singles and the round's OS3/IS3 pair entries are scored
 as flat arrays with ``quick_gain``'s float grouping, and one sort over
 (target, quick gain) finds each target's ``max_per_target``-th best gain,
 so only the entries that reach it become :class:`Candidate` objects.
 
-:class:`CandidateWorkspace` holds the expensive per-netlist state — the
-batched observability maps, the stem-value matrix, the stem-reachability
-matrix, and a content-validated cache of OS3/IS3 pair entries — and keeps
-it alive across optimizer rounds.  A pair entry holds only the compatible
-tuples: every ``a < b`` source pair with every insertion cell, and an
-asymmetric cell also with its pins swapped.  After a committed edit the
-caller reports the dirty gates via :meth:`CandidateWorkspace.invalidate`
-and only the affected observability masks are recomputed; everything
-derived from unchanged signals is reused.  Candidates themselves are
-re-enumerated every round in a fixed order so the emitted list is
-bit-identical to a from-scratch generation.
+:class:`CandidateWorkspace` builds a round's state from the committed
+simulation at the start of every round — the batched observability maps,
+the stem-value matrix, the stem-reachability matrix and the OS3/IS3 pair
+entries — and the next round reads none of it, so an edit never needs
+reporting.  A pair entry holds only the compatible tuples: every
+``a < b`` source pair with every insertion cell, and an asymmetric cell
+also with its pins swapped.  Candidates are enumerated in a fixed order,
+so the emitted list depends only on the netlist and its simulation.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -146,31 +143,12 @@ class Candidate:
         return self.gain.quick
 
 
-class _PairEntry(NamedTuple):
-    """One target's cached OS3/IS3 entry: its compatible tuples alone.
-
-    Tuple ``i`` inserts ``cells[cell[i]]`` with ranked source ``a[i]`` on
-    pin 0 and ``b[i]`` on pin 1; ``act[i]`` is the inserted gate's output
-    activity.  ``names`` (the ranked sources), ``cells`` and ``inputs``
-    validate the entry: ``inputs`` is the byte image of the words it was
-    computed from, read back by :meth:`CandidateWorkspace.pair_inputs`.
-    """
-
-    names: tuple[str, ...]
-    cells: tuple[str, ...]
-    inputs: bytes
-    a: np.ndarray
-    b: np.ndarray
-    cell: np.ndarray
-    act: np.ndarray
-
-
 @dataclass
 class _Targets:
     """One round's targets: every stem's output (rows ``:split``), then
     every branch of a multi-fanout stem, with what their moves share."""
 
-    #: Pair-cache key of each row: (target name, branch or None).
+    #: Each row's target name and branch (None for a stem target).
     keys: list[tuple[str, Optional[tuple[str, int]]]]
     #: Stem index of the target, and of the gate that no source may be or
     #: reach: the target itself, or the branch's sink.
@@ -187,12 +165,15 @@ class _Targets:
     #: ``(members, 2)`` dying-region members as (row, stem index), by row.
     region: np.ndarray
     split: int
-    #: The pair search's ranked sources of every row, flat, and each row's
-    #: start in them; set by the pair-table precompute.
+    #: The pair search's ranked sources of every row, flat, each row's
+    #: start in them, and each OS3/IS3 row's compatible ``(a, b, cell,
+    #: activity)`` tuples, ``a`` and ``b`` indexing the row's ranked
+    #: sources; set by the pair-table precompute.
     ranked: np.ndarray = field(default_factory=lambda: np.zeros(0, np.intp))
     rank_start: np.ndarray = field(
         default_factory=lambda: np.zeros(0, np.intp)
     )
+    pairs: list = field(default_factory=list)
 
     def sections(self) -> tuple[tuple[int, int, bool], ...]:
         """``(start, stop, is_branch)`` of the stem and branch rows."""
@@ -215,14 +196,13 @@ def _require_sim(estimator: PowerEstimator) -> SimulationProbability:
 
 
 class CandidateWorkspace:
-    """Persistent candidate-generation state shared across rounds.
+    """Candidate generation over one estimator's committed simulation.
 
-    Owns an :class:`ObservabilityMaps` over the estimator's committed
-    simulation.  Construction pays one full reverse sweep; afterwards the
-    optimizer calls :meth:`invalidate` with the dirty gates of each applied
-    move and the masks update incrementally.  :meth:`generate` enumerates
-    candidates against the current netlist in the same deterministic order
-    as a fresh workspace would.
+    Every :meth:`generate` rebuilds the round's state from the netlist
+    and the simulation as they stand — the :class:`ObservabilityMaps`
+    sweep, the word and reachability matrices, the pair entries — so the
+    caller reports no edits, and a round's pool equals a fresh
+    workspace's.
     """
 
     def __init__(self, estimator: PowerEstimator):
@@ -230,17 +210,6 @@ class CandidateWorkspace:
         self.netlist: Netlist = estimator.netlist
         self.engine = _require_sim(estimator)
         self.sim = self.engine.sim
-        self.maps = ObservabilityMaps(self.sim)
-        #: (target name, branch) -> content-validated pair entry.
-        self._pair_cache: dict[
-            tuple[str, Optional[tuple[str, int]]], _PairEntry
-        ] = {}
-        #: Lifetime tallies of pair-entry reuse, read by the run tracer.
-        self.pair_cache_hits = 0
-        self.pair_cache_misses = 0
-        #: Dirty gates accumulated since the last mask flush (by id: names
-        #: can be freed by one edit and reused by a later one).
-        self._pending: dict[int, Gate] = {}
         # Per-round state, rebuilt by _refresh_round().
         self.stems: list[Gate] = []
         self.index: dict[str, int] = {}
@@ -251,35 +220,7 @@ class CandidateWorkspace:
         self.act_order: np.ndarray = np.zeros(0, dtype=np.intp)
 
     # ------------------------------------------------------------------
-    def invalidate(self, dirty: list[Gate]) -> None:
-        """Report committed-netlist edits (values, fanins, fanouts, POs).
-
-        ``dirty`` must contain every live gate whose committed value,
-        fanin list, fanout list, or PO binding changed since the last
-        call — :meth:`AppliedSubstitution.dirty_gate_names` plus the
-        resimulation-changed gates.  Dead gates are detected by absence.
-
-        The masks are not recomputed here: edits accumulate and flush in
-        one batch at the next :meth:`generate`, so a round of applied
-        moves pays for one incremental sweep, not one per move.
-        """
-        for gate in dirty:
-            self._pending[id(gate)] = gate
-
-    def _flush_pending(self) -> None:
-        if not self._pending:
-            return
-        self.maps.update_after_edit(
-            [g for g in self._pending.values() if g.name in self.netlist.gates]
-        )
-        self._pending.clear()
-        live = self.netlist.gates
-        for key in [k for k in self._pair_cache if k[0] not in live]:
-            del self._pair_cache[key]
-
-    # ------------------------------------------------------------------
     def _refresh_round(self) -> None:
-        self._flush_pending()
         self.stems = list(topological_order(self.netlist))
         self.index = {g.name: i for i, g in enumerate(self.stems)}
         # The simulation's derived word matrix: its rows follow the packed
@@ -311,6 +252,7 @@ class CandidateWorkspace:
     def _target_table(self, options: "CandidateOptions") -> _Targets:
         """The round's targets, in the order every round enumerates them."""
         netlist, estimator, index = self.netlist, self.estimator, self.index
+        maps = ObservabilityMaps(self.sim)
         rows: list[tuple] = []
         if options.enable_os2 or options.enable_os3:
             for target in self.stems:
@@ -320,7 +262,7 @@ class CandidateWorkspace:
                 # share the region, its released power and the moved load.
                 region = dominated_region(netlist, target)
                 rows.append((
-                    target.name, None, target, self.maps.stem[target.name],
+                    target.name, None, target, maps.stem[target.name],
                     region_power(estimator, region), netlist.load_of(target),
                     -sum(g.cell.area for g in region if not g.is_input),
                     region,
@@ -336,7 +278,7 @@ class CandidateWorkspace:
                     moved = sink.cell.pins[pin].load
                     rows.append((
                         target.name, (sink.name, pin), sink,
-                        self.maps.branch(sink, pin),
+                        maps.branch(sink, pin),
                         moved * estimator.activity(target), moved, 0, [],
                     ))
         names, branches, avoid, obs, pg_a, moved, area, regions = (
@@ -368,56 +310,30 @@ class CandidateWorkspace:
 
         Returns ``(row, first, second, cell, activity)``: the row relative
         to ``lo``, the stems on pin 0 and pin 1, the cell's index in the
-        round's list and the inserted gate's activity.
-        :meth:`_precompute_pair_tables` validated or rebuilt every entry
-        the round reads.
+        round's list and the inserted gate's activity, from the entries
+        :meth:`_precompute_pair_tables` computed this round.
         """
-        entries = [self._pair_cache[key] for key in table.keys[lo:hi]]
-        row = np.repeat(
-            np.arange(hi - lo), [entry.act.size for entry in entries]
-        )
+        entries = table.pairs[lo:hi]
+        row = np.repeat(np.arange(hi - lo), [e[3].size for e in entries])
+        a, b, cell, act = (np.concatenate(column) for column in zip(*entries))
         start = table.rank_start[lo:hi][row]
-        ranked = table.ranked
-        return (
-            row,
-            ranked[start + np.concatenate([entry.a for entry in entries])],
-            ranked[start + np.concatenate([entry.b for entry in entries])],
-            np.concatenate([entry.cell for entry in entries]),
-            np.concatenate([entry.act for entry in entries]),
-        )
-
-    def pair_inputs(
-        self, entry: _PairEntry
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]:
-        """``(va, obs, rows, rows_next)`` an entry was computed from."""
-        words = np.frombuffer(entry.inputs, dtype=np.uint64).reshape(
-            -1, self.sim.nwords
-        )
-        k = len(entry.names)
-        rows_next = words[2 + k:] if self.matrix_next is not None else None
-        return words[0], words[1], words[2:2 + k], rows_next
+        return row, table.ranked[start + a], table.ranked[start + b], cell, act
 
     def _precompute_pair_tables(
         self, table: _Targets, cells: list, options: "CandidateOptions"
     ) -> None:
-        """Rank every OS3/IS3 row's sources; validate or rebuild its entry.
+        """Rank every OS3/IS3 row's sources and compute its entry.
 
         A row's sources are its first ``pair_source_limit`` legal stems in
         the round's activity order (low-activity signals make cheap
-        drivers).  An entry whose ranked names, cells and input words are
-        unchanged is reused; the rest are rebuilt by :meth:`_pair_kernel`
-        in batches of equal source count.
+        drivers).  :meth:`_pair_kernel` computes the entries in batches of
+        rows with equal source count.
         """
         limit = options.pair_source_limit
-        names = [g.name for g in self.stems]
-        cell_sig = tuple(cell.name for cell in cells)
-        width = self.matrix.itemsize * self.sim.nwords
-        va_bytes = self.matrix[table.tgt].tobytes()
-        obs_bytes = table.obs.tobytes()
         ranked_parts: list[np.ndarray] = []
         rank_start = np.zeros(len(table.keys), dtype=np.intp)
         offset = 0
-        stale: dict[int, list[tuple]] = {}
+        jobs: dict[int, list[tuple[int, np.ndarray]]] = {}
         for lo, hi, branch in table.sections():
             if not (options.enable_is3 if branch else options.enable_os3):
                 continue
@@ -434,49 +350,23 @@ class CandidateWorkspace:
                 bounds = np.searchsorted(
                     rank_row, np.arange(stop - start + 1)
                 ).tolist()
-                ranked_list = ranked.tolist()
-                source_bytes = self.matrix[ranked].tobytes()
-                next_bytes = (
-                    self.matrix_next[ranked].tobytes()
-                    if self.matrix_next is not None else b""
-                )
                 for r in range(stop - start):
-                    row = start + r
                     first, last = bounds[r], bounds[r + 1]
-                    rank_start[row] = offset + first
-                    key_names = tuple(
-                        [names[i] for i in ranked_list[first:last]]
-                    )
-                    inputs = b"".join((
-                        va_bytes[row * width:(row + 1) * width],
-                        obs_bytes[row * width:(row + 1) * width],
-                        source_bytes[first * width:last * width],
-                        next_bytes[first * width:last * width],
-                    ))
-                    key = table.keys[row]
-                    cached = self._pair_cache.get(key)
-                    if (
-                        cached is not None
-                        and cached.names == key_names
-                        and cached.cells == cell_sig
-                        and cached.inputs == inputs
-                    ):
-                        self.pair_cache_hits += 1
-                        continue
-                    self.pair_cache_misses += 1
-                    stale.setdefault(last - first, []).append(
-                        (key, key_names, inputs, row, ranked[first:last])
+                    rank_start[start + r] = offset + first
+                    jobs.setdefault(last - first, []).append(
+                        (start + r, ranked[first:last])
                     )
                 offset += ranked.size
         if ranked_parts:
             table.ranked = np.concatenate(ranked_parts)
         table.rank_start = rank_start
-        for k, jobs in stale.items():
-            for start in range(0, len(jobs), _PAIR_BATCH):
-                batch = jobs[start:start + _PAIR_BATCH]
-                sources = np.array([job[4] for job in batch])
+        table.pairs = [None] * len(table.keys)
+        for k, group in jobs.items():
+            for start in range(0, len(group), _PAIR_BATCH):
+                batch = group[start:start + _PAIR_BATCH]
+                rows = [row for row, _sources in batch]
+                sources = np.array([src for _row, src in batch])
                 sources = sources.reshape(len(batch), k)
-                rows = [job[3] for job in batch]
                 entries = self._pair_kernel(
                     self.matrix[sources],
                     None if self.matrix_next is None
@@ -485,12 +375,8 @@ class CandidateWorkspace:
                     table.obs[rows],
                     cells,
                 )
-                for (key, key_names, inputs, _row, _src), entry in zip(
-                    batch, entries
-                ):
-                    self._pair_cache[key] = _PairEntry(
-                        key_names, cell_sig, inputs, *entry
-                    )
+                for row, entry in zip(rows, entries):
+                    table.pairs[row] = entry
 
     def _pair_kernel(
         self,

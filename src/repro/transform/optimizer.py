@@ -103,8 +103,8 @@ class OptimizeOptions:
     max_rounds: int = 50
     #: Diagnostics mode (slow; for tests): after every move run the
     #: :mod:`repro.lint` rule pack and cross-check every incremental
-    #: structure (simulation values, probabilities, STA, observability
-    #: maps, pair tables) against from-scratch rebuilds, raising
+    #: structure (simulation values, probabilities, STA, the triage
+    #: checker's followed simulation) against from-scratch rebuilds, raising
     #: :class:`~repro.errors.LintError` with the offending move and rule
     #: ID on any divergence.  Read-only: the applied move sequence is
     #: bit-identical to an unsanitized run.
@@ -417,11 +417,6 @@ class PowerOptimizer:
     def timing(self):
         return self.ctx.timing
 
-    @property
-    def _workspace(self):
-        """The persistent candidate workspace, ``None`` until first built."""
-        return self.ctx.peek("workspace")
-
     # ------------------------------------------------------------------
     # Figure-5 primitives
     # ------------------------------------------------------------------
@@ -534,20 +529,17 @@ class PowerOptimizer:
             for name in applied.resim_roots
             if name in self.netlist.gates
         ]
-        changed = self.estimator.update_after_edit(roots)
+        self.estimator.update_after_edit(roots)
         triage = self.triage_checker
         if triage is not None:
             # The triage simulation follows the move from the same roots.
             triage.update_after_edit(roots, version)
-        dirty = dict.fromkeys(applied.dirty_gate_names(self.netlist))
-        for name in changed:
-            if name in self.netlist.gates:
-                dirty.setdefault(name)
-        dirty_gates = [self.netlist.gate(n) for n in dirty]
-        self.timing.update_after_edit(dirty_gates)
-        workspace = self._workspace
-        if workspace is not None:
-            workspace.invalidate(dirty_gates)
+        # Delays depend on structure alone, so the STA is told only the
+        # structurally edited gates.
+        self.timing.update_after_edit([
+            self.netlist.gate(name)
+            for name in applied.dirty_gate_names(self.netlist)
+        ])
         if self.sanitizer is not None:
             self.sanitizer.after_move(applied, len(self.moves) + 1)
         record = MoveRecord(

@@ -15,8 +15,6 @@ from repro.netlist.blif import parse_blif_file
 from repro.lint.sanitizer import (
     X_FOLLOWED_SIM,
     X_LINT,
-    X_OBSERVABILITY,
-    X_PAIR_TABLE,
     X_PROBABILITY,
     X_TIMING,
 )
@@ -143,36 +141,6 @@ class TestCorruptionDetection:
         name = next(g.name for g in h.netlist.logic_gates())
         h.optimizer.timing.arrival[name] += 1.0
         h.expect(X_TIMING)
-
-    def test_x004_corrupted_observability_mask(self):
-        h = _Harness()
-        workspace = h.optimizer._workspace
-        name = next(g.name for g in h.netlist.logic_gates())
-        workspace.maps.stem[name] ^= workspace.sim.full
-        h.expect(X_OBSERVABILITY)
-
-    def test_x005_corrupted_pair_table(self):
-        # A flipped activity and a dropped tuple are both caught.
-        for corrupt in ("activity", "tuple"):
-            h = _Harness()
-            workspace = h.optimizer._workspace
-            assert workspace._pair_cache, "expected cached OS3/IS3 entries"
-            key, entry = next(
-                (key, entry)
-                for key, entry in workspace._pair_cache.items()
-                if entry.act.size
-            )
-            if corrupt == "activity":
-                act = entry.act.copy()
-                act[0] = 1.0 - act[0] if act[0] != 0.5 else 0.25
-                entry = entry._replace(act=act)
-            else:
-                entry = entry._replace(
-                    a=entry.a[1:], b=entry.b[1:], cell=entry.cell[1:],
-                    act=entry.act[1:],
-                )
-            workspace._pair_cache[key] = entry
-            h.expect(X_PAIR_TABLE)
 
     def test_x002_value_for_dead_gate(self):
         h = _Harness()

@@ -125,7 +125,7 @@ class TestSanitizePass:
         ctx.get("workspace")
         assert (
             SanitizePass().run(ctx).details["checked"]
-            == "lint,probability,timing,workspace"
+            == "lint,probability,timing"
         )
 
     def test_corrupted_probability_detected(self, lib):

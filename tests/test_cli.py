@@ -383,8 +383,14 @@ class TestTraceCommands:
     def test_unreadable_trace_reports_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{oops")
-        assert main(["trace", "show", str(bad)]) == 1
-        assert "cannot read" in capsys.readouterr().out
+        assert main(["trace", "show", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "cannot read" in captured.err
+        # diff exits 1 on differing traces, so an unreadable one is 2.
+        assert main(["trace", "diff", str(bad), str(bad)]) == 2
+        assert "cannot read" in capsys.readouterr().err
 
 
 class TestLintCommand:
@@ -446,7 +452,9 @@ class TestLintCommand:
 
     def test_missing_netlist_is_usage_error(self, capsys):
         assert main(["lint"]) == 2
-        assert "required" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "required" in captured.err
 
     def test_warning_finding_and_fail_on(self, dangling_blif, capsys):
         # Warnings alone do not fail the default (error) threshold...
@@ -530,7 +538,9 @@ class TestPipelineCommand:
 
     def test_missing_netlist_is_usage_error(self, capsys):
         assert main(["pipeline", "run"]) == 2
-        assert "required" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "required" in captured.err
 
     def test_invalid_spec_reports_position(self, mapped_blif, capsys):
         assert (
@@ -542,15 +552,19 @@ class TestPipelineCommand:
             )
             == 2
         )
-        out = capsys.readouterr().out
-        assert "invalid pipeline spec" in out and "column 7" in out
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "column 7" in captured.err
 
     def test_unknown_pass_is_usage_error(self, mapped_blif, capsys):
         assert (
             main(["pipeline", "run", str(mapped_blif), "--spec", "polish"])
             == 2
         )
-        assert "unknown pass" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unknown pass 'polish'" in captured.err
 
     def test_run_spec_writes_outputs(self, mapped_blif, tmp_path, capsys):
         out_blif = tmp_path / "opt.blif"
@@ -589,8 +603,9 @@ class TestLintAnalysisFlags:
         assert (
             main(["lint", str(mapped_blif), "--select", "S003,BOGUS"]) == 2
         )
-        out = capsys.readouterr().out
-        assert "unknown rule ID 'BOGUS'" in out
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unknown rule ID 'BOGUS'" in captured.err
 
     def test_explain_prints_docstring_and_severity(self, capsys):
         assert main(["lint", "--explain", "S003"]) == 0
@@ -606,7 +621,9 @@ class TestLintAnalysisFlags:
 
     def test_explain_unknown_rule_exits_two(self, capsys):
         assert main(["lint", "--explain", "S999"]) == 2
-        assert "unknown rule ID" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unknown rule ID" in captured.err
 
     def test_facts_flag_enables_s_rules(self, mapped_blif, capsys):
         assert (
