@@ -661,7 +661,7 @@ def _cmd_serve(args) -> int:
         )
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
-        return 1
+        return 2
     server = PowderServer(config)
     try:
         asyncio.run(server.run(install_signal_handlers=True))

@@ -10,18 +10,19 @@ Electrical data follows the paper's linear model:
   the capacitance driven by the gate output.
 
 A :class:`Library` is a named collection of cells with convenience lookups
-used by the mapper (cells by input count, canonical-function index) and by
-the optimizer (cheapest 2-input gate of a given function).
+used by the mapper (cells by input count, exact-function and permutation
+indexes) and by the optimizer (cheapest 2-input gate of a given function).
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
+from itertools import permutations
 
 from repro.errors import LibraryError
 from repro.logic.expr import Expr, parse_expression
-from repro.logic.truthtable import TruthTable
+from repro.logic.truthtable import TruthTable, permutation_rows
 
 
 @dataclass(frozen=True)
@@ -124,6 +125,7 @@ class Library:
         self._inverter_cache = None
         self._npn_index_cache = None
         self._function_index_cache: dict[int | None, dict] = {}
+        self._match_index_cache: dict[int, dict] = {}
         self._insertion_cache = None
 
     def __contains__(self, name: str) -> bool:
@@ -253,6 +255,61 @@ class Library:
             existing = index.get(key)
             if existing is None or cell.area < existing.area:
                 index[key] = cell
+        caches[max_inputs] = index
+        return index
+
+    def match_index(
+        self, max_inputs: int
+    ) -> dict[tuple[int, int], tuple[tuple[Cell, tuple[int, ...], bool], ...]]:
+        """Every cell match of a function, over all input permutations.
+
+        Maps ``(nvars, bits)`` to ``(cell, perm, negated)`` triples: the
+        :meth:`function_index` cell equals ``TruthTable(nvars,
+        bits).permute(perm)``, complemented when ``negated``.  Triples are
+        in :func:`itertools.permutations` order of ``perm``, un-negated
+        first.  Constant functions and functions with a vacuous input
+        have no key: a smaller cut covers them.  Exhaustive over
+        ``nvars!`` permutations per cell, so meant for mapper-sized
+        widths.
+        """
+        caches = getattr(self, "_match_index_cache", None)
+        if caches is None:
+            caches = {}
+            self._match_index_cache = caches
+        cached = caches.get(max_inputs)
+        if cached is not None:
+            return cached
+        ranked: dict[tuple[int, int], list] = {}
+        rows_by_arity: dict[int, list] = {}
+        for (nvars, bits), cell in self.function_index(max_inputs).items():
+            if len(cell.function.support()) != nvars:
+                continue
+            perm_rows = rows_by_arity.get(nvars)
+            if perm_rows is None:
+                perm_rows = [
+                    (perm, permutation_rows(perm))
+                    for perm in permutations(range(nvars))
+                ]
+                rows_by_arity[nvars] = perm_rows
+            full = TruthTable.constant(True, nvars).bits
+            for rank, (perm, rows) in enumerate(perm_rows):
+                # Row m of the cell's table is row rows[m] of the
+                # function that permute(perm) carries onto it.
+                source = 0
+                for minterm, row in enumerate(rows):
+                    if bits >> minterm & 1:
+                        source |= 1 << row
+                for negated, key_bits in ((False, source), (True, source ^ full)):
+                    ranked.setdefault((nvars, key_bits), []).append(
+                        (rank, negated, cell, perm)
+                    )
+        index = {
+            key: tuple(
+                (cell, perm, negated)
+                for _, negated, cell, perm in sorted(entries, key=lambda e: e[:2])
+            )
+            for key, entries in ranked.items()
+        }
         caches[max_inputs] = index
         return index
 

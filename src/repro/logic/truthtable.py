@@ -38,6 +38,23 @@ def _var_pattern(var: int, nvars: int) -> int:
     return bits
 
 
+def permutation_rows(mapping: Sequence[int]) -> tuple[int, ...]:
+    """Row sources of an input permutation (``mapping[new] = old``).
+
+    Entry ``m`` is the minterm of the original function that row ``m`` of
+    :meth:`TruthTable.permute` reads: bit ``new`` of ``m`` lands on bit
+    ``mapping[new]``.
+    """
+    rows = []
+    for minterm in range(1 << len(mapping)):
+        src = 0
+        for new, old in enumerate(mapping):
+            if (minterm >> new) & 1:
+                src |= 1 << old
+        rows.append(src)
+    return tuple(rows)
+
+
 class TruthTable:
     """Immutable truth table of a Boolean function on ``nvars`` inputs."""
 
@@ -252,11 +269,7 @@ class TruthTable:
         if sorted(mapping) != list(range(self.nvars)):
             raise LogicError(f"not a permutation of {self.nvars} vars: {mapping}")
         bits = 0
-        for minterm in range(self.nrows):
-            src = 0
-            for new, old in enumerate(mapping):
-                if (minterm >> new) & 1:
-                    src |= 1 << old
+        for minterm, src in enumerate(permutation_rows(mapping)):
             if (self.bits >> src) & 1:
                 bits |= 1 << minterm
         return TruthTable(self.nvars, bits)

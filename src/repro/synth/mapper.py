@@ -4,9 +4,9 @@ The mapper covers an AND2/INV subject graph with library cells:
 
 1. **Cut enumeration** — k-feasible cuts per node (k = largest library cell
    arity, capped), pruned to a per-node budget with dominated cuts removed.
-2. **Matching** — each cut's local function (a small truth table over its
-   leaves) is looked up in a function-indexed view of the library over all
-   leaf permutations.
+2. **Matching** — each cut's local function (an integer truth table over
+   its leaves) is one lookup in the library's permutation index
+   (:meth:`~repro.library.cell.Library.match_index`).
 3. **Covering** — dynamic programming over both polarities of every node
    (``best[n][phase]``), with inverter bridging between phases, so purely
    NAND/NOR libraries map cleanly.  Costs are *area* (cell area) or
@@ -22,7 +22,6 @@ is not de-duplicated during DP), which is how SIS-era mappers behaved.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Optional
 
 from repro.errors import MappingError
@@ -76,19 +75,18 @@ class _Mapper:
             options.cut_size,
             max((c.num_inputs for c in library.matchable_cells()), default=2),
         )
-        self.function_index = self._build_function_index()
-        self._match_cache: dict[tuple[int, int], tuple] = {}
+        self.match_index = library.match_index(self.k)
+        # Per cut width n: the truth-table bits of x_0 .. x_{n-1}, and of 1.
+        self._variables = [
+            tuple(TruthTable.variable(i, n).bits for i in range(n))
+            for n in range(self.k + 1)
+        ]
+        self._full = [TruthTable.constant(True, n).bits for n in range(self.k + 1)]
         self.inverter = library.inverter()
         self.live = graph.reachable_from_outputs()
         self.activity = self._node_activities() if options.mode == POWER else None
 
     # ------------------------------------------------------------------
-    def _build_function_index(self) -> dict[tuple[int, int], Cell]:
-        # The library's shared capability query; semantics (cheapest per
-        # exact function, first-in-matchable-order wins ties) are pinned
-        # by tests so the historical covers stay bit-identical.
-        return self.library.function_index(max_inputs=self.k)
-
     def _node_activities(self) -> dict[int, float]:
         from repro.netlist.simulate import random_patterns
 
@@ -110,111 +108,80 @@ class _Mapper:
     # ------------------------------------------------------------------
     def _enumerate_cuts(self) -> dict[int, list[tuple[int, ...]]]:
         cuts: dict[int, list[tuple[int, ...]]] = {}
+        # The same cuts as leaf sets, for one-union merges and the
+        # dominance test.
+        leaf_sets: dict[int, list[frozenset[int]]] = {}
         limit = self.options.max_cuts_per_node
         for node in self.live:
             kind = self.graph.kind[node]
             if kind in (PI, CONST0):
                 cuts[node] = [(node,)]
+                leaf_sets[node] = [frozenset((node,))]
                 continue
             fanins = self.graph.fanin[node]
             if kind == INV:
-                merged = [cut for cut in cuts[fanins[0]]]
+                merged = dict(zip(cuts[fanins[0]], leaf_sets[fanins[0]]))
             else:
-                merged = []
-                for ca in cuts[fanins[0]]:
-                    for cb in cuts[fanins[1]]:
-                        union = tuple(sorted(set(ca) | set(cb)))
+                unions: dict[frozenset[int], None] = {}
+                right = leaf_sets[fanins[1]]
+                for left in leaf_sets[fanins[0]]:
+                    for other in right:
+                        union = left | other
                         if len(union) <= self.k:
-                            merged.append(union)
-            merged.append((node,))
-            # Deduplicate, drop dominated cuts, keep the smallest.
-            unique = sorted(set(merged), key=lambda c: (len(c), c))
+                            unions[union] = None
+                merged = {tuple(sorted(union)): union for union in unions}
+            merged[(node,)] = frozenset((node,))
+            # Drop dominated cuts, keep the smallest: (len, cut) order.
+            order = sorted(merged)
+            order.sort(key=len)
             kept: list[tuple[int, ...]] = []
-            for cut in unique:
-                cut_set = set(cut)
-                if any(set(other) <= cut_set for other in kept):
+            kept_sets: list[frozenset[int]] = []
+            for cut in order:
+                leaves = merged[cut]
+                if any(map(leaves.issuperset, kept_sets)):
                     continue
                 kept.append(cut)
+                kept_sets.append(leaves)
                 if len(kept) >= limit:
                     break
             cuts[node] = kept
+            leaf_sets[node] = kept_sets
         return cuts
 
-    def _cut_function(self, node: int, cut: tuple[int, ...]) -> TruthTable:
-        """Local function of ``node`` over the cut leaves."""
-        leaf_index = {leaf: i for i, leaf in enumerate(cut)}
-        n = len(cut)
-        memo: dict[int, TruthTable] = {}
+    def _cut_function(self, node: int, cut: tuple[int, ...]) -> int:
+        """Truth-table bits of ``node``'s local function over the cut leaves."""
+        values = dict(zip(cut, self._variables[len(cut)]))
+        full = self._full[len(cut)]
+        kind = self.graph.kind
+        fanin = self.graph.fanin
 
-        def build(current: int) -> TruthTable:
-            if current in leaf_index:
-                return TruthTable.variable(leaf_index[current], n)
-            cached = memo.get(current)
-            if cached is not None:
-                return cached
-            kind = self.graph.kind[current]
-            if kind == CONST0:
-                result = TruthTable.constant(False, n)
-            elif kind == INV:
-                result = ~build(self.graph.fanin[current][0])
-            elif kind == AND2:
-                a, b = self.graph.fanin[current]
-                result = build(a) & build(b)
+        def build(current: int) -> int:
+            value = values.get(current)
+            if value is not None:
+                return value
+            current_kind = kind[current]
+            if current_kind == AND2:
+                a, b = fanin[current]
+                value = build(a) & build(b)
+            elif current_kind == INV:
+                value = build(fanin[current][0]) ^ full
+            elif current_kind == CONST0:
+                value = 0
             else:
                 raise MappingError(f"cut leaves exclude PI node {current}")
-            memo[current] = result
-            return result
+            values[current] = value
+            return value
 
         return build(node)
 
-    def _function_matches(
-        self, nvars: int, bits: int
-    ) -> tuple[tuple[object, tuple[int, ...], bool], ...]:
-        """(cell, permutation, negated) triples for one cut function.
-
-        Memoised per distinct function — most cuts in a circuit share a
-        handful of functions, so the ``nvars!`` permutation sweep runs once
-        per function instead of once per cut.
-        """
-        cached = self._match_cache.get((nvars, bits))
-        if cached is not None:
-            return cached
-        base = TruthTable(nvars, bits)
-        found = []
-        seen: set[tuple[str, tuple[int, ...], bool]] = set()
-        for perm in permutations(range(nvars)):
-            table = base.permute(perm)
-            for negated, tbits in ((False, table.bits), (True, (~table).bits)):
-                cell = self.function_index.get((nvars, tbits))
-                if cell is None:
-                    continue
-                key = (cell.name, perm, negated)
-                if key in seen:
-                    continue
-                seen.add(key)
-                found.append((cell, perm, negated))
-        result = tuple(found)
-        self._match_cache[(nvars, bits)] = result
-        return result
-
-    def _matches(self, node: int, cut: tuple[int, ...]) -> list[tuple[_Match, bool]]:
-        """(match, negated) pairs: cell computes the cut function or its
-        complement over some leaf permutation."""
+    def _matches(
+        self, node: int, cut: tuple[int, ...]
+    ) -> tuple[tuple[Cell, tuple[int, ...], bool], ...]:
+        """(cell, perm, negated) triples: the cell computes the cut function,
+        or its complement, on leaves ``cut[perm[0]], cut[perm[1]], ...``."""
         if len(cut) == 1 and cut[0] == node:
-            return []  # trivial cut: identity, never a cell
-        base = self._cut_function(node, cut)
-        if base.is_constant():
-            return []
-        # Skip cuts with vacuous leaves: a smaller cut covers this case.
-        if len(base.support()) != len(cut):
-            return []
-        found: list[tuple[_Match, bool]] = []
-        for cell, perm, negated in self._function_matches(
-            len(cut), base.bits
-        ):
-            leaves = tuple(cut[perm[i]] for i in range(len(cut)))
-            found.append((_Match(cell, leaves), negated))
-        return found
+            return ()  # trivial cut: identity, never a cell
+        return self.match_index.get((len(cut), self._cut_function(node, cut)), ())
 
     # ------------------------------------------------------------------
     # Cost model
@@ -285,15 +252,16 @@ class _Mapper:
             for phase in (0, 1):
                 best_cost[(node, phase)] = INF
             for cut in cuts[node]:
-                for match, negated in self._matches(node, cut):
+                for cell, perm, negated in self._matches(node, cut):
+                    leaves = tuple(map(cut.__getitem__, perm))
                     phase = 1 if negated else 0
                     cost = self._combine_leaf_costs(
-                        self._cell_cost(match.cell, match.leaves),
-                        [best_cost[(leaf, 0)] for leaf in match.leaves],
+                        self._cell_cost(cell, leaves),
+                        [best_cost[(leaf, 0)] for leaf in leaves],
                     )
                     if cost < best_cost[(node, phase)]:
                         best_cost[(node, phase)] = cost
-                        best_choice[(node, phase)] = match
+                        best_choice[(node, phase)] = _Match(cell, leaves)
             # Inverter bridging between phases (one relaxation suffices).
             for phase in (0, 1):
                 bridged = best_cost[(node, 1 - phase)] + self._inverter_cost(node)

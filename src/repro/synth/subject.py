@@ -132,7 +132,11 @@ class SubjectGraph:
 
         ``env`` maps variable names to existing graph nodes — used when the
         expression is defined over internal signals (multi-level input).
+        A sub-expression object shared within ``expr`` is decomposed once.
         """
+        return self._add_expr(expr, env, {})
+
+    def _add_expr(self, expr: Expr, env: Optional[dict], memo: dict) -> int:
         if expr.kind == CONST:
             return self.const1() if expr.value else self.const0()
         if expr.kind == VAR:
@@ -142,16 +146,25 @@ class SubjectGraph:
             if node is None:
                 node = self.add_pi(expr.name)
             return node
-        children = [self.add_expr(c, env) for c in expr.children]
+        # Keyed by identity: Expr hashes structurally, which re-walks the
+        # very sharing the memo is for.  The caller holds ``expr``, so no
+        # id is reused during the walk.
+        node = memo.get(id(expr))
+        if node is not None:
+            return node
+        children = [self._add_expr(c, env, memo) for c in expr.children]
         if expr.kind == NOT:
-            return self.mk_inv(children[0])
-        if expr.kind == AND:
-            return self.mk_tree(self.mk_and, children)
-        if expr.kind == OR:
-            return self.mk_tree(self.mk_or, children)
-        if expr.kind == XOR:
-            return self.mk_tree(self.mk_xor, children)
-        raise NetlistError(f"unknown expression kind {expr.kind!r}")
+            node = self.mk_inv(children[0])
+        elif expr.kind == AND:
+            node = self.mk_tree(self.mk_and, children)
+        elif expr.kind == OR:
+            node = self.mk_tree(self.mk_or, children)
+        elif expr.kind == XOR:
+            node = self.mk_tree(self.mk_xor, children)
+        else:
+            raise NetlistError(f"unknown expression kind {expr.kind!r}")
+        memo[id(expr)] = node
+        return node
 
     # ------------------------------------------------------------------
     # Queries

@@ -17,7 +17,8 @@ def pytest_addoption(parser):
         action="store_true",
         default=False,
         help="regenerate the committed golden run traces under "
-        "tests/telemetry/golden/ instead of comparing against them",
+        "tests/telemetry/golden/ and the mapped-cover fingerprints in "
+        "tests/synth/mapped_covers.json instead of comparing against them",
     )
 
 

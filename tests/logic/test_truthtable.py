@@ -166,6 +166,17 @@ class TestStructure:
             inverse[old] = new
         assert t.permute(perm).permute(tuple(inverse)) == t
 
+    @given(tables(4), st.randoms(use_true_random=False))
+    def test_permute_reads_the_mapped_inputs(self, t, rng):
+        perm = list(range(t.nvars))
+        rng.shuffle(perm)
+        permuted = t.permute(perm)
+        for inputs in all_minterms(t.nvars):
+            original = [0] * t.nvars
+            for new, old in enumerate(perm):
+                original[old] = inputs[new]
+            assert permuted.evaluate(inputs) == t.evaluate(original)
+
     def test_permute_rejects_non_permutation(self):
         with pytest.raises(LogicError):
             TruthTable(2, 0).permute((0, 0))

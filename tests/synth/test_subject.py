@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.logic.expr import parse_expression
+from repro.logic.expr import Expr, parse_expression
 from repro.netlist.simulate import exhaustive_patterns
 from repro.synth.subject import AND2, CONST0, INV, PI, SubjectGraph
 
@@ -91,6 +91,31 @@ class TestFromExpr:
         n1 = g.add_expr(e1)
         n2 = g.add_expr(e2)
         assert n1 == n2
+
+    def test_shared_subexpressions_are_decomposed_once(self):
+        # Each level reads the previous one twice, as the multiplier's
+        # sum and carry share their column operands: walking every
+        # occurrence would take 2**depth visits of the first level.
+        depth = 16
+        expr = Expr.var("a")
+        for i in range(depth):
+            expr = Expr.or_(
+                Expr.and_(expr, Expr.var(f"b{i}")),
+                Expr.and_(expr, Expr.var(f"c{i}")),
+            )
+        g = SubjectGraph()
+        calls = 0
+        mk_and = g.mk_and
+
+        def counting_mk_and(a, b):
+            nonlocal calls
+            calls += 1
+            return mk_and(a, b)
+
+        g.mk_and = counting_mk_and
+        g.add_expr(expr)
+        assert calls == 3 * depth
+        assert g.num_ands() == 3 * depth
 
 
 class TestQueries:

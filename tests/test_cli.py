@@ -205,6 +205,17 @@ class TestUtilityCommands:
         assert "nope.blif" in captured.err
         assert captured.err.count("\n") == 1
 
+    def test_serve_rejects_a_bad_setting_with_exit_2(self, monkeypatch, capsys):
+        import repro.serve
+
+        def no_server(*_args, **_kwargs):
+            raise AssertionError("a rejected setting must not start a server")
+
+        monkeypatch.setattr(repro.serve, "PowderServer", no_server)
+        assert main(["serve", "--workers", "0", "--port", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: workers must be >= 1, got 0\n"
+
     def test_atpg_report(self, mapped_blif, capsys):
         assert main(["atpg", str(mapped_blif), "--patterns", "256"]) == 0
         out = capsys.readouterr().out
