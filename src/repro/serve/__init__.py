@@ -26,6 +26,7 @@ from repro.serve.server import PowderServer, ServerConfig
 from repro.serve.worker import (
     AttemptOutcome,
     StreamingTracer,
+    WorkerSlot,
     execute_jobspec,
     run_attempt,
 )
@@ -49,6 +50,7 @@ __all__ = [
     "StreamingTracer",
     "TERMINAL_STATES",
     "TIMEOUT",
+    "WorkerSlot",
     "canonicalize_job",
     "execute_jobspec",
     "run_attempt",

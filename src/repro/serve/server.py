@@ -1,9 +1,9 @@
 """The long-running optimization service behind ``powder serve``.
 
 One asyncio event loop owns all bookkeeping (jobs, queue, cache,
-metrics); optimizer work happens in forked worker processes driven from
-a bounded thread pool, so the loop stays responsive no matter what a job
-does.  The moving parts:
+metrics); optimizer work happens in long-lived forked worker processes
+driven from a bounded thread pool, so the loop stays responsive no
+matter what a job does.  The moving parts:
 
 - **Submission** (``POST /jobs``): the payload is canonicalized off-loop
   (:mod:`repro.serve.jobspec`), then either served from the completed-
@@ -13,19 +13,24 @@ does.  The moving parts:
   backpressure is explicit, never a hang.
 - **Worker pool**: ``workers`` consumer tasks pull executions in
   (priority, arrival) order and run them via
-  :func:`repro.serve.worker.run_attempt` — one ``fork`` process per
-  attempt with a monotonic deadline, a cancellation flag, and a bounded
-  crash-retry budget.
+  :func:`repro.serve.worker.run_attempt` on their own
+  :class:`~repro.serve.worker.WorkerSlot` — one worker process per slot,
+  forked on the slot's first attempt and kept for the jobs after it —
+  with a monotonic deadline, a cancellation flag, and a bounded
+  crash-retry budget.  A timeout, cancellation or crash replaces the
+  slot's worker.
 - **Progress** (``GET /jobs/<id>/events``): per-round PR-4 telemetry
   events stream as NDJSON the moment the worker reports them, ending
   with the terminal state event.
 - **Observability** (``GET /metrics``): queue depth, per-state job
-  tallies, cache hit rate, and per-phase latencies, built on the
-  :class:`repro.telemetry.Metrics` registry.
+  tallies, cache hit rate, per-phase latencies and worker forks
+  (``worker_spawns``), built on the :class:`repro.telemetry.Metrics`
+  registry.
 - **Lint-as-a-service** (``POST /lint``): the PR-2 rule registry over a
   submitted BLIF, structured findings back.
 - **Graceful shutdown** (``POST /shutdown``, SIGINT/SIGTERM): stop
-  accepting, drain every accepted job to a terminal state, then close.
+  accepting, drain every accepted job to a terminal state, close, then
+  stop and reap every worker process.
 
 Nothing a client sends can kill a worker slot: malformed requests are
 rejected before queueing with structured 4xx bodies, deterministic
@@ -65,7 +70,7 @@ from repro.serve.jobs import (
 )
 from repro.serve.jobspec import canonicalize_job, server_library
 from repro.serve.stats import LatencyWindow
-from repro.serve.worker import run_attempt
+from repro.serve.worker import WorkerSlot, run_attempt
 from repro.telemetry import Metrics
 from repro.telemetry.trace import deterministic_json
 
@@ -77,7 +82,8 @@ class ServerConfig:
     host: str = "127.0.0.1"
     #: 0 binds an ephemeral port (read it back from ``server.port``).
     port: int = 0
-    #: Concurrent worker processes (and the queue-consumer task count).
+    #: Worker slots: queue-consumer tasks, each with one long-lived worker
+    #: process forked on its first job.
     workers: int = 2
     #: Completed-result LRU capacity (entries).
     cache_entries: int = 256
@@ -133,6 +139,7 @@ class PowderServer:
         self._shutdown_done = asyncio.Event()
         self._shutdown_task: Optional[asyncio.Task] = None
         self._worker_tasks: list[asyncio.Task] = []
+        self._slots = [WorkerSlot() for _ in range(self.config.workers)]
         self._running_count = 0
         self._latencies = LatencyWindow()
         self._worker_pool = ThreadPoolExecutor(
@@ -158,10 +165,10 @@ class PowderServer:
             limit=64 * 1024,
         )
         self.port = self._server.sockets[0].getsockname()[1]
-        for index in range(self.config.workers):
+        for index, slot in enumerate(self._slots):
             self._worker_tasks.append(
                 asyncio.create_task(
-                    self._worker_loop(), name=f"powder-worker-{index}"
+                    self._worker_loop(slot), name=f"powder-worker-{index}"
                 )
             )
         self._log(
@@ -231,6 +238,8 @@ class PowderServer:
             self._server.close()
             await self._server.wait_closed()
         self._worker_pool.shutdown(wait=True)
+        for slot in self._slots:
+            slot.stop()
         self._log("shutdown complete")
         self._shutdown_done.set()
 
@@ -244,7 +253,7 @@ class PowderServer:
     # ------------------------------------------------------------------
     # Queue consumers
     # ------------------------------------------------------------------
-    async def _worker_loop(self) -> None:
+    async def _worker_loop(self, slot: WorkerSlot) -> None:
         while True:
             _priority, _seq, execution = await self.queue.get()
             try:
@@ -253,7 +262,7 @@ class PowderServer:
                     if self._executions.get(execution.key) is execution:
                         del self._executions[execution.key]
                     continue
-                await self._run_execution(execution)
+                await self._run_execution(execution, slot)
             except Exception as error:  # pragma: no cover — last resort
                 self._log(f"internal scheduler error: {error!r}")
                 self._fail_execution_jobs(execution, {
@@ -263,7 +272,8 @@ class PowderServer:
             finally:
                 self.queue.task_done()
 
-    async def _run_execution(self, execution: Execution) -> None:
+    async def _run_execution(self, execution: Execution,
+                             slot: WorkerSlot) -> None:
         loop = asyncio.get_running_loop()
         now = time.monotonic()
         execution.running = True
@@ -285,6 +295,7 @@ class PowderServer:
                     functools.partial(
                         run_attempt,
                         execution.spec,
+                        slot=slot,
                         deadline=deadline,
                         cancel_event=execution.cancel_event,
                         publish=publish,
@@ -748,7 +759,10 @@ class PowderServer:
             "workers": self.config.workers,
             "jobs": {"tracked": len(self.jobs), "by_state": by_state},
             "cache": self.cache.stats(),
-            "counters": self.metrics.counters(),
+            "counters": {
+                **self.metrics.counters(),
+                "worker_spawns": sum(slot.spawns for slot in self._slots),
+            },
             "timers": self.metrics.timers(),
             "latency": self._latencies.summary(),
         }
