@@ -15,8 +15,9 @@ optimizer time.
 
 The flat-round permissibility bench runs one flat round at 600 and
 1,200 gates and reports where its permissibility checks spend their
-time (:func:`flat_round`).  It also runs without pytest-benchmark, and
-exits nonzero when a SAT budget ran out::
+time, and how many candidates the round built (:func:`flat_round`).  It
+also runs without pytest-benchmark, and exits nonzero when a SAT budget
+ran out or a target row built more candidates than it may keep::
 
     PYTHONPATH=src python -m benchmarks.bench_scale 600 1200
 
@@ -41,6 +42,7 @@ from repro.fuzz.generator import large_config, random_mapped_netlist
 from repro.library.standard import standard_library
 from repro.pipeline.context import OptimizationContext
 from repro.telemetry import Tracer
+from repro.transform import candidates
 from repro.transform.optimizer import OptimizeOptions, PowerOptimizer
 from repro.transform.permissible import TriageChecker
 from repro.transform.windowed import WindowedOptimizer
@@ -148,15 +150,36 @@ def flat_round(num_gates: int) -> dict:
     """One flat round on the ``large`` shape, its triage checker timed.
 
     Returns the round's wall seconds, the seconds spent generating
-    candidates (``candidates_s``), in ``TriageChecker.check``
+    candidates (``candidates_s``), the ``Candidate`` objects it built
+    (``candidates_built``), its exact-path ``quick_gain`` calls
+    (``exact_gains``), its target rows times ``max_per_target``
+    (``build_limit``), the seconds in ``TriageChecker.check``
     (``check_s``) and in its SAT stage (``sat_s``), the SAT calls,
     ``atpg_backtracks`` (the SAT stage's conflicts), ``triage_fallbacks``
     (exhausted SAT budgets), the moves and the power left.
     """
     netlist = _large(num_gates)
-    ctx = OptimizationContext(netlist, _scale_options(trace=Tracer()))
+    options = _scale_options(trace=Tracer())
+    ctx = OptimizationContext(netlist, options)
     triage = TriageChecker(netlist)
     seconds = {"check": 0.0, "sat": 0.0}
+    counts = {"built": 0, "exact": 0, "rows": 0}
+    build = candidates.Candidate.__init__
+    exact_gain = candidates.quick_gain
+    target_table = candidates.CandidateWorkspace._target_table
+
+    def counted_build(self, *args, **kwargs):
+        counts["built"] += 1
+        build(self, *args, **kwargs)
+
+    def counted_exact_gain(*args):
+        counts["exact"] += 1
+        return exact_gain(*args)
+
+    def counted_target_table(self, *args):
+        table = target_table(self, *args)
+        counts["rows"] += len(table.keys)
+        return table
 
     def timed(method, key):
         def wrapper(substitution):
@@ -171,14 +194,25 @@ def flat_round(num_gates: int) -> dict:
     triage.check = timed(triage.check, "check")
     triage.sat_verdict = timed(triage.sat_verdict, "sat")
     ctx.put("triage", triage)
-    tick = time.perf_counter()
-    result = PowerOptimizer(context=ctx).run()
-    wall = time.perf_counter() - tick
+    candidates.Candidate.__init__ = counted_build
+    candidates.quick_gain = counted_exact_gain
+    candidates.CandidateWorkspace._target_table = counted_target_table
+    try:
+        tick = time.perf_counter()
+        result = PowerOptimizer(context=ctx).run()
+        wall = time.perf_counter() - tick
+    finally:
+        candidates.Candidate.__init__ = build
+        candidates.quick_gain = exact_gain
+        candidates.CandidateWorkspace._target_table = target_table
     counters = result.trace.counters
     return {
         "gates": num_gates,
         "wall_s": round(wall, 3),
         "candidates_s": round(result.phase_seconds["candidates"], 3),
+        "candidates_built": counts["built"],
+        "exact_gains": counts["exact"],
+        "build_limit": counts["rows"] * options.candidates.max_per_target,
         "check_s": round(seconds["check"], 3),
         "sat_s": round(seconds["sat"], 3),
         "sat_calls": counters["triage_sat_calls"],
@@ -198,8 +232,9 @@ def test_flat_round_permissibility(benchmark, num_gates):
 
 def main(argv: list[str]) -> int:
     """Print one JSON row per size: a flat round, or a windowed run with
-    ``--windowed``.  Returns 1 if any SAT budget ran out (flat) or any
-    window was deferred (windowed)."""
+    ``--windowed``.  Returns 1 if any SAT budget ran out or the round
+    built more candidates than its rows keep (flat), or if any window was
+    deferred (windowed)."""
     parser = argparse.ArgumentParser(
         prog="python -m benchmarks.bench_scale",
         description="Scale rows on the large generator shape.",
@@ -220,6 +255,8 @@ def main(argv: list[str]) -> int:
         row = run(num_gates)
         print(json.dumps(row), flush=True)
         failures += row[failure]
+        if row.get("candidates_built", 0) > row.get("build_limit", 0):
+            failures += 1
     return 1 if failures else 0
 
 

@@ -15,6 +15,7 @@ import time
 from typing import Iterator, Optional
 
 from repro.errors import ServeError
+from repro.serve.jobs import TERMINAL_STATES
 
 
 class ServeClientError(ServeError):
@@ -150,6 +151,11 @@ class ServeClient:
                 if event.get("type") == "ping" and not include_pings:
                     continue
                 yield event
+                if (
+                    event.get("type") == "state"
+                    and event.get("status") in TERMINAL_STATES
+                ):
+                    return
         finally:
             connection.close()
 

@@ -24,9 +24,12 @@ every stem target, then every branch target, with its observability
 words, the gate whose fanout cone no source may be in, and its dying
 region.  Each fixed-size chunk of targets is tested against every stem at
 once; the OS2/IS2 singles and the round's OS3/IS3 pair entries are scored
-as flat arrays with ``quick_gain``'s float grouping, and one sort over
+as flat arrays with ``quick_gain``'s float grouping.  One sort over
 (target, quick gain) finds each target's ``max_per_target``-th best gain,
-so only the entries that reach it become :class:`Candidate` objects.
+ties with it are broken by candidate-ID ranks in the arrays, and only
+each target's ``max_per_target`` best become :class:`Candidate` objects.
+A move whose gain needs the exact path gets it only when its fast-path
+value, an upper bound, can still reach that floor.
 
 :class:`CandidateWorkspace` builds a round's state from the committed
 simulation at the start of every round — the batched observability maps,
@@ -59,7 +62,14 @@ from repro.transform.gain import (
     quick_gain,
     region_power,
 )
-from repro.transform.substitution import IS2, IS3, OS2, OS3, Substitution
+from repro.transform.substitution import (
+    IS2,
+    IS3,
+    OS2,
+    OS3,
+    Substitution,
+    format_candidate_id,
+)
 
 #: Targets per array pass, and pair-table jobs per kernel batch.  Fixed
 #: sizes bound a round's temporaries: a pass over a chunk holds
@@ -70,8 +80,9 @@ from repro.transform.substitution import IS2, IS3, OS2, OS3, Substitution
 _CHUNK = 16
 _PAIR_BATCH = 64
 
-#: Entry codes of a scored single; a pair entry's code is its cell index.
-_DIRECT, _INVERTED = -1, -2
+#: Entry codes of a single: a source, inverted or not, or the tie cell of
+#: value ``_TIE0 - code`` (0 or 1); a pair entry's code is its cell index.
+_DIRECT, _INVERTED, _TIE0 = -1, -2, -3
 
 
 @dataclass(frozen=True)
@@ -135,8 +146,6 @@ class Candidate:
 
     substitution: Substitution
     gain: GainBreakdown
-    #: Memoized ranking key (every candidate is sorted at least twice).
-    _key: Optional[tuple[float, str]] = None
 
     @property
     def quick(self) -> float:
@@ -218,9 +227,14 @@ class CandidateWorkspace:
         self.reach: Optional[np.ndarray] = None
         self.activity: np.ndarray = np.zeros(0, dtype=np.float64)
         self.act_order: np.ndarray = np.zeros(0, dtype=np.intp)
+        # Stem names and then "" (a constant move's source), the round's
+        # cell names and then "", and their tie-break ranks.
+        self.names: list[str] = []
+        self.cell_names: list[str] = []
+        self.ranks: Optional[tuple[np.ndarray, np.ndarray]] = None
 
     # ------------------------------------------------------------------
-    def _refresh_round(self) -> None:
+    def _refresh_round(self, cells: list) -> None:
         self.stems = list(topological_order(self.netlist))
         self.index = {g.name: i for i, g in enumerate(self.stems)}
         # The simulation's derived word matrix: its rows follow the packed
@@ -236,6 +250,17 @@ class CandidateWorkspace:
             [self.estimator.activity(g) for g in self.stems], dtype=np.float64
         )
         self.act_order = np.argsort(self.activity, kind="stable")
+        # ``candidate_id`` joins its fields with "|": while no name holds
+        # one, comparing IDs compares names field by field as ``name +
+        # "|"``.  Otherwise there are no ranks, and the IDs are ranked.
+        self.names = [g.name for g in self.stems] + [""]
+        self.cell_names = [c.name for c in cells] + [""]
+        self.ranks = None
+        if not any("|" in name for name in self.names + self.cell_names):
+            self.ranks = (
+                _ranks([name + "|" for name in self.names]),
+                _ranks([name + "|" for name in self.cell_names]),
+            )
 
     def _reachability(self) -> np.ndarray:
         """Boolean matrix: ``reach[i, j]`` iff stem j is i or in TFO(i)."""
@@ -326,14 +351,16 @@ class CandidateWorkspace:
 
         A row's sources are its first ``pair_source_limit`` legal stems in
         the round's activity order (low-activity signals make cheap
-        drivers).  :meth:`_pair_kernel` computes the entries in batches of
-        rows with equal source count.
+        drivers).  :meth:`_pair_kernel` computes the entries of
+        ``_PAIR_BATCH`` rows at a time, each row's sources padded to the
+        batch's longest list.
         """
         limit = options.pair_source_limit
         ranked_parts: list[np.ndarray] = []
         rank_start = np.zeros(len(table.keys), dtype=np.intp)
+        rank_count = np.zeros(len(table.keys), dtype=np.intp)
+        row_parts: list[np.ndarray] = []
         offset = 0
-        jobs: dict[int, list[tuple[int, np.ndarray]]] = {}
         for lo, hi, branch in table.sections():
             if not (options.enable_is3 if branch else options.enable_os3):
                 continue
@@ -345,38 +372,43 @@ class CandidateWorkspace:
                 rank_row, position = np.nonzero(
                     ordered & (np.cumsum(ordered, axis=1) <= limit)
                 )
-                ranked = self.act_order[position]
-                ranked_parts.append(ranked)
-                bounds = np.searchsorted(
-                    rank_row, np.arange(stop - start + 1)
-                ).tolist()
-                for r in range(stop - start):
-                    first, last = bounds[r], bounds[r + 1]
-                    rank_start[start + r] = offset + first
-                    jobs.setdefault(last - first, []).append(
-                        (start + r, ranked[first:last])
-                    )
-                offset += ranked.size
+                ranked_parts.append(self.act_order[position])
+                rank_start[start:stop] = offset + np.searchsorted(
+                    rank_row, np.arange(stop - start)
+                )
+                rank_count[start:stop] = np.bincount(
+                    rank_row, minlength=stop - start
+                )
+                row_parts.append(np.arange(start, stop))
+                offset += position.size
         if ranked_parts:
             table.ranked = np.concatenate(ranked_parts)
         table.rank_start = rank_start
         table.pairs = [None] * len(table.keys)
-        for k, group in jobs.items():
-            for start in range(0, len(group), _PAIR_BATCH):
-                batch = group[start:start + _PAIR_BATCH]
-                rows = [row for row, _sources in batch]
-                sources = np.array([src for _row, src in batch])
-                sources = sources.reshape(len(batch), k)
-                entries = self._pair_kernel(
-                    self.matrix[sources],
-                    None if self.matrix_next is None
-                    else self.matrix_next[sources],
-                    self.matrix[table.tgt[rows]],
-                    table.obs[rows],
-                    cells,
-                )
-                for row, entry in zip(rows, entries):
-                    table.pairs[row] = entry
+        rows = (
+            np.concatenate(row_parts) if row_parts
+            else np.zeros(0, dtype=np.intp)
+        )
+        for start in range(0, rows.size, _PAIR_BATCH):
+            batch = rows[start:start + _PAIR_BATCH]
+            count = rank_count[batch]
+            column = np.arange(count.max())
+            # A row's sources past its own count are padding: the kernel
+            # masks every pair that reaches them.
+            sources = table.ranked[np.where(
+                column < count[:, None], rank_start[batch, None] + column, 0
+            )]
+            entries = self._pair_kernel(
+                self.matrix[sources],
+                None if self.matrix_next is None
+                else self.matrix_next[sources],
+                self.matrix[table.tgt[batch]],
+                table.obs[batch],
+                count,
+                cells,
+            )
+            for row, entry in zip(batch.tolist(), entries):
+                table.pairs[row] = entry
 
     def _pair_kernel(
         self,
@@ -384,11 +416,13 @@ class CandidateWorkspace:
         rows_next: Optional[np.ndarray],
         va: np.ndarray,
         obs: np.ndarray,
+        counts: np.ndarray,
         cells: list,
     ) -> list[tuple[np.ndarray, ...]]:
-        """The compatible OS3/IS3 tuples of jobs sharing one source count.
+        """The compatible OS3/IS3 tuples of a batch of jobs.
 
-        ``rows`` is ``(jobs, k, words)`` — the ranked sources' words —
+        ``rows`` is ``(jobs, k, words)`` — the ranked sources' words, the
+        ``k - counts[j]`` after job ``j``'s own sources being padding —
         with ``rows_next`` their cycle-t+1 words under a temporal engine,
         else ``None``; ``va``/``obs`` are ``(jobs, words)``.  Every source
         pair ``a < b`` is tested with every cell, and with an asymmetric
@@ -403,12 +437,13 @@ class CandidateWorkspace:
         # Word 0 rules out most tuples; only its survivors are read whole,
         # and the words that pass give the activities too.
         wa, wb = rows[:, pa, 0], rows[:, pb, 0]  # (jobs, pairs)
+        valid = pb < counts[:, None]
         survive = np.empty((jobs, pa.size, len(orders)), dtype=bool)
         for v, (_ci, bits, _swapped) in enumerate(orders):
             d = _two_input_word(bits, wa, wb)
             d ^= va[:, None, 0]
             d &= obs[:, None, 0]
-            survive[:, :, v] = d == 0
+            survive[:, :, v] = (d == 0) & valid
         compat = np.zeros(survive.shape, dtype=bool)
         activity = np.empty(survive.shape, dtype=np.float64)
         total = self.sim.num_patterns
@@ -455,44 +490,51 @@ class CandidateWorkspace:
     ) -> list[Candidate]:
         """Each of rows ``lo:hi``'s ``max_per_target`` best candidates.
 
+        Every compatible move of the rows is an entry of flat arrays.
         Moves whose sources lie outside the row's dying region share its
-        PG_A and moved load, so their quick gains are flat arrays; a source
-        inside the region reshapes it, and an inverted source has no scalar
-        price without a library inverter, so those take the exact
-        per-candidate path.
+        PG_A and moved load, so their quick gains are flat arrays.  A
+        source inside the region reshapes it, and a constant or an
+        inverted source without a library inverter has no scalar price;
+        those take the exact per-candidate path, unless their fast-path
+        value, which bounds the exact gain from above, is already below
+        the row's floor, its ``max_per_target``-th fast gain.  Only the
+        entries a row keeps become :class:`Candidate` objects.
         """
-        estimator, stems = self.estimator, self.stems
+        estimator, stems, names = self.estimator, self.stems, self.names
         library = self.netlist.library
         inverter = library.inverter() if library is not None else None
         min_quick = options.min_quick_gain
         kind2, kind3 = (IS2, IS3) if branch else (OS2, OS3)
         size = hi - lo
+        absent = len(stems)  # the name slot of a missing source
         tgt = table.tgt[lo:hi]
         obs = table.obs[lo:hi]
         moved = table.moved[lo:hi]
+        pg_a = table.pg_a[lo:hi]
         legal = table.legal(self.reach, lo, hi)
-        in_region = np.zeros(legal.shape, dtype=bool)
+        in_region = np.zeros((size, absent + 1), dtype=bool)
         first, last = np.searchsorted(table.region[:, 0], [lo, hi])
         members = table.region[first:last]
         in_region[members[:, 0] - lo, members[:, 1]] = True
 
-        def substitution(r, kind, source, invert=False, **pair):
-            return Substitution(
-                kind, table.keys[lo + r][0], stems[source].name,
-                invert1=invert, branch=table.keys[lo + r][1], **pair,
-            )
-
-        # Each row's candidates: the exact path's first, then the winners.
-        best: list[list[Candidate]] = [[] for _ in range(size)]
-        # Scored entries: row, code (_DIRECT, _INVERTED or cell index),
-        # pin-0 and pin-1 source stems, PG_B.
-        scored: list[tuple[np.ndarray, ...]] = []
+        # Entries: row, code (a cell index, _DIRECT, _INVERTED or a tie
+        # code), pin-0 and pin-1 source slots, PG_B (+inf when it has no
+        # scalar price: no bound).
+        entries: list[tuple[np.ndarray, ...]] = []
         if options.constant_substitution:
-            for r in range(size):
-                _constant_candidates(
+            ties = [
+                (r, _TIE0 - value)
+                for r in range(size)
+                for value in _constant_values(
                     self, stems[tgt[r]], table.keys[lo + r][1],
-                    self.matrix[tgt[r]], obs[r], options, best[r],
+                    self.matrix[tgt[r]], obs[r],
                 )
+            ]
+            r, c = np.array(ties, dtype=np.intp).reshape(-1, 2).T
+            entries.append((
+                r, c, np.full(r.size, absent), np.full(r.size, absent),
+                np.full(r.size, np.inf),
+            ))
         if options.enable_is2 if branch else options.enable_os2:
             # Word 0 rules out most sources; only its survivors are read
             # whole.  A source is compatible inverted where it disagrees
@@ -507,46 +549,28 @@ class CandidateWorkspace:
             d = self.matrix[s] ^ va[r]
             d &= obs[r]
             direct = ~d.any(axis=1)
-            hits = [(direct, False)]
+            hits = [(direct, _DIRECT)]
             if options.allow_inversion:
                 d ^= obs[r]
-                hits.append((~direct & ~d.any(axis=1), True))
-            for hit, invert in hits:
+                hits.append((~direct & ~d.any(axis=1), _INVERTED))
+            for hit, mode in hits:
                 rr, ss = r[hit], s[hit]
-                exact_only = invert and inverter is None
-                slow = (
-                    np.ones(rr.size, dtype=bool) if exact_only
-                    else in_region[rr, ss]
-                )
-                for rj, sj in zip(rr[slow], ss[slow]):
-                    _try_candidate(
-                        estimator, substitution(rj, kind2, sj, invert),
-                        best[rj], min_quick,
-                    )
-                if exact_only:
-                    continue
-                rr, ss = rr[~slow], ss[~slow]
                 # quick_gain's scalar expressions, elementwise: the floats
                 # are bit-identical to building each candidate.
                 act_src = self.activity[ss]
-                if invert:
+                if mode == _DIRECT:
+                    pg_b = -(moved[rr] * act_src)
+                elif inverter is not None:
                     load = inverter.pins[0].load
                     pg_b = -(load * act_src + moved[rr] * act_src)
                 else:
-                    pg_b = -(moved[rr] * act_src)
-                code = np.full(rr.size, _INVERTED if invert else _DIRECT)
-                scored.append((rr, code, ss, ss, pg_b))
+                    pg_b = np.full(rr.size, np.inf)
+                entries.append((
+                    rr, np.full(rr.size, mode), ss,
+                    np.full(rr.size, absent), pg_b,
+                ))
         if cells and (options.enable_is3 if branch else options.enable_os3):
             r, s1, s2, ci, act = self.pair_tables(table, lo, hi)
-            slow = in_region[r, s1] | in_region[r, s2]
-            for j in np.flatnonzero(slow):
-                _try_candidate(estimator, substitution(
-                    r[j], kind3, s1[j], source2=stems[s2[j]].name,
-                    new_cell=cells[ci[j]].name,
-                ), best[r[j]], min_quick)
-            fast = ~slow
-            r, s1, s2 = r[fast], s1[fast], s2[fast]
-            ci, act = ci[fast], act[fast]
             load0 = np.array([c.pins[0].load for c in cells])
             load1 = np.array([c.pins[1].load for c in cells])
             # PG_B grouped as _pg_b groups it for one tuple.
@@ -555,45 +579,130 @@ class CandidateWorkspace:
                  + load1[ci] * self.activity[s2])
                 + moved[r] * act
             )
-            scored.append((r, ci.astype(np.intp), s1, s2, pg_b))
-
+            entries.append((r, ci.astype(np.intp), s1, s2, pg_b))
+        if not entries:
+            return []
         row, code, src1, src2, pg_b = [
-            np.concatenate(column) for column in zip(*scored)
-        ] or [np.zeros(0, dtype=np.intp)] * 5
-        quick = table.pg_a[lo:hi][row] + pg_b
-        if min_quick is not None:
-            keep = ~(quick < min_quick)
-            row, code, quick = row[keep], code[keep], quick[keep]
-            src1, src2, pg_b = src1[keep], src2[keep], pg_b[keep]
-        limit = options.max_per_target
-        exact_rows = [r for r, found in enumerate(best) for _c in found]
-        reach_floor = _reaches_floor(
-            np.concatenate([row, exact_rows]).astype(np.intp),
-            np.concatenate([quick, [c.quick for f in best for c in f]]),
-            limit,
-            size,
-        )
-        built = np.flatnonzero(reach_floor[:row.size])
-        pg_a = table.pg_a[lo:hi].tolist()
-        for r, c, s1, s2, b in zip(*(
-            column[built].tolist() for column in (row, code, src1, src2, pg_b)
-        )):
-            area = table.area_base[lo + r]
+            np.concatenate(column) for column in zip(*entries)
+        ]
+        quick = pg_a[row] + pg_b
+
+        def substitution(r, c, s1, s2):
+            target, branch_key = table.keys[lo + r]
             if c >= 0:
-                sub = substitution(
-                    r, kind3, s1, source2=stems[s2].name,
-                    new_cell=cells[c].name,
+                return Substitution(
+                    kind3, target, names[s1], branch=branch_key,
+                    source2=names[s2], new_cell=cells[c].name,
                 )
-                area = area + cells[c].area
-            else:
-                sub = substitution(r, kind2, s1, c == _INVERTED)
-                if c == _INVERTED:
+            if c <= _TIE0:
+                return Substitution(
+                    kind2, target, "", branch=branch_key, constant=_TIE0 - c
+                )
+            return Substitution(
+                kind2, target, names[s1], invert1=c == _INVERTED,
+                branch=branch_key,
+            )
+
+        exact = in_region[row, src1] | in_region[row, src2] | (pg_b == np.inf)
+        scored = ~exact
+        if min_quick is not None:
+            scored &= ~(quick < min_quick)
+        limit = options.max_per_target
+        floor = _floor(row[scored], quick[scored], limit, size)
+        gains: dict[int, tuple[Substitution, GainBreakdown]] = {}
+        slow = np.flatnonzero(exact)
+        if slow.size:
+            # Keeping a source s shrinks the dying region to Dom(t) minus
+            # s and its transitive fanin, so the fast-path value bounds the
+            # exact gain from above: an entry it puts below the floor by
+            # more than float noise cannot be kept, and needs no exact gain.
+            margin = 1e-9 * (np.abs(pg_a[row[slow]]) + np.abs(pg_b[slow]))
+            slow = slow[~(quick[slow] < floor[row[slow]] - margin)]
+            for i, r, c, s1, s2 in zip(slow.tolist(), *(
+                column[slow].tolist() for column in (row, code, src1, src2)
+            )):
+                sub = substitution(r, c, s1, s2)
+                gain = quick_gain(estimator, sub)
+                if min_quick is None or not gain.quick < min_quick:
+                    quick[i] = gain.quick
+                    gains[i] = (sub, gain)
+                    scored[i] = True
+        # An entry below its row's floor trails at least ``limit`` others.
+        # A row left with more than ``limit`` entries (ties at the floor,
+        # or exact gains above it) keeps its best by candidate ID.
+        reach = np.flatnonzero(scored & (quick >= floor[row]))
+        crowded = (np.bincount(row[reach], minlength=size) > limit)[
+            row[reach]
+        ]
+        keep, crowd = reach[~crowded], reach[crowded]
+        if crowd.size:
+            tie = self._tie_keys(
+                table, lo, row[crowd], code[crowd], src1[crowd],
+                src2[crowd], (kind2, kind3),
+            )
+            keep = np.concatenate([
+                keep, crowd[_head(row[crowd], quick[crowd], tie, limit)]
+            ])
+        built = []
+        row_pg_a = pg_a.tolist()
+        for i, r, c, s1, s2, b in zip(keep.tolist(), *(
+            column[keep].tolist()
+            for column in (row, code, src1, src2, pg_b)
+        )):
+            found = gains.get(i)
+            if found is None:
+                area = table.area_base[lo + r]
+                if c >= 0:
+                    area = area + cells[c].area
+                elif c == _INVERTED:
                     area = area + inverter.area
-            best[r].append(Candidate(sub, GainBreakdown(
-                pg_a=pg_a[r], pg_b=b, area_delta=area,
-                dying=list(table.dying[lo + r]),
-            )))
-        return [c for found in best for c in _keep_best(found, limit)]
+                found = (substitution(r, c, s1, s2), GainBreakdown(
+                    pg_a=row_pg_a[r], pg_b=b, area_delta=area,
+                    dying=list(table.dying[lo + r]),
+                ))
+            built.append(Candidate(*found))
+        return built
+
+    def _tie_keys(
+        self,
+        table: _Targets,
+        lo: int,
+        row: np.ndarray,
+        code: np.ndarray,
+        src1: np.ndarray,
+        src2: np.ndarray,
+        kinds: tuple[str, str],
+    ) -> np.ndarray:
+        """Integers that order each row's entries as their candidate IDs.
+
+        A row fixes the target and the branch, so while no name holds a
+        ``|``, the ID order is the order of the other fields: the kind,
+        source 1, its inversion, source 2, the cell and the constant,
+        each name ranked by ``name + "|"``.  Otherwise the IDs themselves
+        are ranked.
+        """
+        if self.ranks is None:
+            names = self.names
+            ids = []
+            for r, c, s1, s2 in zip(
+                row.tolist(), code.tolist(), src1.tolist(), src2.tolist()
+            ):
+                target, branch = table.keys[lo + r]
+                ids.append(format_candidate_id(
+                    kinds[c >= 0], target, names[s1],
+                    invert1=c == _INVERTED, branch=branch,
+                    source2=names[s2] if c >= 0 else None,
+                    new_cell=self.cell_names[c] if c >= 0 else None,
+                    constant=_TIE0 - c if c <= _TIE0 else None,
+                ))
+            return _ranks(ids)
+        pair = code >= 0
+        name_rank, cell_rank = self.ranks
+        key = pair * name_rank.size + name_rank[src1]
+        key = key * 2 + (code == _INVERTED)
+        key = key * name_rank.size + name_rank[src2]
+        key = key * cell_rank.size + cell_rank[np.where(pair, code, -1)]
+        return key * 3 + np.where(code <= _TIE0, _TIE0 + 1 - code, 0)
 
     def generate(
         self, options: CandidateOptions | None = None
@@ -605,7 +714,7 @@ class CandidateWorkspace:
             if options.enable_os3 or options.enable_is3
             else []
         )
-        self._refresh_round()
+        self._refresh_round(cells)
         table = self._target_table(options)
         if cells:
             self._precompute_pair_tables(table, cells, options)
@@ -620,7 +729,9 @@ class CandidateWorkspace:
         # Ties on quick gain are broken by the canonical candidate ID, so
         # the ranking (and with it the whole move sequence) is reproducible
         # across Python builds and immune to generation-order changes.
-        collected.sort(key=_rank_key)
+        collected.sort(
+            key=lambda c: (-c.quick, c.substitution.candidate_id())
+        )
         return collected[: options.max_total]
 
 
@@ -651,50 +762,35 @@ def _two_input_cells(netlist: Netlist, options: CandidateOptions):
     return list(by_function.values())
 
 
-def _rank_key(candidate: Candidate) -> tuple[float, str]:
-    """Best quick gain first; equal gains in canonical candidate-ID order."""
-    key = candidate._key
-    if key is None:
-        key = candidate._key = (
-            -candidate.quick, candidate.substitution.candidate_id()
-        )
-    return key
+def _ranks(keys: list[str]) -> np.ndarray:
+    """Each key's position in the sorted list of ``keys``."""
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    ranks = np.empty(len(keys), dtype=np.int64)
+    ranks[order] = np.arange(len(keys))
+    return ranks
 
 
-def _keep_best(
-    candidates: list[Candidate], limit: int
-) -> list[Candidate]:
-    candidates.sort(key=_rank_key)
-    return candidates[:limit]
-
-
-def _try_candidate(
-    estimator: PowerEstimator,
-    substitution: Substitution,
-    collected: list[Candidate],
-    min_quick: Optional[float],
-) -> None:
-    gain = quick_gain(estimator, substitution)
-    if min_quick is not None and gain.quick < min_quick:
-        return
-    collected.append(Candidate(substitution, gain))
-
-
-def _reaches_floor(
-    rows: np.ndarray, quick: np.ndarray, limit: int, size: int
+def _floor(
+    row: np.ndarray, quick: np.ndarray, limit: int, size: int
 ) -> np.ndarray:
-    """Entries whose quick gain reaches their row's ``limit``-th best.
-
-    Entries tied with that gain reach it too, because the candidate ID
-    decides among them, so sorting only these by :func:`_rank_key` keeps
-    what sorting all of a row's entries would.  ``limit`` is positive.
-    """
-    order = np.lexsort((quick, rows))
-    counts = np.bincount(rows, minlength=size)
-    over = counts > limit
+    """Each of ``size`` rows' ``limit``-th best quick gain (``-inf`` in a
+    row with fewer entries); ``limit`` is positive."""
+    order = np.lexsort((quick, row))
+    counts = np.bincount(row, minlength=size)
     floor = np.full(size, -np.inf)
-    floor[over] = quick[order[np.cumsum(counts)[over] - limit]]
-    return quick >= floor[rows]
+    full = counts >= limit
+    floor[full] = quick[order[np.cumsum(counts)[full] - limit]]
+    return floor
+
+
+def _head(
+    row: np.ndarray, quick: np.ndarray, tie: np.ndarray, limit: int
+) -> np.ndarray:
+    """Each row's first ``limit`` entries by ``(-quick, tie)``, by row."""
+    order = np.lexsort((tie, -quick, row))
+    ranked = row[order]
+    place = np.arange(ranked.size) - np.searchsorted(ranked, ranked)
+    return order[place < limit]
 
 
 def _pin_orders(cells: list) -> list[tuple[int, int, bool]]:
@@ -747,16 +843,15 @@ def _two_input_word(
     return word
 
 
-def _constant_candidates(
+def _constant_values(
     workspace: CandidateWorkspace,
     target: Gate,
     branch: Optional[tuple[str, int]],
     va: np.ndarray,
     obs: np.ndarray,
-    options: CandidateOptions,
-    found: list[Candidate],
-) -> None:
-    """Tie-cell substitutions where the signal is constant when observed.
+) -> list[int]:
+    """The tie-cell values that substitute the signal: those it takes on
+    every observable pattern.
 
     A tie gate is not moved onto its own constant when it is the gate
     :func:`~repro.transform.substitution.apply_substitution` would reuse:
@@ -765,8 +860,9 @@ def _constant_candidates(
     netlist = workspace.netlist
     library = netlist.library
     if library is None:
-        return
+        return []
     kind = OS2 if branch is None else IS2
+    values = []
     for value in (0, 1):
         cell = library.constant(bool(value))
         if cell is None:
@@ -775,14 +871,12 @@ def _constant_candidates(
         mismatch = (~va & obs) if value else (va & obs)
         if mismatch.any():
             continue
-        substitution = Substitution(
+        if target.cell is cell and Substitution(
             kind, target.name, "", branch=branch, constant=value
-        )
-        if target.cell is cell and substitution.reused_tie(netlist) is target:
+        ).reused_tie(netlist) is target:
             continue
-        _try_candidate(
-            workspace.estimator, substitution, found, options.min_quick_gain
-        )
+        values.append(value)
+    return values
 
 
 def generate_candidates(

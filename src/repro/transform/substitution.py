@@ -41,6 +41,31 @@ IS3 = "IS3"
 _CLASSES = (OS2, IS2, OS3, IS3)
 
 
+def format_candidate_id(
+    kind: str,
+    target: str,
+    source1: str,
+    invert1: bool = False,
+    branch: Optional[tuple[str, int]] = None,
+    source2: Optional[str] = None,
+    invert2: bool = False,
+    new_cell: Optional[str] = None,
+    constant: Optional[int] = None,
+) -> str:
+    """:meth:`Substitution.candidate_id` of a move with these fields."""
+    return "|".join((
+        kind,
+        target,
+        source1,
+        "~" if invert1 else "",
+        f"{branch[0]}.{branch[1]}" if branch else "",
+        source2 or "",
+        "~" if invert2 else "",
+        new_cell or "",
+        "" if constant is None else str(constant),
+    ))
+
+
 @dataclass(frozen=True)
 class Substitution:
     """A candidate (or applied) signal substitution."""
@@ -103,18 +128,10 @@ class Substitution:
         order candidate generation happened to emit ties in.  The format
         is content-derived and stable across Python versions.
         """
-        branch = f"{self.branch[0]}.{self.branch[1]}" if self.branch else ""
-        return "|".join((
-            self.kind,
-            self.target,
-            self.source1,
-            "~" if self.invert1 else "",
-            branch,
-            self.source2 or "",
-            "~" if self.invert2 else "",
-            self.new_cell or "",
-            "" if self.constant is None else str(self.constant),
-        ))
+        return format_candidate_id(
+            self.kind, self.target, self.source1, self.invert1, self.branch,
+            self.source2, self.invert2, self.new_cell, self.constant,
+        )
 
     def is_output_substitution(self) -> bool:
         return self.kind in (OS2, OS3)

@@ -4,10 +4,19 @@ from __future__ import annotations
 
 import json
 import os
+import socket
+import threading
+import time
 
 import pytest
 
-from repro.serve import ServeClientError, ServerConfig, ServerThread
+from repro.serve import (
+    ServeClient,
+    ServeClientError,
+    ServerConfig,
+    ServerThread,
+)
+from repro.serve.http import stream_header_bytes
 from tests.serve.conftest import FAST_OPTIONS, SLOW_OPTIONS, make_blif
 
 
@@ -88,6 +97,42 @@ class TestEvents:
         with pytest.raises(ServeClientError) as excinfo:
             list(client.events("j999999"))
         assert excinfo.value.status == 404
+
+    def test_stream_ends_at_the_terminal_event_on_an_open_socket(self):
+        # A peer that sends the terminal state event and keeps the
+        # connection open: the stream ends at the event, not at the
+        # client's socket timeout.
+        listener = socket.create_server(("127.0.0.1", 0))
+        release = threading.Event()
+
+        def serve():
+            connection, _address = listener.accept()
+            with connection:
+                request = b""
+                while b"\r\n\r\n" not in request:
+                    request += connection.recv(4096)
+                connection.sendall(
+                    stream_header_bytes(200)
+                    + b'{"status": "running", "type": "state"}\n'
+                    + b'{"status": "done", "type": "state"}\n'
+                )
+                release.wait(10)
+
+        peer = threading.Thread(target=serve, daemon=True)
+        peer.start()
+        client = ServeClient(port=listener.getsockname()[1], timeout=5)
+        start = time.perf_counter()
+        try:
+            events = list(client.events("j1"))
+        finally:
+            release.set()
+            peer.join()
+            listener.close()
+        assert time.perf_counter() - start < 1.0
+        assert events == [
+            {"type": "state", "status": "running"},
+            {"type": "state", "status": "done"},
+        ]
 
 
 class TestDedup:

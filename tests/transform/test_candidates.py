@@ -23,7 +23,12 @@ from repro.transform.candidates import (
     _two_input_cells,
     generate_candidates,
 )
-from repro.transform.gain import dominated_region, quick_gain
+from repro.transform.gain import (
+    dominated_region,
+    predict_dying_region,
+    quick_gain,
+    region_power,
+)
 from repro.transform.permissible import PERMISSIBLE, check_candidate
 from repro.transform.substitution import (
     IS2,
@@ -411,6 +416,87 @@ def absorbed_source_netlist(builder):
     return builder.build()
 
 
+def equal_sources_netlist(builder, names):
+    """Gates named ``names`` and a target ``t``, all ``x ⊕ y``: the
+    target's moves onto them tie on quick gain."""
+    x, y, z = builder.inputs("x", "y", "z")
+    for index, name in enumerate(names):
+        builder.output(f"o{index}", builder.xor_(x, y, name=name))
+    t = builder.xor_(x, y, name="t")
+    builder.output("u", builder.and_(t, z, name="u"))
+    return builder.build()
+
+
+def unobservable_target_netlist(builder):
+    """t only reaches an AND with a constant-0 signal, so its observability
+    mask is all zero: every legal stem is compatible with it, directly and
+    inverted, and the stems of equal activity tie wholesale."""
+    a, b, c, d, e, f = builder.inputs("a", "b", "c", "d", "e", "f")
+    zero = builder.and_(a, builder.not_(a, name="na"), name="zero")
+    for name, (left, right) in {
+        "p": (a, b), "q": (c, d), "r": (e, f), "s": (b, c),
+    }.items():
+        builder.output(f"o_{name}", builder.xor_(left, right, name=name))
+    t = builder.xor_(d, e, name="t")
+    builder.output("u", builder.and_(t, zero, name="u"))
+    return builder.build()
+
+
+def constant_region_netlist(builder):
+    """t is unobservable and its dominated region holds ``b_one = !b_tie``
+    for a tie cell ``b_tie``: both switch never, so keeping either as a
+    source releases exactly what the whole region does, and their exact
+    gains tie with the moves onto ``zero``, the constant signal outside
+    the region."""
+    a, d = builder.inputs("a", "d")
+    zero = builder.and_(a, builder.not_(a, name="na"), name="zero")
+    one = builder.not_(builder.cell_gate("zero", name="b_tie"), name="b_one")
+    t = builder.and_(one, d, name="t")
+    builder.output("u", builder.and_(t, zero, name="u"))
+    return builder.build()
+
+
+def _floor_cases(estimator, limit):
+    """How each stem row's moves by sources in its dominated region
+    compare with the row's fast floor (the ``limit``-th best quick gain
+    of its other moves): their fast-path bound below the floor by more
+    than float noise, equal to it, or their exact gain above it."""
+    netlist = estimator.netlist
+    every = _reference_pool(
+        estimator, CandidateOptions(max_per_target=10**6, max_total=10**9)
+    )
+    rows = {}
+    for identity, pg_a, pg_b, _area in every:
+        fields = identity.split("|")
+        if fields[0] in (OS2, OS3):
+            rows.setdefault(fields[1], []).append(
+                (fields[2], fields[5], pg_a, pg_b)
+            )
+    cases = set()
+    for target, moves in rows.items():
+        region = dominated_region(netlist, netlist.gate(target))
+        inside = {g.name for g in region}
+        released = region_power(estimator, region)
+        fast = sorted(
+            (pg_a + pg_b for one, two, pg_a, pg_b in moves
+             if one not in inside and two not in inside),
+            reverse=True,
+        )
+        if len(fast) < limit:
+            continue
+        floor = fast[limit - 1]
+        for one, two, pg_a, pg_b in moves:
+            if one in inside or two in inside:
+                bound = released + pg_b
+                if bound < floor - 1e-9 * (abs(released) + abs(pg_b)):
+                    cases.add("below")
+                elif bound == floor:
+                    cases.add("tie")
+                if pg_a + pg_b > floor:
+                    cases.add("beat")
+    return cases
+
+
 class TestPoolExactness:
     """Ranking quick gains as arrays before building candidates keeps the
     pool equal to scoring and sorting every compatible tuple."""
@@ -529,3 +615,124 @@ class TestPoolExactness:
         reference = _reference_pool(estimator, options)
         assert _pool(estimator, options) == reference
         assert "OS2|h|||||||0" in [entry[0] for entry in reference]
+
+    @pytest.mark.parametrize("max_per_target", [1, 2, 6])
+    def test_names_that_prefix_each_other(self, builder, max_per_target):
+        # By name "a" < "a_1" < "ab", by candidate ID "a_1" < "ab" < "a".
+        netlist = equal_sources_netlist(builder, ["a", "ab", "a_1"])
+        estimator = exhaustive_estimator(netlist)
+        options = CandidateOptions(max_per_target=max_per_target)
+        reference = _reference_pool(estimator, options)
+        assert _pool(estimator, options) == reference
+        moves = [entry[0] for entry in reference]
+        kept = [
+            name for name in ("a_1", "ab", "a")
+            if Substitution(OS2, "t", name).candidate_id() in moves
+        ]
+        assert kept == ["a_1", "ab", "a"][:max_per_target]
+
+    @pytest.mark.parametrize("max_per_target", [2, 6])
+    def test_tie_flood_from_an_unobservable_target(
+        self, builder, max_per_target
+    ):
+        netlist = unobservable_target_netlist(builder)
+        estimator = exhaustive_estimator(netlist)
+        assert ObservabilityMaps(estimator.engine.sim).stem["t"] == 0
+        options = CandidateOptions(max_per_target=max_per_target)
+        assert _pool(estimator, options) == _reference_pool(
+            estimator, options
+        )
+        # More of t's moves tie with its max_per_target-th best than fit.
+        every = _reference_pool(
+            estimator, CandidateOptions(max_per_target=10**6)
+        )
+        quick = sorted(
+            (pg_a + pg_b for identity, pg_a, pg_b, _area in every
+             if identity.startswith("OS2|t|")),
+            reverse=True,
+        )
+        floor = quick[max_per_target - 1]
+        assert sum(gain >= floor for gain in quick) > max_per_target
+
+    @pytest.mark.parametrize("max_per_target", [1, 2, 6])
+    def test_gate_name_holding_the_id_separator(self, builder, max_per_target):
+        # By candidate ID "p|q" < "p" < "p|"; ranking names by name + "|"
+        # would give "p" < "p|q" < "p|".
+        netlist = equal_sources_netlist(builder, ["p", "p|", "p|q"])
+        estimator = exhaustive_estimator(netlist)
+        options = CandidateOptions(max_per_target=max_per_target)
+        reference = _reference_pool(estimator, options)
+        assert _pool(estimator, options) == reference
+        moves = [entry[0] for entry in reference]
+        kept = [
+            name for name in ("p|q", "p", "p|")
+            if Substitution(OS2, "t", name).candidate_id() in moves
+        ]
+        assert kept == ["p|q", "p", "p|"][:max_per_target]
+
+    def test_exact_gain_tied_with_the_floor(self, builder):
+        # The moves onto b_one and b_tie have the bound, and the exact
+        # gain, of the move onto zero that sets the floor; by candidate ID
+        # they rank first, so they must be scored, not skipped.
+        netlist = constant_region_netlist(builder)
+        estimator = exhaustive_estimator(netlist)
+        region = dominated_region(netlist, netlist.gate("t"))
+        assert {g.name for g in region} == {"t", "b_one", "b_tie"}
+        options = CandidateOptions(max_per_target=1)
+        reference = _reference_pool(estimator, options)
+        assert _pool(estimator, options) == reference
+        assert Substitution(OS2, "t", "b_one").candidate_id() in [
+            entry[0] for entry in reference
+        ]
+
+    @pytest.mark.parametrize("seed", [3, 21])
+    def test_sources_in_the_region_around_the_fast_floor(self, seed):
+        # The exact path is skipped only for moves whose bound lies below
+        # the floor; a bound equal to it, or an exact gain above it, is
+        # scored and ranked.
+        netlist = make_random_netlist(LIB, 6, 20, 3, seed)
+        estimator = PowerEstimator(
+            netlist, SimulationProbability(netlist, num_patterns=256, seed=3)
+        )
+        cases = set()
+        for max_per_target in (1, 2, 3, 6):
+            options = CandidateOptions(max_per_target=max_per_target)
+            assert _pool(estimator, options) == _reference_pool(
+                estimator, options
+            )
+            cases |= _floor_cases(estimator, max_per_target)
+        assert cases == {"below", "tie", "beat"}
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10_000), patterns=st.sampled_from([64, 256]))
+def test_in_region_sources_bound_the_exact_gain(seed, patterns):
+    """Keeping sources of an output move shrinks its dying region to
+    Dom(t) minus their transitive fanin, so the region power released
+    never exceeds the whole region's (the exact path's pruning bound)."""
+    netlist = make_random_netlist(LIB, 6, 20, 3, seed)
+    estimator = PowerEstimator(
+        netlist,
+        SimulationProbability(netlist, num_patterns=patterns, seed=3),
+    )
+    stems = list(topological_order(netlist))
+    for target in stems:
+        if target.is_input or not target.fanout_count():
+            continue
+        region = dominated_region(netlist, target)
+        released = region_power(estimator, region)
+        tfo = {id(g) for g in transitive_fanout(netlist, [target])}
+        legal = [g for g in stems if g is not target and id(g) not in tfo]
+        for source in region[1:]:
+            moves = [Substitution(OS2, target.name, source.name)] + [
+                Substitution(
+                    OS3, target.name, source.name, source2=other.name,
+                    new_cell="nand2",
+                )
+                for other in legal if other is not source
+            ]
+            for move in moves:
+                kept = region_power(
+                    estimator, predict_dying_region(netlist, move)
+                )
+                assert kept <= released + 1e-9 * abs(released)
