@@ -31,7 +31,8 @@ Commands:
 
 Every command reports a rejected input (any
 :class:`~repro.errors.ReproError`: malformed BLIF, mismatched interfaces,
-a bad library...) as one ``error: <message>`` line on stderr and exits 2.
+a bad library...) or setting (checked before any work starts) as one
+``error: <message>`` line on stderr and exits 2.
 """
 
 from __future__ import annotations
@@ -68,6 +69,26 @@ def _pattern_count(text: str) -> int:
     return value
 
 
+def _positive_int(text: str) -> int:
+    """A count that must be at least 1 (``--pairs``)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _checked(build, *args, **kwargs):
+    """``build(*args, **kwargs)``, with a rejected setting (ValueError)
+    reported like a rejected input instead of as a traceback."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as error:
+        raise ReproError(str(error)) from None
+
+
 def _load_library(args):
     """The genlib library named by ``--library``, or the built-in one."""
     if getattr(args, "library", None):
@@ -100,7 +121,7 @@ def _optimizer_option_kwargs(args) -> dict:
 
 
 def _build_pipeline_from_args(args, spec=None):
-    """One shared load/optimize prologue: netlist, options, tracer, passes.
+    """One shared load/optimize prologue: netlist, options, passes.
 
     ``spec=None`` selects the default pipeline for the options (what
     ``power_optimize`` runs); a spec string builds the stages through the
@@ -108,15 +129,17 @@ def _build_pipeline_from_args(args, spec=None):
     """
     from repro.pipeline import build_pipeline, default_pipeline
 
-    netlist, _library = _load_mapped_netlist(args)
     tracer = None
     if getattr(args, "trace", None):
         from repro.telemetry import Tracer
 
         tracer = Tracer()
-    options = OptimizeOptions(trace=tracer, **_optimizer_option_kwargs(args))
+    options = _checked(
+        OptimizeOptions, trace=tracer, **_optimizer_option_kwargs(args)
+    )
+    netlist, _library = _load_mapped_netlist(args)
     passes = build_pipeline(spec) if spec else default_pipeline(options)
-    return netlist, options, tracer, passes
+    return netlist, options, passes
 
 
 def _add_window_arguments(parser: argparse.ArgumentParser) -> None:
@@ -173,12 +196,14 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _config_from(args) -> ExperimentConfig:
-    return ExperimentConfig(
+    config = ExperimentConfig(
         num_patterns=args.patterns,
         repeat=args.repeat,
         max_rounds=args.max_rounds,
         max_moves=args.max_moves,
     )
+    _checked(config.optimizer_options)  # before the first circuit is built
+    return config
 
 
 def _circuits_from(args):
@@ -236,7 +261,7 @@ def _write_optimized_outputs(args, netlist, result) -> None:
 def _cmd_optimize(args) -> int:
     from repro.pipeline import OptimizationContext, PassManager
 
-    netlist, options, _tracer, passes = _build_pipeline_from_args(args)
+    netlist, options, passes = _build_pipeline_from_args(args)
     outcome = PassManager().run(OptimizationContext(netlist, options), passes)
     result = outcome.optimize_result
     print(result.summary())
@@ -264,9 +289,7 @@ def _cmd_pipeline_run(args) -> int:
             file=sys.stderr,
         )
         return 2
-    netlist, options, _tracer, passes = _build_pipeline_from_args(
-        args, spec=args.spec
-    )
+    netlist, options, passes = _build_pipeline_from_args(args, spec=args.spec)
     print(f"pipeline: {'; '.join(stage.spec() for stage in passes)}")
     manager = PassManager(verbose=True)
     outcome = manager.run(OptimizationContext(netlist, options), passes)
@@ -560,6 +583,7 @@ def _cmd_fuzz(args) -> int:
         run_bench_cases,
         run_fuzz,
     )
+    from repro.fuzz.harness import optimizer_options
 
     shapes = _split_rule_ids(args.shapes)
     # The optimizer-facing subset comes from the same prologue the
@@ -592,6 +616,7 @@ def _cmd_fuzz(args) -> int:
             else None
         ),
     )
+    _checked(optimizer_options, options)
     if args.replay:
         report = replay_corpus(Path(args.replay), options)
         if not report.cases:
@@ -645,23 +670,20 @@ def _cmd_serve(args) -> int:
     def log(line: str) -> None:
         print(line, file=sys.stderr, flush=True)
 
-    try:
-        config = ServerConfig(
-            host=args.host,
-            port=args.port,
-            workers=args.workers,
-            cache_entries=args.cache_size,
-            max_request_bytes=args.max_request_bytes,
-            default_timeout=args.job_timeout,
-            max_timeout=args.max_timeout,
-            max_queue=args.max_queue,
-            max_retries=args.max_retries,
-            allow_remote_shutdown=not args.no_remote_shutdown,
-            log=None if args.quiet else log,
-        )
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    config = _checked(
+        ServerConfig,
+        host=args.host,
+        port=args.port,
+        workers=args.workers,
+        cache_entries=args.cache_size,
+        max_request_bytes=args.max_request_bytes,
+        default_timeout=args.job_timeout,
+        max_timeout=args.max_timeout,
+        max_queue=args.max_queue,
+        max_retries=args.max_retries,
+        allow_remote_shutdown=not args.no_remote_shutdown,
+        log=None if args.quiet else log,
+    )
     server = PowderServer(config)
     try:
         asyncio.run(server.run(install_signal_handlers=True))
@@ -824,7 +846,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("glitch", help="glitch-aware power analysis")
     p.add_argument("netlist", help="mapped BLIF input")
     p.add_argument("--library", help="genlib file (default: built-in)")
-    p.add_argument("--pairs", type=int, default=192)
+    p.add_argument("--pairs", type=_positive_int, default=192,
+                   help="random consecutive vector pairs (default 192)")
     p.set_defaults(func=_cmd_glitch)
 
     p = sub.add_parser("stats", help="report netlist metrics and cell mix")

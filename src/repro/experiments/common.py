@@ -9,7 +9,6 @@ so the benchmark harness, the CLI and the tests run the identical protocol.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -19,6 +18,7 @@ from repro.library.standard import standard_library
 from repro.netlist.netlist import Netlist
 from repro.power.estimate import PowerEstimator
 from repro.power.probability import SimulationProbability
+from repro.telemetry.metrics import Timer
 from repro.timing.analysis import TimingAnalysis
 from repro.transform.optimizer import (
     OptimizeOptions,
@@ -95,24 +95,24 @@ def run_circuit(
 ) -> CircuitRun:
     """Synthesize one benchmark and run POWDER in the requested modes."""
     library = library or standard_library()
-    start = time.perf_counter()
-    base = build_benchmark(name, library, map_mode=config.map_mode)
-    power, area, delay = initial_metrics(base, config)
-    run = CircuitRun(
-        name=name,
-        initial_power=power,
-        initial_area=area,
-        initial_delay=delay,
-        num_gates=base.num_gates(),
-    )
-    if unconstrained:
-        run.unconstrained = power_optimize(
-            base.copy(name + "_unc"), config.optimizer_options(None)
+    with Timer(name) as timer:
+        base = build_benchmark(name, library, map_mode=config.map_mode)
+        power, area, delay = initial_metrics(base, config)
+        run = CircuitRun(
+            name=name,
+            initial_power=power,
+            initial_area=area,
+            initial_delay=delay,
+            num_gates=base.num_gates(),
         )
-    if constrained:
-        run.constrained = power_optimize(
-            base.copy(name + "_con"),
-            config.optimizer_options(delay_slack_percent=0.0),
-        )
-    run.cpu_seconds = time.perf_counter() - start
+        if unconstrained:
+            run.unconstrained = power_optimize(
+                base.copy(name + "_unc"), config.optimizer_options(None)
+            )
+        if constrained:
+            run.constrained = power_optimize(
+                base.copy(name + "_con"),
+                config.optimizer_options(delay_slack_percent=0.0),
+            )
+    run.cpu_seconds = timer.seconds
     return run

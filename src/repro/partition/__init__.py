@@ -1,4 +1,4 @@
-"""Netlist windowing: overlapping TFI/TFO cones for scalable optimization.
+"""Netlist windowing: TFI/TFO cones for scalable optimization.
 
 Large netlists cannot afford whole-netlist candidate rounds; the windowed
 optimizer (:mod:`repro.transform.windowed`) instead optimizes small
@@ -8,7 +8,7 @@ scheme:
 
 - :func:`extract_window` grows one radius-bounded cone around a seed gate,
 - :func:`partition_windows` selects seeds deterministically so every logic
-  gate lands in at least one window, and annotates overlap between them,
+  gate lands in at least one window,
 - :func:`export_window` turns a window into a self-contained sub-netlist
   plus the boundary constraints (external output loads, and slots for
   boundary input probabilities) that make window-local power estimates

@@ -18,7 +18,7 @@ suite pins by comparing exported BLIF bytes.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import NetlistError
 from repro.netlist.netlist import Gate, Netlist
@@ -41,9 +41,6 @@ class Window:
     outputs: tuple[str, ...]
     #: Extraction radius the cone was grown with.
     radius: int
-    #: Members shared with at least one other window of the partition
-    #: (filled by :func:`partition_windows`; empty for a lone extraction).
-    overlap: frozenset[str] = field(default_factory=frozenset)
 
     def __str__(self) -> str:
         return (
@@ -141,9 +138,7 @@ def partition_windows(
     Seeds are chosen greedily over the topological order: the first gate
     not yet covered by an earlier window seeds the next one.  The result
     is fully determined by the netlist structure — no randomness, no
-    dependence on dict iteration or worker count — and each window's
-    ``overlap`` names the members it shares with the rest of the
-    partition (the merge resolver's conflict currency).
+    dependence on dict iteration or worker count.
     """
     covered: set[str] = set()
     windows: list[Window] = []
@@ -158,21 +153,4 @@ def partition_windows(
         )
         covered.update(window.members)
         windows.append(window)
-    counts: dict[str, int] = {}
-    for window in windows:
-        for name in window.members:
-            counts[name] = counts.get(name, 0) + 1
-    return [
-        Window(
-            index=w.index,
-            seeds=w.seeds,
-            members=w.members,
-            inputs=w.inputs,
-            outputs=w.outputs,
-            radius=w.radius,
-            overlap=frozenset(
-                name for name in w.members if counts[name] > 1
-            ),
-        )
-        for w in windows
-    ]
+    return windows

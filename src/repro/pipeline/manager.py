@@ -17,7 +17,6 @@ silently computing over (or handing the next pass) stale analyses.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
@@ -25,6 +24,7 @@ from repro.errors import PipelineError
 from repro.netlist.netlist import Netlist
 from repro.pipeline.context import OptimizationContext
 from repro.pipeline.passes import Pass, PassResult
+from repro.telemetry.metrics import Timer
 from repro.transform.optimizer import OptimizeOptions
 
 
@@ -139,15 +139,15 @@ class PassManager:
             if getattr(context.options, "sanitize", False):
                 contract = PassContract(stage)
             before = (id(context.netlist), context.netlist.structural_version)
-            tick = time.perf_counter()
-            context._contract = contract
-            try:
-                result = stage.run(context)
-            finally:
-                context._contract = None
-            if contract is not None:
-                contract.check_netlist(before, context)
-            result.seconds = time.perf_counter() - tick
+            with Timer(stage.name) as timer:
+                context._contract = contract
+                try:
+                    result = stage.run(context)
+                finally:
+                    context._contract = None
+                if contract is not None:
+                    contract.check_netlist(before, context)
+            result.seconds = timer.seconds
             context.invalidate(*stage.invalidates)
             outcome.passes.append(result)
             if self.verbose:

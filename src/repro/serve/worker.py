@@ -112,20 +112,7 @@ def execute_jobspec(
         "spec": spec.spec,
     }
     if result is not None:
-        payload["summary"] = {
-            "initial_power": result.initial_power,
-            "final_power": result.final_power,
-            "initial_area": result.initial_area,
-            "final_area": result.final_area,
-            "initial_delay": result.initial_delay,
-            "final_delay": result.final_delay,
-            "moves": len(result.moves),
-            "rounds": result.rounds,
-            "rejected_delay": result.rejected_delay,
-            "rejected_not_permissible": result.rejected_not_permissible,
-            "rejected_aborted": result.rejected_aborted,
-            "rejected_stale": result.rejected_stale,
-        }
+        payload["summary"] = result.summary_fields()
     return payload
 
 

@@ -1,10 +1,10 @@
-"""Counter/timer registry backing the run tracer.
+"""Counter/timer registry: where a run (or the server) keeps its numbers.
 
 A :class:`Metrics` instance is a flat, named registry of monotonically
 increasing :class:`Counter` objects and wall-clock :class:`Timer`
 accumulators.  The clock is injectable, so tests can drive timers with a
 fake clock and assert on exact durations; production code uses
-``time.perf_counter``.
+:data:`WALL_CLOCK`, the package's one wall clock.
 
 Counters hold run facts that must be reproducible (candidate counts, ATPG
 calls/backtracks/aborts, cache hits); timers hold wall-times, which are
@@ -16,6 +16,9 @@ from __future__ import annotations
 
 import time
 from typing import Callable
+
+#: The clock every timer reads unless a test injects its own.
+WALL_CLOCK: Callable[[], float] = time.perf_counter
 
 
 class Counter:
@@ -39,7 +42,7 @@ class Timer:
 
     __slots__ = ("name", "seconds", "_clock", "_started")
 
-    def __init__(self, name: str, clock: Callable[[], float]):
+    def __init__(self, name: str, clock: Callable[[], float] = WALL_CLOCK):
         self.name = name
         self.seconds = 0.0
         self._clock = clock
@@ -55,7 +58,7 @@ class Timer:
         self._started = None
 
     def add(self, seconds: float) -> None:
-        """Fold in a duration measured elsewhere (e.g. optimizer phases)."""
+        """Fold in a duration measured elsewhere (e.g. a job's queue wait)."""
         self.seconds += seconds
 
     def __enter__(self) -> "Timer":
@@ -67,9 +70,9 @@ class Timer:
 
 
 class Metrics:
-    """Registry of counters and timers for one traced run."""
+    """Registry of counters and timers for one run (or one server)."""
 
-    def __init__(self, clock: Callable[[], float] = time.perf_counter):
+    def __init__(self, clock: Callable[[], float] = WALL_CLOCK):
         self.clock = clock
         self._counters: dict[str, Counter] = {}
         self._timers: dict[str, Timer] = {}

@@ -10,16 +10,19 @@ so a traced run applies exactly the moves an untraced run would.
 The optimizer guards every callback behind ``if self.tracer is not
 None``, so the disabled path (the default) costs nothing.
 
+A traced run keeps its phase timers, its ``total`` and its
+``rejected_<reason>`` tallies in the tracer's :attr:`Tracer.metrics`, so
+the trace holds the very figures the ``OptimizeResult`` reports.
+
 After ``run()`` returns, the finished :class:`RunTrace` is available
 both as ``tracer.trace`` and as ``OptimizeResult.trace``.
 """
 
 from __future__ import annotations
 
-import time
 from typing import TYPE_CHECKING, Callable, Optional
 
-from repro.telemetry.metrics import Metrics
+from repro.telemetry.metrics import WALL_CLOCK, Metrics
 from repro.telemetry.trace import MoveTrace, RoundTrace, RunTrace
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -66,7 +69,7 @@ _CANDIDATE_FIELDS = (
 class Tracer:
     """Collects one :class:`RunTrace` over one optimizer run."""
 
-    def __init__(self, clock: Callable[[], float] = time.perf_counter):
+    def __init__(self, clock: Callable[[], float] = WALL_CLOCK):
         self.metrics = Metrics(clock)
         self.trace = RunTrace()
         self._round: Optional[RoundTrace] = None
@@ -88,12 +91,8 @@ class Tracer:
         options["input_temporal_specs"] = opts.input_temporal_specs is not None
         self.trace.netlist = optimizer.netlist.name
         self.trace.options = options
-        self.metrics.timer("total").start()
 
     def end_run(self, optimizer: "PowerOptimizer", result: "OptimizeResult") -> RunTrace:
-        self.metrics.timer("total").stop()
-        for phase, seconds in optimizer.phase_seconds.items():
-            self.metrics.timer(f"phase.{phase}").add(seconds)
         triage = getattr(optimizer, "triage_checker", None)
         if triage is not None:
             for name, value in triage.counters.items():
@@ -101,20 +100,7 @@ class Tracer:
         trace = self.trace
         trace.counters = self.metrics.counters()
         trace.timers = self.metrics.timers()
-        trace.summary = {
-            "initial_power": result.initial_power,
-            "final_power": result.final_power,
-            "initial_area": result.initial_area,
-            "final_area": result.final_area,
-            "initial_delay": result.initial_delay,
-            "final_delay": result.final_delay,
-            "moves": len(result.moves),
-            "rounds": result.rounds,
-            "rejected_delay": result.rejected_delay,
-            "rejected_not_permissible": result.rejected_not_permissible,
-            "rejected_aborted": result.rejected_aborted,
-            "rejected_stale": result.rejected_stale,
-        }
+        trace.summary = result.summary_fields()
         if result.delay_limit is not None:
             trace.summary["delay_limit"] = result.delay_limit
         return trace
@@ -157,7 +143,8 @@ class Tracer:
             self._round.shortlist_evaluations += size
 
     def record_rejection(self, reason: str) -> None:
-        self.metrics.increment(f"rejected_{reason}")
+        """One rejected winner, tallied for the current round (the
+        optimizer counts the run's ``rejected_<reason>`` itself)."""
         if self._round is not None:
             self._round.rejections[reason] += 1
 

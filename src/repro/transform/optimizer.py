@@ -39,7 +39,6 @@ Since the pass-pipeline refactor this module is the *engine* layer:
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -58,6 +57,18 @@ from repro.transform.substitution import (
     IS3,
     Substitution,
     apply_substitution,
+)
+
+#: The Figure-5 steps a run times, as ``phase.<name>`` timers in its
+#: registry, in the order ``OptimizeResult.phase_seconds`` reports them.
+PHASES = ("candidates", "select", "timing", "atpg", "apply")
+#: The rejection tallies a run counts, as registry counters and as
+#: ``OptimizeResult`` fields.
+REJECTED = (
+    "rejected_delay",
+    "rejected_not_permissible",
+    "rejected_aborted",
+    "rejected_stale",
 )
 
 
@@ -286,15 +297,17 @@ class OptimizeResult:
     final_delay: float
     moves: list[MoveRecord]
     rounds: int
+    #: Read from the run's registry when it ended (:func:`registry_fields`).
     rejected_delay: int
     rejected_not_permissible: int
     rejected_aborted: int
     rejected_stale: int
     runtime_seconds: float
     delay_limit: Optional[float]
-    #: Wall-clock seconds per loop phase (candidates / select / timing /
-    #: atpg / apply).
-    phase_seconds: dict = field(default_factory=dict)
+    #: Wall-clock seconds per loop phase: candidates / select / timing /
+    #: atpg / apply for a flat run, spawn / partition / optimize / merge /
+    #: metrics for a windowed one.
+    phase_seconds: dict
     #: The finished :class:`~repro.telemetry.RunTrace` when the run was
     #: traced via ``OptimizeOptions(trace=...)``; ``None`` otherwise.
     trace: Optional[object] = None
@@ -317,6 +330,21 @@ class OptimizeResult:
             return 0.0
         return 100.0 * (1.0 - self.final_delay / self.initial_delay)
 
+    def summary_fields(self) -> dict:
+        """The run's figures as a trace's and a served job's ``summary``
+        record them."""
+        return {
+            "initial_power": self.initial_power,
+            "final_power": self.final_power,
+            "initial_area": self.initial_area,
+            "final_area": self.final_area,
+            "initial_delay": self.initial_delay,
+            "final_delay": self.final_delay,
+            "moves": len(self.moves),
+            "rounds": self.rounds,
+            **{name: getattr(self, name) for name in REJECTED},
+        }
+
     def summary(self) -> str:
         lines = [
             f"POWDER result for {self.netlist.name!r}:",
@@ -328,15 +356,35 @@ class OptimizeResult:
             f"  moves : {len(self.moves)} in {self.rounds} rounds, "
             f"{self.runtime_seconds:.2f}s",
         ]
-        if self.phase_seconds:
-            parts = ", ".join(
-                f"{name} {seconds:.2f}s"
-                for name, seconds in self.phase_seconds.items()
-            )
-            lines.append(f"  phases: {parts}")
+        parts = ", ".join(
+            f"{name} {seconds:.2f}s" for name, seconds in self.phase_seconds.items()
+        )
+        lines.append(f"  phases: {parts}")
         if self.moves:
             lines.append(format_class_table(self.moves))
         return "\n".join(lines)
+
+
+def registry_fields(
+    metrics, phases: tuple[str, ...], since: Optional[dict] = None
+) -> dict:
+    """The :class:`OptimizeResult` fields a run reads from its
+    :class:`~repro.telemetry.Metrics` registry, less an earlier reading
+    ``since``: a pipeline's powder stages share one tracer's registry, and
+    each stage reports its own run.  Tallies are read with ``get``, which
+    creates none, so a traced run's ``counters`` keep only the reasons
+    that occurred.
+    """
+    counters, timers = metrics.counters(), metrics.timers()
+    fields: dict = {name: counters.get(name, 0) for name in REJECTED}
+    fields["runtime_seconds"] = timers["total"]
+    fields["phase_seconds"] = {name: timers[f"phase.{name}"] for name in phases}
+    if since is not None:
+        for name in (*REJECTED, "runtime_seconds"):
+            fields[name] -= since[name]
+        for name in phases:
+            fields["phase_seconds"][name] -= since["phase_seconds"][name]
+    return fields
 
 
 class PowerOptimizer:
@@ -375,10 +423,6 @@ class PowerOptimizer:
         self.initial_delay = TimingAnalysis(self.netlist).circuit_delay
         self.moves: list[MoveRecord] = []
         self._gain_floor = opts.min_gain
-        self.rejected_delay = 0
-        self.rejected_not_permissible = 0
-        self.rejected_aborted = 0
-        self.rejected_stale = 0
         #: ``full_gain`` results since the last committed move, by
         #: substitution.  Rejecting a winner changes neither the netlist
         #: nor the probabilities, so a re-score would compute the same
@@ -393,12 +437,18 @@ class PowerOptimizer:
             from repro.lint.sanitizer import TransformSanitizer
 
             self.sanitizer = TransformSanitizer(context)
-        self.phase_seconds = {
-            "candidates": 0.0,
-            "select": 0.0,
-            "timing": 0.0,
-            "atpg": 0.0,
-            "apply": 0.0,
+        # Imported here: at module level it would load the whole telemetry
+        # package with every import of the optimizer.
+        from repro.telemetry.metrics import Metrics
+
+        #: Where the run times its ``total`` and ``phase.<name>`` timers and
+        #: counts ``rejected_<reason>``: the tracer's registry when traced.
+        self.metrics = (
+            self.tracer.metrics if self.tracer is not None else Metrics()
+        )
+        self._total = self.metrics.timer("total")
+        self._phases = {
+            name: self.metrics.timer(f"phase.{name}") for name in PHASES
         }
 
     # ------------------------------------------------------------------
@@ -447,9 +497,7 @@ class PowerOptimizer:
             while index < len(pool) and len(chunk) < opts.preselect:
                 candidate = pool[index]
                 if not candidate.substitution.validate_against(self.netlist):
-                    self.rejected_stale += 1
-                    if self.tracer is not None:
-                        self.tracer.record_rejection("stale")
+                    self._reject("stale")
                     pool.pop(index)
                     continue
                 chunk.append((index, candidate))
@@ -476,6 +524,12 @@ class PowerOptimizer:
             for position, _candidate in sorted(chunk, reverse=True):
                 pool.pop(position)
         return None
+
+    def _reject(self, reason: str) -> None:
+        """Count one rejected winner as ``rejected_<reason>``."""
+        self.metrics.increment(f"rejected_{reason}")
+        if self.tracer is not None:
+            self.tracer.record_rejection(reason)
 
     def check_delay(self, substitution: Substitution) -> bool:
         """True when the move respects the delay constraint (§3.4)."""
@@ -562,7 +616,8 @@ class PowerOptimizer:
     # ------------------------------------------------------------------
     def run(self) -> OptimizeResult:
         opts = self.options
-        start = time.perf_counter()
+        since = registry_fields(self.metrics, PHASES)
+        self._total.start()
         if self.tracer is not None:
             self.tracer.begin_run(self)
         initial_power = self.estimator.total()
@@ -576,12 +631,11 @@ class PowerOptimizer:
                 opts.gain_threshold_fraction * initial_power,
             )
 
-        phases = self.phase_seconds
+        phases = self._phases
         while True:
             self._round += 1
-            tick = time.perf_counter()
-            pool = self.get_candidate_substitutions()
-            phases["candidates"] += time.perf_counter() - tick
+            with phases["candidates"]:
+                pool = self.get_candidate_substitutions()
             if self.tracer is not None:
                 self.tracer.begin_round(self._round, pool)
             performed_this_round = 0
@@ -589,35 +643,25 @@ class PowerOptimizer:
             while budget > 0 and pool:
                 if opts.max_moves is not None and len(self.moves) >= opts.max_moves:
                     break
-                tick = time.perf_counter()
-                good = self.select_power_red_subst(pool)
-                phases["select"] += time.perf_counter() - tick
+                with phases["select"]:
+                    good = self.select_power_red_subst(pool)
                 if good is None:
                     break
-                tick = time.perf_counter()
-                delay_ok = self.check_delay(good.substitution)
-                phases["timing"] += time.perf_counter() - tick
+                with phases["timing"]:
+                    delay_ok = self.check_delay(good.substitution)
                 if not delay_ok:
-                    self.rejected_delay += 1
-                    if self.tracer is not None:
-                        self.tracer.record_rejection("delay")
+                    self._reject("delay")
                     continue
-                tick = time.perf_counter()
-                status = self.check_candidate(good.substitution)
-                phases["atpg"] += time.perf_counter() - tick
+                with phases["atpg"]:
+                    status = self.check_candidate(good.substitution)
                 if status == ABORTED:
-                    self.rejected_aborted += 1
-                    if self.tracer is not None:
-                        self.tracer.record_rejection("aborted")
+                    self._reject("aborted")
                     continue
                 if status == NOT_PERMISSIBLE:
-                    self.rejected_not_permissible += 1
-                    if self.tracer is not None:
-                        self.tracer.record_rejection("not_permissible")
+                    self._reject("not_permissible")
                     continue
-                tick = time.perf_counter()
-                self.perform_substitution(good)
-                phases["apply"] += time.perf_counter() - tick
+                with phases["apply"]:
+                    self.perform_substitution(good)
                 performed_this_round += 1
                 budget -= 1
             if self.tracer is not None:
@@ -634,6 +678,7 @@ class PowerOptimizer:
                 break
 
         final_timing = TimingAnalysis(self.netlist)
+        self._total.stop()
         result = OptimizeResult(
             netlist=self.netlist,
             initial_power=initial_power,
@@ -644,13 +689,8 @@ class PowerOptimizer:
             final_delay=final_timing.circuit_delay,
             moves=self.moves,
             rounds=self._round,
-            rejected_delay=self.rejected_delay,
-            rejected_not_permissible=self.rejected_not_permissible,
-            rejected_aborted=self.rejected_aborted,
-            rejected_stale=self.rejected_stale,
-            runtime_seconds=time.perf_counter() - start,
             delay_limit=self.constraint.limit if self.constraint else None,
-            phase_seconds=dict(self.phase_seconds),
+            **registry_fields(self.metrics, PHASES, since),
         )
         if self.tracer is not None:
             result.trace = self.tracer.end_run(self, result)

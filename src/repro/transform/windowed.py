@@ -65,7 +65,6 @@ import contextlib
 import dataclasses
 import heapq
 import multiprocessing
-import time
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -87,13 +86,14 @@ from repro.transform.optimizer import (
     OptimizeOptions,
     OptimizeResult,
     PowerOptimizer,
+    registry_fields,
 )
 from repro.transform.report import MoveRecord
 from repro.transform.substitution import Substitution, apply_substitution
 
-#: Default window extraction knobs (see ``OptimizeOptions``).
-DEFAULT_WINDOW_SIZE = 80
-DEFAULT_WINDOW_RADIUS = 3
+#: The steps a windowed run times, as ``phase.<name>`` timers in its
+#: registry, in the order ``OptimizeResult.phase_seconds`` reports them.
+PHASES = ("spawn", "partition", "optimize", "merge", "metrics")
 
 
 @dataclass
@@ -108,8 +108,6 @@ class WindowOutcome:
     #: touch check dropped waits for its next generation.
     status: str = "empty"
     error: Optional[str] = None
-    #: Rejection counters from the window's sub-run.
-    counters: dict = field(default_factory=dict)
     #: The generation (0-based) the window was optimized in; ``None`` when
     #: no gate of it was left to optimize.
     generation: Optional[int] = None
@@ -140,14 +138,9 @@ def _optimize_window_task(task):
         sub = parse_blif(blif_text, library)
         for po, load in po_loads.items():
             sub.output_loads[po] = load
-        result = PowerOptimizer(sub, sub_options).run()
-        counters = {
-            "rejected_delay": result.rejected_delay,
-            "rejected_not_permissible": result.rejected_not_permissible,
-            "rejected_aborted": result.rejected_aborted,
-            "rejected_stale": result.rejected_stale,
-        }
-        return (index, result.moves, counters, None)
+        optimizer = PowerOptimizer(sub, sub_options)
+        result = optimizer.run()
+        return (index, result.moves, optimizer.metrics.counters(), None)
     except Exception as exc:  # noqa: BLE001 - transported across the pipe
         return (index, [], {}, f"{type(exc).__name__}: {exc}")
 
@@ -240,8 +233,8 @@ class WindowedOptimizer:
 
     Drives the full windowed flow described in the module docstring and
     returns an ordinary :class:`OptimizeResult` whose final metrics are
-    recomputed from scratch on the merged netlist.  ``phase_seconds``
-    separates ``spawn`` (pool startup) from ``optimize`` (the pool's work,
+    recomputed from scratch on the merged netlist.  Its ``phase_seconds``
+    separate ``spawn`` (pool startup) from ``optimize`` (the pool's work,
     summed over generations) so profiles of the pool path do not bill
     worker startup as optimizer time; ``partition`` also sums every
     generation's scheduling and export, and ``merge`` its replays.
@@ -261,7 +254,14 @@ class WindowedOptimizer:
         #: generation touched.  The reach rule keeps it empty; each entry
         #: is a bug the touch check caught and requeued.
         self.conflicts: list[int] = []
-        self.phase_seconds: dict = {}
+        from repro.telemetry.metrics import Metrics  # as in PowerOptimizer
+
+        #: The run's timers, and its windows' summed rejection tallies.
+        self.metrics = Metrics()
+        self._total = self.metrics.timer("total")
+        self._phases = {
+            name: self.metrics.timer(f"phase.{name}") for name in PHASES
+        }
         #: Indices of the windows still waiting for a generation.
         self._pending: set[int] = set()
         #: The worker pool while :meth:`run` holds one open (``jobs`` > 1).
@@ -395,20 +395,20 @@ class WindowedOptimizer:
         too."""
         jobs = self.options.jobs
         if jobs <= 1:
-            self.phase_seconds["spawn"] = 0.0
             yield
             return
         try:
             ctx = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover - non-POSIX hosts
             ctx = multiprocessing.get_context("spawn")
-        tick = time.perf_counter()
+        spawn = self._phases["spawn"]
+        spawn.start()
         with ctx.Pool(
             processes=jobs,
             initializer=_init_worker,
             initargs=(self.netlist.library,),
         ) as pool:
-            self.phase_seconds["spawn"] = time.perf_counter() - tick
+            spawn.stop()
             self._pool = pool
             try:
                 yield
@@ -513,8 +513,8 @@ class WindowedOptimizer:
     def run(self) -> OptimizeResult:
         opts = self.options
         netlist = self.netlist
-        start = time.perf_counter()
-        phases = self.phase_seconds
+        phases = self._phases
+        self._total.start()
 
         engine = SimulationProbability(
             netlist,
@@ -526,13 +526,11 @@ class WindowedOptimizer:
         initial_area = netlist.total_area()
         initial_delay = TimingAnalysis(netlist).circuit_delay
 
-        tick = time.perf_counter()
-        windows = partition_windows(
-            netlist, radius=opts.window_radius, max_gates=opts.window_size
-        )
-        probs = self._boundary_probabilities(engine)
-        phases["partition"] = time.perf_counter() - tick
-        phases["optimize"] = phases["merge"] = 0.0
+        with phases["partition"]:
+            windows = partition_windows(
+                netlist, radius=opts.window_radius, max_gates=opts.window_size
+            )
+            probs = self._boundary_probabilities(engine)
         self.outcomes = [WindowOutcome(window=window) for window in windows]
         self._pending = set(range(len(windows)))
 
@@ -540,14 +538,12 @@ class WindowedOptimizer:
         generation = 0
         with self._open_pool():
             while self._pending:
-                tick = time.perf_counter()
-                chosen = self._next_generation(windows)
-                tasks = [self._task(outcome.window, probs) for outcome in chosen]
-                phases["partition"] += time.perf_counter() - tick
+                with phases["partition"]:
+                    chosen = self._next_generation(windows)
+                    tasks = [self._task(outcome.window, probs) for outcome in chosen]
 
-                tick = time.perf_counter()
-                results = {result[0]: result for result in self._dispatch(tasks)}
-                phases["optimize"] += time.perf_counter() - tick
+                with phases["optimize"]:
+                    results = {result[0]: result for result in self._dispatch(tasks)}
 
                 errors = []
                 for outcome in chosen:
@@ -555,8 +551,9 @@ class WindowedOptimizer:
                     _index, moves, counters, error = results[index]
                     outcome.generation = generation
                     outcome.moves = list(moves)
-                    outcome.counters = counters
                     outcome.error = error
+                    for name, value in counters.items():
+                        self.metrics.increment(name, value)
                     if error is not None:
                         outcome.status = "error"
                         errors.append(
@@ -568,31 +565,20 @@ class WindowedOptimizer:
                         f"{len(errors)} worker(s): " + "; ".join(errors[:3])
                     )
 
-                tick = time.perf_counter()
-                records.extend(self._merge(chosen))
-                phases["merge"] += time.perf_counter() - tick
+                with phases["merge"]:
+                    records.extend(self._merge(chosen))
                 generation += 1
 
-        counters = {
-            "rejected_delay": 0,
-            "rejected_not_permissible": 0,
-            "rejected_aborted": 0,
-            "rejected_stale": 0,
-        }
-        for outcome in self.outcomes:
-            for key in counters:
-                counters[key] += outcome.counters.get(key, 0)
-
-        tick = time.perf_counter()
-        final_engine = SimulationProbability(
-            netlist,
-            num_patterns=opts.num_patterns,
-            seed=opts.seed,
-            input_probs=opts.input_probs,
-        )
-        final_power = PowerEstimator(netlist, final_engine).total()
-        final_delay = TimingAnalysis(netlist).circuit_delay
-        phases["metrics"] = time.perf_counter() - tick
+        with phases["metrics"]:
+            final_engine = SimulationProbability(
+                netlist,
+                num_patterns=opts.num_patterns,
+                seed=opts.seed,
+                input_probs=opts.input_probs,
+            )
+            final_power = PowerEstimator(netlist, final_engine).total()
+            final_delay = TimingAnalysis(netlist).circuit_delay
+        self._total.stop()
 
         return OptimizeResult(
             netlist=netlist,
@@ -604,13 +590,8 @@ class WindowedOptimizer:
             final_delay=final_delay,
             moves=records,
             rounds=len(windows),
-            rejected_delay=counters["rejected_delay"],
-            rejected_not_permissible=counters["rejected_not_permissible"],
-            rejected_aborted=counters["rejected_aborted"],
-            rejected_stale=counters["rejected_stale"],
-            runtime_seconds=time.perf_counter() - start,
             delay_limit=None,
-            phase_seconds=dict(phases),
+            **registry_fields(self.metrics, PHASES),
         )
 
 

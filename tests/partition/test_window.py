@@ -113,21 +113,6 @@ class TestPartitionProperties:
             assert [w.members for w in left] == [w.members for w in first]
             assert [w.inputs for w in left] == [w.inputs for w in first]
             assert [w.outputs for w in left] == [w.outputs for w in first]
-            assert [w.overlap for w in left] == [w.overlap for w in first]
-
-    @settings(max_examples=15, deadline=None)
-    @given(windows_cases)
-    def test_overlap_names_shared_members_exactly(self, case):
-        seed, shape, gates, radius, max_gates = case
-        netlist = generated(seed, shape, gates)
-        windows = partition_windows(netlist, radius=radius, max_gates=max_gates)
-        counts: dict = {}
-        for window in windows:
-            for name in window.members:
-                counts[name] = counts.get(name, 0) + 1
-        for window in windows:
-            expected = {n for n in window.members if counts[n] > 1}
-            assert window.overlap == expected
 
 
 class TestExtractWindow:
@@ -177,7 +162,6 @@ class TestExtractWindow:
         windows = partition_windows(netlist, radius=50, max_gates=10_000)
         assert len(windows) == 1
         window = windows[0]
-        assert window.overlap == frozenset()
         assert set(window.members) == {g.name for g in netlist.logic_gates()}
         assert isinstance(window, Window)
         assert "window[0]" in str(window)

@@ -57,6 +57,84 @@ class TestParser:
         assert args.delay_slack == 0.0
 
 
+#: Option values the optimizer or an experiment refuses, with the one
+#: line each must print.
+REJECTED_SETTINGS = [
+    (
+        ["optimize", RD53, "--windowed", "--trace", "unused.json"],
+        "windowed optimization does not support tracing: per-window "
+        "traces do not compose into one RunTrace",
+    ),
+    (
+        ["optimize", RD53, "--windowed", "--delay-slack", "0"],
+        "windowed optimization does not support delay constraints: "
+        "window-local slack cannot see external paths, so the constraint "
+        "would not be enforced",
+    ),
+    (["optimize", RD53, "--repeat", "-1"], "repeat must be non-negative, got -1"),
+    (["optimize", RD53, "--max-rounds", "0"], "max_rounds must be positive, got 0"),
+    (
+        ["optimize", RD53, "--max-moves", "-1"],
+        "max_moves must be non-negative, got -1",
+    ),
+    (
+        ["optimize", RD53, "--windowed", "--jobs", "0"],
+        "jobs must be positive, got 0",
+    ),
+    (
+        ["optimize", RD53, "--windowed", "--window-size", "0"],
+        "window_size must be positive, got 0",
+    ),
+    (
+        ["pipeline", "run", RD53, "--repeat", "-1"],
+        "repeat must be non-negative, got -1",
+    ),
+    (
+        ["fuzz", "--count", "1", "--max-moves", "-1"],
+        "max_moves must be non-negative, got -1",
+    ),
+    (
+        ["table1", "--circuits", "rd53", "--repeat", "-1"],
+        "repeat must be non-negative, got -1",
+    ),
+]
+
+
+class TestRejectedSettings:
+    @pytest.mark.parametrize(
+        "argv, message",
+        REJECTED_SETTINGS,
+        ids=[
+            " ".join("rd53" if arg == RD53 else arg for arg in argv)
+            for argv, _message in REJECTED_SETTINGS
+        ],
+    )
+    def test_is_one_error_line_before_any_work(
+        self, argv, message, monkeypatch, capsys
+    ):
+        import repro.cli
+        import repro.fuzz
+
+        def no_work(*_args, **_kwargs):
+            raise AssertionError("a rejected setting must not start work")
+
+        monkeypatch.setattr(repro.cli, "_load_mapped_netlist", no_work)
+        monkeypatch.setattr(repro.cli, "run_table1", no_work)
+        monkeypatch.setattr(repro.fuzz, "run_fuzz", no_work)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("pairs", ["0", "-5"])
+    def test_glitch_pair_count_below_one_is_usage_error(self, pairs, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["glitch", RD53, "--pairs", pairs])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument --pairs: must be at least 1, got {pairs}" in err
+
+
 class TestCommands:
     def test_bench_list(self, capsys):
         assert main(["bench-list"]) == 0
