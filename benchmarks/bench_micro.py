@@ -274,12 +274,12 @@ class TestTracingOverhead:
 
 
 class TestPassManagerOverhead:
-    """Pipeline-scheduling cost vs driving the engine directly (ttt2).
+    """Pipeline cost vs driving the engine directly (ttt2).
 
-    ``power_optimize`` now routes through ``OptimizationContext`` +
-    ``PassManager``; the scheduling layer only adds configure/lazy-build/
-    invalidate bookkeeping around one engine run, so its overhead budget
-    is <2% of the direct ``PowerOptimizer.run()`` wall time.
+    ``power_optimize`` runs the default pipeline through a
+    ``PassManager``, which only times one ``powder`` stage around one
+    engine run, so its overhead budget is <2% of the direct
+    ``PowerOptimizer.run()`` wall time.
     """
 
     OVERHEAD_BUDGET = 0.02

@@ -160,13 +160,13 @@ def flat_round(num_gates: int) -> dict:
     """
     netlist = _large(num_gates)
     options = _scale_options(trace=Tracer())
-    ctx = OptimizationContext(netlist, options)
     triage = TriageChecker(netlist)
     seconds = {"check": 0.0, "sat": 0.0}
     counts = {"built": 0, "exact": 0, "rows": 0}
     build = candidates.Candidate.__init__
     exact_gain = candidates.quick_gain
     target_table = candidates.CandidateWorkspace._target_table
+    build_triage = OptimizationContext._build_triage
 
     def counted_build(self, *args, **kwargs):
         counts["built"] += 1
@@ -193,15 +193,16 @@ def flat_round(num_gates: int) -> dict:
 
     triage.check = timed(triage.check, "check")
     triage.sat_verdict = timed(triage.sat_verdict, "sat")
-    ctx.put("triage", triage)
+    OptimizationContext._build_triage = lambda _ctx: triage
     candidates.Candidate.__init__ = counted_build
     candidates.quick_gain = counted_exact_gain
     candidates.CandidateWorkspace._target_table = counted_target_table
     try:
         tick = time.perf_counter()
-        result = PowerOptimizer(context=ctx).run()
+        result = PowerOptimizer(netlist, options).run()
         wall = time.perf_counter() - tick
     finally:
+        OptimizationContext._build_triage = build_triage
         candidates.Candidate.__init__ = build
         candidates.quick_gain = exact_gain
         candidates.CandidateWorkspace._target_table = target_table

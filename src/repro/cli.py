@@ -259,10 +259,10 @@ def _write_optimized_outputs(args, netlist, result) -> None:
 
 
 def _cmd_optimize(args) -> int:
-    from repro.pipeline import OptimizationContext, PassManager
+    from repro.pipeline import PassManager
 
     netlist, options, passes = _build_pipeline_from_args(args)
-    outcome = PassManager().run(OptimizationContext(netlist, options), passes)
+    outcome = PassManager().run(netlist, options, passes)
     result = outcome.optimize_result
     print(result.summary())
     _write_optimized_outputs(args, netlist, result)
@@ -270,11 +270,7 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_pipeline_run(args) -> int:
-    from repro.pipeline import (
-        OptimizationContext,
-        PassManager,
-        available_passes,
-    )
+    from repro.pipeline import PassManager, available_passes
 
     if args.list_passes:
         print(f"{'name':10s} description")
@@ -291,8 +287,7 @@ def _cmd_pipeline_run(args) -> int:
         return 2
     netlist, options, passes = _build_pipeline_from_args(args, spec=args.spec)
     print(f"pipeline: {'; '.join(stage.spec() for stage in passes)}")
-    manager = PassManager(verbose=True)
-    outcome = manager.run(OptimizationContext(netlist, options), passes)
+    outcome = PassManager(verbose=True).run(netlist, options, passes)
     print(outcome.summary())
     result = outcome.optimize_result
     if result is not None:

@@ -18,16 +18,12 @@ set.  After every applied substitution it
 ``X004`` and ``X005`` are retired and not reused: the candidate
 workspace they checked now rebuilds its state every round.
 
-It is built over the optimizer's
+It is built over the optimizer run's
 :class:`~repro.pipeline.OptimizationContext` and only *reads* the
 analyses there, so a sanitized run applies a bit-identical move sequence
 to an unsanitized one.  On any finding it raises
 :class:`~repro.errors.LintError` naming the offending move, the rule ID,
 and the minimal repro context.
-
-The same checks are available between pipeline stages as the
-``sanitize`` pass (:class:`repro.pipeline.SanitizePass`), which
-cross-checks whatever analyses the shared context has built so far.
 """
 
 from __future__ import annotations
@@ -117,7 +113,7 @@ class TransformSanitizer:
         ]
 
     def _check_probabilities(self) -> list[Diagnostic]:
-        engine = self.ctx.estimator.engine
+        engine = self.ctx.get("estimator").engine
         if not isinstance(engine, SimulationProbability):
             return []
         netlist = self.ctx.netlist
@@ -144,10 +140,11 @@ class TransformSanitizer:
 
     def _check_timing(self) -> list[Diagnostic]:
         ctx = self.ctx
+        constraint = ctx.get("constraint")
         fresh = TimingAnalysis(
-            ctx.netlist, ctx.constraint.limit if ctx.constraint else None
+            ctx.netlist, constraint.limit if constraint else None
         )
-        timing = ctx.timing
+        timing = ctx.get("timing")
         findings: list[Diagnostic] = []
         for label, incremental, rebuilt in (
             ("arrival", timing.arrival, fresh.arrival),

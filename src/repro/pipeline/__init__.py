@@ -1,20 +1,16 @@
 """Composable optimization pass pipelines.
 
-The architecture production synthesis flows converge on: small
-single-purpose passes scheduled over shared, incrementally-maintained
-analysis state.
-
-- :class:`~repro.pipeline.context.OptimizationContext` — one netlist
-  plus every derived analysis (probability engine, power estimator,
-  delay constraint, STA, candidate workspace) with lazy build and
-  declared invalidation,
 - :class:`~repro.pipeline.passes.Pass` — the pass protocol (``name``,
-  ``requires``, ``invalidates``, ``run(ctx)``) and the builtin passes
-  (``dedupe``, ``powder``, ``sweep``, ``lint``, ``sanitize``,
-  ``resynth``),
-- :class:`~repro.pipeline.manager.PassManager` — schedules passes,
-  rebuilds required analyses exactly when needed, and emits per-pass
-  telemetry phases,
+  ``run(netlist, options) -> PassResult``) and the builtin passes
+  (``dedupe``, ``powder``, ``window``, ``sweep``, ``lint``, ``resynth``,
+  ``bdd_resynth``),
+- :class:`~repro.pipeline.manager.PassManager` — hands each stage the
+  netlist the previous one left and the pipeline's options, and times
+  every stage,
+- :class:`~repro.pipeline.context.OptimizationContext` — the analyses
+  one engine run builds lazily over its netlist (probability engine,
+  power estimator, delay constraint, STA, candidate workspace, triage
+  checker),
 - :mod:`~repro.pipeline.spec` — the ``"dedupe; powder(repeat=25);
   sweep"`` mini-language, surfaced as ``powder pipeline run`` in the
   CLI.
@@ -29,13 +25,8 @@ Quickstart::
 """
 
 from repro.errors import PipelineError
-from repro.pipeline.context import ALL_ANALYSES, OptimizationContext
-from repro.pipeline.manager import (
-    PassContract,
-    PassManager,
-    PipelineResult,
-    run_pipeline,
-)
+from repro.pipeline.context import OptimizationContext
+from repro.pipeline.manager import PassManager, PipelineResult, run_pipeline
 from repro.pipeline.passes import (
     BddResynthPass,
     DedupePass,
@@ -45,7 +36,6 @@ from repro.pipeline.passes import (
     PowderPass,
     RegisteredPass,
     ResynthPass,
-    SanitizePass,
     SweepPass,
     available_passes,
     default_pipeline,
@@ -61,9 +51,7 @@ from repro.pipeline.spec import (
 )
 
 __all__ = [
-    "ALL_ANALYSES",
     "OptimizationContext",
-    "PassContract",
     "PassManager",
     "PipelineError",
     "PipelineResult",
@@ -74,7 +62,6 @@ __all__ = [
     "PowderPass",
     "SweepPass",
     "LintPass",
-    "SanitizePass",
     "BddResynthPass",
     "ResynthPass",
     "RegisteredPass",

@@ -1,15 +1,10 @@
 """First-class optimization passes and the pass registry.
 
-Each :class:`Pass` is a small, composable unit of work over a shared
-:class:`~repro.pipeline.context.OptimizationContext`:
-
-- ``requires`` names the analyses the pass reads — the
-  :class:`~repro.pipeline.manager.PassManager` (re)builds them lazily
-  before ``run``,
-- ``invalidates`` names the analyses the pass dirties — the manager
-  drops them (and their dependents) afterwards, so the next consumer
-  pays exactly one rebuild,
-- ``run(ctx)`` does the work and reports a :class:`PassResult`.
+Each :class:`Pass` is a small, composable unit of work: ``run(netlist,
+options)`` takes the netlist the previous stage left and the pipeline's
+:class:`~repro.transform.optimizer.OptimizeOptions`, builds whatever
+analyses it needs from those two, and reports a :class:`PassResult`.
+Nothing a stage builds outlives it.
 
 Builtin passes (see :func:`available_passes` / ``powder pipeline run
 --list-passes``):
@@ -23,18 +18,16 @@ Builtin passes (see :func:`available_passes` / ``powder pipeline run
     :class:`~repro.transform.optimizer.OptimizeOptions` field —
     ``powder(repeat=25, objective=power)`` — with the objective resolved
     through the pluggable cost-model registry.
+``window``
+    Windowed POWDER for large netlists.
 ``sweep``
     Remove gates feeding neither a primary output nor another live gate.
 ``lint``
     Run the :mod:`repro.lint` rule pack; fails the pipeline at a
     configurable severity.
-``sanitize``
-    Cross-check every *built* analysis in the context against a
-    from-scratch rebuild (the pipeline-level variant of the per-move
-    :class:`~repro.lint.sanitizer.TransformSanitizer`).
-``resynth``
-    Adapter over the :mod:`repro.synth` flow: un-map to the AND2/INV
-    subject graph and technology-map again (``mode=power|area|delay``).
+``resynth``, ``bdd_resynth``
+    Adapters over the :mod:`repro.synth` flow: un-map and
+    technology-map again (``mode=power|area|delay``).
 """
 
 from __future__ import annotations
@@ -44,25 +37,13 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Optional
 
 from repro.errors import LintError, PipelineError
-from repro.pipeline.context import ALL_ANALYSES, OptimizationContext
+from repro.netlist.netlist import Netlist
 from repro.transform.optimizer import OptimizeOptions, PowerOptimizer
-
-#: OptimizeOptions fields whose value determines how analyses are
-#: *constructed*; a powder override of one of these must rebuild the
-#: affected analysis roots before the engine runs.
-_ANALYSIS_OPTION_ROOTS = {
-    "num_patterns": ("probability",),
-    "seed": ("probability",),
-    "input_probs": ("probability",),
-    "input_temporal_specs": ("probability",),
-    "delay_limit": ("constraint",),
-    "delay_slack_percent": ("constraint",),
-}
 
 
 @dataclass
 class PassResult:
-    """What one pass did to the context."""
+    """What one pass did to the netlist it received."""
 
     name: str
     #: Whether the pass changed the netlist.
@@ -74,6 +55,10 @@ class PassResult:
     #: The full :class:`~repro.transform.optimizer.OptimizeResult` when
     #: the pass ran the optimization engine; ``None`` otherwise.
     optimize_result: Optional[object] = None
+    #: The netlist that replaces the received one for later stages
+    #: (``resynth``, ``bdd_resynth``); ``None`` when the pass edited the
+    #: received netlist in place.
+    netlist: Optional[Netlist] = None
 
     def summary(self) -> str:
         parts = ", ".join(f"{k}={v}" for k, v in self.details.items())
@@ -82,29 +67,16 @@ class PassResult:
 
 
 class Pass:
-    """One composable unit of work over an :class:`OptimizationContext`."""
+    """One composable unit of work over a netlist."""
 
     #: Registry key; also the stage name in pipeline specs.
     name: str = "?"
-    #: Analyses built before :meth:`run` (in declaration order).
-    requires: tuple[str, ...] = ()
-    #: Analyses dropped after :meth:`run` (dependents cascade).
-    invalidates: tuple[str, ...] = ()
-    #: Analyses the pass reads or updates *itself* — lazily, optionally,
-    #: or incrementally — without the manager's pre-build/invalidate
-    #: help.  Purely a contract declaration (see
-    #: :class:`~repro.pipeline.manager.PassContract`); the manager never
-    #: acts on it.
-    maintains: tuple[str, ...] = ()
 
     def __init__(self, **params):
         #: The constructor kwargs, kept for spec round-tripping.
         self.params = params
 
-    def configure(self, ctx: OptimizationContext) -> None:
-        """Adjust the context before the manager builds ``requires``."""
-
-    def run(self, ctx: OptimizationContext) -> PassResult:
+    def run(self, netlist: Netlist, options: OptimizeOptions) -> PassResult:
         raise NotImplementedError
 
     def spec(self) -> str:
@@ -117,16 +89,24 @@ class Pass:
         return f"<Pass {self.spec()}>"
 
 
+def _check_overrides(stage: str, overrides: dict) -> None:
+    unknown = set(overrides) - {f.name for f in fields(OptimizeOptions)}
+    if unknown:
+        raise PipelineError(
+            f"unknown {stage} option(s) {sorted(unknown)}; valid "
+            f"options are the OptimizeOptions fields"
+        )
+
+
 class DedupePass(Pass):
     """Merge structurally identical gates (same cell, same fanins)."""
 
     name = "dedupe"
-    invalidates = ALL_ANALYSES
 
-    def run(self, ctx: OptimizationContext) -> PassResult:
+    def run(self, netlist: Netlist, options: OptimizeOptions) -> PassResult:
         from repro.transform.dedupe import merge_duplicate_gates
 
-        pairs = merge_duplicate_gates(ctx.netlist)
+        pairs = merge_duplicate_gates(netlist)
         return PassResult(
             self.name, changed=bool(pairs), details={"merged": len(pairs)}
         )
@@ -136,60 +116,33 @@ class SweepPass(Pass):
     """Remove dead gates (no path to any primary output)."""
 
     name = "sweep"
-    invalidates = ALL_ANALYSES
 
-    def run(self, ctx: OptimizationContext) -> PassResult:
-        removed = ctx.netlist.sweep_dead()
+    def run(self, netlist: Netlist, options: OptimizeOptions) -> PassResult:
+        removed = netlist.sweep_dead()
         return PassResult(
             self.name, changed=bool(removed), details={"removed": len(removed)}
         )
 
 
 class PowderPass(Pass):
-    """The Figure-5 substitution round loop over the shared context.
+    """The Figure-5 substitution round loop.
 
     Keyword parameters override the corresponding
     :class:`~repro.transform.optimizer.OptimizeOptions` fields for this
     stage, e.g. ``powder(repeat=25, objective=power)``; unset fields
-    inherit the context's options.  The engine maintains its required
-    analyses incrementally, so the pass invalidates nothing.
+    inherit the pipeline's options.  The stage is one engine run over
+    the netlist it receives, so a ``delay_slack_percent`` is measured on
+    that netlist.
     """
 
     name = "powder"
-    requires = ("estimator", "timing")
-    invalidates = ()
-    # The engine builds, reads, and incrementally updates the context
-    # analyses it uses itself (workspace, triage...), and the fact base
-    # refreshes on its next read, so the full set is contract-legal
-    # without manager involvement.
-    maintains = ALL_ANALYSES
 
     def __init__(self, **overrides):
-        valid = {f.name for f in fields(OptimizeOptions)}
-        unknown = set(overrides) - valid
-        if unknown:
-            raise PipelineError(
-                f"unknown powder option(s) {sorted(unknown)}; valid "
-                f"options are the OptimizeOptions fields"
-            )
+        _check_overrides(self.name, overrides)
         super().__init__(**overrides)
 
-    def configure(self, ctx: OptimizationContext) -> None:
-        if not self.params:
-            return
-        effective = replace(ctx.options, **self.params)
-        # An override that changes how an analysis is *built* must force
-        # a rebuild; otherwise keep whatever prior passes left valid.
-        for option_name, roots in _ANALYSIS_OPTION_ROOTS.items():
-            if getattr(effective, option_name) != getattr(
-                ctx.options, option_name
-            ):
-                ctx.invalidate(*roots)
-        ctx.options = effective
-        ctx.tracer = effective.trace
-
-    def run(self, ctx: OptimizationContext) -> PassResult:
-        result = PowerOptimizer(context=ctx).run()
+    def run(self, netlist: Netlist, options: OptimizeOptions) -> PassResult:
+        result = PowerOptimizer(netlist, replace(options, **self.params)).run()
         return PassResult(
             self.name,
             changed=bool(result.moves),
@@ -210,29 +163,20 @@ class WindowPass(Pass):
     each generation's move lists.  Keyword parameters override
     :class:`OptimizeOptions` fields, e.g. ``window(jobs=4,
     window_size=120)``; ``windowed=True`` is implied.  The details count
-    the windows by status and the ``generations`` they ran in.  The merge
-    edits the netlist outside the context's incremental machinery, so
-    every analysis is invalidated afterwards.
+    the windows by status and the ``generations`` they ran in.
     """
 
     name = "window"
-    invalidates = ALL_ANALYSES
 
     def __init__(self, **overrides):
-        valid = {f.name for f in fields(OptimizeOptions)}
-        unknown = set(overrides) - valid
-        if unknown:
-            raise PipelineError(
-                f"unknown window option(s) {sorted(unknown)}; valid "
-                f"options are the OptimizeOptions fields"
-            )
+        _check_overrides(self.name, overrides)
         super().__init__(**overrides)
 
-    def run(self, ctx: OptimizationContext) -> PassResult:
+    def run(self, netlist: Netlist, options: OptimizeOptions) -> PassResult:
         from repro.transform.windowed import WindowedOptimizer
 
-        options = replace(ctx.options, windowed=True, **self.params)
-        engine = WindowedOptimizer(ctx.netlist, options)
+        options = replace(options, windowed=True, **self.params)
+        engine = WindowedOptimizer(netlist, options)
         result = engine.run()
         statuses: dict = {}
         for outcome in engine.outcomes:
@@ -257,9 +201,11 @@ class LintPass(Pass):
 
     Parameters: ``fail_on`` severity (``error``/``warning``/``info``),
     ``select``/``ignore`` comma-separated rule IDs,
-    ``probabilities=true`` to also run the probability rules against the
-    context's engine, and ``facts=true`` to build the context's static
-    fact base and run the proof-backed ``S0xx`` rules.
+    ``probabilities=true`` to also run the probability rules against a
+    probability engine built from the pipeline's options, and
+    ``facts=true`` to build the static fact base
+    (:class:`~repro.analysis.AnalysisSuite`) and run the proof-backed
+    ``S0xx`` rules.
     """
 
     name = "lint"
@@ -286,13 +232,6 @@ class LintPass(Pass):
         self.ignore = self._split(ignore)
         self.probabilities = probabilities
         self.facts = facts
-        requires = []
-        if probabilities:
-            requires.append("probability")
-        if facts:
-            requires.append("analysis")
-        if requires:
-            self.requires = tuple(requires)
 
     @staticmethod
     def _split(ids: Optional[str]) -> Optional[list[str]]:
@@ -300,18 +239,26 @@ class LintPass(Pass):
             return None
         return [part.strip() for part in ids.split(",") if part.strip()]
 
-    def run(self, ctx: OptimizationContext) -> PassResult:
+    def run(self, netlist: Netlist, options: OptimizeOptions) -> PassResult:
         from repro.lint import lint_netlist
 
         probabilities = None
         if self.probabilities:
-            engine = ctx.probability
+            from repro.pipeline.context import OptimizationContext
+
+            engine = OptimizationContext(netlist, options).get("probability")
             probabilities = {
-                name: engine.probability(name) for name in ctx.netlist.gates
+                name: engine.probability(name) for name in netlist.gates
             }
-        facts = ctx.analysis.facts if self.facts else None
+        facts = None
+        if self.facts:
+            from repro.analysis.suite import AnalysisSuite
+
+            # Every emitted fact is proven (SAT or exhaustively), so the
+            # fact base does not depend on the run's pattern options.
+            facts = AnalysisSuite(netlist).facts
         report = lint_netlist(
-            ctx.netlist,
+            netlist,
             select=self.select,
             ignore=self.ignore,
             probabilities=probabilities,
@@ -330,62 +277,15 @@ class LintPass(Pass):
         )
 
 
-class SanitizePass(Pass):
-    """Cross-check the context's built analyses against fresh rebuilds.
-
-    The pipeline-level counterpart of the per-move
-    :class:`~repro.lint.sanitizer.TransformSanitizer`: structural lint
-    (X001) always runs; the probability (X002) and timing (X003) rebuild
-    comparisons run only for analyses earlier passes actually built, so
-    a clean pipeline pays nothing extra.  Read-only: raises
-    :class:`~repro.errors.LintError` on the first divergence and never
-    mutates the netlist or the analyses.
-    """
-
-    name = "sanitize"
-    # Read-only over whatever happens to be built; the checks themselves
-    # decide what to inspect, so the whole set is contract-legal.
-    maintains = ALL_ANALYSES
-
-    def run(self, ctx: OptimizationContext) -> PassResult:
-        from repro.lint.diagnostics import LintReport
-        from repro.lint.sanitizer import TransformSanitizer
-
-        checker = TransformSanitizer(ctx)
-        findings = list(checker._check_lint())
-        checked = ["lint"]
-        if not findings:
-            if ctx.is_built("estimator"):
-                findings.extend(checker._check_probabilities())
-                checked.append("probability")
-            if ctx.is_built("timing"):
-                findings.extend(checker._check_timing())
-                checked.append("timing")
-        if findings:
-            first = findings[0]
-            report = LintReport(
-                f"{ctx.netlist.name}: pipeline sanitize", findings
-            )
-            raise LintError(
-                f"sanitize pass: {first.rule_id}: {first.message}",
-                rule_id=first.rule_id,
-                report=report,
-            )
-        return PassResult(
-            self.name, changed=False, details={"checked": ",".join(checked)}
-        )
-
-
 class ResynthPass(Pass):
     """Un-map and technology-map again (the :mod:`repro.synth` adapter).
 
     Parameters mirror :class:`repro.synth.mapper.MapOptions`:
     ``mode=power|area|delay`` selects the mapping cost.  Produces a new
-    netlist bound to the same library, so every analysis is rebuilt.
+    netlist bound to the same library, which later stages receive.
     """
 
     name = "resynth"
-    invalidates = ALL_ANALYSES
 
     def __init__(self, mode: str = "power"):
         if mode not in ("area", "power", "delay"):
@@ -395,19 +295,17 @@ class ResynthPass(Pass):
         super().__init__(mode=mode)
         self.mode = mode
 
-    def run(self, ctx: OptimizationContext) -> PassResult:
+    def run(self, netlist: Netlist, options: OptimizeOptions) -> PassResult:
         from repro.synth.mapper import MapOptions
         from repro.synth.resynth import resynthesize
 
-        before = ctx.netlist.num_gates()
-        remapped = resynthesize(
-            ctx.netlist, options=MapOptions(mode=self.mode)
-        )
-        ctx.netlist = remapped
+        before = netlist.num_gates()
+        remapped = resynthesize(netlist, options=MapOptions(mode=self.mode))
         return PassResult(
             self.name,
             changed=True,
             details={"gates": f"{before}->{remapped.num_gates()}"},
+            netlist=remapped,
         )
 
 
@@ -423,7 +321,6 @@ class BddResynthPass(Pass):
     """
 
     name = "bdd_resynth"
-    invalidates = ALL_ANALYSES
 
     def __init__(
         self,
@@ -448,7 +345,7 @@ class BddResynthPass(Pass):
         self.max_sift_vars = int(max_sift_vars)
         self.node_limit = int(node_limit)
 
-    def run(self, ctx: OptimizationContext) -> PassResult:
+    def run(self, netlist: Netlist, options: OptimizeOptions) -> PassResult:
         from repro.logic.bdd import BddSizeError
         from repro.synth.bdd_resynth import (
             BddResynthOptions,
@@ -456,10 +353,10 @@ class BddResynthPass(Pass):
         )
         from repro.synth.mapper import MapOptions
 
-        before = ctx.netlist.num_gates()
+        before = netlist.num_gates()
         try:
             remapped = bdd_resynthesize(
-                ctx.netlist,
+                netlist,
                 options=BddResynthOptions(
                     sift=self.sift,
                     max_sift_vars=self.max_sift_vars,
@@ -473,11 +370,11 @@ class BddResynthPass(Pass):
                 changed=False,
                 details={"skipped": str(exc)},
             )
-        ctx.netlist = remapped
         return PassResult(
             self.name,
             changed=True,
             details={"gates": f"{before}->{remapped.num_gates()}"},
+            netlist=remapped,
         )
 
 
@@ -535,11 +432,6 @@ register_pass(
     "gate the pipeline on the static-analysis rule pack",
     "fail_on=error|warning|info, select=IDS, ignore=IDS, "
     "probabilities=true|false, facts=true|false",
-)
-register_pass(
-    "sanitize",
-    SanitizePass,
-    "cross-check built analyses against from-scratch rebuilds",
 )
 register_pass(
     "resynth",

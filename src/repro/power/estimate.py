@@ -10,10 +10,10 @@ hot paths — per-stem contribution and post-move update — avoid whole-circuit
 recomputation (§3.3: "the goal is to avoid as much reestimation as
 possible").
 
-In pipeline runs the estimator is owned by a
+In an optimizer run the estimator belongs to the run's
 :class:`repro.pipeline.OptimizationContext` (analysis name
-``"estimator"``, built lazily from the ``"probability"`` engine) and is
-shared across passes until one invalidates it.
+``"estimator"``, built lazily from the ``"probability"`` engine) and
+lives as long as that run.
 """
 
 from __future__ import annotations

@@ -132,6 +132,8 @@ def analyze_glitches(
     input_probs: Optional[Mapping[str, float]] = None,
 ) -> GlitchReport:
     """Measure transition densities over random consecutive vector pairs."""
+    if num_pairs < 1:
+        raise ValueError(f"num_pairs must be at least 1, got {num_pairs}")
     order = topological_order(netlist)
     delays = {g.name: gate_delay(netlist, g) for g in order}
     # Two independent pattern sets = the "before" and "after" vectors.

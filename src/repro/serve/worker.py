@@ -87,12 +87,7 @@ def execute_jobspec(
     so streaming progress never changes a move.
     """
     from repro.netlist.blif import parse_blif, write_blif
-    from repro.pipeline import (
-        OptimizationContext,
-        PassManager,
-        build_pipeline,
-        default_pipeline,
-    )
+    from repro.pipeline import PassManager, build_pipeline, default_pipeline
     from repro.transform.optimizer import OptimizeOptions
 
     netlist = parse_blif(spec.blif, server_library())
@@ -103,7 +98,7 @@ def execute_jobspec(
         build_pipeline(spec.spec) if spec.spec is not None
         else default_pipeline(options)
     )
-    outcome = PassManager().run(OptimizationContext(netlist, options), passes)
+    outcome = PassManager().run(netlist, options, passes)
     result = outcome.optimize_result
 
     payload: dict = {

@@ -10,9 +10,12 @@ so a traced run applies exactly the moves an untraced run would.
 The optimizer guards every callback behind ``if self.tracer is not
 None``, so the disabled path (the default) costs nothing.
 
-A traced run keeps its phase timers, its ``total`` and its
-``rejected_<reason>`` tallies in the tracer's :attr:`Tracer.metrics`, so
-the trace holds the very figures the ``OptimizeResult`` reports.
+Each run starts a fresh :class:`RunTrace` and a fresh
+:attr:`Tracer.metrics` registry (:meth:`Tracer.begin_run`), where it
+keeps its phase timers, its ``total`` and its ``rejected_<reason>``
+tallies, so the trace holds the very figures the ``OptimizeResult``
+reports.  A tracer shared by several runs (a pipeline's powder stages)
+holds the last one.
 
 After ``run()`` returns, the finished :class:`RunTrace` is available
 both as ``tracer.trace`` and as ``OptimizeResult.trace``.
@@ -79,6 +82,11 @@ class Tracer:
     # Run lifecycle
     # ------------------------------------------------------------------
     def begin_run(self, optimizer: "PowerOptimizer") -> None:
+        """Start a fresh trace and registry for ``optimizer``'s run."""
+        self.metrics = Metrics(self.metrics.clock)
+        self.trace = RunTrace()
+        self._round = None
+        self._pending_atpg = None
         opts = optimizer.options
         options = {name: getattr(opts, name) for name in _OPTION_FIELDS}
         # A CostModel instance serializes as its registered name.

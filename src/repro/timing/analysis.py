@@ -67,7 +67,7 @@ class TimingAnalysis:
     edits call :meth:`update_after_edit` with the dirtied gates instead of
     constructing a new instance.
 
-    In pipeline runs the instance is owned by a
+    In an optimizer run the instance belongs to the run's
     :class:`repro.pipeline.OptimizationContext` (analysis name
     ``"timing"``, built against the ``"constraint"`` analysis' limit).
     """

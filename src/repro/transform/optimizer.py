@@ -22,13 +22,12 @@ The inner loop runs up to ``repeat`` substitutions per candidate round; the
 outer loop regenerates candidates until no power-reducing substitution
 remains (or a configured budget runs out).
 
-Since the pass-pipeline refactor this module is the *engine* layer:
+This module is the *engine* layer:
 
-- shared analysis state (probability engine, estimator, delay
-  constraint, STA, candidate workspace) lives in a
-  :class:`repro.pipeline.OptimizationContext`; :class:`PowerOptimizer`
-  reads it through the context, building lazily and maintaining it
-  incrementally,
+- each run builds its analyses (probability engine, estimator, delay
+  constraint, STA, candidate workspace, triage checker) lazily in its own
+  :class:`repro.pipeline.OptimizationContext` and maintains them
+  incrementally while it edits the netlist,
 - the objective is a pluggable :class:`repro.transform.cost.CostModel`
   (``power``/``area``/``delay`` built in) instead of a string branch,
 - :func:`power_optimize` is a thin wrapper over the default pass
@@ -365,60 +364,36 @@ class OptimizeResult:
         return "\n".join(lines)
 
 
-def registry_fields(
-    metrics, phases: tuple[str, ...], since: Optional[dict] = None
-) -> dict:
+def registry_fields(metrics, phases: tuple[str, ...]) -> dict:
     """The :class:`OptimizeResult` fields a run reads from its
-    :class:`~repro.telemetry.Metrics` registry, less an earlier reading
-    ``since``: a pipeline's powder stages share one tracer's registry, and
-    each stage reports its own run.  Tallies are read with ``get``, which
-    creates none, so a traced run's ``counters`` keep only the reasons
-    that occurred.
+    :class:`~repro.telemetry.Metrics` registry.  Tallies are read with
+    ``get``, which creates none, so a traced run's ``counters`` keep only
+    the reasons that occurred.
     """
     counters, timers = metrics.counters(), metrics.timers()
     fields: dict = {name: counters.get(name, 0) for name in REJECTED}
     fields["runtime_seconds"] = timers["total"]
     fields["phase_seconds"] = {name: timers[f"phase.{name}"] for name in phases}
-    if since is not None:
-        for name in (*REJECTED, "runtime_seconds"):
-            fields[name] -= since[name]
-        for name in phases:
-            fields["phase_seconds"][name] -= since["phase_seconds"][name]
     return fields
 
 
 class PowerOptimizer:
     """Stateful POWDER run over one netlist (modified in place).
 
-    The engine behind the pipeline's ``powder`` pass.  Shared analysis
-    state (estimator, constraint, STA, candidate workspace) lives in an
-    :class:`~repro.pipeline.OptimizationContext`: construct with
-    ``PowerOptimizer(netlist, options)`` for a private context (the
-    legacy direct entry point), or ``PowerOptimizer(context=ctx)`` to
-    run over a pipeline's shared one.
+    The engine behind the pipeline's ``powder`` pass.  The run's
+    analyses (estimator, constraint, STA, candidate workspace, triage
+    checker) live in its own
+    :class:`~repro.pipeline.OptimizationContext`, built on first use.
     """
 
     def __init__(
-        self,
-        netlist: Optional[Netlist] = None,
-        options: Optional[OptimizeOptions] = None,
-        *,
-        context=None,
+        self, netlist: Netlist, options: Optional[OptimizeOptions] = None
     ):
-        if context is None:
-            if netlist is None:
-                raise TypeError("pass a netlist or an OptimizationContext")
-            from repro.pipeline.context import OptimizationContext
+        from repro.pipeline.context import OptimizationContext
 
-            context = OptimizationContext(netlist, options or OptimizeOptions())
-        elif netlist is not None or options is not None:
-            raise TypeError(
-                "pass either (netlist, options) or a context, not both"
-            )
-        self.ctx = context
-        self.netlist = context.netlist
-        self.options = context.options
-        opts = self.options
+        self.ctx = OptimizationContext(netlist, options)
+        self.netlist = netlist
+        self.options = opts = self.ctx.options
         self.cost_model = resolve_cost_model(opts.objective)
         self.initial_delay = TimingAnalysis(self.netlist).circuit_delay
         self.moves: list[MoveRecord] = []
@@ -436,42 +411,37 @@ class PowerOptimizer:
         if opts.sanitize:
             from repro.lint.sanitizer import TransformSanitizer
 
-            self.sanitizer = TransformSanitizer(context)
+            self.sanitizer = TransformSanitizer(self.ctx)
         # Imported here: at module level it would load the whole telemetry
         # package with every import of the optimizer.
         from repro.telemetry.metrics import Metrics
 
         #: Where the run times its ``total`` and ``phase.<name>`` timers and
-        #: counts ``rejected_<reason>``: the tracer's registry when traced.
-        self.metrics = (
-            self.tracer.metrics if self.tracer is not None else Metrics()
-        )
-        self._total = self.metrics.timer("total")
-        self._phases = {
-            name: self.metrics.timer(f"phase.{name}") for name in PHASES
-        }
+        #: counts ``rejected_<reason>``; a traced run swaps in the registry
+        #: its tracer starts for it.
+        self.metrics = Metrics()
 
     # ------------------------------------------------------------------
-    # Shared analyses (owned by the context, built on first use)
+    # The run's analyses (built on first use)
     # ------------------------------------------------------------------
     @property
     def estimator(self):
         """power_estimate(netlist): committed probabilities for all gates."""
-        return self.ctx.estimator
+        return self.ctx.get("estimator")
 
     @property
     def constraint(self):
-        return self.ctx.constraint
+        return self.ctx.get("constraint")
 
     @property
     def timing(self):
-        return self.ctx.timing
+        return self.ctx.get("timing")
 
     # ------------------------------------------------------------------
     # Figure-5 primitives
     # ------------------------------------------------------------------
     def get_candidate_substitutions(self) -> list[Candidate]:
-        return self.ctx.workspace.generate(self.options.candidates)
+        return self.ctx.get("workspace").generate(self.options.candidates)
 
     def _objective_score(self, candidate: Candidate) -> float:
         """How much the configured objective improves (> floor = accept)."""
@@ -565,7 +535,7 @@ class PowerOptimizer:
         return self.ctx.peek("triage")
 
     def check_candidate(self, substitution: Substitution) -> str:
-        """Permissibility verdict from the context's :class:`TriageChecker`."""
+        """Permissibility verdict from the run's :class:`TriageChecker`."""
         result = self.ctx.get("triage").check(substitution)
         if self.tracer is not None:
             self.tracer.record_atpg(result)
@@ -616,11 +586,16 @@ class PowerOptimizer:
     # ------------------------------------------------------------------
     def run(self) -> OptimizeResult:
         opts = self.options
-        since = registry_fields(self.metrics, PHASES)
-        self._total.start()
         if self.tracer is not None:
             self.tracer.begin_run(self)
+            self.metrics = self.tracer.metrics
+        total = self.metrics.timer("total")
+        phases = {name: self.metrics.timer(f"phase.{name}") for name in PHASES}
+        total.start()
         initial_power = self.estimator.total()
+        # The delay constraint is measured on the netlist as the run
+        # receives it, before any move.
+        self.ctx.get("timing")
         initial_area = self.netlist.total_area()
         # §4.2 early termination: lift the acceptance floor to a fraction
         # of the initial power when requested.
@@ -631,7 +606,6 @@ class PowerOptimizer:
                 opts.gain_threshold_fraction * initial_power,
             )
 
-        phases = self._phases
         while True:
             self._round += 1
             with phases["candidates"]:
@@ -678,7 +652,7 @@ class PowerOptimizer:
                 break
 
         final_timing = TimingAnalysis(self.netlist)
-        self._total.stop()
+        total.stop()
         result = OptimizeResult(
             netlist=self.netlist,
             initial_power=initial_power,
@@ -690,7 +664,7 @@ class PowerOptimizer:
             moves=self.moves,
             rounds=self._round,
             delay_limit=self.constraint.limit if self.constraint else None,
-            **registry_fields(self.metrics, PHASES, since),
+            **registry_fields(self.metrics, PHASES),
         )
         if self.tracer is not None:
             result.trace = self.tracer.end_run(self, result)
@@ -730,12 +704,10 @@ def power_optimize(
         options = OptimizeOptions(**kwargs)
     elif kwargs:
         raise TypeError("pass either an OptimizeOptions or keyword overrides")
-    from repro.pipeline.context import OptimizationContext
     from repro.pipeline.manager import PassManager
     from repro.pipeline.passes import default_pipeline
 
-    context = OptimizationContext(netlist, options)
-    outcome = PassManager().run(context, default_pipeline(options))
+    outcome = PassManager().run(netlist, options, default_pipeline(options))
     result = outcome.optimize_result
     if result is None:  # pragma: no cover - default_pipeline always powders
         raise TransformError("default pipeline produced no optimize result")

@@ -62,19 +62,23 @@ def test_golden_fact_counts_are_pinned(name, lib):
 
 @pytest.mark.parametrize("name", ["rd53", "ttt2"])
 def test_facts_read_after_powder_match_a_fresh_suite(name, lib):
-    # The fact base is built before powder edits the netlist and read
-    # again afterwards: the second read must recompute, not reuse.
+    # The fact base is read before a pipeline's powder stage edits the
+    # netlist and again afterwards: the second read must recompute, not
+    # reuse.
     netlist = parse_blif_file(BLIF_DIR / f"{name}.blif", lib)
+    suite = AnalysisSuite(netlist)
+    before = suite.facts
     outcome = run_pipeline(
         netlist,
         "lint(facts=true); powder(max_rounds=2); lint(facts=true)",
         OptimizeOptions(num_patterns=512),
     )
     assert outcome.optimize_result.moves
-    suite = outcome.context.analysis
+    after = suite.facts
     assert suite.counters == {"full": 2}
-    assert suite.facts == AnalysisSuite(netlist).facts
-    assert check_soundness(netlist, suite.facts).unsound == []
+    assert after is not before
+    assert after == AnalysisSuite(netlist).facts
+    assert check_soundness(netlist, after).unsound == []
 
 
 def test_ttt2_exercises_the_sat_oracle_path(lib):

@@ -1,14 +1,22 @@
-"""OptimizationContext: lazy builds, declared invalidation, rebuild counts."""
+"""OptimizationContext: the analyses one engine run builds lazily."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.errors import PipelineError
-from repro.pipeline import ALL_ANALYSES, OptimizationContext
-from repro.timing.analysis import TimingAnalysis
+from repro.pipeline import OptimizationContext
 from repro.transform.optimizer import OptimizeOptions
 from tests.conftest import make_random_netlist
+
+ANALYSES = (
+    "probability",
+    "estimator",
+    "constraint",
+    "timing",
+    "workspace",
+    "triage",
+)
 
 
 @pytest.fixture
@@ -19,99 +27,47 @@ def ctx(lib):
 
 class TestLazyBuild:
     def test_nothing_built_up_front(self, ctx):
-        assert not any(ctx.is_built(name) for name in ALL_ANALYSES)
-        assert ctx.build_counts == {}
+        assert all(ctx.peek(name) is None for name in ANALYSES)
 
     def test_get_builds_prerequisites(self, ctx):
         estimator = ctx.get("estimator")
-        assert estimator is ctx.estimator  # cached, not rebuilt
-        assert ctx.is_built("probability")  # built as a prerequisite
-        assert ctx.build_counts == {"probability": 1, "estimator": 1}
+        assert ctx.peek("estimator") is estimator
+        # built as a prerequisite, and the very engine the estimator reads
+        assert ctx.peek("probability") is estimator.engine
 
-    def test_repeated_get_builds_once(self, ctx):
-        for _ in range(3):
-            ctx.get("workspace")
-        assert ctx.build_counts == {
-            "probability": 1,
-            "estimator": 1,
-            "workspace": 1,
-        }
+    def test_repeated_get_builds_once(self, ctx, monkeypatch):
+        builds = []
+        for name in ("probability", "estimator", "workspace"):
+            builder = getattr(OptimizationContext, f"_build_{name}")
+
+            def counted(self, builder=builder, name=name):
+                builds.append(name)
+                return builder(self)
+
+            monkeypatch.setattr(OptimizationContext, f"_build_{name}", counted)
+        first = ctx.get("workspace")
+        assert all(ctx.get("workspace") is first for _ in range(3))
+        assert builds == ["workspace", "estimator", "probability"]
 
     def test_peek_never_builds(self, ctx):
         assert ctx.peek("timing") is None
-        assert not ctx.is_built("timing")
+        assert ctx.peek("timing") is None
         built = ctx.get("timing")
         assert ctx.peek("timing") is built
 
     def test_constraint_is_none_without_delay_options(self, ctx):
         assert ctx.get("constraint") is None
-        assert ctx.is_built("constraint")  # "built and None" is a state
 
     def test_constraint_limit_reaches_timing(self, lib):
         netlist = make_random_netlist(lib, 5, 14, 2, seed=71)
         ctx = OptimizationContext(
             netlist, OptimizeOptions(delay_limit=99.0, num_patterns=256)
         )
-        assert ctx.constraint.limit == 99.0
-        assert ctx.timing._limit == 99.0
-
-
-class TestInvalidation:
-    def test_probability_cascade(self, ctx):
-        ctx.get("workspace")
-        ctx.get("timing")
-        ctx.invalidate("probability")
-        # probability -> estimator -> workspace all drop ...
-        assert not ctx.is_built("probability")
-        assert not ctx.is_built("estimator")
-        assert not ctx.is_built("workspace")
-        # ... while the timing chain is untouched.
-        assert ctx.is_built("timing")
-        assert ctx.is_built("constraint")
-
-    def test_constraint_cascade(self, ctx):
-        ctx.get("timing")
-        ctx.get("estimator")
-        ctx.invalidate("constraint")
-        assert not ctx.is_built("constraint")
-        assert not ctx.is_built("timing")
-        assert ctx.is_built("estimator")
-
-    def test_rebuilt_exactly_once_after_invalidation(self, ctx):
-        ctx.get("workspace")
-        ctx.invalidate("probability")
-        ctx.get("workspace")
-        ctx.get("estimator")
-        ctx.get("probability")
-        assert ctx.build_counts == {
-            "probability": 2,
-            "estimator": 2,
-            "workspace": 2,
-        }
-
-    def test_invalidate_all(self, ctx):
-        for name in ALL_ANALYSES:
-            ctx.get(name)
-        ctx.invalidate_all()
-        assert not any(ctx.is_built(name) for name in ALL_ANALYSES)
-
-    def test_put_installs_maintained_instance(self, ctx):
-        fresh = TimingAnalysis(ctx.netlist)
-        ctx.put("timing", fresh)
-        assert ctx.get("timing") is fresh
-        # put() does not count as a build.
-        assert "timing" not in ctx.build_counts
+        assert ctx.get("constraint").limit == 99.0
+        assert ctx.get("timing")._limit == 99.0
 
 
 class TestErrors:
     def test_get_unknown_analysis(self, ctx):
         with pytest.raises(PipelineError, match="unknown analysis 'sta'"):
             ctx.get("sta")
-
-    def test_put_unknown_analysis(self, ctx):
-        with pytest.raises(PipelineError, match="unknown analysis"):
-            ctx.put("sta", object())
-
-    def test_invalidate_unknown_analysis(self, ctx):
-        with pytest.raises(PipelineError, match="unknown analysis"):
-            ctx.invalidate("sta")

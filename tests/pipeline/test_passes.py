@@ -1,4 +1,4 @@
-"""Behaviour of the builtin passes over a shared context."""
+"""Behaviour of the builtin passes on the netlist they receive."""
 
 from __future__ import annotations
 
@@ -6,17 +6,12 @@ import pytest
 
 from repro.equiv.checker import check_equivalent
 from repro.errors import LintError, PipelineError
-from repro.pipeline import (
-    ALL_ANALYSES,
-    OptimizationContext,
-    PassManager,
-)
+from repro.pipeline import OptimizationContext, PassManager, run_pipeline
 from repro.pipeline.passes import (
     DedupePass,
     LintPass,
     PowderPass,
     ResynthPass,
-    SanitizePass,
     SweepPass,
     available_passes,
     make_pass,
@@ -38,8 +33,7 @@ def duplicate_netlist(builder):
 class TestDedupePass:
     def test_merges_and_records_pairs(self, builder):
         netlist = duplicate_netlist(builder)
-        ctx = OptimizationContext(netlist, OptimizeOptions(num_patterns=256))
-        result = DedupePass().run(ctx)
+        result = DedupePass().run(netlist, OptimizeOptions(num_patterns=256))
         assert result.changed
         assert result.details["merged"] == 2
         assert netlist.num_gates() == 2
@@ -52,8 +46,7 @@ class TestSweepPass:
         builder.or_(a, b, name="dead")  # feeds nothing
         builder.output("o", live)
         netlist = builder.build()
-        ctx = OptimizationContext(netlist)
-        result = SweepPass().run(ctx)
+        result = SweepPass().run(netlist, OptimizeOptions())
         assert result.changed and result.details["removed"] >= 1
         assert "dead" not in {g.name for g in netlist.logic_gates()}
 
@@ -63,87 +56,70 @@ class TestPowderPass:
         with pytest.raises(PipelineError, match="unknown powder option"):
             PowderPass(turbo=True)
 
-    def test_analysis_affecting_override_rebuilds(self, lib):
-        netlist = make_random_netlist(lib, 5, 14, 2, seed=75)
-        ctx = OptimizationContext(netlist, OptimizeOptions(num_patterns=256))
-        ctx.get("estimator")
-        PowderPass(num_patterns=128).configure(ctx)
-        assert ctx.options.num_patterns == 128
-        assert not ctx.is_built("probability")
-        assert not ctx.is_built("estimator")
+    def test_analysis_affecting_override_rebuilds(self, lib, monkeypatch):
+        built_with = []
+        builder = OptimizationContext._build_probability
 
-    def test_behavioural_override_keeps_analyses(self, lib):
+        def recorded(self):
+            built_with.append(self.options.num_patterns)
+            return builder(self)
+
+        monkeypatch.setattr(
+            OptimizationContext, "_build_probability", recorded
+        )
         netlist = make_random_netlist(lib, 5, 14, 2, seed=75)
-        ctx = OptimizationContext(netlist, OptimizeOptions(num_patterns=256))
-        ctx.get("estimator")
-        PowderPass(repeat=3).configure(ctx)
-        assert ctx.options.repeat == 3
-        assert ctx.is_built("estimator")  # repeat doesn't change construction
+        run_pipeline(
+            netlist,
+            "powder(num_patterns=128, max_rounds=1); powder(max_rounds=1)",
+            OptimizeOptions(num_patterns=256),
+        )
+        assert built_with == [128, 256]
 
     def test_runs_engine_over_context(self, lib):
         netlist = make_random_netlist(lib, 5, 16, 2, seed=76)
-        ctx = OptimizationContext(
-            netlist, OptimizeOptions(num_patterns=256, max_rounds=2)
+        outcome = PassManager().run(
+            netlist, OptimizeOptions(num_patterns=256, max_rounds=2),
+            [PowderPass()],
         )
-        stage = PowderPass()
-        outcome = PassManager().run(ctx, [stage])
         result = outcome.passes[0]
         assert result.optimize_result is not None
+        assert result.optimize_result.netlist is netlist
         assert result.details["moves"] == len(result.optimize_result.moves)
 
 
 class TestLintPass:
     def test_clean_netlist_passes(self, lib):
         netlist = make_random_netlist(lib, 5, 14, 2, seed=77)
-        ctx = OptimizationContext(netlist)
-        result = LintPass().run(ctx)
+        result = LintPass().run(netlist, OptimizeOptions())
         assert not result.changed
 
     def test_structural_corruption_fails_gate(self, lib):
         netlist = make_random_netlist(lib, 5, 14, 2, seed=77)
         gate = next(g for g in netlist.logic_gates() if g.fanouts)
         gate.fanouts.append((gate.fanouts[0][0], 99))  # stale branch
-        ctx = OptimizationContext(netlist)
         with pytest.raises(LintError, match="lint gate failed"):
-            LintPass().run(ctx)
+            LintPass().run(netlist, OptimizeOptions())
 
-    def test_probabilities_parameter_adds_requirement(self):
-        assert LintPass().requires == ()
-        assert LintPass(probabilities=True).requires == ("probability",)
+    def test_probabilities_parameter_reads_the_options_engine(
+        self, lib, monkeypatch
+    ):
+        import repro.lint
 
+        seen = {}
+        lint_netlist = repro.lint.lint_netlist
 
-class TestSanitizePass:
-    def test_checks_scale_with_built_analyses(self, lib):
-        netlist = make_random_netlist(lib, 5, 14, 2, seed=78)
-        ctx = OptimizationContext(netlist, OptimizeOptions(num_patterns=256))
-        assert SanitizePass().run(ctx).details["checked"] == "lint"
-        ctx.get("estimator")
-        assert (
-            SanitizePass().run(ctx).details["checked"] == "lint,probability"
-        )
-        ctx.get("timing")
-        ctx.get("workspace")
-        assert (
-            SanitizePass().run(ctx).details["checked"]
-            == "lint,probability,timing"
-        )
+        def recorded(netlist, **kwargs):
+            seen.update(kwargs)
+            return lint_netlist(netlist, **kwargs)
 
-    def test_corrupted_probability_detected(self, lib):
-        netlist = make_random_netlist(lib, 5, 14, 2, seed=78)
-        ctx = OptimizationContext(netlist, OptimizeOptions(num_patterns=256))
-        engine = ctx.estimator.engine
-        name = next(g.name for g in netlist.logic_gates())
-        engine._probs[name] = 0.123456789
-        with pytest.raises(LintError, match="sanitize pass"):
-            SanitizePass().run(ctx)
-
-    def test_corrupted_timing_detected(self, lib):
-        netlist = make_random_netlist(lib, 5, 14, 2, seed=78)
-        ctx = OptimizationContext(netlist, OptimizeOptions(num_patterns=256))
-        name = next(g.name for g in netlist.logic_gates())
-        ctx.timing.arrival[name] += 1.0
-        with pytest.raises(LintError, match="sanitize pass"):
-            SanitizePass().run(ctx)
+        monkeypatch.setattr(repro.lint, "lint_netlist", recorded)
+        netlist = make_random_netlist(lib, 5, 14, 2, seed=77)
+        options = OptimizeOptions(num_patterns=256, seed=5)
+        LintPass(probabilities=True).run(netlist, options)
+        engine = OptimizationContext(netlist, options).get("probability")
+        assert seen["probabilities"] == {
+            name: engine.probability(name) for name in netlist.gates
+        }
 
 
 class TestResynthPass:
@@ -152,15 +128,19 @@ class TestResynthPass:
             ResynthPass(mode="fast")
 
     def test_remap_preserves_function_and_invalidates(self, lib):
+        """Later stages work on the remapped netlist, never the old one."""
         netlist = make_random_netlist(lib, 5, 16, 2, seed=79)
         reference = netlist.copy("ref")
-        ctx = OptimizationContext(netlist, OptimizeOptions(num_patterns=256))
-        ctx.get("workspace")
-        ctx.get("timing")
-        PassManager().run(ctx, [ResynthPass(mode="area")])
-        assert ctx.netlist is not netlist
-        assert check_equivalent(reference, ctx.netlist).equal
-        assert not any(ctx.is_built(name) for name in ALL_ANALYSES)
+        outcome = PassManager().run(
+            netlist,
+            OptimizeOptions(num_patterns=256, max_rounds=1),
+            [ResynthPass(mode="area"), PowderPass()],
+        )
+        remapped = outcome.passes[0].netlist
+        assert remapped is not netlist
+        assert outcome.netlist is remapped
+        assert outcome.optimize_result.netlist is remapped
+        assert check_equivalent(reference, remapped).equal
 
 
 class TestRegistry:
@@ -172,7 +152,6 @@ class TestRegistry:
             "window",
             "sweep",
             "lint",
-            "sanitize",
             "resynth",
             "bdd_resynth",
         }

@@ -72,6 +72,11 @@ class TestGlitchAnalysis:
         )
         assert report.timed_power >= 0.0
 
+    @pytest.mark.parametrize("num_pairs", [0, -5])
+    def test_pair_count_below_one_is_rejected(self, figure2, num_pairs):
+        with pytest.raises(ValueError, match="num_pairs must be at least 1"):
+            analyze_glitches(figure2, num_pairs=num_pairs)
+
 
 def _settled(order, inputs):
     values = {}

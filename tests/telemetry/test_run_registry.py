@@ -84,8 +84,9 @@ def test_traced_and_untraced_runs_count_the_same_rejections(slack):
 
 
 def test_stages_sharing_a_tracer_report_their_own_runs():
-    """A pipeline's powder stages share the options' tracer, whose
-    registry sums their runs; each stage's result reports its own."""
+    """A pipeline's powder stages share the options' tracer, which starts
+    a fresh trace and registry for each run; each stage's result and
+    trace report that stage's run alone."""
 
     def stages(trace):
         netlist = parse_blif_file(RD53, standard_library())
@@ -97,14 +98,17 @@ def test_stages_sharing_a_tracer_report_their_own_runs():
         return [stage.optimize_result for stage in outcome.passes]
 
     plain = stages(None)
-    traced = stages(Tracer(clock=TickingClock()))
-    for name in REJECTIONS:
-        assert [getattr(r, name) for r in traced] == [
-            getattr(r, name) for r in plain
+    tracer = Tracer(clock=TickingClock())
+    traced = stages(tracer)
+    assert tracer.trace is traced[-1].trace
+    for run, reference in zip(traced, plain):
+        for name in REJECTIONS:
+            assert getattr(run, name) == getattr(reference, name)
+        trace = run.trace
+        assert [m.candidate_id for m in trace.moves] == [
+            m.substitution.candidate_id() for m in run.moves
         ]
-    assert traced[-1].trace.summary["rejected_stale"] == plain[-1].rejected_stale
-    # Each run's interval is measured once: the stages' totals make up
-    # the shared total.
-    assert sum(r.runtime_seconds for r in traced) == (
-        traced[-1].trace.timers["total"]
-    )
+        assert trace.summary["moves"] == len(run.moves)
+        assert trace.counters["moves_applied"] == len(run.moves)
+        assert trace.timers["total"] == run.runtime_seconds
+        assert [r.index for r in trace.rounds] == list(range(1, run.rounds + 1))

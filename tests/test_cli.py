@@ -621,8 +621,9 @@ class TestPipelineCommand:
     def test_list_passes_catalog(self, capsys):
         assert main(["pipeline", "run", "--list-passes"]) == 0
         out = capsys.readouterr().out
-        for name in ("dedupe", "powder", "sweep", "lint", "sanitize", "resynth"):
+        for name in ("dedupe", "powder", "sweep", "lint", "resynth"):
             assert name in out
+        assert "sanitize" not in out
         assert "parameters:" in out
 
     def test_missing_netlist_is_usage_error(self, capsys):

@@ -331,17 +331,18 @@ class TestBudgetAbort:
 
     @pytest.mark.parametrize("conflict_limit", [0, 3])
     def test_exhausted_budget_degrades_to_a_conservative_run(
-        self, lib, conflict_limit
+        self, lib, conflict_limit, monkeypatch
     ):
         netlist = make_random_netlist(lib, ABOVE_BOUND, 20, 3, seed=3)
         reference = netlist.copy("ref")
-        ctx = OptimizationContext(
+        triage = TriageChecker(netlist, conflict_limit=conflict_limit)
+        monkeypatch.setattr(
+            OptimizationContext, "_build_triage", lambda _ctx: triage
+        )
+        result = PowerOptimizer(
             netlist,
             OptimizeOptions(num_patterns=256, max_rounds=3, trace=Tracer()),
-        )
-        triage = TriageChecker(netlist, conflict_limit=conflict_limit)
-        ctx.put("triage", triage)
-        result = PowerOptimizer(context=ctx).run()
+        ).run()
         assert result.rejected_aborted == triage.counters["fallbacks"] > 0
         # Only proven moves were applied, and the reference oracle proves
         # each of them too.
