@@ -10,25 +10,22 @@ threshold termination (§4.2 / ``gain_threshold_fraction``) recovers most
 of the result at a fraction of the moves.
 """
 
-import pytest
+from dataclasses import replace
 
 from benchmarks.conftest import BENCH_CONFIG, once
 from repro.bench.suite import build_benchmark
 from repro.library.standard import standard_library
-from repro.transform.optimizer import OptimizeOptions, power_optimize
+from repro.transform.optimizer import power_optimize
 
 CIRCUIT = "ttt2"
+#: The bench configuration without its move cap: the curve needs every move.
+OPTIONS = replace(BENCH_CONFIG.optimize, max_moves=None)
 
 
 def run_full():
     library = standard_library()
     netlist = build_benchmark(CIRCUIT, library, map_mode="power")
-    options = OptimizeOptions(
-        num_patterns=BENCH_CONFIG.num_patterns,
-        repeat=BENCH_CONFIG.repeat,
-        max_rounds=BENCH_CONFIG.max_rounds,
-    )
-    return power_optimize(netlist, options)
+    return power_optimize(netlist, OPTIONS)
 
 
 def test_gain_is_front_loaded(benchmark):
@@ -51,22 +48,9 @@ def test_threshold_termination_tradeoff(benchmark):
     def run():
         library = standard_library()
         base = build_benchmark(CIRCUIT, library, map_mode="power")
-        full = power_optimize(
-            base.copy("full"),
-            OptimizeOptions(
-                num_patterns=BENCH_CONFIG.num_patterns,
-                repeat=BENCH_CONFIG.repeat,
-                max_rounds=BENCH_CONFIG.max_rounds,
-            ),
-        )
+        full = power_optimize(base.copy("full"), OPTIONS)
         thresholded = power_optimize(
-            base.copy("thr"),
-            OptimizeOptions(
-                num_patterns=BENCH_CONFIG.num_patterns,
-                repeat=BENCH_CONFIG.repeat,
-                max_rounds=BENCH_CONFIG.max_rounds,
-                gain_threshold_fraction=0.002,
-            ),
+            base.copy("thr"), replace(OPTIONS, gain_threshold_fraction=0.002)
         )
         return full, thresholded
 

@@ -107,7 +107,7 @@ class TestIncrementalEngine:
     Pairs of benchmarks sharing a prefix measure the same work: the
     ``_fresh`` variant pays the full rebuild the legacy loop paid per
     round/move, the ``_incremental`` variant pays what the persistent
-    engine pays.  ``BENCH_incremental.json`` records the measured ratios.
+    engine pays.  ``CHANGES.md`` records the measured ratios.
     A candidate round has no incremental variant: it rebuilds its masks
     and pair entries every round.
     """
@@ -276,10 +276,10 @@ class TestTracingOverhead:
 class TestPassManagerOverhead:
     """Pipeline cost vs driving the engine directly (ttt2).
 
-    ``power_optimize`` runs the default pipeline through a
-    ``PassManager``, which only times one ``powder`` stage around one
-    engine run, so its overhead budget is <2% of the direct
-    ``PowerOptimizer.run()`` wall time.
+    ``run_pipeline(nl, "powder")`` parses the spec and has a
+    ``PassManager`` time one ``powder`` stage around one engine run, so its
+    overhead budget is <2% of the direct ``PowerOptimizer.run()`` wall
+    time.
     """
 
     OVERHEAD_BUDGET = 0.02
@@ -300,9 +300,11 @@ class TestPassManagerOverhead:
         return PowerOptimizer(circuit.copy("direct"), self._options()).run()
 
     def _pipeline(self, circuit):
-        from repro.transform.optimizer import power_optimize
+        from repro.pipeline import run_pipeline
 
-        return power_optimize(circuit.copy("piped"), self._options())
+        return run_pipeline(
+            circuit.copy("piped"), "powder", self._options()
+        ).optimize_result
 
     def test_engine_direct(self, benchmark, ttt2):
         result = benchmark.pedantic(

@@ -31,9 +31,7 @@ def run_corner(name, map_mode, optimize):
     power, _area, _delay = initial_metrics(netlist, BENCH_CONFIG)
     if not optimize:
         return power
-    result = power_optimize(
-        netlist, BENCH_CONFIG.optimizer_options(None)
-    )
+    result = power_optimize(netlist, BENCH_CONFIG.optimize)
     return result.final_power
 
 

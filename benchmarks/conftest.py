@@ -13,14 +13,14 @@ import pytest
 
 from repro.experiments.common import ExperimentConfig
 from repro.library.standard import standard_library
+from repro.transform.optimizer import OptimizeOptions
 
 #: Benchmark-harness experiment configuration: one notch below the CLI
 #: defaults so the full suite completes in minutes, same protocol.
 BENCH_CONFIG = ExperimentConfig(
-    num_patterns=1024,
-    repeat=15,
-    max_rounds=6,
-    max_moves=40,
+    optimize=OptimizeOptions(
+        num_patterns=1024, repeat=15, max_rounds=6, max_moves=40
+    )
 )
 
 #: Circuits used by the table benches (a representative slice of the suite).

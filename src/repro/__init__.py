@@ -44,7 +44,6 @@ __all__ = [
     "OptimizationContext",
     "PassManager",
     "WindowedOptimizer",
-    "windowed_optimize",
     "__version__",
 ]
 
@@ -61,8 +60,8 @@ def __getattr__(name):
         import repro.pipeline as pipeline
 
         return getattr(pipeline, name)
-    if name in ("WindowedOptimizer", "windowed_optimize"):
-        from repro.transform import windowed
+    if name == "WindowedOptimizer":
+        from repro.transform.windowed import WindowedOptimizer
 
-        return getattr(windowed, name)
+        return WindowedOptimizer
     raise AttributeError(f"module 'repro' has no attribute {name!r}")

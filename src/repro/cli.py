@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from repro.bench.pla import parse_pla_file
@@ -54,7 +55,7 @@ from repro.library.standard import standard_library
 from repro.netlist.blif import parse_blif_file, write_blif
 from repro.synth.flow import SynthesisOptions, synthesize
 from repro.synth.mapper import MapOptions
-from repro.transform.optimizer import OptimizeOptions
+from repro.transform.optimizer import OptimizeOptions, power_optimize
 
 
 def _pattern_count(text: str) -> int:
@@ -102,44 +103,61 @@ def _load_mapped_netlist(args, attribute: str = "netlist"):
     return parse_blif_file(getattr(args, attribute), library), library
 
 
-def _optimizer_option_kwargs(args) -> dict:
-    """The optimizer-configuration subset shared by ``optimize``,
-    ``pipeline run``, and ``fuzz --bench`` (one prologue, one behaviour)."""
-    return dict(
-        objective=getattr(args, "objective", "power"),
-        repeat=getattr(args, "repeat", 25),
-        num_patterns=args.patterns,
-        max_rounds=getattr(args, "max_rounds", 20),
-        max_moves=args.max_moves,
-        delay_slack_percent=args.delay_slack,
-        sanitize=getattr(args, "sanitize", False),
-        windowed=getattr(args, "windowed", False),
-        jobs=getattr(args, "jobs", 1),
-        window_size=getattr(args, "window_size", 80),
-        window_radius=getattr(args, "window_radius", 3),
-    )
+#: Optimizer flags (argparse ``dest``) and the ``OptimizeOptions`` field
+#: each sets; ``--trace`` attaches a ``Tracer``.
+_OPTION_FLAGS = {
+    "objective": "objective",
+    "delay_slack": "delay_slack_percent",
+    "patterns": "num_patterns",
+    "repeat": "repeat",
+    "max_rounds": "max_rounds",
+    "max_moves": "max_moves",
+    "sanitize": "sanitize",
+    "windowed": "windowed",
+    "jobs": "jobs",
+    "window_size": "window_size",
+    "window_radius": "window_radius",
+}
 
 
-def _build_pipeline_from_args(args, spec=None):
-    """One shared load/optimize prologue: netlist, options, passes.
-
-    ``spec=None`` selects the default pipeline for the options (what
-    ``power_optimize`` runs); a spec string builds the stages through the
-    pass registry.
-    """
-    from repro.pipeline import build_pipeline, default_pipeline
-
-    tracer = None
+def _options_from(args, base: OptimizeOptions) -> OptimizeOptions:
+    """``base`` with every optimizer flag the command declares; a value
+    the options reject is reported like a rejected input."""
+    overrides = {
+        name: getattr(args, dest)
+        for dest, name in _OPTION_FLAGS.items()
+        if hasattr(args, dest)
+    }
     if getattr(args, "trace", None):
         from repro.telemetry import Tracer
 
-        tracer = Tracer()
-    options = _checked(
-        OptimizeOptions, trace=tracer, **_optimizer_option_kwargs(args)
+        overrides["trace"] = Tracer()
+    return _checked(replace, base, **overrides)
+
+
+def _add_optimizer_arguments(parser: argparse.ArgumentParser) -> None:
+    """The optimizer flags shared by ``optimize`` and ``pipeline run``."""
+    parser.add_argument("--objective", choices=("power", "area", "delay"),
+                        default="power",
+                        help="what each substitution must improve (default "
+                        "power; pipeline stage parameters override)")
+    parser.add_argument("--delay-slack", type=float, default=None,
+                        help="delay constraint as %% over initial (e.g. 0)")
+    parser.add_argument("--patterns", type=_pattern_count, default=2048)
+    parser.add_argument("--repeat", type=int, default=25)
+    parser.add_argument("--max-rounds", type=int, default=20)
+    parser.add_argument("--max-moves", type=int, default=None)
+    parser.add_argument(
+        "--sanitize", action="store_true",
+        help="validate every incremental structure after each move "
+        "(slow; raises on the first diverging move)",
     )
-    netlist, _library = _load_mapped_netlist(args)
-    passes = build_pipeline(spec) if spec else default_pipeline(options)
-    return netlist, options, passes
+    parser.add_argument(
+        "--trace", default=None, metavar="FILE",
+        help="record per-round/per-move telemetry and write the JSON run "
+        "trace of the last flat powder run here (inspect with "
+        "'powder trace show')",
+    )
 
 
 def _add_window_arguments(parser: argparse.ArgumentParser) -> None:
@@ -196,14 +214,9 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _config_from(args) -> ExperimentConfig:
-    config = ExperimentConfig(
-        num_patterns=args.patterns,
-        repeat=args.repeat,
-        max_rounds=args.max_rounds,
-        max_moves=args.max_moves,
+    return ExperimentConfig(
+        optimize=_options_from(args, ExperimentConfig().optimize)
     )
-    _checked(config.optimizer_options)  # before the first circuit is built
-    return config
 
 
 def _circuits_from(args):
@@ -241,12 +254,14 @@ def _cmd_figure6(args) -> int:
     return 0
 
 
-def _write_optimized_outputs(args, netlist, result) -> None:
+def _write_optimized_outputs(args, netlist, tracer) -> None:
     """Trace/BLIF/Verilog emission shared by ``optimize`` and ``pipeline``."""
-    if getattr(args, "trace", None) and result is not None:
+    if tracer is not None:
         from repro.telemetry import write_trace
 
-        write_trace(result.trace, args.trace)
+        # A tracer holds the last run it recorded: a pipeline's last flat
+        # powder stage.
+        write_trace(tracer.trace, args.trace)
         print(f"run trace written to {args.trace}")
     if getattr(args, "output", None):
         Path(args.output).write_text(write_blif(netlist))
@@ -259,18 +274,21 @@ def _write_optimized_outputs(args, netlist, result) -> None:
 
 
 def _cmd_optimize(args) -> int:
-    from repro.pipeline import PassManager
-
-    netlist, options, passes = _build_pipeline_from_args(args)
-    outcome = PassManager().run(netlist, options, passes)
-    result = outcome.optimize_result
+    options = _options_from(args, OptimizeOptions())
+    netlist, _library = _load_mapped_netlist(args)
+    result = power_optimize(netlist, options)
     print(result.summary())
-    _write_optimized_outputs(args, netlist, result)
+    _write_optimized_outputs(args, netlist, options.trace)
     return 0
 
 
 def _cmd_pipeline_run(args) -> int:
-    from repro.pipeline import PassManager, available_passes
+    from repro.pipeline import (
+        PassManager,
+        PowderPass,
+        available_passes,
+        build_pipeline,
+    )
 
     if args.list_passes:
         print(f"{'name':10s} description")
@@ -285,14 +303,23 @@ def _cmd_pipeline_run(args) -> int:
             file=sys.stderr,
         )
         return 2
-    netlist, options, passes = _build_pipeline_from_args(args, spec=args.spec)
+    options = _options_from(args, OptimizeOptions())
+    passes = build_pipeline(args.spec, options)
+    if options.trace is not None and not any(
+        isinstance(stage, PowderPass) and not stage.stage_options(options).windowed
+        for stage in passes
+    ):
+        raise ReproError(
+            "--trace records a flat powder stage, and this pipeline runs none"
+        )
+    netlist, _library = _load_mapped_netlist(args)
     print(f"pipeline: {'; '.join(stage.spec() for stage in passes)}")
     outcome = PassManager(verbose=True).run(netlist, options, passes)
     print(outcome.summary())
     result = outcome.optimize_result
     if result is not None:
         print(result.summary())
-    _write_optimized_outputs(args, outcome.netlist, result)
+    _write_optimized_outputs(args, outcome.netlist, options.trace)
     return 0
 
 
@@ -578,12 +605,7 @@ def _cmd_fuzz(args) -> int:
         run_bench_cases,
         run_fuzz,
     )
-    from repro.fuzz.harness import optimizer_options
-
     shapes = _split_rule_ids(args.shapes)
-    # The optimizer-facing subset comes from the same prologue the
-    # optimize/pipeline commands use, so the three stay in sync.
-    shared = _optimizer_option_kwargs(args)
     options = FuzzOptions(
         seed=args.seed,
         count=args.count,
@@ -592,26 +614,18 @@ def _cmd_fuzz(args) -> int:
         min_gates=args.min_gates,
         max_gates=args.max_gates,
         shapes=tuple(shapes) if shapes else FuzzOptions.shapes,
-        num_patterns=shared["num_patterns"],
-        max_moves=shared["max_moves"],
-        delay_slack_percent=shared["delay_slack_percent"],
-        objective=shared["objective"],
+        optimize=_options_from(args, FuzzOptions().optimize),
         shrink=args.shrink or args.corpus_dir is not None,
         corpus_dir=Path(args.corpus_dir) if args.corpus_dir else None,
         check_rerun=not args.quick,
         check_pipeline_identity=not args.quick,
         mutator=cell_swap_mutator if args.self_test else None,
-        windowed=shared["windowed"],
-        jobs=shared["jobs"],
-        window_size=shared["window_size"],
-        window_radius=shared["window_radius"],
         library=(
             parse_genlib_file(args.library)
             if getattr(args, "library", None)
             else None
         ),
     )
-    _checked(optimizer_options, options)
     if args.replay:
         report = replay_corpus(Path(args.replay), options)
         if not report.cases:
@@ -721,25 +735,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--library", help="genlib file (default: built-in)")
     p.add_argument("--output", "-o", help="write optimized BLIF here")
     p.add_argument("--verilog", help="also write structural Verilog here")
-    p.add_argument("--objective", choices=("power", "area", "delay"),
-                   default="power",
-                   help="what each substitution must improve (default power)")
-    p.add_argument("--delay-slack", type=float, default=None,
-                   help="delay constraint as %% over initial (e.g. 0)")
-    p.add_argument("--patterns", type=_pattern_count, default=2048)
-    p.add_argument("--repeat", type=int, default=25)
-    p.add_argument("--max-rounds", type=int, default=20)
-    p.add_argument("--max-moves", type=int, default=None)
-    p.add_argument(
-        "--sanitize", action="store_true",
-        help="validate every incremental structure after each move "
-        "(slow; raises on the first diverging move)",
-    )
-    p.add_argument(
-        "--trace", default=None, metavar="FILE",
-        help="record per-round/per-move telemetry and write the JSON "
-        "run trace here (inspect with 'powder trace show')",
-    )
+    _add_optimizer_arguments(p)
     _add_window_arguments(p)
     p.set_defaults(func=_cmd_optimize)
 
@@ -761,24 +757,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--library", help="genlib file (default: built-in)")
     pr.add_argument("--output", "-o", help="write the final BLIF here")
     pr.add_argument("--verilog", help="also write structural Verilog here")
-    pr.add_argument("--objective", choices=("power", "area", "delay"),
-                    default="power",
-                    help="default objective for powder stages "
-                    "(stage parameters override)")
-    pr.add_argument("--delay-slack", type=float, default=None,
-                    help="delay constraint as %% over initial (e.g. 0)")
-    pr.add_argument("--patterns", type=_pattern_count, default=2048)
-    pr.add_argument("--repeat", type=int, default=25)
-    pr.add_argument("--max-rounds", type=int, default=20)
-    pr.add_argument("--max-moves", type=int, default=None)
-    pr.add_argument(
-        "--sanitize", action="store_true",
-        help="per-move validation inside powder stages (slow)",
-    )
-    pr.add_argument(
-        "--trace", default=None, metavar="FILE",
-        help="write the last powder stage's JSON run trace here",
-    )
+    _add_optimizer_arguments(pr)
     pr.add_argument(
         "--list-passes", action="store_true",
         help="print the registered pass catalog and exit",

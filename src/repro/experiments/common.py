@@ -9,7 +9,7 @@ so the benchmark harness, the CLI and the tests run the identical protocol.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from repro.bench.suite import build_benchmark
@@ -31,30 +31,20 @@ from repro.transform.optimizer import (
 class ExperimentConfig:
     """Protocol parameters shared by all experiments."""
 
-    num_patterns: int = 2048
-    seed: int = 2024
     map_mode: str = "power"
-    repeat: int = 25
-    max_rounds: int = 20
-    #: Optional cap on moves per run, to bound experiment time.
-    max_moves: Optional[int] = None
-
-    def optimizer_options(
-        self, delay_slack_percent: Optional[float] = None
-    ) -> OptimizeOptions:
-        return OptimizeOptions(
-            repeat=self.repeat,
-            delay_slack_percent=delay_slack_percent,
-            num_patterns=self.num_patterns,
-            seed=self.seed,
-            max_rounds=self.max_rounds,
-            max_moves=self.max_moves,
-        )
+    #: Every POWDER run of the protocol (2048 patterns, seed 2024,
+    #: ``repeat`` 25, 20 rounds); each experiment sets its delay slack
+    #: per run.  Also sizes and seeds :func:`initial_metrics`.
+    optimize: OptimizeOptions = field(
+        default_factory=lambda: OptimizeOptions(max_rounds=20)
+    )
 
 
 #: Reduced-effort configuration for tests and quick demo runs.
 QUICK_CONFIG = ExperimentConfig(
-    num_patterns=1024, repeat=10, max_rounds=4, max_moves=12
+    optimize=OptimizeOptions(
+        num_patterns=1024, repeat=10, max_rounds=4, max_moves=12
+    )
 )
 
 
@@ -76,10 +66,11 @@ def initial_metrics(
     netlist: Netlist, config: ExperimentConfig
 ) -> tuple[float, float, float]:
     """(power, area, delay) of a netlist under the experiment protocol."""
+    options = config.optimize
     estimator = PowerEstimator(
         netlist,
         SimulationProbability(
-            netlist, num_patterns=config.num_patterns, seed=config.seed
+            netlist, num_patterns=options.num_patterns, seed=options.seed
         ),
     )
     timing = TimingAnalysis(netlist)
@@ -107,12 +98,13 @@ def run_circuit(
         )
         if unconstrained:
             run.unconstrained = power_optimize(
-                base.copy(name + "_unc"), config.optimizer_options(None)
+                base.copy(name + "_unc"),
+                replace(config.optimize, delay_slack_percent=None),
             )
         if constrained:
             run.constrained = power_optimize(
                 base.copy(name + "_con"),
-                config.optimizer_options(delay_slack_percent=0.0),
+                replace(config.optimize, delay_slack_percent=0.0),
             )
     run.cpu_seconds = timer.seconds
     return run

@@ -10,7 +10,7 @@ about −38 % at +200 %, with two thirds of the extra gain already reached by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from repro.bench.suite import TRADEOFF_SUITE, build_benchmark
@@ -66,7 +66,7 @@ def run_figure6(
         for name in names:
             trial = bases[name].copy(f"{name}_s{slack}")
             result = power_optimize(
-                trial, config.optimizer_options(delay_slack_percent=float(slack))
+                trial, replace(config.optimize, delay_slack_percent=float(slack))
             )
             total_power += result.final_power
             total_delay += TimingAnalysis(trial).circuit_delay

@@ -15,8 +15,8 @@ across randomized circuits:
   reported power/area/delay against from-scratch re-estimation,
 - :mod:`~repro.fuzz.properties` — metamorphic properties of the optimizer
   (power never increases, the delay constraint holds, no dead logic is
-  left behind, re-running is safe, the pass pipeline and the directly
-  driven engine agree move for move),
+  left behind, re-running is safe, ``power_optimize`` and the ``powder``
+  pipeline agree move for move),
 - :mod:`~repro.fuzz.shrink` — delta-debugging reduction of a failing
   netlist to a small reproducer,
 - :mod:`~repro.fuzz.harness` — the ``powder fuzz`` campaign driver and the

@@ -79,13 +79,13 @@ class FuzzOptions:
     min_gates: int = 6
     max_gates: int = 24
     shapes: tuple[str, ...] = SHAPES
-    #: Random patterns for the optimizer run and the oracle prefilter.
-    num_patterns: int = 256
-    repeat: int = 25
-    max_rounds: int = 8
-    max_moves: Optional[int] = None
-    delay_slack_percent: Optional[float] = None
-    objective: str = "power"
+    #: The optimizer run of every case; its ``num_patterns`` also sizes
+    #: the oracle prefilter.  ``windowed=True`` routes every case through
+    #: the windowed flow, whose cases skip the power-monotone property:
+    #: window-local power estimates approximate the global estimator.
+    optimize: OptimizeOptions = field(
+        default_factory=lambda: OptimizeOptions(num_patterns=256, max_rounds=8)
+    )
     #: Delta-debug failing inputs down to minimal reproducers.
     shrink: bool = False
     #: Where shrunk reproducers are written (None = don't write).
@@ -96,15 +96,6 @@ class FuzzOptions:
     check_pipeline_identity: bool = True
     #: Test-only fault injection (see :data:`Mutator`).
     mutator: Optional[Mutator] = None
-    #: Exercise the windowed optimizer instead of the flat engine (see
-    #: ``OptimizeOptions.windowed``).  Windowed cases skip the
-    #: power-monotone and pipeline-identity properties: window-local
-    #: power estimates approximate the global estimator, and the flat
-    #: engine is by design not the windowed move sequence.
-    windowed: bool = False
-    jobs: int = 1
-    window_size: int = 80
-    window_radius: int = 3
     #: Cell library the campaign generates/replays against (None = the
     #: built-in one).  Pointing this at an alternate genlib fuzzes the
     #: whole optimize-verify pipeline for hidden standard-cell-name
@@ -112,8 +103,6 @@ class FuzzOptions:
     library: Optional[Library] = None
 
     def __post_init__(self):
-        if self.num_patterns <= 0 or self.num_patterns % 64:
-            raise ReproError("num_patterns must be a positive multiple of 64")
         for shape in self.shapes:
             if shape not in ALL_SHAPES:
                 raise ReproError(
@@ -183,21 +172,6 @@ class FuzzReport:
 # ----------------------------------------------------------------------
 # Core verification pipeline
 # ----------------------------------------------------------------------
-def optimizer_options(options: FuzzOptions) -> OptimizeOptions:
-    return OptimizeOptions(
-        objective=options.objective,
-        repeat=options.repeat,
-        num_patterns=options.num_patterns,
-        max_rounds=options.max_rounds,
-        max_moves=options.max_moves,
-        delay_slack_percent=options.delay_slack_percent,
-        windowed=options.windowed,
-        jobs=options.jobs,
-        window_size=options.window_size,
-        window_radius=options.window_radius,
-    )
-
-
 def verify_netlist(
     netlist: Netlist, options: FuzzOptions, case_seed: int
 ) -> tuple[list[str], int]:
@@ -208,7 +182,7 @@ def verify_netlist(
     """
     original = netlist
     work = netlist.copy(netlist.name + "_opt")
-    opt = optimizer_options(options)
+    opt = options.optimize
     result = power_optimize(work, opt)
     failures: list[str] = []
 
@@ -216,7 +190,7 @@ def verify_netlist(
         options.mutator(work, random.Random(case_seed))
 
     oracle = check_equivalence_tiers(
-        original, work, num_patterns=options.num_patterns
+        original, work, num_patterns=opt.num_patterns
     )
     if not oracle.equal:
         failures.append(
@@ -240,10 +214,8 @@ def verify_netlist(
             result,
             opt,
             check_rerun=options.check_rerun,
-            check_pipeline_identity=(
-                options.check_pipeline_identity and not options.windowed
-            ),
-            check_power_monotone=not options.windowed,
+            check_pipeline_identity=options.check_pipeline_identity,
+            check_power_monotone=not opt.windowed,
         )
     )
     return failures, len(result.moves)

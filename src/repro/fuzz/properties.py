@@ -12,10 +12,10 @@ input, no reference answer needed:
   leaves nothing behind,
 - ``idempotent-rerun`` — running the optimizer again on its own output is
   safe: it converges, keeps equivalence, and never pushes power back up,
-- ``pipeline-identity`` — the default pass pipeline (what
-  ``power_optimize`` schedules through the PassManager) and a directly
-  driven ``PowerOptimizer`` apply identical move sequences (the
-  pass-pipeline refactor contract).
+- ``pipeline-identity`` — ``power_optimize`` and the one-stage pipeline
+  ``run_pipeline(copy, "powder", options)`` apply identical move
+  sequences, flat or windowed: a ``powder`` stage is one
+  ``power_optimize`` call.
 
 All checks are pure observers: they work on copies and never mutate the
 netlist under test.
@@ -145,34 +145,35 @@ def idempotent_rerun(
 def pipeline_identity(
     original: Netlist, result: OptimizeResult, options: OptimizeOptions
 ) -> list[str]:
-    """[pipeline-identity] default pipeline == directly driven engine.
+    """[pipeline-identity] ``power_optimize`` == the ``powder`` pipeline.
 
-    ``result`` came from ``power_optimize`` — the PassManager-scheduled
-    default pipeline; a :class:`~repro.transform.optimizer.PowerOptimizer`
-    constructed and run directly (no pipeline layer) must apply the
-    identical move sequence.
+    ``result`` came from ``power_optimize``; the one-stage pipeline
+    ``run_pipeline(copy, "powder", options)`` must apply the identical
+    move sequence, on the windowed engine too.
     """
-    from repro.transform.optimizer import PowerOptimizer
+    from repro.pipeline import run_pipeline
 
-    direct = PowerOptimizer(
-        original.copy(original.name + "_direct"), replace(options, trace=None)
-    ).run()
+    piped = run_pipeline(
+        original.copy(original.name + "_piped"),
+        "powder",
+        replace(options, trace=None),
+    ).optimize_result
     ours = [str(m.substitution) for m in result.moves]
-    theirs = [str(m.substitution) for m in direct.moves]
+    theirs = [str(m.substitution) for m in piped.moves]
     if ours != theirs:
         for index, (a, b) in enumerate(zip(ours, theirs)):
             if a != b:
                 return [
-                    f"[pipeline-identity] move {index} differs: pipeline "
-                    f"{a} vs direct {b}"
+                    f"[pipeline-identity] move {index} differs: "
+                    f"power_optimize {a} vs pipeline {b}"
                 ]
         return [
-            f"[pipeline-identity] move counts differ: pipeline {len(ours)} "
-            f"vs direct {len(theirs)}"
+            f"[pipeline-identity] move counts differ: power_optimize "
+            f"{len(ours)} vs pipeline {len(theirs)}"
         ]
-    if abs(direct.final_power - result.final_power) > _EPS:
+    if abs(piped.final_power - result.final_power) > _EPS:
         return [
-            f"[pipeline-identity] final power differs: pipeline "
-            f"{result.final_power!r} vs direct {direct.final_power!r}"
+            f"[pipeline-identity] final power differs: power_optimize "
+            f"{result.final_power!r} vs pipeline {piped.final_power!r}"
         ]
     return []

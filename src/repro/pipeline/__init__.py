@@ -38,7 +38,6 @@ from repro.pipeline.passes import (
     ResynthPass,
     SweepPass,
     available_passes,
-    default_pipeline,
     make_pass,
     register_pass,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "ResynthPass",
     "RegisteredPass",
     "available_passes",
-    "default_pipeline",
     "make_pass",
     "register_pass",
     "StageSpec",

@@ -82,15 +82,15 @@ def run_pipeline(
     """Run a pipeline — a spec string or ready passes — on ``netlist``.
 
     ``run_pipeline(nl, "dedupe; powder(repeat=25); sweep")`` parses the
-    spec through :func:`repro.pipeline.spec.parse_pipeline_spec` and runs
-    the stages with ``options`` (the defaults when ``None``).
+    spec through :func:`repro.pipeline.spec.build_pipeline`, checking its
+    stages against ``options`` (the defaults when ``None``), and runs them
+    with those options.
     """
+    options = options or OptimizeOptions()
     if isinstance(pipeline, str):
         from repro.pipeline.spec import build_pipeline
 
-        passes: Sequence[Pass] = build_pipeline(pipeline)
+        passes: Sequence[Pass] = build_pipeline(pipeline, options)
     else:
         passes = pipeline
-    return PassManager(verbose=verbose).run(
-        netlist, options or OptimizeOptions(), passes
-    )
+    return PassManager(verbose=verbose).run(netlist, options, passes)

@@ -14,12 +14,13 @@ Builtin passes (see :func:`available_passes` / ``powder pipeline run
     unconditional, always-permissible sweep of
     :mod:`repro.transform.dedupe`).
 ``powder``
-    The paper's Figure-5 substitution round loop, parameterized by any
-    :class:`~repro.transform.optimizer.OptimizeOptions` field —
-    ``powder(repeat=25, objective=power)`` — with the objective resolved
-    through the pluggable cost-model registry.
+    One :func:`~repro.transform.optimizer.power_optimize` run,
+    parameterized by any :class:`~repro.transform.optimizer.OptimizeOptions`
+    field — ``powder(repeat=25, objective=power)`` — with the objective
+    resolved through the pluggable cost-model registry.
 ``window``
-    Windowed POWDER for large netlists.
+    Windowed POWDER for large netlists (``powder`` with
+    ``windowed=true``, reporting windows and generations).
 ``sweep``
     Remove gates feeding neither a primary output nor another live gate.
 ``lint``
@@ -36,9 +37,9 @@ import inspect
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Optional
 
-from repro.errors import LintError, PipelineError
+from repro.errors import LintError, PipelineError, ReproError
 from repro.netlist.netlist import Netlist
-from repro.transform.optimizer import OptimizeOptions, PowerOptimizer
+from repro.transform.optimizer import OptimizeOptions, power_optimize
 
 
 @dataclass
@@ -89,15 +90,6 @@ class Pass:
         return f"<Pass {self.spec()}>"
 
 
-def _check_overrides(stage: str, overrides: dict) -> None:
-    unknown = set(overrides) - {f.name for f in fields(OptimizeOptions)}
-    if unknown:
-        raise PipelineError(
-            f"unknown {stage} option(s) {sorted(unknown)}; valid "
-            f"options are the OptimizeOptions fields"
-        )
-
-
 class DedupePass(Pass):
     """Merge structurally identical gates (same cell, same fanins)."""
 
@@ -125,24 +117,48 @@ class SweepPass(Pass):
 
 
 class PowderPass(Pass):
-    """The Figure-5 substitution round loop.
+    """One POWDER run: the Figure-5 substitution round loop.
 
     Keyword parameters override the corresponding
     :class:`~repro.transform.optimizer.OptimizeOptions` fields for this
     stage, e.g. ``powder(repeat=25, objective=power)``; unset fields
-    inherit the pipeline's options.  The stage is one engine run over
-    the netlist it receives, so a ``delay_slack_percent`` is measured on
-    that netlist.
+    inherit the pipeline's options.  The stage is exactly
+    ``power_optimize(netlist, replace(options, **params))``, so
+    ``windowed=true`` runs the windowed engine and a
+    ``delay_slack_percent`` is measured on the netlist the stage receives.
+    A windowed run records no trace (per-window traces do not compose into
+    one run trace), so a windowed stage drops the pipeline's tracer.  An
+    override that ``OptimizeOptions`` rejects fails construction with a
+    :class:`~repro.errors.PipelineError` naming the stage.
     """
 
     name = "powder"
+    #: Fields the stage sets whatever its parameters say.
+    implied: dict = {}
 
     def __init__(self, **overrides):
-        _check_overrides(self.name, overrides)
+        unknown = set(overrides) - {f.name for f in fields(OptimizeOptions)}
+        if unknown:
+            raise PipelineError(
+                f"unknown {self.name} option(s) {sorted(unknown)}; valid "
+                f"options are the OptimizeOptions fields"
+            )
         super().__init__(**overrides)
+        self.stage_options(OptimizeOptions())
+
+    def stage_options(self, options: OptimizeOptions) -> OptimizeOptions:
+        """The options this stage runs with under the pipeline's
+        ``options``; a clash is a :class:`~repro.errors.PipelineError`."""
+        overrides = {**self.params, **self.implied}
+        if overrides.get("windowed", options.windowed):
+            overrides["trace"] = None
+        try:
+            return replace(options, **overrides)
+        except (TypeError, ValueError, ReproError) as error:
+            raise PipelineError(f"{self.spec()}: {error}") from None
 
     def run(self, netlist: Netlist, options: OptimizeOptions) -> PassResult:
-        result = PowerOptimizer(netlist, replace(options, **self.params)).run()
+        result = power_optimize(netlist, self.stage_options(options))
         return PassResult(
             self.name,
             changed=bool(result.moves),
@@ -155,27 +171,24 @@ class PowderPass(Pass):
         )
 
 
-class WindowPass(Pass):
+class WindowPass(PowderPass):
     """Windowed POWDER for large netlists (:mod:`repro.transform.windowed`).
 
     Partitions the netlist into TFI/TFO windows, optimizes them in
     conflict-free generations on a ``multiprocessing`` pool, and merges
     each generation's move lists.  Keyword parameters override
-    :class:`OptimizeOptions` fields, e.g. ``window(jobs=4,
+    :class:`OptimizeOptions` fields as in ``powder``, e.g. ``window(jobs=4,
     window_size=120)``; ``windowed=True`` is implied.  The details count
     the windows by status and the ``generations`` they ran in.
     """
 
     name = "window"
-
-    def __init__(self, **overrides):
-        _check_overrides(self.name, overrides)
-        super().__init__(**overrides)
+    implied = {"windowed": True}
 
     def run(self, netlist: Netlist, options: OptimizeOptions) -> PassResult:
         from repro.transform.windowed import WindowedOptimizer
 
-        options = replace(options, windowed=True, **self.params)
+        options = self.stage_options(options)
         engine = WindowedOptimizer(netlist, options)
         result = engine.run()
         statuses: dict = {}
@@ -477,11 +490,3 @@ def make_pass(name: str, kwargs: Optional[dict] = None) -> Pass:
             + (f" (signature: {name}{signature})" if signature else "")
         ) from error
 
-
-def default_pipeline(options: OptimizeOptions) -> list[Pass]:
-    """The pipeline :func:`repro.transform.optimizer.power_optimize` runs:
-    one ``powder`` stage (``window`` in windowed mode) inheriting every
-    option unchanged."""
-    if options.windowed:
-        return [WindowPass()]
-    return [PowderPass()]

@@ -191,11 +191,22 @@ def format_pipeline_spec(stages: Sequence[StageSpec]) -> str:
     return "; ".join(format_stage(s.name, s.kwargs) for s in stages)
 
 
-def build_pipeline(spec: str):
-    """Parse ``spec`` and instantiate every stage through the registry."""
-    from repro.pipeline.passes import make_pass
+def build_pipeline(spec: str, options=None):
+    """Parse ``spec`` and instantiate every stage through the registry.
 
-    return [
+    With the run's ``options``, every ``powder``/``window`` stage also
+    resolves its options against them, so a stage whose overrides clash
+    with the run's (``window`` under a delay constraint) raises
+    :class:`~repro.errors.PipelineError` before any stage runs.
+    """
+    from repro.pipeline.passes import PowderPass, make_pass
+
+    passes = [
         make_pass(stage.name, stage.kwargs)
         for stage in parse_pipeline_spec(spec)
     ]
+    if options is not None:
+        for stage in passes:
+            if isinstance(stage, PowderPass):
+                stage.stage_options(options)
+    return passes

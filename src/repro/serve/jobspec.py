@@ -49,9 +49,8 @@ class JobSpec:
 
     #: Canonical BLIF text (parse → re-emit of the submission).
     blif: str
-    #: Canonical pipeline spec, or ``None`` for the default pipeline of
-    #: the options (what :func:`repro.transform.optimizer.power_optimize`
-    #: runs).
+    #: Canonical pipeline spec, or ``None`` for one
+    #: :func:`repro.transform.optimizer.power_optimize` run.
     spec: Optional[str]
     #: Canonical JSON of the full :class:`OptimizeOptions`.
     options_json: str
@@ -109,11 +108,12 @@ def canonicalize_job(payload: dict) -> JobSpec:
              "'spec' must be a pipeline-spec string", "bad-spec")
     spec_text = canonical_spec(spec) if spec is not None else None
     if spec_text is not None:
-        # Fail unknown pass names at submission, not inside a worker.
+        # Fail unknown pass names, rejected stage overrides and stages that
+        # clash with the options at submission, not inside a worker.
         from repro.pipeline import build_pipeline
 
         try:
-            build_pipeline(spec_text)
+            build_pipeline(spec_text, options)
         except PipelineError as error:
             raise ServeError(f"invalid pipeline spec: {error}",
                              code="bad-spec", status=400) from error

@@ -19,9 +19,9 @@ matter what a job does.  The moving parts:
   with a monotonic deadline, a cancellation flag, and a bounded
   crash-retry budget.  A timeout, cancellation or crash replaces the
   slot's worker.
-- **Progress** (``GET /jobs/<id>/events``): per-round PR-4 telemetry
-  events stream as NDJSON the moment the worker reports them, ending
-  with the terminal state event.
+- **Progress** (``GET /jobs/<id>/events``): per-round telemetry
+  events, each naming its powder run (``stage``), stream as NDJSON the
+  moment the worker reports them, ending with the terminal state event.
 - **Observability** (``GET /metrics``): queue depth, per-state job
   tallies, cache hit rate, per-phase latencies and worker forks
   (``worker_spawns``), built on the :class:`repro.telemetry.Metrics`
@@ -48,7 +48,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from repro.errors import LintError, ReproError, ServeError
+from repro.errors import LintError, NetlistError, ReproError, ServeError
 from repro.serve.cache import ResultCache
 from repro.serve.http import (
     HttpError,
@@ -678,6 +678,16 @@ class PowderServer:
                 or patterns < 0:
             raise HttpError("'patterns' must be a non-negative integer",
                             code="bad-request", status=400)
+        if patterns:
+            # The probability engine runs max(64, patterns) patterns and
+            # refuses a count that is not whole simulation words.
+            from repro.kernels.words import validate_num_patterns
+
+            try:
+                validate_num_patterns(max(64, patterns), "'patterns'")
+            except NetlistError as error:
+                raise HttpError(str(error), code="bad-request",
+                                status=400) from None
 
         def run_lint() -> dict:
             from repro.lint import lint_netlist

@@ -20,8 +20,9 @@ The parent sends a :class:`~repro.serve.jobspec.JobSpec`; the worker
 streams back:
 
 - ``{"type": "round", ...}`` — one per finished optimizer round, carrying
-  the PR-4 :class:`~repro.telemetry.RoundTrace` fields (pool size, per-
-  class candidate counts, shortlist evaluations, moves, rejections),
+  the :class:`~repro.telemetry.RoundTrace` fields (pool size, per-class
+  candidate counts, shortlist evaluations, moves, rejections) and
+  ``stage``, the 1-based count of the job's traced powder runs,
 - ``{"type": "result", "payload": {...}}`` — the canonical result,
 - ``{"type": "error", "error": {...}}`` — a structured, *deterministic*
   failure (no retry: the same input would fail the same way); the
@@ -55,11 +56,18 @@ _REAP_SECONDS = 5.0
 
 
 class StreamingTracer(Tracer):
-    """A PR-4 tracer that additionally emits each finished round."""
+    """A tracer that additionally emits each finished round, tagged with
+    the run it belongs to (a pipeline job runs one per flat powder stage)."""
 
     def __init__(self, emit: Callable[[dict], None]):
         super().__init__()
         self._emit = emit
+        #: Runs begun so far; the current run's 1-based number.
+        self._stage = 0
+
+    def begin_run(self, optimizer) -> None:
+        super().begin_run(optimizer)
+        self._stage += 1
 
     def end_round(self) -> None:
         finished = self._round
@@ -67,6 +75,7 @@ class StreamingTracer(Tracer):
         if finished is not None:
             self._emit({
                 "type": "round",
+                "stage": self._stage,
                 "index": finished.index,
                 "pool_size": finished.pool_size,
                 "candidates_by_class": dict(finished.candidates_by_class),
@@ -82,28 +91,28 @@ def execute_jobspec(
     """Run one canonical job to completion; the canonical result dict.
 
     Identical to what an in-process
-    :func:`~repro.transform.optimizer.power_optimize` (or explicit
-    pipeline run) produces for the same inputs: the tracer is read-only,
-    so streaming progress never changes a move.
+    :func:`~repro.transform.optimizer.power_optimize` (a job without a
+    spec) or :func:`~repro.pipeline.run_pipeline` produces for the same
+    inputs: the tracer is read-only, so streaming progress never changes a
+    move, and windowed runs take none.
     """
     from repro.netlist.blif import parse_blif, write_blif
-    from repro.pipeline import PassManager, build_pipeline, default_pipeline
-    from repro.transform.optimizer import OptimizeOptions
+    from repro.pipeline import run_pipeline
+    from repro.transform.optimizer import OptimizeOptions, power_optimize
 
     netlist = parse_blif(spec.blif, server_library())
     options = OptimizeOptions.from_dict(json.loads(spec.options_json))
     if emit is not None and not options.windowed:
         options.trace = StreamingTracer(emit)
-    passes = (
-        build_pipeline(spec.spec) if spec.spec is not None
-        else default_pipeline(options)
-    )
-    outcome = PassManager().run(netlist, options, passes)
-    result = outcome.optimize_result
+    if spec.spec is None:
+        result = power_optimize(netlist, options)
+    else:
+        outcome = run_pipeline(netlist, spec.spec, options)
+        netlist, result = outcome.netlist, outcome.optimize_result
 
     payload: dict = {
-        "netlist": outcome.netlist.name,
-        "blif": write_blif(outcome.netlist),
+        "netlist": netlist.name,
+        "blif": write_blif(netlist),
         "spec": spec.spec,
     }
     if result is not None:

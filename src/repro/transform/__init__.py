@@ -34,7 +34,7 @@ from repro.transform.optimizer import (
     power_optimize,
 )
 from repro.transform.report import MoveRecord, ClassStats, class_statistics
-from repro.transform.windowed import WindowedOptimizer, windowed_optimize
+from repro.transform.windowed import WindowedOptimizer
 from repro.transform.dedupe import count_duplicate_gates, merge_duplicate_gates
 
 __all__ = [
@@ -61,7 +61,6 @@ __all__ = [
     "ClassStats",
     "class_statistics",
     "WindowedOptimizer",
-    "windowed_optimize",
     "count_duplicate_gates",
     "merge_duplicate_gates",
 ]

@@ -30,10 +30,10 @@ This module is the *engine* layer:
   incrementally while it edits the netlist,
 - the objective is a pluggable :class:`repro.transform.cost.CostModel`
   (``power``/``area``/``delay`` built in) instead of a string branch,
-- :func:`power_optimize` is a thin wrapper over the default pass
-  pipeline (one ``powder`` stage) run by a
-  :class:`repro.pipeline.PassManager` — bit-identical to driving the
-  engine directly.
+- :func:`power_optimize` is the one way to start a run: it runs
+  :class:`PowerOptimizer`, or the windowed engine
+  (:mod:`repro.transform.windowed`) when ``OptimizeOptions.windowed`` is
+  set.  A pipeline's ``powder`` stage calls it too.
 """
 
 from __future__ import annotations
@@ -380,10 +380,12 @@ def registry_fields(metrics, phases: tuple[str, ...]) -> dict:
 class PowerOptimizer:
     """Stateful POWDER run over one netlist (modified in place).
 
-    The engine behind the pipeline's ``powder`` pass.  The run's
-    analyses (estimator, constraint, STA, candidate workspace, triage
-    checker) live in its own
-    :class:`~repro.pipeline.OptimizationContext`, built on first use.
+    The flat engine :func:`power_optimize` runs; windowed options
+    (``windowed=True``) are the windowed engine's and raise
+    :class:`~repro.errors.TransformError` here.  The run's analyses
+    (estimator, constraint, STA, candidate workspace, triage checker) live
+    in its own :class:`~repro.pipeline.OptimizationContext`, built on
+    first use.
     """
 
     def __init__(
@@ -394,6 +396,11 @@ class PowerOptimizer:
         self.ctx = OptimizationContext(netlist, options)
         self.netlist = netlist
         self.options = opts = self.ctx.options
+        if opts.windowed:
+            raise TransformError(
+                "PowerOptimizer requires OptimizeOptions(windowed=False); "
+                "power_optimize runs windowed options on WindowedOptimizer"
+            )
         self.cost_model = resolve_cost_model(opts.objective)
         self.initial_delay = TimingAnalysis(self.netlist).circuit_delay
         self.moves: list[MoveRecord] = []
@@ -693,22 +700,18 @@ def power_optimize(
     :class:`OptimizeOptions` fields, e.g. ``power_optimize(nl, repeat=10,
     delay_slack_percent=0)``.
 
-    This is a thin wrapper over the default pass pipeline (one
-    ``powder`` stage, or ``window`` in windowed mode) scheduled by a
-    :class:`repro.pipeline.PassManager`; it applies a move sequence
-    bit-identical to driving :class:`PowerOptimizer` directly.  Compose
-    custom pipelines, such as ``"dedupe; powder"``, with
-    :func:`repro.pipeline.run_pipeline`.
+    The one way to start a run: ``options.windowed`` selects
+    :class:`~repro.transform.windowed.WindowedOptimizer`, otherwise
+    :class:`PowerOptimizer` runs.  A pipeline's ``powder`` stage is this
+    call with the stage's overrides; compose pipelines such as
+    ``"dedupe; powder"`` with :func:`repro.pipeline.run_pipeline`.
     """
     if options is None:
         options = OptimizeOptions(**kwargs)
     elif kwargs:
         raise TypeError("pass either an OptimizeOptions or keyword overrides")
-    from repro.pipeline.manager import PassManager
-    from repro.pipeline.passes import default_pipeline
+    if options.windowed:
+        from repro.transform.windowed import WindowedOptimizer
 
-    outcome = PassManager().run(netlist, options, default_pipeline(options))
-    result = outcome.optimize_result
-    if result is None:  # pragma: no cover - default_pipeline always powders
-        raise TransformError("default pipeline produced no optimize result")
-    return result
+        return WindowedOptimizer(netlist, options).run()
+    return PowerOptimizer(netlist, options).run()

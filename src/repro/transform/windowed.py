@@ -594,11 +594,3 @@ class WindowedOptimizer:
             **registry_fields(self.metrics, PHASES),
         )
 
-
-def windowed_optimize(
-    netlist: Netlist, options: Optional[OptimizeOptions] = None
-) -> OptimizeResult:
-    """Run the windowed flow over ``netlist`` (modified in place)."""
-    if options is None:
-        options = OptimizeOptions(windowed=True)
-    return WindowedOptimizer(netlist, options).run()

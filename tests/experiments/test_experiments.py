@@ -16,8 +16,13 @@ from repro.experiments.table2 import (
     run_table2,
     table2_from_runs,
 )
+from repro.transform.optimizer import OptimizeOptions
 
-TINY = ExperimentConfig(num_patterns=512, repeat=6, max_rounds=2, max_moves=6)
+TINY = ExperimentConfig(
+    optimize=OptimizeOptions(
+        num_patterns=512, repeat=6, max_rounds=2, max_moves=6
+    )
+)
 
 
 @pytest.fixture(scope="module")
@@ -40,6 +45,15 @@ class TestRunCircuit:
     def test_modes_can_be_skipped(self):
         run = run_circuit("sqrt8", TINY, constrained=False)
         assert run.constrained is None
+
+    def test_protocol_defaults(self):
+        """The paper protocol: 2048 patterns, seed 2024, ``repeat`` 25 and
+        at most 20 rounds per run."""
+        options = ExperimentConfig().optimize
+        assert (
+            options.num_patterns, options.seed, options.repeat,
+            options.max_rounds, options.max_moves,
+        ) == (2048, 2024, 25, 20, None)
 
     def test_initial_metrics_positive(self, lib):
         from repro.bench.suite import build_benchmark

@@ -9,14 +9,15 @@ import pytest
 from repro.cli import main
 from repro.errors import ReproError
 from repro.fuzz import FuzzOptions, replay_corpus, run_fuzz
+from repro.transform.optimizer import OptimizeOptions
 
 CORPUS = Path(__file__).parent / "corpus"
 
-QUICK = dict(num_patterns=256, check_rerun=False)
+QUICK = dict(check_rerun=False)
 
 
 def test_small_campaign_passes():
-    report = run_fuzz(FuzzOptions(seed=0, count=4, num_patterns=256))
+    report = run_fuzz(FuzzOptions(seed=0, count=4))
     assert len(report.cases) == 4
     assert report.ok, report.summary()
     assert {c.shape for c in report.cases} == {
@@ -36,11 +37,20 @@ def test_campaign_is_deterministic():
 
 def test_options_validation():
     with pytest.raises(ReproError):
-        FuzzOptions(num_patterns=100)  # not a multiple of 64
+        # not a multiple of 64
+        FuzzOptions(optimize=OptimizeOptions(num_patterns=100))
     with pytest.raises(ReproError):
-        FuzzOptions(num_patterns=0)
+        FuzzOptions(optimize=OptimizeOptions(num_patterns=0))
     with pytest.raises(ReproError):
         FuzzOptions(shapes=("random", "spiral"))
+
+
+def test_default_optimizer_run():
+    """Fuzz cases run 256 patterns and at most 8 rounds, the rest at the
+    optimizer's defaults."""
+    assert FuzzOptions().optimize == OptimizeOptions(
+        num_patterns=256, max_rounds=8
+    )
 
 
 def test_regression_corpus_replays_clean():

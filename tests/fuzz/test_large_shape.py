@@ -55,8 +55,7 @@ class TestLargeShape:
 )
 def test_windowed_50k_smoke_under_oracle(lib):
     from repro.fuzz.oracle import check_equivalence_tiers
-    from repro.transform.optimizer import OptimizeOptions
-    from repro.transform.windowed import windowed_optimize
+    from repro.transform.optimizer import OptimizeOptions, power_optimize
 
     netlist = random_mapped_netlist(large_config(7, 50_000), lib)
     reference = netlist.copy("ref")
@@ -67,7 +66,7 @@ def test_windowed_50k_smoke_under_oracle(lib):
         max_rounds=1,
         jobs=1,
     )
-    result = windowed_optimize(netlist, options)
+    result = power_optimize(netlist, options)
     assert result.rounds > 100, "50k gates must partition into many windows"
     # At 64 inputs no tier can certify equality (exhaustive is skipped,
     # the BDDs blow up and SAT hits its budget on a 100k-gate miter), so

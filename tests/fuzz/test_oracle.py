@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from repro.fuzz.generator import GeneratorConfig, random_mapped_netlist
-from repro.fuzz.harness import FuzzOptions, optimizer_options
+from repro.fuzz.harness import FuzzOptions
 from repro.fuzz.oracle import (
     check_equivalence_tiers,
     cross_check_metrics,
@@ -86,7 +86,7 @@ def test_interface_mismatch_is_a_finding_not_a_crash(lib):
 
 def _optimized(lib, seed=6):
     netlist = random_mapped_netlist(GeneratorConfig(seed=seed), lib)
-    options = optimizer_options(FuzzOptions(num_patterns=256))
+    options = FuzzOptions().optimize
     return power_optimize(netlist, options), options
 
 

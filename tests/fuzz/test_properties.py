@@ -7,7 +7,7 @@ from dataclasses import replace
 import pytest
 
 from repro.fuzz.generator import GeneratorConfig, random_mapped_netlist
-from repro.fuzz.harness import FuzzOptions, optimizer_options
+from repro.fuzz.harness import FuzzOptions
 from repro.fuzz.properties import (
     dead_logic,
     delay_constraint,
@@ -25,7 +25,7 @@ def run(lib):
     original = random_mapped_netlist(
         GeneratorConfig(seed=12, shape="high_fanout"), lib
     )
-    options = optimizer_options(FuzzOptions(num_patterns=256))
+    options = FuzzOptions().optimize
     result = power_optimize(original.copy(original.name + "_opt"), options)
     return original, result, options
 
@@ -76,9 +76,7 @@ def test_constrained_run_respects_delay_limit(lib):
     netlist = random_mapped_netlist(
         GeneratorConfig(seed=9, shape="reconvergent"), lib
     )
-    options = optimizer_options(
-        FuzzOptions(num_patterns=256, delay_slack_percent=0.0)
-    )
+    options = replace(FuzzOptions().optimize, delay_slack_percent=0.0)
     result = power_optimize(netlist, options)
     assert result.delay_limit is not None
     assert delay_constraint(result) == []
@@ -90,7 +88,7 @@ def test_constrained_run_respects_delay_limit(lib):
 @pytest.mark.parametrize("seed,shape", [(0, "reconvergent"), (12, "high_fanout")])
 def test_os3_is3_insertions_are_library_legal(lib, seed, shape):
     netlist = random_mapped_netlist(GeneratorConfig(seed=seed, shape=shape), lib)
-    options = optimizer_options(FuzzOptions(num_patterns=256))
+    options = FuzzOptions().optimize
     result = power_optimize(netlist, options)
 
     inserting = [

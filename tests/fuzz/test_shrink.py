@@ -54,7 +54,6 @@ def test_broken_transform_caught_and_shrunk(lib, tmp_path):
     corruption after optimization) must be caught by the oracle and shrunk
     to a reproducer of at most 10 gates."""
     options = FuzzOptions(
-        num_patterns=256,
         mutator=cell_swap_mutator,
         shrink=True,
         corpus_dir=tmp_path,
@@ -74,6 +73,6 @@ def test_broken_transform_caught_and_shrunk(lib, tmp_path):
     # lived in the injected mutator, not in the netlist).
     replay = replay_corpus(
         tmp_path,
-        FuzzOptions(num_patterns=256, check_rerun=False),
+        FuzzOptions(check_rerun=False),
     )
     assert len(replay.cases) == 1

@@ -83,9 +83,9 @@ class TestFuzzOnAltLibrary:
             FuzzOptions(
                 seed=11,
                 count=3,
-                num_patterns=256,
-                repeat=10,
-                max_rounds=2,
+                optimize=OptimizeOptions(
+                    num_patterns=256, repeat=10, max_rounds=2
+                ),
                 check_rerun=False,
                 check_pipeline_identity=False,
                 library=parse_genlib_file(NANDNOR),

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.equiv.checker import check_equivalent
 from repro.errors import LintError, PipelineError
+from repro.library.standard import standard_library
+from repro.netlist.blif import parse_blif_file, write_blif
 from repro.pipeline import OptimizationContext, PassManager, run_pipeline
 from repro.pipeline.passes import (
     DedupePass,
@@ -13,11 +17,14 @@ from repro.pipeline.passes import (
     PowderPass,
     ResynthPass,
     SweepPass,
+    WindowPass,
     available_passes,
     make_pass,
 )
-from repro.transform.optimizer import OptimizeOptions
+from repro.transform.optimizer import OptimizeOptions, power_optimize
 from tests.conftest import make_random_netlist
+
+MISEX1 = Path(__file__).resolve().parents[2] / "benchmarks/blif/misex1.blif"
 
 
 def duplicate_netlist(builder):
@@ -56,6 +63,15 @@ class TestPowderPass:
         with pytest.raises(PipelineError, match="unknown powder option"):
             PowderPass(turbo=True)
 
+    def test_rejected_override_is_a_pipeline_error_naming_the_stage(
+        self, lib
+    ):
+        with pytest.raises(PipelineError, match=r"^powder\(repeat=-1\): "):
+            PowderPass(repeat=-1)
+        netlist = make_random_netlist(lib, 5, 14, 2, seed=75)
+        with pytest.raises(PipelineError, match="^window: windowed .* delay"):
+            WindowPass().run(netlist, OptimizeOptions(delay_slack_percent=0))
+
     def test_analysis_affecting_override_rebuilds(self, lib, monkeypatch):
         built_with = []
         builder = OptimizationContext._build_probability
@@ -74,6 +90,21 @@ class TestPowderPass:
             OptimizeOptions(num_patterns=256),
         )
         assert built_with == [128, 256]
+
+    def test_stage_is_power_optimize_on_the_windowed_engine_too(self):
+        options = OptimizeOptions(
+            num_patterns=512, windowed=True, window_size=20,
+            window_radius=2, max_rounds=2,
+        )
+        direct = parse_blif_file(MISEX1, standard_library())
+        expected = power_optimize(direct, options)
+        staged = parse_blif_file(MISEX1, standard_library())
+        result = run_pipeline(staged, "powder", options).optimize_result
+        assert (len(expected.moves), expected.rounds) == (4, 14)
+        assert [str(m.substitution) for m in result.moves] == [
+            str(m.substitution) for m in expected.moves
+        ]
+        assert write_blif(staged) == write_blif(direct)
 
     def test_runs_engine_over_context(self, lib):
         netlist = make_random_netlist(lib, 5, 16, 2, seed=76)

@@ -231,6 +231,9 @@ class TestMalformedInputs:
         ({"blif": "x", "priority": "high"}, 400, "bad-request"),
         ({"blif": "x", "timeout": -1}, 400, "bad-request"),
         ({"blif": "x", "use_cache": "yes"}, 400, "bad-request"),
+        ({"blif": "x", "spec": "powder(repeat=-1)"}, 400, "bad-spec"),
+        ({"blif": "x", "spec": "window",
+          "options": {"delay_slack_percent": 0}}, 400, "bad-spec"),
     ])
     def test_submit_rejections(self, client, payload, status, code):
         with pytest.raises(ServeClientError) as excinfo:
@@ -344,6 +347,19 @@ class TestLintService:
         with pytest.raises(ServeClientError) as excinfo:
             client.lint(make_blif(150), select=["NOPE999"])
         assert excinfo.value.status == 400
+
+    @pytest.mark.parametrize("patterns", [100, 1000])
+    def test_lint_rejects_a_pattern_count_the_engine_refuses(
+        self, client, patterns
+    ):
+        with pytest.raises(ServeClientError) as excinfo:
+            client.lint(make_blif(150), patterns=patterns)
+        assert excinfo.value.status == 400
+        assert excinfo.value.code == "bad-request"
+        assert client.health()["status"] == "ok"
+
+    def test_lint_rounds_a_small_pattern_count_up_to_one_word(self, client):
+        assert client.lint(make_blif(150), patterns=10)["counts"] == {}
 
 
 class TestMetricsEndpoint:

@@ -90,6 +90,21 @@ REJECTED_SETTINGS = [
         "repeat must be non-negative, got -1",
     ),
     (
+        ["pipeline", "run", RD53, "--spec", "powder(repeat=-1)"],
+        "powder(repeat=-1): repeat must be non-negative, got -1",
+    ),
+    (
+        ["pipeline", "run", RD53, "--spec", "window", "--delay-slack", "0"],
+        "window: windowed optimization does not support delay constraints: "
+        "window-local slack cannot see external paths, so the constraint "
+        "would not be enforced",
+    ),
+    (
+        ["pipeline", "run", RD53, "--spec", "window(window_size=20)",
+         "--trace", "unused.json"],
+        "--trace records a flat powder stage, and this pipeline runs none",
+    ),
+    (
         ["fuzz", "--count", "1", "--max-moves", "-1"],
         "max_moves must be non-negative, got -1",
     ),
@@ -387,12 +402,15 @@ class TestUtilityCommands:
         # the smallest and cap effort to keep this test quick.
         from repro.experiments.figure6 import run_figure6, format_figure6
         from repro.experiments.common import ExperimentConfig
+        from repro.transform.optimizer import OptimizeOptions
 
         result = run_figure6(
             circuits=["sqrt8"],
             slack_percents=(0, 200),
             config=ExperimentConfig(
-                num_patterns=512, repeat=4, max_rounds=1, max_moves=3
+                optimize=OptimizeOptions(
+                    num_patterns=512, repeat=4, max_rounds=1, max_moves=3
+                )
             ),
         )
         text = format_figure6(result)
@@ -676,6 +694,20 @@ class TestPipelineCommand:
         for stage in ("dedupe", "powder", "sweep", "total"):
             assert stage in out
         assert out_blif.exists() and trace.exists()
+
+    def test_trace_is_the_last_flat_powder_stage(self, tmp_path, capsys):
+        from repro.telemetry import read_trace
+
+        trace = tmp_path / "run.trace.json"
+        assert main([
+            "pipeline", "run", RD53, "--patterns", "256",
+            "--spec", "powder(max_rounds=1); window(window_size=20)",
+            "--trace", str(trace),
+        ]) == 0
+        assert "run trace written" in capsys.readouterr().out
+        recorded = read_trace(trace)
+        assert recorded.summary["rounds"] == 1
+        assert len(recorded.moves) == recorded.summary["moves"]
 
 
 class TestLintAnalysisFlags:

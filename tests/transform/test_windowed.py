@@ -22,14 +22,14 @@ from repro.library.standard import standard_library
 from repro.netlist.blif import write_blif
 from repro.partition import Window, extract_window, recompute_boundary
 from repro.pipeline.manager import run_pipeline
-from repro.transform.optimizer import OptimizeOptions
+from repro.transform.optimizer import (
+    OptimizeOptions,
+    PowerOptimizer,
+    power_optimize,
+)
 from repro.transform.report import MoveRecord
 from repro.transform.substitution import Substitution
-from repro.transform.windowed import (
-    WindowedOptimizer,
-    WindowOutcome,
-    windowed_optimize,
-)
+from repro.transform.windowed import WindowedOptimizer, WindowOutcome
 
 LIB = standard_library()
 
@@ -70,7 +70,7 @@ class TestOracleEquivalence:
         netlist = generated(seed, gates=90)
         reference = netlist.copy("ref")
         options = windowed_options()
-        result = windowed_optimize(netlist, options)
+        result = power_optimize(netlist, options)
         assert result.netlist is netlist
         assert result.rounds >= 2, "window_size must force a real partition"
         assert_oracle_clean(reference, result, options)
@@ -80,7 +80,7 @@ class TestOracleEquivalence:
         netlist = generated(5, gates=70, shape=shape)
         reference = netlist.copy("ref")
         options = windowed_options(window_size=20)
-        result = windowed_optimize(netlist, options)
+        result = power_optimize(netlist, options)
         assert_oracle_clean(reference, result, options)
 
     @pytest.mark.parametrize("name", ["rd53", "misex1"])
@@ -88,14 +88,14 @@ class TestOracleEquivalence:
         netlist = build_benchmark(name, LIB)
         reference = netlist.copy("ref")
         options = windowed_options(window_size=25)
-        result = windowed_optimize(netlist, options)
+        result = power_optimize(netlist, options)
         assert_oracle_clean(reference, result, options)
 
     def test_builtin_verify_pass_and_metrics_from_scratch(self):
         netlist = generated(3, gates=60)
         reference = netlist.copy("ref")
         options = windowed_options()
-        result = windowed_optimize(netlist, options)
+        result = power_optimize(netlist, options)
         assert check_equivalent(reference, netlist).equal
         # The report's final figures must match a cold rebuild (they are
         # recomputed, never accumulated from window-local estimates).
@@ -111,10 +111,8 @@ class TestWorkerCountInvariance:
         flat = generated(41, gates=40)
         win = generated(41, gates=40)
         options = OptimizeOptions(num_patterns=512)
-        from repro.transform.optimizer import PowerOptimizer
-
         result_flat = PowerOptimizer(flat, options).run()
-        result_win = windowed_optimize(
+        result_win = power_optimize(
             win,
             windowed_options(
                 num_patterns=512, window_size=10_000, window_radius=10_000
@@ -130,8 +128,8 @@ class TestWorkerCountInvariance:
         options_b = windowed_options(jobs=2)
         first = generated(83, gates=80)
         second = generated(83, gates=80)  # same seed -> identical twin
-        result_a = windowed_optimize(first, options_a)
-        result_b = windowed_optimize(second, options_b)
+        result_a = power_optimize(first, options_a)
+        result_b = power_optimize(second, options_b)
         moves_a = [m.substitution.candidate_id() for m in result_a.moves]
         moves_b = [m.substitution.candidate_id() for m in result_b.moves]
         assert moves_a == moves_b
@@ -543,6 +541,11 @@ class TestGuards:
         netlist = generated(1, gates=20)
         with pytest.raises(Exception, match="windowed=True"):
             WindowedOptimizer(netlist, OptimizeOptions())
+
+    def test_flat_engine_rejects_windowed_options(self):
+        netlist = generated(1, gates=20)
+        with pytest.raises(TransformError, match="windowed=False"):
+            PowerOptimizer(netlist, OptimizeOptions(windowed=True))
 
     def test_delay_constraints_rejected_up_front(self):
         with pytest.raises(ValueError, match="delay"):
